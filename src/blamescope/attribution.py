@@ -79,6 +79,8 @@ def attribute(outcome_class: OutcomeClass) -> frozenset:
 
 def annotate(traces, cases):
     """Attribution records for every error trace, order preserving."""
+    if len(traces) != len(cases):
+        raise TraceCaseMismatch(f"{len(traces)} traces for {len(cases)} cases")
     records = []
     for trace, case in zip(traces, cases):
         cls = classify(trace, case)

@@ -7,8 +7,9 @@ ratio of expected decision costs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import UnknownVariable
 from .scm import (
@@ -16,10 +17,13 @@ from .scm import (
     EndogenousVar,
     OutcomeSpec,
     Scm,
-    _enumerate_noise,
+    _compile,
+    _encode,
+    _fsum,
+    _grid,
+    _holds,
+    _solve_codes,
     event_probability,
-    solve,
-    topological_order,
     validate,
 )
 
@@ -51,13 +55,6 @@ class CostTerm:
 @dataclass(frozen=True)
 class CostModel:
     terms: tuple = ()
-
-    def cost_of(self, assignment: dict) -> float:
-        total = 0.0
-        for term in self.terms:
-            if all(assignment.get(var) == value for var, value in term.where):
-                total += term.cost
-        return total
 
 
 @dataclass(frozen=True)
@@ -117,14 +114,24 @@ def delta(
 def expected_cost(
     scm: Scm, action: Action, cost: CostModel, max_states: int = DEFAULT_MAX_STATES
 ) -> float:
-    """Expected decision cost under the modified system."""
+    """Expected decision cost under the modified system. A setting's cost is
+    the sum, in term order, of the terms whose `where` holds."""
     modified = apply_action(scm, action)
-    topological_order(modified)
-    terms = []
-    for e, prob in _enumerate_noise(modified, max_states):
-        if prob > 0:
-            terms.append(prob * cost.cost_of(solve(modified, e)))
-    return math.fsum(terms)
+    tables, domains = _compile(modified)
+    terms = [
+        (_encode(domains, (tuple((v, "eq", x) for v, x in term.where),), "cost term"), term.cost)
+        for term in cost.terms
+    ]
+
+    def weighted_costs():
+        for codes, weights in _grid(modified, max_states):
+            endo = _solve_codes(tables, codes)
+            per_state = np.zeros(weights.shape)
+            for where, value in terms:
+                per_state[_holds(where, endo, weights.shape)] += value
+            yield weights * per_state
+
+    return _fsum(weighted_costs())
 
 
 def discount(spec: DiscountSpec, cost_a: float, cost_aprime: float) -> float:

@@ -9,7 +9,6 @@ identical inputs and seeds produce byte-identical reports. Exit codes:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import attribution as attr_mod
@@ -141,13 +140,7 @@ def cmd_counterfactual(args) -> dict:
     bundle, phi = _load_outcome(args)
     observation = dict(_parse_bindings(args.observe, "--observe"))
     interventions = _parse_bindings(args.do, "--do")
-    posterior = scm_mod.abduct(bundle.scm, observation)
-    modified = bundle.scm
-    for var, value in interventions:
-        modified = scm_mod.intervene(modified, var, value)
-    prob = math.fsum(
-        p for e, p in posterior.support if phi.satisfied(scm_mod.solve(modified, e))
-    )
+    prob, support_size = scm_mod._counterfactual(bundle.scm, observation, interventions, phi)
     return {
         "schema": REPORT_SCHEMA,
         "command": "counterfactual",
@@ -157,7 +150,7 @@ def cmd_counterfactual(args) -> dict:
             "do": args.do or [],
         },
         "probability": prob,
-        "posterior_support_size": len(posterior.support),
+        "posterior_support_size": support_size,
     }
 
 
@@ -338,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--do", action="append", metavar="VAR=VALUE")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exact", action="store_true", help="force exact enumeration (default)")
     add_out(p)
 
     p = sub.add_parser("counterfactual", help="counterfactual outcome probability")

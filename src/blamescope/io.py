@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 from dataclasses import dataclass
 
 from .blame import Action, CostModel, CostTerm, DiscountSpec, Override
@@ -117,8 +118,10 @@ def load_scm_bundle(path) -> ScmBundle:
         terms = []
         for raw in raw_terms:
             cost = float(raw["cost"])
-            if cost < 0:
-                raise SchemaViolation(f"cost model {name!r}: negative cost {cost}")
+            if not 0 <= cost < math.inf:
+                raise SchemaViolation(
+                    f"cost model {name!r}: cost must be finite and >= 0, got {cost}"
+                )
             where = tuple(sorted((str(k), str(v)) for k, v in raw.get("where", {}).items()))
             terms.append(CostTerm(where=where, cost=cost))
         costs[name] = CostModel(terms=tuple(terms))
@@ -126,6 +129,8 @@ def load_scm_bundle(path) -> ScmBundle:
     disc = None
     if "discount" in doc:
         raw = doc["discount"]
+        if raw.get("kind") not in ("unit", "cost_ratio"):
+            raise SchemaViolation(f"{path}: unknown discount kind {raw.get('kind')!r}")
         disc = DiscountSpec(kind=raw["kind"], epsilon=float(raw.get("epsilon", 1e-9)))
 
     return ScmBundle(scm=scm, outcomes=outcomes, actions=actions, costs=costs, discount=disc)

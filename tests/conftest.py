@@ -80,8 +80,10 @@ def random_action(rng: random.Random, scm: Scm, label: str) -> Action:
         earlier.append(v.id)
     k = rng.randint(0, min(2, len(earlier)))
     parents = tuple(rng.sample(earlier, k))
+    domains = {v.id: v.domain for v in scm.exogenous + scm.endogenous}
     table = {
-        combo: rng.choice(BITS) for combo in itertools.product(BITS, repeat=len(parents))
+        combo: rng.choice(target.domain.values)
+        for combo in itertools.product(*(domains[p].values for p in parents))
     }
     return Action(label=label, overrides=(Override(target.id, parents, table),))
 
@@ -90,13 +92,83 @@ def random_outcome(rng: random.Random, scm: Scm):
     """Random DNF outcome over the endogenous variables."""
     from blamescope.scm import OutcomeSpec
 
+    def literal():
+        var = rng.choice(scm.endogenous)
+        return (var.id, rng.choice(("eq", "neq")), rng.choice(var.domain.values))
+
     n_clauses = rng.randint(1, 2)
     clauses = []
     for _ in range(n_clauses):
         n_lits = rng.randint(1, 2)
-        lits = tuple(
-            (rng.choice(scm.endogenous).id, rng.choice(("eq", "neq")), rng.choice(BITS))
-            for _ in range(n_lits)
-        )
-        clauses.append(lits)
+        clauses.append(tuple(literal() for _ in range(n_lits)))
     return OutcomeSpec(clauses=tuple(clauses))
+
+
+def wide_scm(rng: random.Random):
+    """Random acyclic SCM with 2-4 valued variables whose exogenous joint
+    space has more than 1024 states, the evaluator's block size; some
+    exogenous values have probability zero."""
+    import itertools
+
+    exogenous = []
+    n_states = 1
+    while n_states <= 1024:
+        values = tuple("abcd"[: rng.randint(2, 4)])
+        raw = [rng.random() if rng.random() > 0.1 else 0.0 for _ in values]
+        raw[0] += 1e-3
+        exogenous.append(
+            ExogenousVar(f"E{len(exogenous)}", Domain(values), tuple(r / sum(raw) for r in raw))
+        )
+        n_states *= len(values)
+    available = [(ex.id, ex.domain) for ex in exogenous]
+    endogenous = []
+    for i in range(5):
+        domain = Domain(tuple("xyz"[: rng.randint(2, 3)]))
+        parents = rng.sample(available, rng.randint(0, 3))
+        table = {
+            combo: rng.choice(domain.values)
+            for combo in itertools.product(*(d.values for _, d in parents))
+        }
+        endogenous.append(EndogenousVar(f"V{i}", domain, tuple(p for p, _ in parents), table))
+        available.append((f"V{i}", domain))
+    scm = Scm(exogenous=tuple(exogenous), endogenous=tuple(endogenous))
+    validate(scm)
+    return scm
+
+
+def constant_scm():
+    """No exogenous variables: A := 1, B := not A, C := A and B."""
+    scm = Scm(
+        exogenous=(),
+        endogenous=(
+            EndogenousVar("A", Domain(BITS), (), {(): "1"}),
+            EndogenousVar("B", Domain(BITS), ("A",), {("0",): "1", ("1",): "0"}),
+            EndogenousVar(
+                "C",
+                Domain(BITS),
+                ("A", "B"),
+                {(a, b): str(int(a == b == "1")) for a in BITS for b in BITS},
+            ),
+        ),
+    )
+    validate(scm)
+    return scm
+
+
+def oracle_models(rng: random.Random, n_random=60):
+    """Models for oracle comparisons: small random binary ones, two larger
+    than one evaluator block with non-binary domains, and one with no
+    exogenous variables."""
+    return [random_scm(rng) for _ in range(n_random)] + [
+        wide_scm(rng),
+        wide_scm(rng),
+        constant_scm(),
+    ]
+
+
+def random_noise(rng: random.Random, scm: Scm):
+    """A random exogenous setting of positive probability."""
+    return {
+        ex.id: rng.choice([v for v, p in zip(ex.domain.values, ex.dist) if p > 0])
+        for ex in scm.exogenous
+    }

@@ -8,16 +8,21 @@ checked against a second, independent implementation.
 import itertools
 
 
-def brute_solve(scm, noise):
+def brute_solve(scm, noise, do=()):
     """Fixpoint sweep: repeatedly evaluate any variable whose parents are
-    all known. No topological order is computed."""
+    all known. No topological order is computed. `do` holds
+    (variable, value) interventions that replace those mechanisms."""
+    forced = dict(do)
     env = dict(noise)
     pending = list(scm.endogenous)
     while pending:
         progressed = False
         remaining = []
         for var in pending:
-            if all(p in env for p in var.parents):
+            if var.id in forced:
+                env[var.id] = forced[var.id]
+                progressed = True
+            elif all(p in env for p in var.parents):
                 env[var.id] = var.mechanism[tuple(env[p] for p in var.parents)]
                 progressed = True
             else:
@@ -28,20 +33,73 @@ def brute_solve(scm, noise):
     return {v.id: env[v.id] for v in scm.endogenous}
 
 
-def brute_event_probability(scm, phi):
-    """Enumerate the exogenous joint space directly."""
-    ids = [ex.id for ex in scm.exogenous]
-    total = 0.0
+def brute_satisfied(clauses, x):
+    """DNF of (var, "eq"|"neq", value) literals against an assignment."""
+    for clause in clauses:
+        ok = True
+        for var, cmp, value in clause:
+            if (x[var] == value) != (cmp == "eq"):
+                ok = False
+        if ok:
+            return True
+    return False
+
+
+def brute_noise(scm):
+    """Yield (exogenous assignment, probability) over the joint space."""
     for combo in itertools.product(*(range(len(ex.domain.values)) for ex in scm.exogenous)):
         prob = 1.0
         noise = {}
         for ex, idx in zip(scm.exogenous, combo):
             prob *= ex.dist[idx]
             noise[ex.id] = ex.domain.values[idx]
-        if prob > 0 and phi.satisfied(brute_solve(scm, noise)):
+        yield noise, prob
+
+
+def brute_event_probability(scm, phi):
+    """Enumerate the exogenous joint space directly."""
+    total = 0.0
+    for noise, prob in brute_noise(scm):
+        if prob > 0 and brute_satisfied(phi.clauses, brute_solve(scm, noise)):
             total += prob
-    assert set(noise) == set(ids) or not ids
     return total
+
+
+def brute_expected_cost(scm, cost):
+    """Expected cost of a model that already has the action applied: each
+    setting pays every term whose `where` pairs all match."""
+    total = 0.0
+    for noise, prob in brute_noise(scm):
+        x = brute_solve(scm, noise)
+        for term in cost.terms:
+            if all(x[var] == value for var, value in term.where):
+                total += prob * term.cost
+    return total
+
+
+def brute_posterior(scm, observation):
+    """(noise, posterior probability) for every positive-weight setting that
+    reproduces the observation; empty when the observation is impossible."""
+    support = []
+    for noise, prob in brute_noise(scm):
+        x = brute_solve(scm, noise)
+        if prob > 0 and all(x[var] == value for var, value in observation.items()):
+            support.append((noise, prob))
+    total = sum(p for _, p in support)
+    return [(noise, p / total) for noise, p in support]
+
+
+def brute_counterfactual_probability(scm, observation, interventions, phi):
+    """Abduct, intervene, predict: re-solve each posterior setting with the
+    interventions forced. None when the observation is impossible."""
+    posterior = brute_posterior(scm, observation)
+    if not posterior:
+        return None
+    return sum(
+        p
+        for noise, p in posterior
+        if brute_satisfied(phi.clauses, brute_solve(scm, noise, interventions))
+    )
 
 
 def brute_qwk(counts):

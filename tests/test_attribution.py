@@ -80,6 +80,15 @@ def test_summarize_one_per_class():
     assert sum(s.class_counts.values()) == s.total_errors == 3
 
 
+def test_annotate_length_mismatch():
+    from blamescope.synthetic import gen_synthetic
+
+    cases = gen_synthetic(seed=3, n_cases=50, ai_accuracy=0.5, human_accuracy=0.5)
+    traces = run(cases[:10], "hitl", POLICY)
+    with pytest.raises(TraceCaseMismatch, match="10 traces for 50 cases"):
+        annotate(traces, cases)
+
+
 def test_partition_and_recount_on_synthetic_log():
     from blamescope.synthetic import gen_synthetic
     from oracles import recount_log

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from blamescope.blame import (
@@ -14,6 +16,9 @@ from blamescope.blame import (
 )
 from blamescope.errors import CyclicGraph, UnknownVariable
 from blamescope.scm import OutcomeSpec, event_probability, solve
+
+from conftest import oracle_models, random_action
+from oracles import brute_expected_cost
 
 BITS = ("0", "1")
 Y1 = OutcomeSpec(((("Y", "eq", "1"),),))
@@ -102,6 +107,20 @@ def test_expected_cost_linear(xor):
     assert expected_cost(xor, XOR_Y, scaled) == pytest.approx(
         3 * expected_cost(xor, XOR_Y, cost), abs=1e-12
     )
+
+
+def test_expected_cost_matches_oracle():
+    rng = random.Random(11)
+    for scm in oracle_models(rng):
+        action = random_action(rng, scm, "a")
+        terms = []
+        for _ in range(3):
+            matched = rng.sample(scm.endogenous, rng.randint(0, min(2, len(scm.endogenous))))
+            where = tuple((v.id, rng.choice(v.domain.values)) for v in matched)
+            terms.append(CostTerm(where=where, cost=rng.choice((0.5, 2.0, 7.25))))
+        cost = CostModel(terms=tuple(terms))
+        want = brute_expected_cost(apply_action(scm, action), cost)
+        assert abs(expected_cost(scm, action, cost) - want) <= 1e-12
 
 
 def test_discount_unit():

@@ -162,6 +162,67 @@ def test_blame_cost_ratio_requires_cost(capsys, blame_path):
     assert json.loads(err)["error"] == "ConfigError"
 
 
+def _edited_model(tmp_path, name, edit):
+    doc = json.loads(bundled_path(name).read_text())
+    edit(doc)
+    path = tmp_path / f"edited_{name}"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+BLAME_ARGS = ("--outcome", "y1", "--action", "auto", "--baseline", "manual",
+              "--cost", "review_cost")
+
+
+@pytest.mark.parametrize(
+    "where, error",
+    [
+        ({"REVEIW": "1"}, "UnknownVariable"),
+        ({"E1": "1"}, "UnknownVariable"),
+        ({"REVIEW": "yes"}, "ValueOutOfDomain"),
+    ],
+)
+def test_blame_cost_term_checked_against_model(capsys, tmp_path, where, error):
+    def edit(doc):
+        doc["costs"]["review_cost"][0]["where"] = where
+
+    path = _edited_model(tmp_path, "xor_blame.json", edit)
+    code, _, err = run_cli(capsys, "blame", "--scm", path, *BLAME_ARGS)
+    assert code == 4
+    assert json.loads(err)["error"] == error
+
+
+def test_blame_infinite_cost_rejected(capsys, tmp_path):
+    def edit(doc):
+        doc["costs"]["review_cost"][1]["cost"] = float("inf")
+
+    path = _edited_model(tmp_path, "xor_blame.json", edit)
+    code, out, err = run_cli(capsys, "blame", "--scm", path, *BLAME_ARGS)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "SchemaViolation"
+
+
+@pytest.mark.parametrize("extra", [(), ("--samples", "100")])
+def test_prob_nan_distribution_rejected(capsys, tmp_path, extra):
+    def edit(doc):
+        doc["exogenous"][0]["probs"] = [float("nan"), float("nan")]
+
+    path = _edited_model(tmp_path, "xor.json", edit)
+    code, out, err = run_cli(capsys, "prob", "--scm", path, "--outcome", "y1", *extra)
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"] == "NonNormalizedDistribution"
+
+
+def test_counterfactual_unknown_outcome_variable(capsys, tmp_path):
+    def edit(doc):
+        doc["outcomes"]["z1"] = [[["Z", "eq", "1"]]]
+
+    path = _edited_model(tmp_path, "xor.json", edit)
+    code, _, err = run_cli(capsys, "counterfactual", "--scm", path, "--outcome", "z1")
+    assert code == 4
+    assert json.loads(err)["error"] == "UnknownVariable"
+
+
 def test_hitl_report(capsys, log_path):
     code, out, _ = run_cli(capsys, "hitl", "--cases", log_path, "--l", "0.2", "--u", "0.8")
     assert code == 0

@@ -36,6 +36,15 @@ def test_load_scm_bad_schema(tmp_path):
         load_scm_bundle(path)
 
 
+def test_load_scm_unknown_discount_kind(tmp_path):
+    doc = json.loads(bundled_path("xor_blame.json").read_text())
+    doc["discount"]["kind"] = "bogus"
+    path = tmp_path / "bogus.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaViolation, match="bogus"):
+        load_scm_bundle(path)
+
+
 def test_load_cases_roundtrip(tmp_path):
     cases = gen_synthetic(seed=8, n_cases=50, ai_accuracy=0.8, human_accuracy=0.9)
     path = tmp_path / "cases.csv"

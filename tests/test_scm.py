@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import random
 
 import pytest
 
@@ -28,14 +30,25 @@ from blamescope.scm import (
     validate,
 )
 
-from conftest import xor_scm
+from conftest import oracle_models, random_noise, random_outcome, xor_scm
+from oracles import (
+    brute_counterfactual_probability,
+    brute_event_probability,
+    brute_posterior,
+    brute_solve,
+)
 
 BITS = ("0", "1")
 Y1 = OutcomeSpec(((("Y", "eq", "1"),),))
 
 
 def test_validate_xor_ok(xor):
-    validate(xor)
+    assert validate(xor) == ("X", "Y")
+
+
+def test_scm_is_frozen(xor):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        xor.exogenous = ()
 
 
 def test_validate_cycle():
@@ -222,3 +235,48 @@ def test_counterfactual_matching_intervention(xor):
 def test_counterfactual_collapse_law(xor):
     p = counterfactual_probability(xor, {}, [], Y1)
     assert abs(p - event_probability(xor, Y1)) <= 1e-12
+
+
+def _observe(rng, scm):
+    """A non-empty, possible observation of some endogenous variables."""
+    x = brute_solve(scm, random_noise(rng, scm))
+    return {var: x[var] for var in rng.sample(sorted(x), rng.randint(1, len(x)))}
+
+
+def test_solve_matches_oracle():
+    rng = random.Random(7)
+    for scm in oracle_models(rng):
+        for _ in range(3):
+            noise = random_noise(rng, scm)
+            assert solve(scm, noise) == brute_solve(scm, noise)
+
+
+def test_event_probability_matches_oracle_beyond_one_block():
+    rng = random.Random(8)
+    for scm in oracle_models(rng, n_random=0):
+        for _ in range(3):
+            phi = random_outcome(rng, scm)
+            assert abs(event_probability(scm, phi) - brute_event_probability(scm, phi)) <= 1e-12
+
+
+def test_abduct_matches_oracle():
+    rng = random.Random(9)
+    for scm in oracle_models(rng):
+        observation = _observe(rng, scm)
+        got = {tuple(sorted(e.items())): p for e, p in abduct(scm, observation).support}
+        want = {tuple(sorted(e.items())): p for e, p in brute_posterior(scm, observation)}
+        assert got.keys() == want.keys()
+        assert all(abs(got[k] - want[k]) <= 1e-12 for k in want)
+
+
+def test_counterfactual_matches_oracle():
+    rng = random.Random(10)
+    for scm in oracle_models(rng):
+        for _ in range(3):
+            observation = _observe(rng, scm)
+            targets = rng.sample(scm.endogenous, rng.randint(1, min(2, len(scm.endogenous))))
+            interventions = [(v.id, rng.choice(v.domain.values)) for v in targets]
+            phi = random_outcome(rng, scm)
+            got = counterfactual_probability(scm, observation, interventions, phi)
+            want = brute_counterfactual_probability(scm, observation, interventions, phi)
+            assert abs(got - want) <= 1e-12
