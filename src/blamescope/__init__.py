@@ -2,13 +2,12 @@
 decision systems."""
 
 from .attribution import (
-    AttributionRecord,
+    Attribution,
     AttributionSummary,
     OutcomeClass,
     Party,
     annotate,
     attribute,
-    classify,
     summarize,
 )
 from .blame import (
@@ -26,12 +25,11 @@ from .blame import (
 )
 from .hitl import (
     Case,
+    CaseLog,
+    Decisions,
     FlagPolicy,
     HitlBlameInput,
-    Trace,
     build_hitl_scm,
-    decide_hitl,
-    decide_human_only,
     empirical_joint,
     error_rate,
     flag,

@@ -8,18 +8,22 @@ off a fixed attribution table.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import TraceCaseMismatch
-from .hitl import Case, Trace
+import numpy as np
+
+from .hitl import Decisions
 
 
 class OutcomeClass(Enum):
     AVOIDABLE = "Avoidable"
     INEVITABLE_FLAGGED = "InevitableFlagged"
     INEVITABLE_UNFLAGGED = "InevitableUnflagged"
+
+
+# The codes in Attribution.classes index this tuple.
+CLASSES = tuple(OutcomeClass)
 
 
 class Party(Enum):
@@ -35,11 +39,18 @@ ATTRIBUTION_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class AttributionRecord:
-    case_id: str
-    outcome_class: OutcomeClass
-    parties: frozenset
+@dataclass(frozen=True, eq=False)
+class Attribution:
+    """The errors of one decided log, in log order: each error's row in the
+    log, its case id and its outcome class (a code into CLASSES)."""
+
+    rows: np.ndarray
+    case_ids: list
+    classes: np.ndarray
+    total_cases: int
+
+    def __len__(self) -> int:
+        return len(self.case_ids)
 
 
 @dataclass(frozen=True)
@@ -50,53 +61,45 @@ class AttributionSummary:
     total_cases: int
 
 
-def classify(hitl_trace: Trace, case: Case) -> OutcomeClass | None:
-    """Outcome class of one pipeline trace, or None when it is not an error.
+def attribute(outcome_class: OutcomeClass) -> frozenset:
+    return ATTRIBUTION_TABLE[outcome_class]
+
+
+def annotate(decisions: Decisions) -> Attribution:
+    """Classify every error of a decided log.
 
     The human-only counterfactual is read from the logged human decision:
     the human's input is fixed per case, so the decision they would have
     made is the one on record.
     """
-    if hitl_trace.case_id != case.id:
-        raise TraceCaseMismatch(
-            f"trace for {hitl_trace.case_id!r} paired with case {case.id!r}"
-        )
-    if hitl_trace.error == 0:
-        return None
-    human_errs = case.human_decision != case.truth
-    if human_errs:
-        return (
-            OutcomeClass.INEVITABLE_FLAGGED
-            if hitl_trace.flagged
-            else OutcomeClass.INEVITABLE_UNFLAGGED
-        )
-    return OutcomeClass.AVOIDABLE
+    rows = np.flatnonzero(decisions.error)
+    flagged = decisions.flagged[rows]
+    classes = np.where(
+        decisions.human_error[rows],
+        np.where(
+            flagged,
+            CLASSES.index(OutcomeClass.INEVITABLE_FLAGGED),
+            CLASSES.index(OutcomeClass.INEVITABLE_UNFLAGGED),
+        ),
+        CLASSES.index(OutcomeClass.AVOIDABLE),
+    )
+    ids = decisions.log.ids
+    return Attribution(
+        rows=rows,
+        case_ids=[ids[i] for i in rows.tolist()],
+        classes=classes,
+        total_cases=len(decisions.log),
+    )
 
 
-def attribute(outcome_class: OutcomeClass) -> frozenset:
-    return ATTRIBUTION_TABLE[outcome_class]
-
-
-def annotate(traces, cases):
-    """Attribution records for every error trace, order preserving."""
-    if len(traces) != len(cases):
-        raise TraceCaseMismatch(f"{len(traces)} traces for {len(cases)} cases")
-    records = []
-    for trace, case in zip(traces, cases):
-        cls = classify(trace, case)
-        if cls is not None:
-            records.append(
-                AttributionRecord(case_id=case.id, outcome_class=cls, parties=attribute(cls))
-            )
-    return records
-
-
-def summarize(records, total_cases: int) -> AttributionSummary:
-    class_counts = Counter(r.outcome_class for r in records)
-    party_counts = Counter(p for r in records for p in r.parties)
+def summarize(attribution: Attribution) -> AttributionSummary:
+    counts = np.bincount(attribution.classes, minlength=len(CLASSES)).tolist()
+    class_counts = dict(zip(CLASSES, counts))
     return AttributionSummary(
-        class_counts={cls: class_counts.get(cls, 0) for cls in OutcomeClass},
-        party_counts={p: party_counts.get(p, 0) for p in Party},
-        total_errors=len(records),
-        total_cases=total_cases,
+        class_counts=class_counts,
+        party_counts={
+            p: sum(n for cls, n in class_counts.items() if p in attribute(cls)) for p in Party
+        },
+        total_errors=len(attribution),
+        total_cases=attribution.total_cases,
     )

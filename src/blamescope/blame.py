@@ -7,11 +7,12 @@ ratio of expected decision costs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownVariable
+from .errors import ConfigError, UnknownVariable
 from .scm import (
     DEFAULT_MAX_STATES,
     EndogenousVar,
@@ -61,6 +62,11 @@ class CostModel:
 class DiscountSpec:
     kind: str = "unit"  # "unit" or "cost_ratio"
     epsilon: float = 1e-9
+
+    def __post_init__(self):
+        # A NaN epsilon would pass through max/min as gamma = 1.
+        if not math.isfinite(self.epsilon):
+            raise ConfigError(f"discount epsilon must be finite, got {self.epsilon}")
 
 
 @dataclass

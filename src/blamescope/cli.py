@@ -185,18 +185,23 @@ def cmd_blame(args) -> dict:
 
 def cmd_hitl(args) -> dict:
     policy = hitl_mod.FlagPolicy(l=args.l, u=args.u)
-    cases = load_cases(args.cases)
-    inp = hitl_mod.HitlBlameInput(
-        cases=tuple(cases),
-        policy=policy,
-        ai_cost=args.ai_cost,
-        review_cost=args.review_cost,
-        discount=DiscountSpec(kind=args.discount or "unit", epsilon=args.epsilon),
+    spec = DiscountSpec(kind=args.discount or "unit", epsilon=args.epsilon)
+    decisions = hitl_mod.run(load_cases(args.cases), policy)
+    report = hitl_mod.hitl_blame(
+        hitl_mod.HitlBlameInput(
+            decisions=decisions,
+            ai_cost=args.ai_cost,
+            review_cost=args.review_cost,
+            discount=spec,
+        )
     )
-    report = hitl_mod.hitl_blame(inp)
-    traces = hitl_mod.run(cases, "hitl", policy)
-    records = attr_mod.annotate(traces, cases)
-    summary = attr_mod.summarize(records, total_cases=len(cases))
+    attribution = attr_mod.annotate(decisions)
+    summary = attr_mod.summarize(attribution)
+    # Per outcome class code: the class name and its sorted party names.
+    shown = [
+        (cls.value, sorted(p.value for p in attr_mod.attribute(cls)))
+        for cls in attr_mod.CLASSES
+    ]
     return {
         "schema": REPORT_SCHEMA,
         "command": "hitl",
@@ -211,12 +216,8 @@ def cmd_hitl(args) -> dict:
         "attribution": {
             "schema": ATTR_SCHEMA,
             "per_case": [
-                {
-                    "id": r.case_id,
-                    "class": r.outcome_class.value,
-                    "parties": sorted(p.value for p in r.parties),
-                }
-                for r in records
+                {"id": case_id, "class": shown[c][0], "parties": shown[c][1]}
+                for case_id, c in zip(attribution.case_ids, attribution.classes.tolist())
             ],
             "summary": {
                 "avoidable": summary.class_counts[attr_mod.OutcomeClass.AVOIDABLE],
@@ -255,14 +256,13 @@ def cmd_metrics(args) -> dict:
         if args.l is None or args.u is None or not args.positive:
             raise ConfigError("case-log metrics need --l, --u and --positive")
         policy = hitl_mod.FlagPolicy(l=args.l, u=args.u)
-        cases = load_cases(args.cases)
-        truths = [c.truth for c in cases]
+        decisions = hitl_mod.run(load_cases(args.cases), policy)
+        log = decisions.log
+        # Compare label codes; a label absent from the log matches no case.
+        positive = log.labels.index(args.positive) if args.positive in log.labels else -1
         scores = {}
-        for mode in ("hitl", "human_only"):
-            traces = hitl_mod.run(cases, mode, policy)
-            counts = metrics_mod.binary_counts(
-                [t.final_decision for t in traces], truths, args.positive
-            )
+        for mode, final in (("hitl", decisions.final), ("human_only", log.human_decision)):
+            counts = metrics_mod.binary_counts(final, log.truth, positive)
             precision, recall, f1 = metrics_mod.precision_recall_f1(counts)
             scores[mode] = {
                 "tp": counts.tp,

@@ -77,15 +77,15 @@ class EmptyCaseList(DataError):
     pass
 
 
-class TraceCaseMismatch(DataError):
-    pass
-
-
 class MalformedRow(DataError):
     pass
 
 
 class SchemaViolation(DataError):
+    pass
+
+
+class UnreadableFile(DataError):
     pass
 
 

@@ -5,13 +5,17 @@ band [l, u]; inside the band the case is flagged and the logged human
 decision is used instead. Deploying this pipeline is compared against the
 human-only policy, both empirically over a log and exactly through a small
 causal model built from the log's joint frequencies.
+
+A log is held in columns (CaseLog) and decided once, as arrays, by `run`;
+the blame, the attribution and the F1 metrics all read that one result.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .blame import Action, BlameReport, DiscountSpec, Override, discount
 from .errors import (
@@ -31,6 +35,8 @@ HITL_OUTCOME = OutcomeSpec(clauses=((("ERR", "eq", "1"),),))
 
 @dataclass(frozen=True)
 class Case:
+    """One row of a case log."""
+
     id: str
     ai_confidence: float
     ai_decision: str
@@ -54,18 +60,84 @@ class FlagPolicy:
             raise ConfigError(f"flag thresholds need 0 <= l < u <= 1, got l={self.l}, u={self.u}")
 
 
-@dataclass(frozen=True)
-class Trace:
-    case_id: str
-    flagged: int
-    final_decision: str
-    error: int
+@dataclass(frozen=True, eq=False)
+class CaseLog:
+    """A case log in columns, one entry per case in log order.
+
+    The three label columns hold codes into `labels`, the sorted set of
+    every label that appears in any of them.
+    """
+
+    ids: list
+    ai_confidence: np.ndarray  # float64
+    labels: tuple
+    ai_decision: np.ndarray
+    human_decision: np.ndarray
+    truth: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @classmethod
+    def from_columns(cls, ids, confidence, ai, human, truth) -> CaseLog:
+        """Encode already checked columns: ids, confidences in [0, 1] and
+        the three label columns as strings. Ids are not checked here."""
+        labels = tuple(sorted(set(ai) | set(human) | set(truth)))
+        code = {label: i for i, label in enumerate(labels)}.__getitem__
+        n = len(ids)
+        return cls(
+            ids=list(ids),
+            ai_confidence=np.asarray(confidence, dtype=np.float64),
+            labels=labels,
+            ai_decision=np.fromiter(map(code, ai), dtype=np.intp, count=n),
+            human_decision=np.fromiter(map(code, human), dtype=np.intp, count=n),
+            truth=np.fromiter(map(code, truth), dtype=np.intp, count=n),
+        )
+
+    @classmethod
+    def from_cases(cls, cases) -> CaseLog:
+        """Columns of a sequence of Case rows; a repeated id is an error."""
+        ids = [c.id for c in cases]
+        dup = first_duplicate(ids)
+        if dup is not None:
+            raise DuplicateCaseId(f"duplicate case id {ids[dup]!r}")
+        return cls.from_columns(
+            ids,
+            [c.ai_confidence for c in cases],
+            [c.ai_decision for c in cases],
+            [c.human_decision for c in cases],
+            [c.truth for c in cases],
+        )
+
+
+def first_duplicate(ids) -> int | None:
+    """Index of the first id that repeats an earlier one, or None."""
+    if len(set(ids)) == len(ids):
+        return None
+    seen = set()
+    for i, case_id in enumerate(ids):
+        if case_id in seen:
+            return i
+        seen.add(case_id)
+
+
+@dataclass(frozen=True, eq=False)
+class Decisions:
+    """The pipeline run once over a whole log. Each array has one entry per
+    case in log order: whether the case was flagged, the final decision (a
+    code into log.labels), and whether the pipeline and the human alone
+    got the case wrong."""
+
+    log: CaseLog
+    flagged: np.ndarray
+    final: np.ndarray
+    error: np.ndarray
+    human_error: np.ndarray
 
 
 @dataclass(frozen=True)
 class HitlBlameInput:
-    cases: tuple
-    policy: FlagPolicy
+    decisions: Decisions
     ai_cost: float
     review_cost: float
     discount: DiscountSpec
@@ -75,151 +147,112 @@ class HitlBlameInput:
             raise ConfigError("decision costs must be non-negative")
 
 
-def flag(policy: FlagPolicy, p: float) -> int:
-    """1 iff the confidence falls in the closed uncertainty band."""
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"confidence {p} outside [0,1]")
-    return 1 if policy.l <= p <= policy.u else 0
+def flag(policy: FlagPolicy, p):
+    """Whether a confidence, or each of an array of them, falls in the
+    closed uncertainty band [l, u]. Confidences are range-checked where a
+    Case or a CaseLog is built."""
+    return (policy.l <= p) & (p <= policy.u)
 
 
-def decide_hitl(case: Case, policy: FlagPolicy) -> Trace:
-    flagged = flag(policy, case.ai_confidence)
-    final = case.human_decision if flagged else case.ai_decision
-    return Trace(
-        case_id=case.id,
+def run(log: CaseLog, policy: FlagPolicy) -> Decisions:
+    """Decide every case of the log: the human's decision where it is
+    flagged, the AI's elsewhere."""
+    flagged = flag(policy, log.ai_confidence)
+    final = np.where(flagged, log.human_decision, log.ai_decision)
+    return Decisions(
+        log=log,
         flagged=flagged,
-        final_decision=final,
-        error=int(final != case.truth),
+        final=final,
+        error=final != log.truth,
+        human_error=log.human_decision != log.truth,
     )
 
 
-def decide_human_only(case: Case) -> Trace:
-    return Trace(
-        case_id=case.id,
-        flagged=1,
-        final_decision=case.human_decision,
-        error=int(case.human_decision != case.truth),
-    )
-
-
-def run(cases, mode: str, policy: FlagPolicy | None = None):
-    """Apply the per-case rule over a whole log; order preserving."""
-    seen = set()
-    for c in cases:
-        if c.id in seen:
-            raise DuplicateCaseId(f"duplicate case id {c.id!r}")
-        seen.add(c.id)
-    if mode == "hitl":
-        if policy is None:
-            raise ConfigError("hitl mode requires a flag policy")
-        return [decide_hitl(c, policy) for c in cases]
-    if mode == "human_only":
-        return [decide_human_only(c) for c in cases]
-    raise ConfigError(f"unknown mode {mode!r}")
-
-
-def error_rate(traces) -> float:
-    if not traces:
-        raise EmptyTraceList("cannot compute an error rate over zero traces")
-    return sum(t.error for t in traces) / len(traces)
+def error_rate(errors) -> float:
+    """Fraction of the cases marked in a per-case error array."""
+    if len(errors) == 0:
+        raise EmptyTraceList("cannot compute an error rate over zero cases")
+    return int(np.count_nonzero(errors)) / len(errors)
 
 
 def hitl_blame(inp: HitlBlameInput) -> BlameReport:
     """Empirical blame for deploying the HITL pipeline instead of the
     human-only policy, with the two-rate cost model."""
-    if not inp.cases:
+    d = inp.decisions
+    n = len(d.log)
+    if not n:
         raise EmptyCaseList("case log is empty")
-    hitl_traces = run(inp.cases, "hitl", inp.policy)
-    human_traces = run(inp.cases, "human_only")
-    p_a = error_rate(hitl_traces)
-    p_ap = error_rate(human_traces)
-    d = max(0.0, p_a - p_ap)
-    frac = sum(t.flagged for t in hitl_traces) / len(hitl_traces)
+    p_a = error_rate(d.error)
+    p_ap = error_rate(d.human_error)
+    delta = max(0.0, p_a - p_ap)
+    frac = int(np.count_nonzero(d.flagged)) / n
     cost_a = inp.review_cost * frac + inp.ai_cost * (1.0 - frac)
     cost_ap = inp.review_cost
     gamma = discount(inp.discount, cost_a, cost_ap)
     return BlameReport(
         p_a=p_a,
         p_aprime=p_ap,
-        delta=d,
+        delta=delta,
         cost_a=cost_a,
         cost_aprime=cost_ap,
         gamma=gamma,
-        db=gamma * d,
+        db=gamma * delta,
         method="empirical",
         flagged_fraction=frac,
     )
 
 
-def confidence_bin(p: float, bins: int) -> int:
-    """Equal-width bin index of a confidence in [0, 1]."""
-    return min(int(p * bins), bins - 1)
-
-
-def empirical_joint(cases, bins: int = 10):
-    """Frequency joint over (truth, ai_decision, confidence bin,
-    human_decision) from a log; returns (label_domain, joint)."""
-    if not cases:
+def empirical_joint(decisions: Decisions):
+    """Frequency joint over (truth, ai_decision, flag bit, human_decision)
+    of a decided log; returns (label_domain, joint). The flag bit is the
+    one `run` took from the raw confidence, so the joint holds for any
+    thresholds."""
+    log = decisions.log
+    n = len(log)
+    if not n:
         raise EmptyCaseList("case log is empty")
-    labels = sorted(
-        {c.truth for c in cases}
-        | {c.ai_decision for c in cases}
-        | {c.human_decision for c in cases}
+    columns = np.stack(
+        [log.truth, log.ai_decision, decisions.flagged, log.human_decision], axis=1
     )
-    counts = Counter(
-        (c.truth, c.ai_decision, confidence_bin(c.ai_confidence, bins), c.human_decision)
-        for c in cases
-    )
-    n = len(cases)
-    joint = {atom: count / n for atom, count in counts.items()}
-    return labels, joint
+    atoms, counts = np.unique(columns, axis=0, return_counts=True)
+    labels = log.labels
+    joint = {
+        (labels[t], labels[a], f, labels[h]): count / n
+        for (t, a, f, h), count in zip(atoms.tolist(), counts.tolist())
+    }
+    return list(labels), joint
 
 
-def build_hitl_scm(
-    label_domain, confidence_bins: int, joint_distribution: dict, policy: FlagPolicy
-) -> Scm:
+def build_hitl_scm(label_domain, joint_distribution: dict) -> Scm:
     """Discrete causal model of the pipeline.
 
-    One exogenous variable carries the joint over (truth, ai decision,
-    confidence bin, human decision); endogenous variables project it out,
-    compute the flag from the bin midpoint, route the final decision, and
-    mark the error. The human-only comparison is the action returned by
-    human_only_action.
+    One exogenous variable carries the joint over (truth, ai decision, flag
+    bit, human decision); endogenous variables project it out, route the
+    final decision by the flag, and mark the error. The human-only
+    comparison is the action returned by human_only_action.
     """
     atoms = sorted(joint_distribution)
     total = math.fsum(joint_distribution.values())
     if abs(total - 1.0) > PROB_TOL:
         raise NonNormalizedDistribution(f"joint distribution sums to {total}")
     labels = tuple(label_domain)
-    bin_values = tuple(str(b) for b in range(confidence_bins))
-    atom_ids = tuple("|".join((t, a, str(b), h)) for t, a, b, h in atoms)
+    atom_ids = tuple("|".join((t, a, str(f), h)) for t, a, f, h in atoms)
 
     exo = ExogenousVar(
         id="U",
         domain=Domain(values=atom_ids),
         dist=tuple(joint_distribution[atom] for atom in atoms),
     )
-    proj = {
-        "TRUTH": {(_id,): atom[0] for _id, atom in zip(atom_ids, atoms)},
-        "AI": {(_id,): atom[1] for _id, atom in zip(atom_ids, atoms)},
-        "BIN": {(_id,): str(atom[2]) for _id, atom in zip(atom_ids, atoms)},
-        "H": {(_id,): atom[3] for _id, atom in zip(atom_ids, atoms)},
-    }
+
+    def project(pos):
+        return {(_id,): str(atom[pos]) for _id, atom in zip(atom_ids, atoms)}
+
     label_dom = Domain(values=labels)
     endogenous = [
-        EndogenousVar("TRUTH", label_dom, ("U",), proj["TRUTH"]),
-        EndogenousVar("AI", label_dom, ("U",), proj["AI"]),
-        EndogenousVar("BIN", Domain(values=bin_values), ("U",), proj["BIN"]),
-        EndogenousVar("H", label_dom, ("U",), proj["H"]),
-        EndogenousVar(
-            "PSI",
-            Domain(values=("0", "1")),
-            ("BIN",),
-            {
-                (str(b),): str(flag(policy, (b + 0.5) / confidence_bins))
-                for b in range(confidence_bins)
-            },
-        ),
+        EndogenousVar("TRUTH", label_dom, ("U",), project(0)),
+        EndogenousVar("AI", label_dom, ("U",), project(1)),
+        EndogenousVar("PSI", Domain(values=("0", "1")), ("U",), project(2)),
+        EndogenousVar("H", label_dom, ("U",), project(3)),
         EndogenousVar(
             "Y",
             label_dom,

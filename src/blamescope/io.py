@@ -9,14 +9,26 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import itertools
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring
+
+import numpy as np
 
 from .blame import Action, CostModel, CostTerm, DiscountSpec, Override
-from .errors import DataError, MalformedRow, SchemaViolation
-from .hitl import Case
-from .scm import Domain, EndogenousVar, ExogenousVar, OutcomeSpec, Scm, validate
+from .errors import DataError, DuplicateCaseId, MalformedRow, SchemaViolation, UnreadableFile
+from .hitl import CaseLog, first_duplicate
+from .scm import (
+    Domain,
+    EndogenousVar,
+    ExogenousVar,
+    OutcomeSpec,
+    Scm,
+    _encode,
+    validate,
+)
 
 SCM_SCHEMA = "blamescope/scm/1"
 REPORT_SCHEMA = "blamescope/report/1"
@@ -56,119 +68,224 @@ def _parse_outcome(raw) -> OutcomeSpec:
     for clause in raw:
         lits = []
         for lit in clause:
-            if len(lit) != 3 or lit[1] not in ("eq", "neq"):
+            if not isinstance(lit, list) or len(lit) != 3 or lit[1] not in ("eq", "neq"):
                 raise SchemaViolation(f"bad outcome literal {lit!r}")
             lits.append((str(lit[0]), lit[1], str(lit[2])))
         clauses.append(tuple(lits))
     return OutcomeSpec(clauses=tuple(clauses))
 
 
+def _open(path):
+    """Open a text input file. A path that exists but cannot be read (a
+    directory, no permission) is an UnreadableFile error; a missing file
+    stays a FileNotFoundError."""
+    try:
+        return open(path, encoding="utf-8", newline="")
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise UnreadableFile(f"{path}: {exc.strerror or exc}") from None
+
+
+def _undecodable_line(path) -> int:
+    """Line number, counted as csv.reader counts lines, of the first byte
+    of the file that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[: exc.start]
+    # Lines end at \n, \r or \r\n, as in a file opened with newline="";
+    # the appended character makes the line the bad byte starts count too.
+    return sum(1 for _ in _io.StringIO(data.decode("utf-8") + "x", newline=""))
+
+
+def _get(raw, key: str, where: str, kind=object):
+    """raw[key] of a required key of a JSON object, of the given type."""
+    if not isinstance(raw, dict):
+        raise SchemaViolation(f"{where}: expected an object, got {type(raw).__name__}")
+    if key not in raw:
+        raise SchemaViolation(f"{where}: missing {key!r}")
+    if not isinstance(raw[key], kind):
+        raise SchemaViolation(f"{where}: {key!r} has the wrong type {type(raw[key]).__name__}")
+    return raw[key]
+
+
+def _number(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise SchemaViolation(f"{where}: not a number: {value!r}") from None
+
+
+def _table(raw, n_parents: int, where: str) -> dict:
+    return {
+        _split_key(key, n_parents): str(value)
+        for key, value in _get(raw, "table", where, dict).items()
+    }
+
+
 def load_scm_bundle(path) -> ScmBundle:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    """Read and check a model file: the model itself, and every outcome
+    and cost term against the model's variables and domains."""
+    try:
+        with _open(path) as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation(f"{path}: invalid JSON: {exc}") from None
-    if doc.get("schema") != SCM_SCHEMA:
-        raise SchemaViolation(f"{path}: expected schema {SCM_SCHEMA!r}, got {doc.get('schema')!r}")
+    except json.JSONDecodeError as exc:
+        raise SchemaViolation(f"{path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError:
+        raise SchemaViolation(f"{path}: line {_undecodable_line(path)}: not UTF-8") from None
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != SCM_SCHEMA:
+        raise SchemaViolation(f"{path}: expected schema {SCM_SCHEMA!r}, got {schema!r}")
 
     exogenous = []
-    for raw in doc.get("exogenous", []):
+    for i, raw in enumerate(doc.get("exogenous", [])):
+        where = f"{path}: exogenous[{i}]"
         exogenous.append(
             ExogenousVar(
-                id=str(raw["id"]),
-                domain=Domain(values=tuple(str(v) for v in raw["values"])),
-                dist=tuple(float(p) for p in raw["probs"]),
+                id=str(_get(raw, "id", where)),
+                domain=Domain(values=tuple(str(v) for v in _get(raw, "values", where, list))),
+                dist=tuple(_number(p, where) for p in _get(raw, "probs", where, list)),
             )
         )
     endogenous = []
-    for raw in doc.get("endogenous", []):
+    for i, raw in enumerate(doc.get("endogenous", [])):
+        where = f"{path}: endogenous[{i}]"
+        vid = str(_get(raw, "id", where))
         parents = tuple(str(p) for p in raw.get("parents", []))
-        table = {
-            _split_key(key, len(parents)): str(value)
-            for key, value in raw["table"].items()
-        }
         endogenous.append(
             EndogenousVar(
-                id=str(raw["id"]),
-                domain=Domain(values=tuple(str(v) for v in raw["values"])),
+                id=vid,
+                domain=Domain(values=tuple(str(v) for v in _get(raw, "values", where, list))),
                 parents=parents,
-                mechanism=table,
+                mechanism=_table(raw, len(parents), where),
             )
         )
     scm = Scm(exogenous=tuple(exogenous), endogenous=tuple(endogenous))
     validate(scm)
+    domains = {v.id: v.domain for v in scm.endogenous}
 
-    outcomes = {name: _parse_outcome(raw) for name, raw in doc.get("outcomes", {}).items()}
+    outcomes = {}
+    for name, raw in doc.get("outcomes", {}).items():
+        outcomes[name] = _parse_outcome(raw)
+        _encode(domains, outcomes[name].clauses, f"outcome {name!r}")
 
     actions = {}
     for name, raw_overrides in doc.get("actions", {}).items():
         overrides = []
-        for raw in raw_overrides:
+        for i, raw in enumerate(raw_overrides):
+            where = f"{path}: action {name!r}[{i}]"
+            var = str(_get(raw, "var", where))
             parents = tuple(str(p) for p in raw.get("parents", []))
-            table = {
-                _split_key(key, len(parents)): str(value)
-                for key, value in raw["table"].items()
-            }
-            overrides.append(Override(var=str(raw["var"]), parents=parents, table=table))
+            overrides.append(
+                Override(
+                    var=var,
+                    parents=parents,
+                    table=_table(raw, len(parents), where),
+                )
+            )
         actions[name] = Action(label=name, overrides=tuple(overrides))
 
     costs = {}
     for name, raw_terms in doc.get("costs", {}).items():
         terms = []
-        for raw in raw_terms:
-            cost = float(raw["cost"])
+        for i, raw in enumerate(raw_terms):
+            where = f"{path}: cost model {name!r}[{i}]"
+            cost = _number(_get(raw, "cost", where), where)
             if not 0 <= cost < math.inf:
                 raise SchemaViolation(
                     f"cost model {name!r}: cost must be finite and >= 0, got {cost}"
                 )
-            where = tuple(sorted((str(k), str(v)) for k, v in raw.get("where", {}).items()))
-            terms.append(CostTerm(where=where, cost=cost))
+            term = CostTerm(
+                where=tuple(sorted((str(k), str(v)) for k, v in raw.get("where", {}).items())),
+                cost=cost,
+            )
+            _encode(domains, (tuple((v, "eq", x) for v, x in term.where),), f"cost model {name!r}")
+            terms.append(term)
         costs[name] = CostModel(terms=tuple(terms))
 
     disc = None
     if "discount" in doc:
-        raw = doc["discount"]
-        if raw.get("kind") not in ("unit", "cost_ratio"):
-            raise SchemaViolation(f"{path}: unknown discount kind {raw.get('kind')!r}")
-        disc = DiscountSpec(kind=raw["kind"], epsilon=float(raw.get("epsilon", 1e-9)))
+        kind = _get(doc["discount"], "kind", f"{path}: discount")
+        if kind not in ("unit", "cost_ratio"):
+            raise SchemaViolation(f"{path}: unknown discount kind {kind!r}")
+        epsilon = _number(doc["discount"].get("epsilon", 1e-9), f"{path}: discount epsilon")
+        if not math.isfinite(epsilon):
+            raise SchemaViolation(f"{path}: discount epsilon must be finite, got {epsilon}")
+        disc = DiscountSpec(kind=kind, epsilon=epsilon)
 
     return ScmBundle(scm=scm, outcomes=outcomes, actions=actions, costs=costs, discount=disc)
 
 
-def load_cases(path):
-    """Parse a case-log CSV; malformed rows are hard errors with line
-    numbers."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise MalformedRow(f"{path}: empty file")
-        missing = [c for c in CASE_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise MalformedRow(f"{path}: missing column(s) {', '.join(missing)}")
-        cases = []
+def _numbered_rows(path):
+    """Yield (line number, row) for each non-blank row after the header,
+    with the line number as csv.reader counts it."""
+    with _open(path) as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
         for row in reader:
-            line = reader.line_num
-            if any(row.get(c) in (None, "") for c in CASE_COLUMNS):
-                raise MalformedRow(f"{path}: line {line}: incomplete row")
-            try:
-                conf = float(row["ai_confidence"])
-            except ValueError:
-                raise MalformedRow(
-                    f"{path}: line {line}: bad confidence {row['ai_confidence']!r}"
-                ) from None
-            if not 0.0 <= conf <= 1.0:
-                raise MalformedRow(f"{path}: line {line}: confidence {conf} outside [0,1]")
-            cases.append(
-                Case(
-                    id=row["case_id"],
-                    ai_confidence=conf,
-                    ai_decision=row["ai_decision"],
-                    human_decision=row["human_decision"],
-                    truth=row["truth"],
-                )
-            )
-    return cases
+            if row:
+                yield reader.line_num, row
+
+
+def _bad_row(path, positions) -> MalformedRow:
+    """The error for the first row that fails a row check. Called only after
+    a check over the whole columns has failed, to find its line."""
+    for line, row in _numbered_rows(path):
+        fields = [row[i] if i < len(row) else "" for i in positions]
+        if "" in fields:
+            return MalformedRow(f"{path}: line {line}: incomplete row")
+        conf_text = fields[CASE_COLUMNS.index("ai_confidence")]
+        try:
+            conf = float(conf_text)
+        except ValueError:
+            return MalformedRow(f"{path}: line {line}: bad confidence {conf_text!r}")
+        if not 0.0 <= conf <= 1.0:
+            return MalformedRow(f"{path}: line {line}: confidence {conf} outside [0,1]")
+    raise AssertionError(f"{path}: no row fails the checks")
+
+
+def load_cases(path) -> CaseLog:
+    """Parse a case-log CSV into columns. Short or incomplete rows, bad or
+    out-of-range confidences, repeated ids and bytes that are not UTF-8
+    are hard errors with line numbers."""
+    try:
+        with _open(path) as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(filter(None, reader))  # blank lines are skipped
+    except UnicodeDecodeError:
+        raise MalformedRow(f"{path}: line {_undecodable_line(path)}: not UTF-8") from None
+    except csv.Error as exc:
+        raise MalformedRow(f"{path}: line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise MalformedRow(f"{path}: empty file")
+    # A repeated column name means its last occurrence, as in csv.DictReader.
+    position = {name: i for i, name in enumerate(header)}
+    missing = [c for c in CASE_COLUMNS if c not in position]
+    if missing:
+        raise MalformedRow(f"{path}: missing column(s) {', '.join(missing)}")
+    positions = [position[c] for c in CASE_COLUMNS]
+
+    if min(map(len, rows), default=len(header)) <= max(positions):
+        raise _bad_row(path, positions)
+    ids, conf_text, ai, human, truth = ([row[i] for row in rows] for i in positions)
+    del rows
+    if any("" in col for col in (ids, conf_text, ai, human, truth)):
+        raise _bad_row(path, positions)
+    try:
+        conf = np.fromiter(map(float, conf_text), dtype=np.float64, count=len(ids))
+    except ValueError:
+        raise _bad_row(path, positions) from None
+    if not ((0.0 <= conf) & (conf <= 1.0)).all():  # NaN fails too
+        raise _bad_row(path, positions)
+    dup = first_duplicate(ids)
+    if dup is not None:
+        line = next(itertools.islice(_numbered_rows(path), dup, None))[0]
+        raise DuplicateCaseId(f"{path}: line {line}: duplicate case id {ids[dup]!r}")
+    return CaseLog.from_columns(ids, conf, ai, human, truth)
 
 
 def dump_cases(cases) -> str:
@@ -182,20 +299,23 @@ def dump_cases(cases) -> str:
 
 def load_ratings(path, k: int | None = None):
     """Parse a ratings CSV into (rater_a, rater_b) integer pairs."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise MalformedRow(f"{path}: empty file")
-        missing = [c for c in RATING_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise MalformedRow(f"{path}: missing column(s) {', '.join(missing)}")
-        pairs = []
-        for row in reader:
-            line = reader.line_num
-            try:
-                pairs.append((int(row["rater_a"]), int(row["rater_b"])))
-            except (TypeError, ValueError):
-                raise MalformedRow(f"{path}: line {line}: non-integer rating") from None
+    try:
+        with _open(path) as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise MalformedRow(f"{path}: empty file")
+            missing = [c for c in RATING_COLUMNS if c not in reader.fieldnames]
+            if missing:
+                raise MalformedRow(f"{path}: missing column(s) {', '.join(missing)}")
+            pairs = []
+            for row in reader:
+                line = reader.line_num
+                try:
+                    pairs.append((int(row["rater_a"]), int(row["rater_b"])))
+                except (TypeError, ValueError):
+                    raise MalformedRow(f"{path}: line {line}: non-integer rating") from None
+    except UnicodeDecodeError:
+        raise MalformedRow(f"{path}: line {_undecodable_line(path)}: not UTF-8") from None
     if not pairs:
         raise DataError(f"{path}: no rating rows")
     return pairs
@@ -213,13 +333,13 @@ def _canon(obj, out):
     elif isinstance(obj, float):
         out.append(format(obj, ".12g"))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        out.append(encode_basestring(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):
             if i:
                 out.append(",")
-            out.append(json.dumps(str(key), ensure_ascii=False))
+            out.append(encode_basestring(str(key)))
             out.append(":")
             _canon(obj[key], out)
         out.append("}")

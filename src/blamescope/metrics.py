@@ -99,20 +99,14 @@ def blame_from_f1_drop(f1_hitl: float, f1_human_only: float) -> float:
     return max(0.0, f1_human_only - f1_hitl)
 
 
-def binary_counts(predictions, truths, positive: str) -> BinaryCounts:
-    """Tally TP/FP/FN/TN for one positive label over paired label lists."""
-    preds = list(predictions)
-    trues = list(truths)
-    if len(preds) != len(trues):
+def binary_counts(predictions, truths, positive) -> BinaryCounts:
+    """Tally TP/FP/FN/TN for one positive label over paired sequences of
+    labels (or of label codes, with the positive label's code)."""
+    pred = np.asarray(predictions) == positive
+    true = np.asarray(truths) == positive
+    if pred.shape != true.shape:
         raise DataError("prediction and truth lists differ in length")
-    tp = fp = fn = tn = 0
-    for p, t in zip(preds, trues):
-        if p == positive and t == positive:
-            tp += 1
-        elif p == positive:
-            fp += 1
-        elif t == positive:
-            fn += 1
-        else:
-            tn += 1
-    return BinaryCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+    tp = int(np.count_nonzero(pred & true))
+    fp = int(np.count_nonzero(pred)) - tp
+    fn = int(np.count_nonzero(true)) - tp
+    return BinaryCounts(tp=tp, fp=fp, fn=fn, tn=len(pred) - tp - fp - fn)

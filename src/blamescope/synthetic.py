@@ -15,8 +15,7 @@ from .hitl import Case
 LABELS = ("pos", "neg")
 
 # Confidence grid = midpoints of 10 equal-width bins, split by decided
-# class; the "binned" profile draws from these so that binning a generated
-# log never moves a case across a flag boundary.
+# class; the "binned" profile draws from these.
 _POS_GRID = (0.55, 0.65, 0.75, 0.85, 0.95)
 _NEG_GRID = (0.45, 0.35, 0.25, 0.15, 0.05)
 # Index 0 is closest to 0.5 (least confident), index 4 most confident.

@@ -2,7 +2,18 @@ import random
 
 import pytest
 
-from blamescope.blame import Action, Override
+from blamescope.blame import Action, DiscountSpec, Override, delta
+from blamescope.hitl import (
+    HITL_OUTCOME,
+    CaseLog,
+    HitlBlameInput,
+    build_hitl_scm,
+    empirical_joint,
+    hitl_action,
+    hitl_blame,
+    human_only_action,
+    run,
+)
 from blamescope.scm import Domain, EndogenousVar, ExogenousVar, Scm, validate
 
 BITS = ("0", "1")
@@ -172,3 +183,18 @@ def random_noise(rng: random.Random, scm: Scm):
         ex.id: rng.choice([v for v, p in zip(ex.domain.values, ex.dist) if p > 0])
         for ex in scm.exogenous
     }
+
+
+def exact_and_empirical_delta(cases, policy):
+    """(exact, empirical) blameworthiness of the HITL pipeline over a log:
+    from the model built on the decided log's joint, and from the log."""
+    decisions = run(CaseLog.from_cases(cases), policy)
+    empirical = hitl_blame(
+        HitlBlameInput(
+            decisions=decisions, ai_cost=1.0, review_cost=1.0, discount=DiscountSpec("unit")
+        )
+    )
+    labels, joint = empirical_joint(decisions)
+    scm = build_hitl_scm(labels, joint)
+    exact = delta(scm, hitl_action(), human_only_action(labels), HITL_OUTCOME)
+    return exact, empirical.delta

@@ -134,7 +134,8 @@ def brute_prf1(preds, trues, positive):
 
 def recount_log(cases, l, u):
     """Re-derive flags, errors and outcome classes for a case log from
-    first principles. Returns a dict of counts."""
+    first principles. Returns a dict of counts, plus `per_case`: the
+    (case id, outcome class name) of every error in log order."""
     n_flagged = 0
     n_errors = 0
     human_errors = 0
@@ -142,6 +143,7 @@ def recount_log(cases, l, u):
     inevitable_flagged = 0
     inevitable_unflagged = 0
     flagged_avoidable = 0
+    per_case = []
     for c in cases:
         flagged = l <= c.ai_confidence <= u
         final = c.human_decision if flagged else c.ai_decision
@@ -154,10 +156,13 @@ def recount_log(cases, l, u):
             if c.human_decision != c.truth:
                 if flagged:
                     inevitable_flagged += 1
+                    per_case.append((c.id, "InevitableFlagged"))
                 else:
                     inevitable_unflagged += 1
+                    per_case.append((c.id, "InevitableUnflagged"))
             else:
                 avoidable += 1
+                per_case.append((c.id, "Avoidable"))
                 if flagged:
                     flagged_avoidable += 1
     return {
@@ -169,4 +174,5 @@ def recount_log(cases, l, u):
         "inevitable_flagged": inevitable_flagged,
         "inevitable_unflagged": inevitable_unflagged,
         "flagged_avoidable": flagged_avoidable,
+        "per_case": per_case,
     }

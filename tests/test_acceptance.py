@@ -12,20 +12,10 @@ import time
 
 import pytest
 
-from blamescope.attribution import OutcomeClass, annotate, summarize
+from blamescope.attribution import CLASSES, OutcomeClass, annotate, summarize
 from blamescope.blame import DiscountSpec, delta, discount, discounted_blame, CostModel, CostTerm
 from blamescope.data import bundled_path
-from blamescope.hitl import (
-    HITL_OUTCOME,
-    FlagPolicy,
-    HitlBlameInput,
-    build_hitl_scm,
-    empirical_joint,
-    hitl_action,
-    hitl_blame,
-    human_only_action,
-    run,
-)
+from blamescope.hitl import CaseLog, FlagPolicy, run
 from blamescope.metrics import (
     BinaryCounts,
     OrdinalConfusion,
@@ -44,7 +34,13 @@ from blamescope.scm import (
 from blamescope.errors import ZeroProbabilityObservation
 from blamescope.synthetic import gen_synthetic
 
-from conftest import random_action, random_outcome, random_scm, xor_scm
+from conftest import (
+    exact_and_empirical_delta,
+    random_action,
+    random_outcome,
+    random_scm,
+    xor_scm,
+)
 from oracles import brute_event_probability, brute_prf1, brute_qwk, recount_log
 
 POLICY = FlagPolicy(l=0.2, u=0.8)
@@ -127,11 +123,11 @@ def test_criterion_5_partition_law():
         cases = gen_synthetic(
             seed=seed, n_cases=200, ai_accuracy=ai_acc, human_accuracy=human_acc
         )
-        traces = run(cases, "hitl", POLICY)
-        records = annotate(traces, cases)
-        summary = summarize(records, total_cases=len(cases))
+        decisions = run(CaseLog.from_cases(cases), POLICY)
+        attribution = annotate(decisions)
+        summary = summarize(attribution)
         counts = recount_log(cases, POLICY.l, POLICY.u)
-        n_hitl_errors = sum(t.error for t in traces)
+        n_hitl_errors = int(decisions.error.sum())
         assert (
             summary.class_counts[OutcomeClass.AVOIDABLE]
             + summary.class_counts[OutcomeClass.INEVITABLE_FLAGGED]
@@ -139,11 +135,11 @@ def test_criterion_5_partition_law():
             == n_hitl_errors
         )
         assert counts["flagged_avoidable"] == 0
-        flagged = {t.case_id for t in traces if t.flagged}
+        flagged = {cid for cid, f in zip(decisions.log.ids, decisions.flagged) if f}
         assert not any(
-            r.case_id in flagged
-            for r in records
-            if r.outcome_class is OutcomeClass.AVOIDABLE
+            case_id in flagged
+            for case_id, c in zip(attribution.case_ids, attribution.classes)
+            if CLASSES[c] is OutcomeClass.AVOIDABLE
         )
         assert summary.class_counts[OutcomeClass.AVOIDABLE] == counts["avoidable"]
         assert (
@@ -167,23 +163,23 @@ def test_criterion_6_dual_path_agreement():
         cases = gen_synthetic(
             seed=1000 + seed, n_cases=200, ai_accuracy=ai_acc, human_accuracy=human_acc
         )
-        empirical = hitl_blame(
-            HitlBlameInput(
-                cases=tuple(cases),
-                policy=POLICY,
-                ai_cost=1.0,
-                review_cost=1.0,
-                discount=DiscountSpec("unit"),
-            )
-        )
-        labels, joint = empirical_joint(cases)
-        scm = build_hitl_scm(labels, 10, joint, POLICY)
-        exact = delta(scm, hitl_action(), human_only_action(labels), HITL_OUTCOME)
-        assert abs(exact - empirical.delta) <= 1e-12
+        exact, empirical = exact_and_empirical_delta(cases, POLICY)
+        assert abs(exact - empirical) <= 1e-12
         saw_positive_delta = saw_positive_delta or exact > 0
     assert saw_positive_delta, "all sampled logs had delta 0; comparison is vacuous"
+    # Extra cases: continuous confidences, thresholds off the 10-bin grid.
+    off_grid = FlagPolicy(l=0.3, u=0.73)
+    saw_positive_delta = False
+    for seed in range(20):
+        ai_acc = 0.55 + 0.4 * (seed % 4) / 3
+        human_acc = 0.7 + 0.25 * (seed % 3) / 2
+        cases = gen_synthetic(2000 + seed, 300, ai_acc, human_acc, "uniform")
+        exact, empirical = exact_and_empirical_delta(cases, off_grid)
+        assert abs(exact - empirical) <= 1e-12
+        saw_positive_delta = saw_positive_delta or exact > 0
+    assert saw_positive_delta, "all off-grid logs had delta 0; comparison is vacuous"
     assert time.monotonic() - started < 30
-    _report(6, "empirical vs exact delta on 20 logs", started)
+    _report(6, "empirical vs exact delta on 20 logs + 20 off-grid logs", started)
 
 
 def test_criterion_7_qwk():

@@ -1,16 +1,15 @@
-import pytest
+import numpy as np
 
 from blamescope.attribution import (
-    AttributionRecord,
+    CLASSES,
+    Attribution,
     OutcomeClass,
     Party,
     annotate,
     attribute,
-    classify,
     summarize,
 )
-from blamescope.errors import TraceCaseMismatch
-from blamescope.hitl import Case, FlagPolicy, decide_hitl, run
+from blamescope.hitl import Case, CaseLog, FlagPolicy, run
 
 POLICY = FlagPolicy(l=0.2, u=0.8)
 
@@ -20,7 +19,18 @@ def case(id="c0", conf=0.5, ai="pos", human="pos", truth="pos"):
 
 
 def classify_case(c):
-    return classify(decide_hitl(c, POLICY), c)
+    """Outcome class of a one-case log, or None when it is not an error."""
+    attribution = annotate(run(CaseLog.from_cases([c]), POLICY))
+    return CLASSES[attribution.classes[0]] if len(attribution) else None
+
+
+def attribution_of(classes, total_cases):
+    return Attribution(
+        rows=np.arange(len(classes)),
+        case_ids=[f"c{i}" for i in range(len(classes))],
+        classes=np.array(classes, dtype=np.intp),
+        total_cases=total_cases,
+    )
 
 
 def test_not_an_error():
@@ -42,13 +52,6 @@ def test_inevitable_unflagged():
     assert classify_case(c) is OutcomeClass.INEVITABLE_UNFLAGGED
 
 
-def test_classify_mismatch():
-    c1 = case(id="a")
-    c2 = case(id="b")
-    with pytest.raises(TraceCaseMismatch):
-        classify(decide_hitl(c1, POLICY), c2)
-
-
 def test_classify_deterministic():
     c = case(conf=0.9, ai="pos", human="neg", truth="neg")
     assert classify_case(c) == classify_case(c)
@@ -61,7 +64,7 @@ def test_attribution_table():
 
 
 def test_summarize_empty():
-    s = summarize([], total_cases=10)
+    s = summarize(attribution_of([], total_cases=10))
     assert s.total_errors == 0
     assert all(v == 0 for v in s.class_counts.values())
     assert all(v == 0 for v in s.party_counts.values())
@@ -69,10 +72,7 @@ def test_summarize_empty():
 
 
 def test_summarize_one_per_class():
-    records = [
-        AttributionRecord("a", cls, attribute(cls)) for cls in OutcomeClass
-    ]
-    s = summarize(records, total_cases=3)
+    s = summarize(attribution_of([CLASSES.index(cls) for cls in OutcomeClass], total_cases=3))
     assert all(v == 1 for v in s.class_counts.values())
     assert s.party_counts[Party.HUMAN] == 1
     assert s.party_counts[Party.AI] == 2
@@ -80,13 +80,22 @@ def test_summarize_one_per_class():
     assert sum(s.class_counts.values()) == s.total_errors == 3
 
 
-def test_annotate_length_mismatch():
-    from blamescope.synthetic import gen_synthetic
-
-    cases = gen_synthetic(seed=3, n_cases=50, ai_accuracy=0.5, human_accuracy=0.5)
-    traces = run(cases[:10], "hitl", POLICY)
-    with pytest.raises(TraceCaseMismatch, match="10 traces for 50 cases"):
-        annotate(traces, cases)
+def test_annotate_keeps_log_order_and_ids():
+    cases = [
+        case(id="ok", conf=0.9, ai="pos", truth="pos"),
+        case(id="unflagged", conf=0.9, ai="pos", human="pos", truth="neg"),
+        case(id="flagged", conf=0.5, ai="pos", human="neg", truth="pos"),
+        case(id="avoidable", conf=0.1, ai="pos", human="neg", truth="neg"),
+    ]
+    attribution = annotate(run(CaseLog.from_cases(cases), POLICY))
+    assert attribution.rows.tolist() == [1, 2, 3]
+    assert attribution.case_ids == ["unflagged", "flagged", "avoidable"]
+    assert [CLASSES[c] for c in attribution.classes] == [
+        OutcomeClass.INEVITABLE_UNFLAGGED,
+        OutcomeClass.INEVITABLE_FLAGGED,
+        OutcomeClass.AVOIDABLE,
+    ]
+    assert attribution.total_cases == 4
 
 
 def test_partition_and_recount_on_synthetic_log():
@@ -94,21 +103,20 @@ def test_partition_and_recount_on_synthetic_log():
     from oracles import recount_log
 
     cases = gen_synthetic(seed=21, n_cases=200, ai_accuracy=0.7, human_accuracy=0.85)
-    traces = run(cases, "hitl", POLICY)
-    records = annotate(traces, cases)
-    s = summarize(records, total_cases=len(cases))
+    decisions = run(CaseLog.from_cases(cases), POLICY)
+    attribution = annotate(decisions)
+    s = summarize(attribution)
     counts = recount_log(cases, POLICY.l, POLICY.u)
     assert s.class_counts[OutcomeClass.AVOIDABLE] == counts["avoidable"]
     assert s.class_counts[OutcomeClass.INEVITABLE_FLAGGED] == counts["inevitable_flagged"]
     assert s.class_counts[OutcomeClass.INEVITABLE_UNFLAGGED] == counts["inevitable_unflagged"]
     assert s.total_errors == counts["hitl_errors"]
-    # No avoidable record may come from a flagged trace.
-    flagged = {t.case_id for t in traces if t.flagged}
-    for r in records:
-        if r.outcome_class is OutcomeClass.AVOIDABLE:
-            assert r.case_id not in flagged
+    records = list(zip(attribution.case_ids, (CLASSES[c] for c in attribution.classes)))
+    # No avoidable record may come from a flagged case.
+    flagged = {cid for cid, f in zip(decisions.log.ids, decisions.flagged) if f}
+    for case_id, cls in records:
+        if cls is OutcomeClass.AVOIDABLE:
+            assert case_id not in flagged
     # Human appears in the party set iff the error was flagged-inevitable.
-    for r in records:
-        assert (Party.HUMAN in r.parties) == (
-            r.outcome_class is OutcomeClass.INEVITABLE_FLAGGED
-        )
+    for _, cls in records:
+        assert (Party.HUMAN in attribute(cls)) == (cls is OutcomeClass.INEVITABLE_FLAGGED)

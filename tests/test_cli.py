@@ -1,10 +1,17 @@
 import json
+import math
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blamescope.cli import main
 from blamescope.data import bundled_path
+from blamescope.hitl import Case
+from blamescope.io import dump_cases
 
 CYCLIC_SCM = {
     "schema": "blamescope/scm/1",
@@ -285,12 +292,12 @@ def test_gen_perfect_ai(capsys, tmp_path):
         "--out", str(dst),
     ])
     assert code == 0
-    cases = load_cases(dst)
-    assert all(c.ai_decision == c.truth for c in cases)
+    log = load_cases(dst)
+    assert (log.ai_decision == log.truth).all()
 
 
 def test_gen_perfect_human_means_no_inevitable(capsys, tmp_path):
-    from blamescope.attribution import OutcomeClass, annotate
+    from blamescope.attribution import CLASSES, OutcomeClass, annotate
     from blamescope.hitl import FlagPolicy, run
     from blamescope.io import load_cases
 
@@ -299,13 +306,133 @@ def test_gen_perfect_human_means_no_inevitable(capsys, tmp_path):
         "gen", "--seed", "2", "--n-cases", "200", "--ai-accuracy", "0.6",
         "--human-accuracy", "1.0", "--out", str(dst),
     ]) == 0
-    cases = load_cases(dst)
-    traces = run(cases, "hitl", FlagPolicy(l=0.2, u=0.8))
-    records = annotate(traces, cases)
-    assert records, "expected at least one HITL error with a weak AI"
-    assert all(r.outcome_class is OutcomeClass.AVOIDABLE for r in records)
+    attribution = annotate(run(load_cases(dst), FlagPolicy(l=0.2, u=0.8)))
+    assert len(attribution), "expected at least one HITL error with a weak AI"
+    assert all(CLASSES[c] is OutcomeClass.AVOIDABLE for c in attribution.classes)
 
 
 def test_missing_file(capsys):
     code, _, err = run_cli(capsys, "prob", "--scm", "/no/such.json", "--outcome", "y1")
     assert code == 3
+
+
+def test_hitl_directory_as_cases(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "hitl", "--cases", str(tmp_path), "--l", "0.2", "--u", "0.8")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "UnreadableFile"
+
+
+def test_hitl_cases_not_utf8(capsys, tmp_path):
+    path = tmp_path / "cases.csv"
+    path.write_bytes(
+        b"case_id,ai_confidence,ai_decision,human_decision,truth\n"
+        b"c0,0.5,pos,neg,pos\nc1,0.5,pos,neg,\xff\n"
+    )
+    code, out, err = run_cli(capsys, "hitl", "--cases", str(path), "--l", "0.2", "--u", "0.8")
+    assert (code, out) == (3, "")
+    error = json.loads(err)
+    assert error["error"] == "MalformedRow"
+    assert "line 3" in error["message"]
+
+
+def test_validate_scm_missing_table(capsys, tmp_path):
+    def edit(doc):
+        del doc["endogenous"][1]["table"]
+
+    path = _edited_model(tmp_path, "xor.json", edit)
+    code, out, err = run_cli(capsys, "validate", "--scm", path)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "SchemaViolation"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["outcomes"].update(z1=[[["Z", "eq", "1"]]]),
+        lambda doc: doc["costs"]["review_cost"][0].update(where={"NOPE": "1"}),
+    ],
+    ids=["outcome", "cost_term"],
+)
+def test_validate_scm_unknown_variable(capsys, tmp_path, edit):
+    path = _edited_model(tmp_path, "xor_blame.json", edit)
+    code, out, err = run_cli(capsys, "validate", "--scm", path)
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"] == "UnknownVariable"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_blame_non_finite_epsilon(capsys, blame_path, value):
+    code, out, err = run_cli(
+        capsys, "blame", "--scm", blame_path, *BLAME_ARGS,
+        "--discount", "cost_ratio", "--epsilon", value,
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ConfigError"
+
+
+def test_hitl_nan_epsilon(capsys, log_path):
+    code, out, err = run_cli(
+        capsys, "hitl", "--cases", log_path, "--l", "0.2", "--u", "0.8",
+        "--discount", "cost_ratio", "--epsilon", "nan",
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ConfigError"
+
+
+def test_blame_model_nan_epsilon(capsys, tmp_path):
+    def edit(doc):
+        doc["discount"]["epsilon"] = float("nan")
+
+    path = _edited_model(tmp_path, "xor_blame.json", edit)
+    code, out, err = run_cli(capsys, "blame", "--scm", path, *BLAME_ARGS)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "SchemaViolation"
+
+
+LABELS = ("pos", "neg", "maybe")
+
+
+@st.composite
+def small_logs(draw):
+    """A policy and a small case log whose confidences often sit on or next
+    to the thresholds, with ids that need CSV quoting."""
+    l, u = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True)))
+    ids = draw(st.lists(st.text("ab,\"\n ", min_size=1, max_size=4),
+                        min_size=1, max_size=25, unique=True))
+    conf = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+        [l, u, math.nextafter(l, 0.0), math.nextafter(u, 1.0), 0.0, 1.0]))
+    label = st.sampled_from(LABELS)
+    cases = [
+        Case(id=i, ai_confidence=draw(conf), ai_decision=draw(label),
+             human_decision=draw(label), truth=draw(label))
+        for i in ids
+    ]
+    return l, u, cases
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_logs())
+def test_hitl_report_matches_recount(drawn):
+    from oracles import recount_log
+
+    l, u, cases = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "cases.csv"
+        out = Path(tmp) / "report.json"
+        log.write_text(dump_cases(cases), encoding="utf-8", newline="")
+        assert main(["hitl", "--cases", str(log), "--l", repr(l), "--u", repr(u),
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+    counts = recount_log(cases, l, u)
+    n = counts["n"]
+    summary = report["attribution"]["summary"]
+    assert summary["total_cases"] == n
+    assert summary["total_errors"] == counts["hitl_errors"]
+    assert summary["avoidable"] == counts["avoidable"]
+    assert summary["inevitable_flagged"] == counts["inevitable_flagged"]
+    assert summary["inevitable_unflagged"] == counts["inevitable_unflagged"]
+    assert [(r["id"], r["class"]) for r in report["attribution"]["per_case"]] == counts["per_case"]
+    blame = report["blame"]
+    assert abs(blame["p_a"] - counts["hitl_errors"] / n) <= 1e-12
+    assert abs(blame["p_aprime"] - counts["human_only_errors"] / n) <= 1e-12
+    assert abs(blame["flagged_fraction"] - counts["flagged"] / n) <= 1e-12

@@ -1,3 +1,6 @@
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from blamescope.blame import DiscountSpec, delta
@@ -11,12 +14,10 @@ from blamescope.errors import (
 from blamescope.hitl import (
     HITL_OUTCOME,
     Case,
+    CaseLog,
     FlagPolicy,
     HitlBlameInput,
     build_hitl_scm,
-    confidence_bin,
-    decide_hitl,
-    decide_human_only,
     empirical_joint,
     error_rate,
     flag,
@@ -27,11 +28,33 @@ from blamescope.hitl import (
 )
 from blamescope.synthetic import gen_synthetic
 
+from conftest import exact_and_empirical_delta
+
 POLICY = FlagPolicy(l=0.2, u=0.8)
 
 
 def case(id="c0", conf=0.5, ai="pos", human="pos", truth="pos"):
     return Case(id=id, ai_confidence=conf, ai_decision=ai, human_decision=human, truth=truth)
+
+
+def decide(c):
+    """The run of a one-case log, read back as plain values."""
+    d = run(CaseLog.from_cases([c]), POLICY)
+    return SimpleNamespace(
+        flagged=int(d.flagged[0]),
+        final_decision=d.log.labels[d.final[0]],
+        error=int(d.error[0]),
+        human_error=int(d.human_error[0]),
+    )
+
+
+def blame_input(cases, policy=POLICY, review_cost=1.0, kind="unit"):
+    return HitlBlameInput(
+        decisions=run(CaseLog.from_cases(cases), policy),
+        ai_cost=1.0,
+        review_cost=review_cost,
+        discount=DiscountSpec(kind),
+    )
 
 
 def test_flag_band():
@@ -53,69 +76,68 @@ def test_flag_policy_validation():
 
 
 def test_decide_hitl_flagged_human_correct():
-    t = decide_hitl(case(conf=0.5, ai="neg", human="pos", truth="pos"), POLICY)
+    t = decide(case(conf=0.5, ai="neg", human="pos", truth="pos"))
     assert t.flagged == 1
     assert t.final_decision == "pos"
     assert t.error == 0
 
 
 def test_decide_hitl_unflagged_ai_correct():
-    t = decide_hitl(case(conf=0.95, ai="pos", human="neg", truth="pos"), POLICY)
+    t = decide(case(conf=0.95, ai="pos", human="neg", truth="pos"))
     assert t.flagged == 0
     assert t.error == 0
 
 
 def test_decide_hitl_avoidable_shape():
     # Unflagged, AI wrong, human would have been right.
-    t = decide_hitl(case(conf=0.95, ai="pos", human="neg", truth="neg"), POLICY)
+    t = decide(case(conf=0.95, ai="pos", human="neg", truth="neg"))
     assert t.flagged == 0
     assert t.error == 1
-    assert decide_human_only(case(conf=0.95, ai="pos", human="neg", truth="neg")).error == 0
+    assert t.human_error == 0
 
 
 def test_decide_human_only():
-    assert decide_human_only(case(human="pos", truth="pos")).error == 0
-    assert decide_human_only(case(human="neg", truth="pos")).error == 1
+    assert decide(case(human="pos", truth="pos")).human_error == 0
+    assert decide(case(human="neg", truth="pos")).human_error == 1
 
 
 def test_run_preserves_order_and_ids():
-    cases = [case(id=f"c{i}", conf=0.5) for i in range(3)]
-    traces = run(cases, "hitl", POLICY)
-    assert [t.case_id for t in traces] == ["c0", "c1", "c2"]
-    assert run(cases, "hitl", POLICY) == traces
-    assert len(run(cases, "human_only")) == 3
+    log = CaseLog.from_cases([case(id=f"c{i}", conf=0.5) for i in range(3)])
+    d = run(log, POLICY)
+    assert d.log.ids == ["c0", "c1", "c2"]
+    again = run(log, POLICY)
+    for field in ("flagged", "final", "error", "human_error"):
+        assert np.array_equal(getattr(again, field), getattr(d, field))
+    assert len(d.human_error) == 3
 
 
 def test_run_empty():
-    assert run([], "human_only") == []
+    d = run(CaseLog.from_cases([]), POLICY)
+    assert len(d.log) == 0
+    assert d.error.size == d.human_error.size == 0
 
 
 def test_run_duplicate_ids():
-    with pytest.raises(DuplicateCaseId):
-        run([case(id="dup"), case(id="dup")], "human_only")
+    with pytest.raises(DuplicateCaseId, match="'dup'"):
+        CaseLog.from_cases([case(id="dup"), case(id="other"), case(id="dup")])
 
 
 def test_error_rate():
     cases = [case(id=f"c{i}", conf=0.9, ai="pos", truth="pos") for i in range(6)] + [
         case(id=f"e{i}", conf=0.9, ai="neg", truth="pos") for i in range(2)
     ]
-    traces = run(cases, "hitl", POLICY)
-    assert error_rate(traces) == 0.25
+    assert error_rate(run(CaseLog.from_cases(cases), POLICY).error) == 0.25
 
 
 def test_error_rate_empty():
     with pytest.raises(EmptyTraceList):
-        error_rate([])
+        error_rate(np.zeros(0, dtype=bool))
 
 
 def test_hitl_blame_flag_everything():
     cases = gen_synthetic(seed=3, n_cases=50, ai_accuracy=0.7, human_accuracy=0.9)
-    inp = HitlBlameInput(
-        cases=tuple(cases),
-        policy=FlagPolicy(l=0.0, u=1.0),
-        ai_cost=1.0,
-        review_cost=4.0,
-        discount=DiscountSpec("cost_ratio"),
+    inp = blame_input(
+        cases, policy=FlagPolicy(l=0.0, u=1.0), review_cost=4.0, kind="cost_ratio"
     )
     rep = hitl_blame(inp)
     assert rep.delta == 0.0
@@ -129,14 +151,7 @@ def test_hitl_blame_clamped_at_zero():
     cases = [
         case(id=f"c{i}", conf=0.95, ai="pos", human="neg", truth="pos") for i in range(5)
     ]
-    inp = HitlBlameInput(
-        cases=tuple(cases),
-        policy=POLICY,
-        ai_cost=1.0,
-        review_cost=2.0,
-        discount=DiscountSpec("unit"),
-    )
-    rep = hitl_blame(inp)
+    rep = hitl_blame(blame_input(cases, review_cost=2.0))
     assert rep.p_a == 0.0
     assert rep.p_aprime == 1.0
     assert rep.delta == 0.0
@@ -144,45 +159,25 @@ def test_hitl_blame_clamped_at_zero():
 
 
 def test_hitl_blame_empty():
-    inp = HitlBlameInput(
-        cases=(),
-        policy=POLICY,
-        ai_cost=1.0,
-        review_cost=1.0,
-        discount=DiscountSpec("unit"),
-    )
     with pytest.raises(EmptyCaseList):
-        hitl_blame(inp)
+        hitl_blame(blame_input([]))
 
 
 def test_hitl_blame_matches_recount():
     from oracles import recount_log
 
     cases = gen_synthetic(seed=11, n_cases=200, ai_accuracy=0.75, human_accuracy=0.85)
-    inp = HitlBlameInput(
-        cases=tuple(cases),
-        policy=POLICY,
-        ai_cost=1.0,
-        review_cost=3.0,
-        discount=DiscountSpec("unit"),
-    )
-    rep = hitl_blame(inp)
+    rep = hitl_blame(blame_input(cases, review_cost=3.0))
     counts = recount_log(cases, POLICY.l, POLICY.u)
     assert rep.p_a == counts["hitl_errors"] / counts["n"]
     assert rep.p_aprime == counts["human_only_errors"] / counts["n"]
     assert rep.flagged_fraction == counts["flagged"] / counts["n"]
 
 
-def test_confidence_bin():
-    assert confidence_bin(0.0, 10) == 0
-    assert confidence_bin(0.95, 10) == 9
-    assert confidence_bin(1.0, 10) == 9
-
-
 def test_build_hitl_scm_degenerate_atom():
-    # Single atom: AI correct, confidence bin far outside the band.
-    joint = {("pos", "pos", 9, "neg"): 1.0}
-    scm = build_hitl_scm(("neg", "pos"), 10, joint, POLICY)
+    # Single atom: AI correct and not flagged.
+    joint = {("pos", "pos", 0, "neg"): 1.0}
+    scm = build_hitl_scm(("neg", "pos"), joint)
     from blamescope.scm import event_probability
 
     assert event_probability(scm, HITL_OUTCOME) == 0.0
@@ -190,28 +185,34 @@ def test_build_hitl_scm_degenerate_atom():
 
 def test_build_hitl_scm_nonnormalized():
     with pytest.raises(NonNormalizedDistribution):
-        build_hitl_scm(("neg", "pos"), 10, {("pos", "pos", 9, "neg"): 0.7}, POLICY)
+        build_hitl_scm(("neg", "pos"), {("pos", "pos", 0, "neg"): 0.7})
 
 
 def test_build_hitl_scm_flag_everything_delta_zero():
     cases = gen_synthetic(seed=5, n_cases=100, ai_accuracy=0.7, human_accuracy=0.9)
-    labels, joint = empirical_joint(cases)
-    scm = build_hitl_scm(labels, 10, joint, FlagPolicy(l=0.0, u=1.0))
+    labels, joint = empirical_joint(run(CaseLog.from_cases(cases), FlagPolicy(l=0.0, u=1.0)))
+    scm = build_hitl_scm(labels, joint)
     assert delta(scm, hitl_action(), human_only_action(labels), HITL_OUTCOME) == 0.0
 
 
 @pytest.mark.parametrize("seed,ai_acc,human_acc", [(1, 0.6, 0.95), (2, 0.8, 0.8), (3, 0.9, 0.7)])
 def test_dual_path_agreement(seed, ai_acc, human_acc):
     cases = gen_synthetic(seed=seed, n_cases=200, ai_accuracy=ai_acc, human_accuracy=human_acc)
-    inp = HitlBlameInput(
-        cases=tuple(cases),
-        policy=POLICY,
-        ai_cost=1.0,
-        review_cost=1.0,
-        discount=DiscountSpec("unit"),
-    )
-    empirical = hitl_blame(inp)
-    labels, joint = empirical_joint(cases)
-    scm = build_hitl_scm(labels, 10, joint, POLICY)
-    exact = delta(scm, hitl_action(), human_only_action(labels), HITL_OUTCOME)
-    assert abs(exact - empirical.delta) <= 1e-12
+    exact, empirical = exact_and_empirical_delta(cases, POLICY)
+    assert abs(exact - empirical) <= 1e-12
+
+
+def test_dual_path_agreement_off_grid():
+    # Continuous confidences and thresholds off the 10-bin grid: a model
+    # that flagged by bin midpoint gave 0.0700 here against 0.0667.
+    cases = gen_synthetic(0, 300, 0.6, 0.85, "uniform")
+    exact, empirical = exact_and_empirical_delta(cases, FlagPolicy(l=0.3, u=0.73))
+    assert empirical == pytest.approx(0.0667, abs=1e-4)
+    assert abs(exact - empirical) <= 1e-12
+
+
+def test_empirical_joint_keys_on_flag_bit():
+    cases = [case(id="a", conf=0.2), case(id="b", conf=0.25), case(id="c", conf=0.9)]
+    labels, joint = empirical_joint(run(CaseLog.from_cases(cases), POLICY))
+    assert labels == ["pos"]
+    assert joint == {("pos", "pos", 1, "pos"): 2 / 3, ("pos", "pos", 0, "pos"): 1 / 3}

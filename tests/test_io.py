@@ -1,10 +1,18 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from blamescope.data import bundled_path
-from blamescope.errors import MalformedRow, SchemaViolation
-from blamescope.hitl import Case
+from blamescope.errors import (
+    DuplicateCaseId,
+    MalformedRow,
+    SchemaViolation,
+    UnknownVariable,
+    UnreadableFile,
+)
+from blamescope.hitl import CaseLog
 from blamescope.io import (
     canonical_dumps,
     dump_cases,
@@ -45,11 +53,156 @@ def test_load_scm_unknown_discount_kind(tmp_path):
         load_scm_bundle(path)
 
 
+HEADER = "case_id,ai_confidence,ai_decision,human_decision,truth\n"
+
+
+def rows_of(log):
+    """The log's cases as (id, confidence, ai, human, truth) tuples."""
+    label = log.labels.__getitem__
+    return list(
+        zip(
+            log.ids,
+            log.ai_confidence.tolist(),
+            map(label, log.ai_decision),
+            map(label, log.human_decision),
+            map(label, log.truth),
+        )
+    )
+
+
+def _edited(tmp_path, edit):
+    doc = json.loads(bundled_path("xor_blame.json").read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_load_scm_missing_table(tmp_path):
+    path = _edited(tmp_path, lambda doc: doc["endogenous"][0].pop("table"))
+    with pytest.raises(SchemaViolation, match=r"endogenous\[0\]: missing 'table'"):
+        load_scm_bundle(path)
+
+
+def test_load_scm_nan_epsilon(tmp_path):
+    path = _edited(tmp_path, lambda doc: doc["discount"].update(epsilon=math.nan))
+    with pytest.raises(SchemaViolation, match="epsilon"):
+        load_scm_bundle(path)
+
+
+def test_load_scm_checks_outcomes_and_cost_terms(tmp_path):
+    path = _edited(tmp_path, lambda doc: doc["outcomes"].update(z1=[[["Z", "eq", "1"]]]))
+    with pytest.raises(UnknownVariable, match="outcome 'z1'"):
+        load_scm_bundle(path)
+    path = _edited(
+        tmp_path, lambda doc: doc["costs"]["review_cost"][0].update(where={"NOPE": "1"})
+    )
+    with pytest.raises(UnknownVariable, match="cost model 'review_cost'"):
+        load_scm_bundle(path)
+
+
 def test_load_cases_roundtrip(tmp_path):
     cases = gen_synthetic(seed=8, n_cases=50, ai_accuracy=0.8, human_accuracy=0.9)
     path = tmp_path / "cases.csv"
     path.write_text(dump_cases(cases))
-    assert load_cases(path) == cases
+    assert rows_of(load_cases(path)) == [
+        (c.id, c.ai_confidence, c.ai_decision, c.human_decision, c.truth) for c in cases
+    ]
+
+
+def test_load_cases_reordered_and_extra_columns(tmp_path):
+    path = tmp_path / "cases.csv"
+    path.write_text(
+        "truth,note,human_decision,case_id,ai_decision,ai_confidence\n"
+        "pos,x,neg,c0,pos,0.25\n"
+        "neg,,neg,c1,pos,1\n"
+    )
+    log = load_cases(path)
+    assert rows_of(log) == [("c0", 0.25, "pos", "neg", "pos"), ("c1", 1.0, "pos", "neg", "neg")]
+    assert log.labels == ("neg", "pos")
+    assert log.ai_confidence.dtype == np.float64
+
+
+def test_load_cases_blank_line_and_multiline_field(tmp_path):
+    path = tmp_path / "cases.csv"
+    path.write_text(HEADER + '\n"c\n1",0.5,pos,neg,pos\nc2,2,pos,neg,pos\n')
+    with pytest.raises(MalformedRow, match="line 5: confidence 2.0 outside"):
+        load_cases(path)
+    path.write_text(HEADER + '\n"c\n1",0.5,pos,neg,pos\nc2,0.75,pos,neg,pos\n')
+    assert load_cases(path).ids == ["c\n1", "c2"]
+
+
+def test_load_cases_short_row(tmp_path):
+    path = tmp_path / "cases.csv"
+    path.write_text(HEADER + "c0,0.5,pos,neg,pos\nc1,0.5,pos\nc2,bad,pos,neg,pos\n")
+    with pytest.raises(MalformedRow, match="line 3: incomplete row"):
+        load_cases(path)
+
+
+def test_load_cases_empty_field(tmp_path):
+    path = tmp_path / "cases.csv"
+    path.write_text(HEADER + "c0,0.5,pos,neg,pos\nc1,0.5,,neg,pos\n")
+    with pytest.raises(MalformedRow, match="line 3: incomplete row"):
+        load_cases(path)
+
+
+def test_load_cases_nan_confidence(tmp_path):
+    path = tmp_path / "cases.csv"
+    path.write_text(HEADER + "c0,0.5,pos,neg,pos\nc1,nan,pos,neg,pos\n")
+    with pytest.raises(MalformedRow, match="line 3: confidence nan outside"):
+        load_cases(path)
+
+
+def test_load_cases_duplicate_id(tmp_path):
+    path = tmp_path / "cases.csv"
+    path.write_text(
+        HEADER + "a,0.5,pos,neg,pos\nb,0.5,pos,neg,pos\n\nb,0.5,pos,neg,pos\na,0.1,pos,neg,pos\n"
+    )
+    with pytest.raises(DuplicateCaseId, match="line 5: duplicate case id 'b'"):
+        load_cases(path)
+
+
+def test_load_cases_row_error_before_duplicate(tmp_path):
+    path = tmp_path / "cases.csv"
+    path.write_text(HEADER + "a,0.5,pos,neg,pos\na,0.5,pos,neg,pos\nc,7,pos,neg,pos\n")
+    with pytest.raises(MalformedRow, match="line 4"):
+        load_cases(path)
+
+
+def test_load_cases_not_utf8(tmp_path):
+    path = tmp_path / "cases.csv"
+    path.write_bytes(HEADER.encode() + b"c0,0.5,pos,neg,pos\r\nc1,0.5,p\xe9s,neg,pos\n")
+    with pytest.raises(MalformedRow, match="line 3: not UTF-8"):
+        load_cases(path)
+
+
+def test_load_cases_oversized_field(tmp_path):
+    path = tmp_path / "cases.csv"
+    path.write_text(HEADER + "c0,0.5,pos,neg,pos\n" + "x" * 200_000 + ",0.5,pos,neg,pos\n")
+    with pytest.raises(MalformedRow, match="line 3: field larger than field limit"):
+        load_cases(path)
+
+
+def test_load_cases_header_only(tmp_path):
+    path = tmp_path / "cases.csv"
+    path.write_text(HEADER)
+    log = load_cases(path)
+    assert len(log) == 0
+    assert log.ai_confidence.shape == (0,)
+
+
+def test_load_cases_directory(tmp_path):
+    with pytest.raises(UnreadableFile):
+        load_cases(tmp_path)
+
+
+def test_caselog_from_cases_matches_loader(tmp_path):
+    cases = gen_synthetic(seed=4, n_cases=30, ai_accuracy=0.7, human_accuracy=0.8)
+    path = tmp_path / "cases.csv"
+    path.write_text(dump_cases(cases))
+    loaded, built = load_cases(path), CaseLog.from_cases(cases)
+    assert rows_of(loaded) == rows_of(built)
+    assert loaded.labels == built.labels
 
 
 def test_load_cases_missing_column(tmp_path):
@@ -80,9 +233,11 @@ def test_load_cases_confidence_out_of_range(tmp_path):
 
 
 def test_load_bundled_case_log():
-    cases = load_cases(bundled_path("cases_200.csv"))
-    assert len(cases) == 200
-    assert all(isinstance(c, Case) for c in cases)
+    log = load_cases(bundled_path("cases_200.csv"))
+    assert len(log) == 200
+    assert isinstance(log, CaseLog)
+    assert log.ai_confidence.dtype == np.float64
+    assert len(log.ai_decision) == len(log.human_decision) == len(log.truth) == 200
 
 
 def test_load_ratings(tmp_path):
