@@ -7,15 +7,12 @@ ratio of expected decision costs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UnknownVariable
+from .errors import ConfigError
 from .scm import (
-    DEFAULT_MAX_STATES,
-    EndogenousVar,
     OutcomeSpec,
     Scm,
     _compile,
@@ -23,9 +20,9 @@ from .scm import (
     _fsum,
     _grid,
     _holds,
+    _rewire,
     _solve_codes,
     event_probability,
-    validate,
 )
 
 
@@ -64,9 +61,12 @@ class DiscountSpec:
     epsilon: float = 1e-9
 
     def __post_init__(self):
-        # A NaN epsilon would pass through max/min as gamma = 1.
-        if not math.isfinite(self.epsilon):
-            raise ConfigError(f"discount epsilon must be finite, got {self.epsilon}")
+        if self.kind not in ("unit", "cost_ratio"):
+            raise ConfigError(f"unknown discount kind {self.kind!r}")
+        # Written so that NaN fails too: it would pass through max/min as
+        # gamma = 1.
+        if not 0 < self.epsilon <= 1:
+            raise ConfigError(f"discount epsilon must be in (0, 1], got {self.epsilon}")
 
 
 @dataclass
@@ -85,41 +85,26 @@ class BlameReport:
 def apply_action(scm: Scm, action: Action) -> Scm:
     """Build the modified system: replace each overridden variable's
     mechanism and parent list. The input model is untouched."""
-    endo = scm.endogenous_by_id()
-    for ov in action.overrides:
-        if ov.var not in endo:
-            raise UnknownVariable(f"action {action.label!r} overrides unknown variable {ov.var!r}")
-    replaced = {
-        ov.var: EndogenousVar(
-            id=ov.var,
-            domain=endo[ov.var].domain,
-            parents=tuple(ov.parents),
-            mechanism=dict(ov.table),
-        )
-        for ov in action.overrides
-    }
-    new_endo = tuple(replaced.get(v.id, v) for v in scm.endogenous)
-    out = Scm(exogenous=scm.exogenous, endogenous=new_endo)
-    validate(out)
-    return out
+    return _rewire(
+        scm,
+        {ov.var: (ov.parents, ov.table) for ov in action.overrides},
+        f"action {action.label!r} overrides unknown variable",
+    )
 
 
-def delta(
-    scm: Scm,
-    a: Action,
-    a_prime: Action,
-    phi: OutcomeSpec,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> float:
+def _probabilities(scm: Scm, a: Action, a_prime: Action, phi: OutcomeSpec) -> tuple:
+    """(P(phi | M^a), P(phi | M^a'), delta), with delta clamped at 0."""
+    p_a = event_probability(apply_action(scm, a), phi)
+    p_ap = event_probability(apply_action(scm, a_prime), phi)
+    return p_a, p_ap, max(0.0, p_a - p_ap)
+
+
+def delta(scm: Scm, a: Action, a_prime: Action, phi: OutcomeSpec) -> float:
     """max{0, P(phi | M^a) - P(phi | M^a')} with exact probabilities."""
-    p_a = event_probability(apply_action(scm, a), phi, max_states=max_states)
-    p_ap = event_probability(apply_action(scm, a_prime), phi, max_states=max_states)
-    return max(0.0, p_a - p_ap)
+    return _probabilities(scm, a, a_prime, phi)[2]
 
 
-def expected_cost(
-    scm: Scm, action: Action, cost: CostModel, max_states: int = DEFAULT_MAX_STATES
-) -> float:
+def expected_cost(scm: Scm, action: Action, cost: CostModel) -> float:
     """Expected decision cost under the modified system. A setting's cost is
     the sum, in term order, of the terms whose `where` holds."""
     modified = apply_action(scm, action)
@@ -130,7 +115,7 @@ def expected_cost(
     ]
 
     def weighted_costs():
-        for codes, weights in _grid(modified, max_states):
+        for codes, weights in _grid(modified):
             endo = _solve_codes(tables, codes)
             per_state = np.zeros(weights.shape)
             for where, value in terms:
@@ -146,14 +131,9 @@ def discount(spec: DiscountSpec, cost_a: float, cost_aprime: float) -> float:
     unit: always 1. cost_ratio: cost_a / cost_aprime clamped to
     [epsilon, 1], with gamma = 1 when the reference cost is zero.
     """
-    if spec.kind == "unit":
+    if spec.kind == "unit" or cost_aprime == 0:
         return 1.0
-    if spec.kind == "cost_ratio":
-        if cost_aprime == 0:
-            return 1.0
-        ratio = cost_a / cost_aprime
-        return min(1.0, max(spec.epsilon, ratio))
-    raise ValueError(f"unknown discount kind {spec.kind!r}")
+    return min(1.0, max(spec.epsilon, cost_a / cost_aprime))
 
 
 def discounted_blame(
@@ -163,15 +143,12 @@ def discounted_blame(
     phi: OutcomeSpec,
     cost: CostModel,
     spec: DiscountSpec,
-    max_states: int = DEFAULT_MAX_STATES,
 ) -> BlameReport:
     """Full report: outcome probabilities, expected costs, discount and the
     discounted blame score."""
-    p_a = event_probability(apply_action(scm, a), phi, max_states=max_states)
-    p_ap = event_probability(apply_action(scm, a_prime), phi, max_states=max_states)
-    d = max(0.0, p_a - p_ap)
-    cost_a = expected_cost(scm, a, cost, max_states=max_states)
-    cost_ap = expected_cost(scm, a_prime, cost, max_states=max_states)
+    p_a, p_ap, d = _probabilities(scm, a, a_prime, phi)
+    cost_a = expected_cost(scm, a, cost)
+    cost_ap = expected_cost(scm, a_prime, cost)
     gamma = discount(spec, cost_a, cost_ap)
     return BlameReport(
         p_a=p_a,

@@ -31,6 +31,10 @@ class DanglingParent(ModelError):
     pass
 
 
+class DuplicateVariable(ModelError):
+    pass
+
+
 class NonNormalizedDistribution(ModelError):
     pass
 

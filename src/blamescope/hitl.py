@@ -12,7 +12,6 @@ the blame, the attribution and the F1 metrics all read that one result.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +22,8 @@ from .errors import (
     DuplicateCaseId,
     EmptyCaseList,
     EmptyTraceList,
-    NonNormalizedDistribution,
 )
 from .scm import Domain, EndogenousVar, ExogenousVar, OutcomeSpec, Scm, validate
-
-PROB_TOL = 1e-9
 
 # Outcome over the built model: final decision disagrees with the truth.
 HITL_OUTCOME = OutcomeSpec(clauses=((("ERR", "eq", "1"),),))
@@ -232,9 +228,6 @@ def build_hitl_scm(label_domain, joint_distribution: dict) -> Scm:
     comparison is the action returned by human_only_action.
     """
     atoms = sorted(joint_distribution)
-    total = math.fsum(joint_distribution.values())
-    if abs(total - 1.0) > PROB_TOL:
-        raise NonNormalizedDistribution(f"joint distribution sums to {total}")
     labels = tuple(label_domain)
     atom_ids = tuple("|".join((t, a, str(f), h)) for t, a, f, h in atoms)
 

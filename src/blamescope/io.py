@@ -18,7 +18,14 @@ from json.encoder import encode_basestring
 import numpy as np
 
 from .blame import Action, CostModel, CostTerm, DiscountSpec, Override
-from .errors import DataError, DuplicateCaseId, MalformedRow, SchemaViolation, UnreadableFile
+from .errors import (
+    ConfigError,
+    DataError,
+    DuplicateCaseId,
+    MalformedRow,
+    SchemaViolation,
+    UnreadableFile,
+)
 from .hitl import CaseLog, first_duplicate
 from .scm import (
     Domain,
@@ -63,9 +70,11 @@ def _split_key(key: str, n_parents: int) -> tuple:
     return tuple(parts)
 
 
-def _parse_outcome(raw) -> OutcomeSpec:
+def _parse_outcome(raw: list, where: str) -> OutcomeSpec:
     clauses = []
     for clause in raw:
+        if not isinstance(clause, list):
+            raise SchemaViolation(f"{where}: clause {clause!r} is not a list")
         lits = []
         for lit in clause:
             if not isinstance(lit, list) or len(lit) != 3 or lit[1] not in ("eq", "neq"):
@@ -101,11 +110,17 @@ def _undecodable_line(path) -> int:
     return sum(1 for _ in _io.StringIO(data.decode("utf-8") + "x", newline=""))
 
 
-def _get(raw, key: str, where: str, kind=object):
-    """raw[key] of a required key of a JSON object, of the given type."""
+_REQUIRED = object()
+
+
+def _get(raw, key: str, where: str, kind=object, default=_REQUIRED):
+    """raw[key] of a JSON object, of the given type; `default` when the key
+    is absent, which is an error if no default is given."""
     if not isinstance(raw, dict):
         raise SchemaViolation(f"{where}: expected an object, got {type(raw).__name__}")
     if key not in raw:
+        if default is not _REQUIRED:
+            return default
         raise SchemaViolation(f"{where}: missing {key!r}")
     if not isinstance(raw[key], kind):
         raise SchemaViolation(f"{where}: {key!r} has the wrong type {type(raw[key]).__name__}")
@@ -141,7 +156,7 @@ def load_scm_bundle(path) -> ScmBundle:
         raise SchemaViolation(f"{path}: expected schema {SCM_SCHEMA!r}, got {schema!r}")
 
     exogenous = []
-    for i, raw in enumerate(doc.get("exogenous", [])):
+    for i, raw in enumerate(_get(doc, "exogenous", path, list, [])):
         where = f"{path}: exogenous[{i}]"
         exogenous.append(
             ExogenousVar(
@@ -151,10 +166,10 @@ def load_scm_bundle(path) -> ScmBundle:
             )
         )
     endogenous = []
-    for i, raw in enumerate(doc.get("endogenous", [])):
+    for i, raw in enumerate(_get(doc, "endogenous", path, list, [])):
         where = f"{path}: endogenous[{i}]"
         vid = str(_get(raw, "id", where))
-        parents = tuple(str(p) for p in raw.get("parents", []))
+        parents = tuple(str(p) for p in _get(raw, "parents", where, list, []))
         endogenous.append(
             EndogenousVar(
                 id=vid,
@@ -168,17 +183,20 @@ def load_scm_bundle(path) -> ScmBundle:
     domains = {v.id: v.domain for v in scm.endogenous}
 
     outcomes = {}
-    for name, raw in doc.get("outcomes", {}).items():
-        outcomes[name] = _parse_outcome(raw)
+    raw_outcomes = _get(doc, "outcomes", path, dict, {})
+    for name in raw_outcomes:
+        raw = _get(raw_outcomes, name, f"{path}: outcomes", list)
+        outcomes[name] = _parse_outcome(raw, f"{path}: outcome {name!r}")
         _encode(domains, outcomes[name].clauses, f"outcome {name!r}")
 
     actions = {}
-    for name, raw_overrides in doc.get("actions", {}).items():
+    raw_actions = _get(doc, "actions", path, dict, {})
+    for name in raw_actions:
         overrides = []
-        for i, raw in enumerate(raw_overrides):
+        for i, raw in enumerate(_get(raw_actions, name, f"{path}: actions", list)):
             where = f"{path}: action {name!r}[{i}]"
             var = str(_get(raw, "var", where))
-            parents = tuple(str(p) for p in raw.get("parents", []))
+            parents = tuple(str(p) for p in _get(raw, "parents", where, list, []))
             overrides.append(
                 Override(
                     var=var,
@@ -189,17 +207,19 @@ def load_scm_bundle(path) -> ScmBundle:
         actions[name] = Action(label=name, overrides=tuple(overrides))
 
     costs = {}
-    for name, raw_terms in doc.get("costs", {}).items():
+    raw_costs = _get(doc, "costs", path, dict, {})
+    for name in raw_costs:
         terms = []
-        for i, raw in enumerate(raw_terms):
+        for i, raw in enumerate(_get(raw_costs, name, f"{path}: costs", list)):
             where = f"{path}: cost model {name!r}[{i}]"
             cost = _number(_get(raw, "cost", where), where)
             if not 0 <= cost < math.inf:
                 raise SchemaViolation(
                     f"cost model {name!r}: cost must be finite and >= 0, got {cost}"
                 )
+            raw_where = _get(raw, "where", where, dict, {})
             term = CostTerm(
-                where=tuple(sorted((str(k), str(v)) for k, v in raw.get("where", {}).items())),
+                where=tuple(sorted((str(k), str(v)) for k, v in raw_where.items())),
                 cost=cost,
             )
             _encode(domains, (tuple((v, "eq", x) for v, x in term.where),), f"cost model {name!r}")
@@ -207,14 +227,16 @@ def load_scm_bundle(path) -> ScmBundle:
         costs[name] = CostModel(terms=tuple(terms))
 
     disc = None
-    if "discount" in doc:
-        kind = _get(doc["discount"], "kind", f"{path}: discount")
-        if kind not in ("unit", "cost_ratio"):
-            raise SchemaViolation(f"{path}: unknown discount kind {kind!r}")
-        epsilon = _number(doc["discount"].get("epsilon", 1e-9), f"{path}: discount epsilon")
-        if not math.isfinite(epsilon):
-            raise SchemaViolation(f"{path}: discount epsilon must be finite, got {epsilon}")
-        disc = DiscountSpec(kind=kind, epsilon=epsilon)
+    raw_discount = _get(doc, "discount", path, dict, None)
+    if raw_discount is not None:
+        where = f"{path}: discount"
+        try:
+            disc = DiscountSpec(
+                kind=_get(raw_discount, "kind", where),
+                epsilon=_number(_get(raw_discount, "epsilon", where, default=1e-9), where),
+            )
+        except ConfigError as exc:
+            raise SchemaViolation(f"{where}: {exc}") from None
 
     return ScmBundle(scm=scm, outcomes=outcomes, actions=actions, costs=costs, discount=disc)
 
@@ -289,11 +311,16 @@ def load_cases(path) -> CaseLog:
 
 
 def dump_cases(cases) -> str:
+    """A case log as CSV text that load_cases reads back."""
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    # With a "\n" terminator csv quotes only fields holding "\n", so a row
+    # with a bare "\r" is written fully quoted, or a reader would split it.
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(CASE_COLUMNS)
     for c in cases:
-        writer.writerow([c.id, repr(c.ai_confidence), c.ai_decision, c.human_decision, c.truth])
+        row = [c.id, repr(c.ai_confidence), c.ai_decision, c.human_decision, c.truth]
+        (quoted if any("\r" in field for field in row) else writer).writerow(row)
     return buf.getvalue()
 
 

@@ -5,7 +5,8 @@ explicit lookup tables, so a model is fully serializable and every query is
 a weighted sum over the exogenous joint space.
 
 Every query runs on one compiled evaluator. `_compile` validates a model and
-turns each mechanism into an index-coded lookup table. `_grid` yields the
+turns each mechanism into an index-coded lookup table in the same pass, and
+`validate` is that pass with the tables dropped. `_grid` yields the
 exogenous joint space in blocks of codes and weights, `_solve_codes` applies
 the tables to exogenous codes (scalars or arrays), and `_holds` evaluates
 outcome, observation and cost literals as one DNF mask. Exact probabilities,
@@ -15,7 +16,9 @@ block size. A counterfactual is read off the twin network: one exogenous
 setting drives the factual model, which must reproduce the observation, and
 the intervened model, which is checked against the outcome. The Monte Carlo
 estimator draws exogenous codes instead of enumerating them, for spaces too
-large to enumerate.
+large to enumerate. An intervention do(X = x) and an action's overrides are
+the same rewrite, `_rewire`: do(X = x) gives X no parents and the constant
+mechanism x.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 from .errors import (
     CyclicGraph,
     DanglingParent,
+    DuplicateVariable,
     IncompleteExogenousAssignment,
     NonNormalizedDistribution,
     PartialMechanism,
@@ -42,7 +46,8 @@ Value = str
 Assignment = dict  # variable id -> value
 
 PROB_TOL = 1e-9
-DEFAULT_MAX_STATES = 1 << 24
+# Largest exogenous joint space an exact query enumerates.
+MAX_STATES = 1 << 24
 # Exogenous states per grid block: bounds the evaluator's working memory.
 _BLOCK = 1024
 
@@ -97,9 +102,6 @@ class Scm:
     exogenous: tuple
     endogenous: tuple
 
-    def endogenous_by_id(self) -> dict:
-        return {v.id: v for v in self.endogenous}
-
 
 @dataclass(frozen=True)
 class OutcomeSpec:
@@ -109,9 +111,6 @@ class OutcomeSpec:
     """
 
     clauses: tuple  # tuple of clauses; each clause a tuple of (var, cmp, value)
-
-    def satisfied(self, assignment: Assignment) -> bool:
-        return bool(_holds(self.clauses, assignment))
 
     def variables(self) -> set:
         return {var for clause in self.clauses for var, _, _ in clause}
@@ -129,13 +128,23 @@ def validate(scm: Scm) -> tuple:
     """Check all model invariants; return the endogenous ids in
     topological order.
 
-    Raises CyclicGraph, DanglingParent, NonNormalizedDistribution or
-    PartialMechanism naming the offending variable.
+    Raises CyclicGraph, DanglingParent, DuplicateVariable,
+    NonNormalizedDistribution or PartialMechanism naming the offending
+    variable.
     """
+    return tuple(vid for vid, _, _ in _compile(scm)[0])
+
+
+def _compile(scm: Scm):
+    """Validate the model while building one index-coded lookup table per
+    endogenous variable; this is the only walk over mechanism entries.
+    Returns (tables, domains): tables lists (id, parent ids, table) in
+    topological order, where the table maps parent codes to the
+    variable's code; domains maps each endogenous id to its Domain."""
     ids = [v.id for v in scm.exogenous] + [v.id for v in scm.endogenous]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise DanglingParent(f"duplicate variable ids: {dupes}")
+        raise DuplicateVariable(f"duplicate variable ids: {dupes}")
 
     for ex in scm.exogenous:
         if len(ex.dist) != len(ex.domain.values):
@@ -150,18 +159,19 @@ def validate(scm: Scm) -> tuple:
             raise NonNormalizedDistribution(f"{ex.id}: probabilities sum to {total}")
 
     by_id = {v.id: v for v in itertools.chain(scm.exogenous, scm.endogenous)}
+    luts = {}
     for en in scm.endogenous:
         for p in en.parents:
             if p not in by_id:
                 raise DanglingParent(f"{en.id}: unknown parent {p!r}")
         parent_domains = [by_id[p].domain for p in en.parents]
-        n_expected = 1
-        for d in parent_domains:
-            n_expected *= len(d)
-        if len(en.mechanism) != n_expected:
+        shape = tuple(len(d) for d in parent_domains)
+        if len(en.mechanism) != math.prod(shape):
             raise PartialMechanism(
-                f"{en.id}: mechanism has {len(en.mechanism)} entries, expected {n_expected}"
+                f"{en.id}: mechanism has {len(en.mechanism)} entries, expected {math.prod(shape)}"
             )
+        # itertools.product runs in the table's C order.
+        codes = []
         for combo in itertools.product(*(d.values for d in parent_domains)):
             if combo not in en.mechanism:
                 raise PartialMechanism(f"{en.id}: missing mechanism entry for {combo!r}")
@@ -169,15 +179,16 @@ def validate(scm: Scm) -> tuple:
                 raise PartialMechanism(
                     f"{en.id}: mechanism output {en.mechanism[combo]!r} outside domain"
                 )
+            codes.append(en.domain.index(en.mechanism[combo]))
+        luts[en.id] = np.array(codes, dtype=np.int64).reshape(shape)
 
     # Kahn's algorithm over endogenous vars; exogenous parents are sources.
-    endo_ids = {v.id for v in scm.endogenous}
-    indeg = {v.id: sum(1 for p in v.parents if p in endo_ids) for v in scm.endogenous}
+    indeg = {v.id: sum(1 for p in v.parents if p in luts) for v in scm.endogenous}
     ready = [v.id for v in scm.endogenous if indeg[v.id] == 0]
     children = {v.id: [] for v in scm.endogenous}
     for v in scm.endogenous:
         for p in v.parents:
-            if p in endo_ids:
+            if p in luts:
                 children[p].append(v.id)
     order = []
     while ready:
@@ -190,25 +201,7 @@ def validate(scm: Scm) -> tuple:
     if len(order) != len(scm.endogenous):
         stuck = sorted(i for i, d in indeg.items() if d > 0)
         raise CyclicGraph(f"cycle among endogenous variables: {stuck}")
-    return tuple(order)
-
-
-def _compile(scm: Scm):
-    """Validate the model and build one index-coded lookup table per
-    endogenous variable. Returns (tables, domains): tables lists
-    (id, parent ids, table) in topological order, where the table maps
-    parent codes to the variable's code; domains maps each endogenous id
-    to its Domain."""
-    by_id = {v.id: v for v in itertools.chain(scm.exogenous, scm.endogenous)}
-    tables = []
-    for vid in validate(scm):
-        var = by_id[vid]
-        parent_domains = [by_id[p].domain for p in var.parents]
-        lut = np.empty(tuple(len(d) for d in parent_domains), dtype=np.int64)
-        for combo in itertools.product(*(range(len(d)) for d in parent_domains)):
-            key = tuple(d.values[i] for d, i in zip(parent_domains, combo))
-            lut[combo] = var.domain.index(var.mechanism[key])
-        tables.append((vid, var.parents, lut))
+    tables = [(vid, by_id[vid].parents, luts[vid]) for vid in order]
     return tables, {v.id: v.domain for v in scm.endogenous}
 
 
@@ -256,15 +249,15 @@ def _encode(domains: dict, clauses, what: str) -> tuple:
     )
 
 
-def _grid(scm: Scm, max_states: int):
+def _grid(scm: Scm):
     """Yield (exogenous codes, weights) blocks that cover the exogenous joint
     space in itertools.product order. A state's weight is
     1.0 * p_0[c_0] * p_1[c_1] * ... in axis order."""
     sizes = [len(ex.domain) for ex in scm.exogenous]
     n_states = math.prod(sizes)
-    if n_states > max_states:
+    if n_states > MAX_STATES:
         raise StateSpaceTooLarge(
-            f"exogenous joint space has {n_states} states (cap {max_states}); "
+            f"exogenous joint space has {n_states} states (cap {MAX_STATES}); "
             "use the Monte Carlo estimator"
         )
     dists = [np.asarray(ex.dist, dtype=float) for ex in scm.exogenous]
@@ -295,16 +288,14 @@ def solve(scm: Scm, e: Assignment) -> Assignment:
     return {vid: domains[vid].values[codes[vid]] for vid, _, _ in tables}
 
 
-def event_probability(
-    scm: Scm, phi: OutcomeSpec, max_states: int = DEFAULT_MAX_STATES
-) -> float:
+def event_probability(scm: Scm, phi: OutcomeSpec) -> float:
     """Exact probability of the outcome: the sum of the weights of the
     exogenous settings under which it holds."""
     tables, domains = _compile(scm)
     clauses = _encode(domains, phi.clauses, "outcome")
     return _fsum(
         weights[_holds(clauses, _solve_codes(tables, codes), weights.shape)]
-        for codes, weights in _grid(scm, max_states)
+        for codes, weights in _grid(scm)
     )
 
 
@@ -328,38 +319,53 @@ def event_probability_mc(
     return float(np.count_nonzero(hit)) / samples
 
 
-def intervene(scm: Scm, var: str, value) -> Scm:
-    """do(var = value): replace the mechanism with a constant. Returns a new
-    model; the input is untouched."""
-    endo = scm.endogenous_by_id()
-    if var not in endo:
-        raise UnknownVariable(f"cannot intervene on unknown endogenous variable {var!r}")
-    target = endo[var]
-    if value not in target.domain:
-        raise ValueOutOfDomain(f"value {value!r} not in domain of {var!r}")
-    forced = EndogenousVar(id=var, domain=target.domain, parents=(), mechanism={(): value})
-    new_endo = tuple(forced if v.id == var else v for v in scm.endogenous)
-    out = Scm(exogenous=scm.exogenous, endogenous=new_endo)
+def _rewire(scm: Scm, mechanisms: dict, unknown: str) -> Scm:
+    """The model with each variable in `mechanisms` (id -> (parents,
+    table)) given that parent list and mechanism; checked by validate. An
+    id that is not endogenous raises UnknownVariable, with the message
+    `unknown` followed by the id. The input model is untouched."""
+    known = {v.id for v in scm.endogenous}
+    for var in mechanisms:
+        if var not in known:
+            raise UnknownVariable(f"{unknown} {var!r}")
+    endogenous = []
+    for v in scm.endogenous:
+        if v.id in mechanisms:
+            parents, table = mechanisms[v.id]
+            v = EndogenousVar(v.id, v.domain, tuple(parents), dict(table))
+        endogenous.append(v)
+    out = Scm(exogenous=scm.exogenous, endogenous=tuple(endogenous))
     validate(out)
     return out
 
 
-def _consistent(scm: Scm, observation: Assignment, max_states: int):
+def intervene(scm: Scm, var: str, value) -> Scm:
+    """do(var = value): the variable becomes a parentless constant. Returns
+    a new model; the input is untouched."""
+    for v in scm.endogenous:
+        if v.id == var and value not in v.domain:
+            raise ValueOutOfDomain(f"value {value!r} not in domain of {var!r}")
+    return _rewire(
+        scm, {var: ((), {(): value})}, "cannot intervene on unknown endogenous variable"
+    )
+
+
+def _consistent(scm: Scm, observation: Assignment):
     """Yield (exogenous codes, weights) blocks restricted to the
     positive-weight settings under which the model reproduces the
     (possibly partial) endogenous observation."""
     tables, domains = _compile(scm)
     seen = _encode(domains, (tuple((v, "eq", x) for v, x in observation.items()),), "observation")
-    for codes, weights in _grid(scm, max_states):
+    for codes, weights in _grid(scm):
         keep = _holds(seen, _solve_codes(tables, codes), weights.shape) & (weights > 0)
         yield {vid: c[keep] for vid, c in codes.items()}, weights[keep]
 
 
-def abduct(scm: Scm, observation: Assignment, max_states: int = DEFAULT_MAX_STATES) -> NoisePosterior:
+def abduct(scm: Scm, observation: Assignment) -> NoisePosterior:
     """Posterior over exogenous joint settings consistent with a (possibly
     partial) endogenous observation."""
     support = []
-    for codes, weights in _consistent(scm, observation, max_states):
+    for codes, weights in _consistent(scm, observation):
         columns = [(ex, codes[ex.id].tolist()) for ex in scm.exogenous]
         for i, p in enumerate(weights.tolist()):
             support.append(({ex.id: ex.domain.values[col[i]] for ex, col in columns}, p))
@@ -371,8 +377,7 @@ def abduct(scm: Scm, observation: Assignment, max_states: int = DEFAULT_MAX_STAT
     return NoisePosterior(support=tuple((e, p / total) for e, p in support))
 
 
-def _counterfactual(scm: Scm, observation: Assignment, interventions, phi: OutcomeSpec,
-                    max_states: int = DEFAULT_MAX_STATES):
+def _counterfactual(scm: Scm, observation: Assignment, interventions, phi: OutcomeSpec):
     """(counterfactual probability, posterior support size) on the twin
     network: every exogenous setting consistent with the observation in
     `scm` carries its posterior weight to the intervened model, where the
@@ -383,7 +388,7 @@ def _counterfactual(scm: Scm, observation: Assignment, interventions, phi: Outco
     tables, domains = _compile(twin)
     clauses = _encode(domains, phi.clauses, "outcome")
     kept, hits = [], []
-    for codes, weights in _consistent(scm, observation, max_states):
+    for codes, weights in _consistent(scm, observation):
         kept.append(weights)
         hits.append(weights[_holds(clauses, _solve_codes(tables, codes), weights.shape)])
     total = _fsum(kept)
@@ -395,12 +400,8 @@ def _counterfactual(scm: Scm, observation: Assignment, interventions, phi: Outco
 
 
 def counterfactual_probability(
-    scm: Scm,
-    observation: Assignment,
-    interventions,
-    phi: OutcomeSpec,
-    max_states: int = DEFAULT_MAX_STATES,
+    scm: Scm, observation: Assignment, interventions, phi: OutcomeSpec
 ) -> float:
     """Abduct noise from the observation, apply the interventions, and
     evaluate the outcome probability under the posterior."""
-    return _counterfactual(scm, observation, interventions, phi, max_states)[0]
+    return _counterfactual(scm, observation, interventions, phi)[0]

@@ -14,7 +14,7 @@ from blamescope.blame import (
     discounted_blame,
     expected_cost,
 )
-from blamescope.errors import CyclicGraph, UnknownVariable
+from blamescope.errors import ConfigError, CyclicGraph, UnknownVariable
 from blamescope.scm import OutcomeSpec, event_probability, solve
 
 from conftest import oracle_models, random_action
@@ -143,6 +143,16 @@ def test_discount_clamps():
     spec = DiscountSpec("cost_ratio", epsilon=1e-9)
     assert discount(spec, 0.0, 10.0) == 1e-9
     assert discount(spec, 100.0, 1.0) == 1.0
+
+
+@pytest.mark.parametrize(
+    "kind, epsilon",
+    [("bogus", 0.5), ("cost_ratio", 0.0), ("cost_ratio", -1.0), ("cost_ratio", 2.0),
+     ("unit", float("nan"))],
+)
+def test_discount_spec_rejects_bad_fields(kind, epsilon):
+    with pytest.raises(ConfigError):
+        DiscountSpec(kind, epsilon)
 
 
 def test_discounted_blame_zero_delta(xor):

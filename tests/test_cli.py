@@ -360,8 +360,8 @@ def test_validate_scm_unknown_variable(capsys, tmp_path, edit):
     assert json.loads(err)["error"] == "UnknownVariable"
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_blame_non_finite_epsilon(capsys, blame_path, value):
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "2"])
+def test_blame_bad_epsilon(capsys, blame_path, value):
     code, out, err = run_cli(
         capsys, "blame", "--scm", blame_path, *BLAME_ARGS,
         "--discount", "cost_ratio", "--epsilon", value,
@@ -389,6 +389,48 @@ def test_blame_model_nan_epsilon(capsys, tmp_path):
     assert json.loads(err)["error"] == "SchemaViolation"
 
 
+def _set(path, value):
+    """An edit that puts `value` at the key path `path` of a model file."""
+
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set(["outcomes"], [1]),
+        _set(["actions"], []),
+        _set(["costs"], [{"where": {}, "cost": 1}]),
+        _set(["outcomes"], 3),
+        _set(["costs"], 3),
+        _set(["exogenous"], 3),
+        _set(["outcomes", "y1"], 3),
+        _set(["outcomes", "y1"], [3]),
+        _set(["actions", "auto"], 3),
+        _set(["endogenous", 1, "parents"], 3),
+        _set(["actions", "auto", 0, "parents"], 3),
+        _set(["costs", "review_cost", 0, "where"], [1]),
+        _set(["discount", "epsilon"], 2),
+        _set(["discount", "epsilon"], 0),
+    ],
+    ids=[
+        "outcomes_list", "actions_list", "costs_list", "outcomes_int", "costs_int",
+        "exogenous_int", "outcome_int", "clause_int", "action_int", "endogenous_parents_int",
+        "override_parents_int", "where_list", "epsilon_2", "epsilon_0",
+    ],
+)
+def test_validate_scm_bad_section_type(capsys, tmp_path, edit):
+    path = _edited_model(tmp_path, "xor_blame.json", edit)
+    code, out, err = run_cli(capsys, "validate", "--scm", path)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "SchemaViolation"
+
+
 LABELS = ("pos", "neg", "maybe")
 
 
@@ -397,7 +439,7 @@ def small_logs(draw):
     """A policy and a small case log whose confidences often sit on or next
     to the thresholds, with ids that need CSV quoting."""
     l, u = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True)))
-    ids = draw(st.lists(st.text("ab,\"\n ", min_size=1, max_size=4),
+    ids = draw(st.lists(st.text("ab,\"\n\r ", min_size=1, max_size=4),
                         min_size=1, max_size=25, unique=True))
     conf = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
         [l, u, math.nextafter(l, 0.0), math.nextafter(u, 1.0), 0.0, 1.0]))

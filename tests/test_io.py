@@ -12,7 +12,7 @@ from blamescope.errors import (
     UnknownVariable,
     UnreadableFile,
 )
-from blamescope.hitl import CaseLog
+from blamescope.hitl import Case, CaseLog
 from blamescope.io import (
     canonical_dumps,
     dump_cases,
@@ -105,6 +105,23 @@ def test_load_cases_roundtrip(tmp_path):
     cases = gen_synthetic(seed=8, n_cases=50, ai_accuracy=0.8, human_accuracy=0.9)
     path = tmp_path / "cases.csv"
     path.write_text(dump_cases(cases))
+    assert rows_of(load_cases(path)) == [
+        (c.id, c.ai_confidence, c.ai_decision, c.human_decision, c.truth) for c in cases
+    ]
+
+
+def test_dump_cases_bare_cr_roundtrip(tmp_path):
+    cases = [
+        Case("a\rb", 0.5, "pos", "neg", "pos"),
+        Case("c,d", 0.25, "neg", "neg", "pos"),
+    ]
+    text = dump_cases(cases)
+    # Only the row holding a bare "\r" is quoted in full.
+    assert text.split("\n")[1:] == [
+        '"a\rb","0.5","pos","neg","pos"', '"c,d",0.25,neg,neg,pos', ""
+    ]
+    path = tmp_path / "cases.csv"
+    path.write_text(text, newline="")
     assert rows_of(load_cases(path)) == [
         (c.id, c.ai_confidence, c.ai_decision, c.human_decision, c.truth) for c in cases
     ]

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from blamescope.blame import Action, CostModel, expected_cost
 from blamescope.errors import (
     CyclicGraph,
     DanglingParent,
+    DuplicateVariable,
     IncompleteExogenousAssignment,
     NonNormalizedDistribution,
     PartialMechanism,
@@ -83,6 +85,15 @@ def test_validate_dangling_parent():
         validate(scm)
 
 
+def test_validate_duplicate_ids():
+    scm = Scm(
+        exogenous=(ExogenousVar("X", Domain(BITS), (0.5, 0.5)),),
+        endogenous=(EndogenousVar("X", Domain(BITS), (), {(): "0"}),),
+    )
+    with pytest.raises(DuplicateVariable, match=r"duplicate variable ids: \['X'\]"):
+        validate(scm)
+
+
 def test_validate_partial_mechanism():
     scm = Scm(
         exogenous=(ExogenousVar("E", Domain(BITS), (0.5, 0.5)),),
@@ -134,9 +145,28 @@ def test_event_probability_exhaustive(xor):
     assert event_probability(xor, phi) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_event_probability_state_cap(xor):
-    with pytest.raises(StateSpaceTooLarge):
-        event_probability(xor, Y1, max_states=2)
+def _over_the_cap():
+    """25 binary exogenous variables: 2^25 joint states, over the 2^24 cap."""
+    exogenous = tuple(ExogenousVar(f"E{i}", Domain(BITS), (0.5, 0.5)) for i in range(25))
+    return Scm(
+        exogenous=exogenous,
+        endogenous=(EndogenousVar("Y", Domain(BITS), ("E0",), {("0",): "0", ("1",): "1"}),),
+    )
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda scm: event_probability(scm, Y1),
+        lambda scm: abduct(scm, {"Y": "1"}),
+        lambda scm: counterfactual_probability(scm, {"Y": "1"}, [("Y", "0")], Y1),
+        lambda scm: expected_cost(scm, Action(label="keep"), CostModel()),
+    ],
+    ids=["event_probability", "abduct", "counterfactual_probability", "expected_cost"],
+)
+def test_exact_query_state_cap(query):
+    with pytest.raises(StateSpaceTooLarge, match="33554432 states"):
+        query(_over_the_cap())
 
 
 def test_mc_converges(xor):
