@@ -9,21 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError
-from .scm import (
-    OutcomeSpec,
-    Scm,
-    _compile,
-    _encode,
-    _fsum,
-    _grid,
-    _holds,
-    _rewire,
-    _solve_codes,
-    event_probability,
-)
+from .scm import OutcomeSpec, Scm, _expectation, _rewire, event_probability
 
 
 @dataclass(frozen=True)
@@ -81,6 +68,20 @@ class BlameReport:
     method: str = "exact"
     flagged_fraction: float | None = None
 
+    @classmethod
+    def of(
+        cls, p_a, p_aprime, cost_a, cost_aprime, spec, method="exact", flagged_fraction=None
+    ) -> BlameReport:
+        """The report for the outcome probabilities and expected costs under
+        the action and the baseline: delta = max{0, p_a - p_aprime}, gamma =
+        discount(spec, cost_a, cost_aprime) and db = gamma * delta. This is
+        the only place blame is computed."""
+        d = max(0.0, p_a - p_aprime)
+        gamma = discount(spec, cost_a, cost_aprime)
+        return cls(
+            p_a, p_aprime, d, cost_a, cost_aprime, gamma, gamma * d, method, flagged_fraction
+        )
+
 
 def apply_action(scm: Scm, action: Action) -> Scm:
     """Build the modified system: replace each overridden variable's
@@ -93,36 +94,27 @@ def apply_action(scm: Scm, action: Action) -> Scm:
 
 
 def _probabilities(scm: Scm, a: Action, a_prime: Action, phi: OutcomeSpec) -> tuple:
-    """(P(phi | M^a), P(phi | M^a'), delta), with delta clamped at 0."""
-    p_a = event_probability(apply_action(scm, a), phi)
-    p_ap = event_probability(apply_action(scm, a_prime), phi)
-    return p_a, p_ap, max(0.0, p_a - p_ap)
+    """(P(phi | M^a), P(phi | M^a'))."""
+    return event_probability(apply_action(scm, a), phi), event_probability(
+        apply_action(scm, a_prime), phi
+    )
 
 
 def delta(scm: Scm, a: Action, a_prime: Action, phi: OutcomeSpec) -> float:
     """max{0, P(phi | M^a) - P(phi | M^a')} with exact probabilities."""
-    return _probabilities(scm, a, a_prime, phi)[2]
+    p_a, p_ap = _probabilities(scm, a, a_prime, phi)
+    # delta does not depend on the costs or the discount.
+    return BlameReport.of(p_a, p_ap, 0.0, 0.0, DiscountSpec()).delta
 
 
 def expected_cost(scm: Scm, action: Action, cost: CostModel) -> float:
     """Expected decision cost under the modified system. A setting's cost is
     the sum, in term order, of the terms whose `where` holds."""
-    modified = apply_action(scm, action)
-    tables, domains = _compile(modified)
-    terms = [
-        (_encode(domains, (tuple((v, "eq", x) for v, x in term.where),), "cost term"), term.cost)
-        for term in cost.terms
-    ]
-
-    def weighted_costs():
-        for codes, weights in _grid(modified):
-            endo = _solve_codes(tables, codes)
-            per_state = np.zeros(weights.shape)
-            for where, value in terms:
-                per_state[_holds(where, endo, weights.shape)] += value
-            yield weights * per_state
-
-    return _fsum(weighted_costs())
+    return _expectation(
+        apply_action(scm, action),
+        [(OutcomeSpec.conjunction(term.where), term.cost) for term in cost.terms],
+        "cost term",
+    )
 
 
 def discount(spec: DiscountSpec, cost_a: float, cost_aprime: float) -> float:
@@ -146,16 +138,7 @@ def discounted_blame(
 ) -> BlameReport:
     """Full report: outcome probabilities, expected costs, discount and the
     discounted blame score."""
-    p_a, p_ap, d = _probabilities(scm, a, a_prime, phi)
-    cost_a = expected_cost(scm, a, cost)
-    cost_ap = expected_cost(scm, a_prime, cost)
-    gamma = discount(spec, cost_a, cost_ap)
-    return BlameReport(
-        p_a=p_a,
-        p_aprime=p_ap,
-        delta=d,
-        cost_a=cost_a,
-        cost_aprime=cost_ap,
-        gamma=gamma,
-        db=gamma * d,
+    p_a, p_ap = _probabilities(scm, a, a_prime, phi)
+    return BlameReport.of(
+        p_a, p_ap, expected_cost(scm, a, cost), expected_cost(scm, a_prime, cost), spec
     )

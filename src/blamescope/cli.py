@@ -9,6 +9,7 @@ identical inputs and seeds produce byte-identical reports. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import attribution as attr_mod
@@ -55,19 +56,17 @@ def _emit(report: dict, out_path: str | None):
 
 
 def _blame_report_dict(report: BlameReport) -> dict:
-    d = {
-        "p_a": report.p_a,
-        "p_aprime": report.p_aprime,
-        "delta": report.delta,
-        "cost_a": report.cost_a,
-        "cost_aprime": report.cost_aprime,
-        "gamma": report.gamma,
-        "db": report.db,
-        "method": report.method,
-    }
-    if report.flagged_fraction is not None:
-        d["flagged_fraction"] = report.flagged_fraction
-    return d
+    """The report's fields; flagged_fraction is left out when it is None."""
+    return {k: v for k, v in dataclasses.asdict(report).items() if v is not None}
+
+
+def _discount_spec(args, model_discount: DiscountSpec | None = None) -> DiscountSpec:
+    """The discount a command uses: --discount, else the model file's, else
+    unit. --epsilon, when given, sets the epsilon of whichever applies."""
+    spec = DiscountSpec(kind=args.discount) if args.discount else model_discount or DiscountSpec()
+    if args.epsilon is None:
+        return spec
+    return dataclasses.replace(spec, epsilon=args.epsilon)
 
 
 def _lookup(mapping: dict, name: str, what: str, exc):
@@ -158,10 +157,7 @@ def cmd_blame(args) -> dict:
     bundle, phi = _load_outcome(args)
     a = _lookup(bundle.actions, args.action, "action", UnknownAction)
     a_prime = _lookup(bundle.actions, args.baseline, "action", UnknownAction)
-    if args.discount:
-        spec = DiscountSpec(kind=args.discount, epsilon=args.epsilon)
-    else:
-        spec = bundle.discount or DiscountSpec(kind="unit")
+    spec = _discount_spec(args, bundle.discount)
     if args.cost:
         cost = _lookup(bundle.costs, args.cost, "cost model", UnknownCostModel)
     elif spec.kind == "cost_ratio":
@@ -185,7 +181,7 @@ def cmd_blame(args) -> dict:
 
 def cmd_hitl(args) -> dict:
     policy = hitl_mod.FlagPolicy(l=args.l, u=args.u)
-    spec = DiscountSpec(kind=args.discount or "unit", epsilon=args.epsilon)
+    spec = _discount_spec(args)
     decisions = hitl_mod.run(load_cases(args.cases), policy)
     report = hitl_mod.hitl_blame(
         hitl_mod.HitlBlameInput(
@@ -347,7 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", required=True)
     p.add_argument("--cost")
     p.add_argument("--discount", choices=["unit", "cost_ratio"])
-    p.add_argument("--epsilon", type=float, default=1e-9)
+    p.add_argument(
+        "--epsilon", type=float, help="discount epsilon (default: the model file's, else 1e-9)"
+    )
     add_out(p)
 
     p = sub.add_parser("hitl", help="blame and attribution over a recorded case log")
@@ -357,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ai-cost", type=float, default=1.0)
     p.add_argument("--review-cost", type=float, default=1.0)
     p.add_argument("--discount", choices=["unit", "cost_ratio"])
-    p.add_argument("--epsilon", type=float, default=1e-9)
+    p.add_argument("--epsilon", type=float, help="discount epsilon (default 1e-9)")
     add_out(p)
 
     p = sub.add_parser("metrics", help="agreement (QWK) or F1-drop metrics")

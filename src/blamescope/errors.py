@@ -93,6 +93,10 @@ class UnreadableFile(DataError):
     pass
 
 
+class NonFiniteNumber(DataError):
+    pass
+
+
 # -- configuration errors ---------------------------------------------------
 
 class UnknownOutcome(ConfigError):

@@ -12,11 +12,12 @@ the blame, the attribution and the F1 metrics all read that one result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blame import Action, BlameReport, DiscountSpec, Override, discount
+from .blame import Action, BlameReport, DiscountSpec, Override
 from .errors import (
     ConfigError,
     DuplicateCaseId,
@@ -141,6 +142,13 @@ class HitlBlameInput:
     def __post_init__(self):
         if self.ai_cost < 0 or self.review_cost < 0:
             raise ConfigError("decision costs must be non-negative")
+        # A NaN passes the check above; an infinite or NaN cost would make
+        # the report's costs and discount non-finite.
+        if not math.isfinite(self.ai_cost + self.review_cost):
+            raise ConfigError(
+                f"decision costs must be finite, got ai_cost={self.ai_cost}, "
+                f"review_cost={self.review_cost}"
+            )
 
 
 def flag(policy: FlagPolicy, p):
@@ -178,21 +186,13 @@ def hitl_blame(inp: HitlBlameInput) -> BlameReport:
     n = len(d.log)
     if not n:
         raise EmptyCaseList("case log is empty")
-    p_a = error_rate(d.error)
-    p_ap = error_rate(d.human_error)
-    delta = max(0.0, p_a - p_ap)
     frac = int(np.count_nonzero(d.flagged)) / n
-    cost_a = inp.review_cost * frac + inp.ai_cost * (1.0 - frac)
-    cost_ap = inp.review_cost
-    gamma = discount(inp.discount, cost_a, cost_ap)
-    return BlameReport(
-        p_a=p_a,
-        p_aprime=p_ap,
-        delta=delta,
-        cost_a=cost_a,
-        cost_aprime=cost_ap,
-        gamma=gamma,
-        db=gamma * delta,
+    return BlameReport.of(
+        error_rate(d.error),
+        error_rate(d.human_error),
+        inp.review_cost * frac + inp.ai_cost * (1.0 - frac),
+        inp.review_cost,
+        inp.discount,
         method="empirical",
         flagged_fraction=frac,
     )

@@ -23,6 +23,7 @@ from .errors import (
     DataError,
     DuplicateCaseId,
     MalformedRow,
+    NonFiniteNumber,
     SchemaViolation,
     UnreadableFile,
 )
@@ -180,14 +181,13 @@ def load_scm_bundle(path) -> ScmBundle:
         )
     scm = Scm(exogenous=tuple(exogenous), endogenous=tuple(endogenous))
     validate(scm)
-    domains = {v.id: v.domain for v in scm.endogenous}
 
     outcomes = {}
     raw_outcomes = _get(doc, "outcomes", path, dict, {})
     for name in raw_outcomes:
         raw = _get(raw_outcomes, name, f"{path}: outcomes", list)
         outcomes[name] = _parse_outcome(raw, f"{path}: outcome {name!r}")
-        _encode(domains, outcomes[name].clauses, f"outcome {name!r}")
+        _encode(scm, outcomes[name], f"outcome {name!r}")
 
     actions = {}
     raw_actions = _get(doc, "actions", path, dict, {})
@@ -222,7 +222,7 @@ def load_scm_bundle(path) -> ScmBundle:
                 where=tuple(sorted((str(k), str(v)) for k, v in raw_where.items())),
                 cost=cost,
             )
-            _encode(domains, (tuple((v, "eq", x) for v, x in term.where),), f"cost model {name!r}")
+            _encode(scm, OutcomeSpec.conjunction(term.where), f"cost model {name!r}")
             terms.append(term)
         costs[name] = CostModel(terms=tuple(terms))
 
@@ -324,8 +324,10 @@ def dump_cases(cases) -> str:
     return buf.getvalue()
 
 
-def load_ratings(path, k: int | None = None):
-    """Parse a ratings CSV into (rater_a, rater_b) integer pairs."""
+def load_ratings(path):
+    """Parse a ratings CSV into (rater_a, rater_b) integer pairs. Short rows,
+    non-integer ratings, ratings below 1, CSV syntax errors and bytes that
+    are not UTF-8 are hard errors with line numbers."""
     try:
         with _open(path) as fh:
             reader = csv.DictReader(fh)
@@ -338,11 +340,17 @@ def load_ratings(path, k: int | None = None):
             for row in reader:
                 line = reader.line_num
                 try:
-                    pairs.append((int(row["rater_a"]), int(row["rater_b"])))
+                    pair = (int(row["rater_a"]), int(row["rater_b"]))
                 except (TypeError, ValueError):
                     raise MalformedRow(f"{path}: line {line}: non-integer rating") from None
+                if min(pair) < 1:
+                    raise MalformedRow(f"{path}: line {line}: rating {min(pair)} below 1")
+                pairs.append(pair)
     except UnicodeDecodeError:
         raise MalformedRow(f"{path}: line {_undecodable_line(path)}: not UTF-8") from None
+    except csv.Error as exc:
+        # DictReader.line_num is updated only after a row is read whole.
+        raise MalformedRow(f"{path}: line {reader.reader.line_num}: {exc}") from None
     if not pairs:
         raise DataError(f"{path}: no rating rows")
     return pairs
@@ -358,6 +366,8 @@ def _canon(obj, out):
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise NonFiniteNumber(f"cannot write {obj} as JSON")
         out.append(format(obj, ".12g"))
     elif isinstance(obj, str):
         out.append(encode_basestring(obj))
@@ -382,7 +392,8 @@ def _canon(obj, out):
 
 
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON: sorted keys, 12-significant-digit floats."""
+    """Deterministic JSON: sorted keys, 12-significant-digit floats. A NaN
+    or infinite float raises NonFiniteNumber, as JSON has no such number."""
     out = []
     _canon(obj, out)
     out.append("\n")

@@ -6,19 +6,21 @@ a weighted sum over the exogenous joint space.
 
 Every query runs on one compiled evaluator. `_compile` validates a model and
 turns each mechanism into an index-coded lookup table in the same pass, and
-`validate` is that pass with the tables dropped. `_grid` yields the
-exogenous joint space in blocks of codes and weights, `_solve_codes` applies
-the tables to exogenous codes (scalars or arrays), and `_holds` evaluates
-outcome, observation and cost literals as one DNF mask. Exact probabilities,
-expected costs, abduction and counterfactuals add up weights with
-`math.fsum`, so each sum is correctly rounded and does not depend on the
-block size. A counterfactual is read off the twin network: one exogenous
-setting drives the factual model, which must reproduce the observation, and
-the intervened model, which is checked against the outcome. The Monte Carlo
-estimator draws exogenous codes instead of enumerating them, for spaces too
-large to enumerate. An intervention do(X = x) and an action's overrides are
-the same rewrite, `_rewire`: do(X = x) gives X no parents and the constant
-mechanism x.
+`validate` is that pass with the tables dropped. `_states` is the only walk
+over the exogenous joint space: it yields blocks of weights and the codes of
+every variable, which `_solve_codes` derives from the exogenous codes
+(scalars or arrays). `_holds` evaluates outcome, observation and cost
+literals as one DNF mask. `_expectation` is the one exact expectation: an
+outcome probability is the expectation of its indicator, an expected cost
+that of the weighted cost terms. Expectations, abduction and counterfactuals
+add up weights with `math.fsum`, so each sum is correctly rounded and does
+not depend on the block size. A counterfactual is read off the twin network:
+one exogenous setting drives the factual model, which must reproduce the
+observation, and the intervened model, which is checked against the outcome.
+The Monte Carlo estimator draws exogenous codes instead of enumerating them,
+for spaces too large to enumerate. An intervention do(X = x) and an action's
+overrides are the same rewrite, `_rewire`: do(X = x) gives X no parents and
+the constant mechanism x.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .errors import (
     ZeroProbabilityObservation,
 )
 
-Value = str
 Assignment = dict  # variable id -> value
 
 PROB_TOL = 1e-9
@@ -112,8 +113,10 @@ class OutcomeSpec:
 
     clauses: tuple  # tuple of clauses; each clause a tuple of (var, cmp, value)
 
-    def variables(self) -> set:
-        return {var for clause in self.clauses for var, _, _ in clause}
+    @classmethod
+    def conjunction(cls, pairs) -> OutcomeSpec:
+        """The event that every (var, value) pair holds."""
+        return cls(clauses=(tuple((var, "eq", value) for var, value in pairs),))
 
 
 @dataclass(frozen=True)
@@ -132,15 +135,15 @@ def validate(scm: Scm) -> tuple:
     NonNormalizedDistribution or PartialMechanism naming the offending
     variable.
     """
-    return tuple(vid for vid, _, _ in _compile(scm)[0])
+    return tuple(vid for vid, _, _ in _compile(scm))
 
 
 def _compile(scm: Scm):
     """Validate the model while building one index-coded lookup table per
     endogenous variable; this is the only walk over mechanism entries.
-    Returns (tables, domains): tables lists (id, parent ids, table) in
-    topological order, where the table maps parent codes to the
-    variable's code; domains maps each endogenous id to its Domain."""
+    Returns (id, parent ids, table) for each endogenous variable in
+    topological order, where the table maps parent codes to the variable's
+    code."""
     ids = [v.id for v in scm.exogenous] + [v.id for v in scm.endogenous]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -201,8 +204,7 @@ def _compile(scm: Scm):
     if len(order) != len(scm.endogenous):
         stuck = sorted(i for i, d in indeg.items() if d > 0)
         raise CyclicGraph(f"cycle among endogenous variables: {stuck}")
-    tables = [(vid, by_id[vid].parents, luts[vid]) for vid in order]
-    return tables, {v.id: v.domain for v in scm.endogenous}
+    return [(vid, by_id[vid].parents, luts[vid]) for vid in order]
 
 
 def _solve_codes(tables, codes: dict) -> dict:
@@ -233,9 +235,10 @@ def _holds(clauses, env, shape=()) -> np.ndarray:
     return hit
 
 
-def _encode(domains: dict, clauses, what: str) -> tuple:
-    """Check (var, cmp, value) literals against the endogenous domains and
-    replace each value by its code."""
+def _encode(scm: Scm, event: OutcomeSpec, what: str) -> tuple:
+    """The event's clauses with each literal's value replaced by its code,
+    after checking the literals against the model's endogenous domains."""
+    domains = {v.id: v.domain for v in scm.endogenous}
 
     def code(var, value):
         if var not in domains:
@@ -245,13 +248,15 @@ def _encode(domains: dict, clauses, what: str) -> tuple:
         return domains[var].index(value)
 
     return tuple(
-        tuple((var, cmp, code(var, value)) for var, cmp, value in clause) for clause in clauses
+        tuple((var, cmp, code(var, value)) for var, cmp, value in clause)
+        for clause in event.clauses
     )
 
 
-def _grid(scm: Scm):
-    """Yield (exogenous codes, weights) blocks that cover the exogenous joint
-    space in itertools.product order. A state's weight is
+def _states(scm: Scm, tables):
+    """Yield (weights, codes) blocks that cover the exogenous joint space in
+    itertools.product order; codes holds every variable, the endogenous
+    ones solved with the model's compiled `tables`. A state's weight is
     1.0 * p_0[c_0] * p_1[c_1] * ... in axis order."""
     sizes = [len(ex.domain) for ex in scm.exogenous]
     n_states = math.prod(sizes)
@@ -269,7 +274,7 @@ def _grid(scm: Scm):
             index, codes[ex.id] = np.divmod(index, size)
         for ex, dist in zip(scm.exogenous, dists):
             weights *= dist[codes[ex.id]]
-        yield codes, weights
+        yield weights, _solve_codes(tables, codes)
 
 
 def _fsum(blocks) -> float:
@@ -280,23 +285,35 @@ def _fsum(blocks) -> float:
 def solve(scm: Scm, e: Assignment) -> Assignment:
     """Evaluate mechanisms in topological order for a total exogenous
     setting; returns the unique total endogenous assignment."""
-    tables, domains = _compile(scm)
+    tables = _compile(scm)
     for ex in scm.exogenous:
         if ex.id not in e:
             raise IncompleteExogenousAssignment(f"missing exogenous value for {ex.id!r}")
     codes = _solve_codes(tables, {ex.id: ex.domain.index(e[ex.id]) for ex in scm.exogenous})
+    domains = {v.id: v.domain for v in scm.endogenous}
     return {vid: domains[vid].values[codes[vid]] for vid, _, _ in tables}
 
 
+def _expectation(scm: Scm, terms, what: str) -> float:
+    """Exact expectation over the exogenous joint space of the sum, in term
+    order, of the values of the (OutcomeSpec, value) terms whose event
+    holds; `what` names the terms in errors."""
+    tables = _compile(scm)
+    terms = [(_encode(scm, event, what), value) for event, value in terms]
+
+    def weighted():
+        for weights, codes in _states(scm, tables):
+            per_state = np.zeros(weights.shape)
+            for clauses, value in terms:
+                per_state[_holds(clauses, codes, weights.shape)] += value
+            yield weights * per_state
+
+    return _fsum(weighted())
+
+
 def event_probability(scm: Scm, phi: OutcomeSpec) -> float:
-    """Exact probability of the outcome: the sum of the weights of the
-    exogenous settings under which it holds."""
-    tables, domains = _compile(scm)
-    clauses = _encode(domains, phi.clauses, "outcome")
-    return _fsum(
-        weights[_holds(clauses, _solve_codes(tables, codes), weights.shape)]
-        for codes, weights in _grid(scm)
-    )
+    """Exact probability of the outcome: the expectation of its indicator."""
+    return _expectation(scm, ((phi, 1.0),), "outcome")
 
 
 def event_probability_mc(
@@ -313,8 +330,8 @@ def event_probability_mc(
     }
     # Compiled after the draws: compiling first measured ~5 MB more peak
     # RSS with 1e6 samples of a 24-variable chain.
-    tables, domains = _compile(scm)
-    clauses = _encode(domains, phi.clauses, "outcome")
+    tables = _compile(scm)
+    clauses = _encode(scm, phi, "outcome")
     hit = _holds(clauses, _solve_codes(tables, codes), (samples,))
     return float(np.count_nonzero(hit)) / samples
 
@@ -351,21 +368,21 @@ def intervene(scm: Scm, var: str, value) -> Scm:
 
 
 def _consistent(scm: Scm, observation: Assignment):
-    """Yield (exogenous codes, weights) blocks restricted to the
+    """Yield (weights, exogenous codes) blocks restricted to the
     positive-weight settings under which the model reproduces the
     (possibly partial) endogenous observation."""
-    tables, domains = _compile(scm)
-    seen = _encode(domains, (tuple((v, "eq", x) for v, x in observation.items()),), "observation")
-    for codes, weights in _grid(scm):
-        keep = _holds(seen, _solve_codes(tables, codes), weights.shape) & (weights > 0)
-        yield {vid: c[keep] for vid, c in codes.items()}, weights[keep]
+    tables = _compile(scm)
+    seen = _encode(scm, OutcomeSpec.conjunction(observation.items()), "observation")
+    for weights, codes in _states(scm, tables):
+        keep = _holds(seen, codes, weights.shape) & (weights > 0)
+        yield weights[keep], {ex.id: codes[ex.id][keep] for ex in scm.exogenous}
 
 
 def abduct(scm: Scm, observation: Assignment) -> NoisePosterior:
     """Posterior over exogenous joint settings consistent with a (possibly
     partial) endogenous observation."""
     support = []
-    for codes, weights in _consistent(scm, observation):
+    for weights, codes in _consistent(scm, observation):
         columns = [(ex, codes[ex.id].tolist()) for ex in scm.exogenous]
         for i, p in enumerate(weights.tolist()):
             support.append(({ex.id: ex.domain.values[col[i]] for ex, col in columns}, p))
@@ -385,10 +402,10 @@ def _counterfactual(scm: Scm, observation: Assignment, interventions, phi: Outco
     twin = scm
     for var, value in interventions:
         twin = intervene(twin, var, value)
-    tables, domains = _compile(twin)
-    clauses = _encode(domains, phi.clauses, "outcome")
+    tables = _compile(twin)
+    clauses = _encode(twin, phi, "outcome")
     kept, hits = [], []
-    for codes, weights in _consistent(scm, observation):
+    for weights, codes in _consistent(scm, observation):
         kept.append(weights)
         hits.append(weights[_holds(clauses, _solve_codes(tables, codes), weights.shape)])
     total = _fsum(kept)

@@ -4,6 +4,7 @@ import pytest
 
 from blamescope.blame import (
     Action,
+    BlameReport,
     CostModel,
     CostTerm,
     DiscountSpec,
@@ -153,6 +154,20 @@ def test_discount_clamps():
 def test_discount_spec_rejects_bad_fields(kind, epsilon):
     with pytest.raises(ConfigError):
         DiscountSpec(kind, epsilon)
+
+
+@pytest.mark.parametrize(
+    "p_a, p_aprime, kind, want_delta, want_gamma",
+    [(0.5, 0.3, "cost_ratio", 0.2, 0.25), (0.3, 0.5, "cost_ratio", 0.0, 0.25),
+     (0.5, 0.3, "unit", 0.2, 1.0)],
+)
+def test_blame_report_of(p_a, p_aprime, kind, want_delta, want_gamma):
+    rep = BlameReport.of(p_a, p_aprime, 2.0, 8.0, DiscountSpec(kind), method="empirical")
+    assert (rep.p_a, rep.p_aprime, rep.cost_a, rep.cost_aprime) == (p_a, p_aprime, 2.0, 8.0)
+    assert rep.delta == pytest.approx(want_delta, abs=1e-15)
+    assert rep.gamma == want_gamma
+    assert rep.db == rep.gamma * rep.delta
+    assert (rep.method, rep.flagged_fraction) == ("empirical", None)
 
 
 def test_discounted_blame_zero_delta(xor):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blamescope import cli
 from blamescope.cli import main
 from blamescope.data import bundled_path
 from blamescope.hitl import Case
@@ -370,6 +371,55 @@ def test_blame_bad_epsilon(capsys, blame_path, value):
     assert json.loads(err)["error"] == "ConfigError"
 
 
+def test_blame_epsilon_without_discount(capsys, blame_path):
+    """--epsilon sets the epsilon of the model file's cost_ratio discount."""
+    code, out, _ = run_cli(capsys, "blame", "--scm", blame_path, *BLAME_ARGS, "--epsilon", "0.5")
+    blame = json.loads(out)["blame"]
+    assert (code, blame["gamma"], blame["db"]) == (0, 0.5, 0.1)
+
+
+@pytest.mark.parametrize("value", ["7", "nan"])
+def test_blame_bad_epsilon_without_discount(capsys, blame_path, value):
+    code, out, err = run_cli(capsys, "blame", "--scm", blame_path, *BLAME_ARGS, "--epsilon", value)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ConfigError"
+
+
+def test_blame_epsilon_default_keeps_model_discount(capsys, tmp_path):
+    path = _edited_model(tmp_path, "xor_blame.json", _set(["discount", "epsilon"], 0.5))
+    code, out, _ = run_cli(capsys, "blame", "--scm", path, *BLAME_ARGS)
+    assert (code, json.loads(out)["blame"]["gamma"]) == (0, 0.5)
+
+
+def test_non_finite_report_not_written(capsys, monkeypatch, xor_path, tmp_path):
+    monkeypatch.setitem(cli._HANDLERS, "prob", lambda args: {"probability": math.inf})
+    report = tmp_path / "report.json"
+    for out_args in ([], ["--out", str(report)]):
+        code, out, err = run_cli(
+            capsys, "prob", "--scm", xor_path, "--outcome", "y1", *out_args
+        )
+        assert (code, out, report.exists()) == (3, "", False)
+        assert json.loads(err)["error"] == "NonFiniteNumber"
+
+
+def test_ratings_oversized_field(capsys, tmp_path):
+    path = tmp_path / "ratings.csv"
+    path.write_text("case_id,rater_a,rater_b\nc0,1,2\n" + "x" * 200_000 + ",1,2\n")
+    for argv in (["metrics", "--ratings", str(path)], ["validate", "--ratings", str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "MalformedRow"
+        assert "line 3" in json.loads(err)["message"]
+
+
+def test_validate_ratings_below_one(capsys, tmp_path):
+    path = tmp_path / "ratings.csv"
+    path.write_text("case_id,rater_a,rater_b\nc0,1,2\nc1,0,2\n")
+    code, out, err = run_cli(capsys, "validate", "--ratings", str(path))
+    assert (code, out) == (3, "")
+    assert "line 3: rating 0 below 1" in json.loads(err)["message"]
+
+
 def test_hitl_nan_epsilon(capsys, log_path):
     code, out, err = run_cli(
         capsys, "hitl", "--cases", log_path, "--l", "0.2", "--u", "0.8",
@@ -478,3 +528,47 @@ def test_hitl_report_matches_recount(drawn):
     assert abs(blame["p_a"] - counts["hitl_errors"] / n) <= 1e-12
     assert abs(blame["p_aprime"] - counts["human_only_errors"] / n) <= 1e-12
     assert abs(blame["flagged_fraction"] - counts["flagged"] / n) <= 1e-12
+
+
+def _strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+_LOG = str(bundled_path("cases_200.csv"))
+_BLAME_SCM = str(bundled_path("xor_blame.json"))
+_HITL = ("hitl", "--cases", _LOG, "--l", "0.3", "--u", "0.7", "--discount", "cost_ratio")
+# Each numeric flag, after the arguments that make the rest of the run valid.
+GATED_FLAGS = {
+    "hitl --ai-cost": (*_HITL, "--ai-cost"),
+    "hitl --review-cost": (*_HITL, "--review-cost"),
+    "hitl --epsilon": (*_HITL, "--epsilon"),
+    "hitl --l": (*_HITL, "--l"),
+    "hitl --u": (*_HITL, "--u"),
+    "blame --epsilon": ("blame", "--scm", _BLAME_SCM, *BLAME_ARGS, "--epsilon"),
+    "blame --discount --epsilon": (
+        "blame", "--scm", _BLAME_SCM, *BLAME_ARGS, "--discount", "cost_ratio", "--epsilon"
+    ),
+    "metrics --cases --l": (
+        "metrics", "--cases", _LOG, "--u", "0.7", "--positive", "pos", "--l"
+    ),
+}
+GATED_VALUES = ["nan", "inf", "-inf", "-1", "0", "0.5", "1", "2"]
+
+
+@pytest.mark.parametrize("value", GATED_VALUES)
+@pytest.mark.parametrize("flag", sorted(GATED_FLAGS))
+def test_numeric_flag_gate(capsys, flag, value):
+    """Every value of a numeric flag gives a report or a typed error, and
+    what is written is strict JSON: no traceback, no NaN or Infinity."""
+    *argv, option = GATED_FLAGS[flag]
+    # "--opt=value", so that "-inf" is not read as an option.
+    code, out, err = run_cli(capsys, *argv, f"{option}={value}")
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        _strict_json(out)
+    else:
+        assert out == ""
+        assert _strict_json(err)["error"]

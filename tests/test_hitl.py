@@ -163,6 +163,16 @@ def test_hitl_blame_empty():
         hitl_blame(blame_input([]))
 
 
+@pytest.mark.parametrize(
+    "ai_cost, review_cost",
+    [(float("inf"), 1.0), (float("nan"), 1.0), (1.0, float("inf")), (1.0, float("nan"))],
+)
+def test_hitl_blame_input_rejects_non_finite_costs(ai_cost, review_cost):
+    decisions = run(CaseLog.from_cases([case()]), POLICY)
+    with pytest.raises(ConfigError, match="decision costs must be finite"):
+        HitlBlameInput(decisions, ai_cost, review_cost, DiscountSpec("cost_ratio"))
+
+
 def test_hitl_blame_matches_recount():
     from oracles import recount_log
 

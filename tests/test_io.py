@@ -8,6 +8,7 @@ from blamescope.data import bundled_path
 from blamescope.errors import (
     DuplicateCaseId,
     MalformedRow,
+    NonFiniteNumber,
     SchemaViolation,
     UnknownVariable,
     UnreadableFile,
@@ -268,6 +269,27 @@ def test_load_ratings_non_integer(tmp_path):
     path.write_text("case_id,rater_a,rater_b\nc0,1,x\n")
     with pytest.raises(MalformedRow, match="line 2"):
         load_ratings(path)
+
+
+def test_load_ratings_oversized_field(tmp_path):
+    path = tmp_path / "ratings.csv"
+    path.write_text("case_id,rater_a,rater_b\nc0,1,2\n" + "x" * 200_000 + ",1,2\n")
+    with pytest.raises(MalformedRow, match="line 3: field larger than field limit"):
+        load_ratings(path)
+
+
+@pytest.mark.parametrize("row", ["c1,0,2", "c1,2,-1"])
+def test_load_ratings_below_one(tmp_path, row):
+    path = tmp_path / "ratings.csv"
+    path.write_text(f"case_id,rater_a,rater_b\nc0,1,2\n{row}\n")
+    with pytest.raises(MalformedRow, match="line 3: rating -?[01] below 1"):
+        load_ratings(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_canonical_dumps_rejects_non_finite(value):
+    with pytest.raises(NonFiniteNumber):
+        canonical_dumps({"ok": 1.0, "bad": [value]})
 
 
 def test_canonical_dumps_sorted_and_stable():
