@@ -1,9 +1,12 @@
 """Command-line front end.
 
 One binary, subcommand style: validate | prob | counterfactual | blame |
-hitl | metrics | gen. All output is canonical JSON (or CSV for gen), so
-identical inputs and seeds produce byte-identical reports. Exit codes:
-0 success, 2 configuration error, 3 data error, 4 model error.
+hitl | metrics | gen. Each handler returns its payload; `main` adds the
+report's `schema` and `command`, writes it as canonical JSON (gen writes
+CSV) to stdout or `--out`, so identical inputs and seeds produce
+byte-identical reports. Every error, usage errors included, is a
+BlamescopeError written as JSON to stderr. Exit codes: 0 success,
+2 configuration error, 3 data error, 4 model error.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .io import (
     load_cases,
     load_ratings,
     load_scm_bundle,
+    open_text,
 )
 from .synthetic import gen_synthetic
 
@@ -46,13 +50,13 @@ def _parse_bindings(pairs, what: str):
     return out
 
 
-def _emit(report: dict, out_path: str | None):
-    text = canonical_dumps(report)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _write(text: str, out_path: str | None):
+    """The one writer: `text` to `out_path`, or to stdout without one."""
+    if not out_path:
         sys.stdout.write(text)
+        return
+    with open_text(out_path, "w") as fh:
+        fh.write(text)
 
 
 def _blame_report_dict(report: BlameReport) -> dict:
@@ -95,7 +99,7 @@ def cmd_validate(args) -> dict:
     if args.ratings:
         pairs = load_ratings(args.ratings)
         files[args.ratings] = {"kind": "ratings", "status": "ok", "rows": len(pairs)}
-    return {"schema": REPORT_SCHEMA, "command": "validate", "files": files}
+    return {"files": files}
 
 
 def _load_outcome(args):
@@ -113,16 +117,12 @@ def cmd_prob(args) -> dict:
     for var, value in _parse_bindings(args.do, "--do"):
         model = scm_mod.intervene(model, var, value)
     if args.samples is not None:
-        if args.samples < 1:
-            raise ConfigError("--samples must be >= 1")
         prob = scm_mod.event_probability_mc(model, phi, args.samples, args.seed)
         method = "mc"
     else:
         prob = scm_mod.event_probability(model, phi)
         method = "exact"
     return {
-        "schema": REPORT_SCHEMA,
-        "command": "prob",
         "config": {
             "outcome": args.outcome,
             "action": args.action,
@@ -141,8 +141,6 @@ def cmd_counterfactual(args) -> dict:
     interventions = _parse_bindings(args.do, "--do")
     prob, support_size = scm_mod._counterfactual(bundle.scm, observation, interventions, phi)
     return {
-        "schema": REPORT_SCHEMA,
-        "command": "counterfactual",
         "config": {
             "outcome": args.outcome,
             "observe": sorted(f"{k}={v}" for k, v in observation.items()),
@@ -166,8 +164,6 @@ def cmd_blame(args) -> dict:
         cost = CostModel()
     report = discounted_blame(bundle.scm, a, a_prime, phi, cost, spec)
     return {
-        "schema": REPORT_SCHEMA,
-        "command": "blame",
         "config": {
             "outcome": args.outcome,
             "action": args.action,
@@ -199,8 +195,6 @@ def cmd_hitl(args) -> dict:
         for cls in attr_mod.CLASSES
     ]
     return {
-        "schema": REPORT_SCHEMA,
-        "command": "hitl",
         "config": {
             "l": args.l,
             "u": args.u,
@@ -234,60 +228,47 @@ def cmd_hitl(args) -> dict:
 
 
 def cmd_metrics(args) -> dict:
-    if args.ratings and args.cases:
-        raise ConfigError("metrics takes either --ratings or --cases, not both")
-    if args.ratings:
+    if args.ratings is not None:
         pairs = load_ratings(args.ratings)
         confusion = metrics_mod.OrdinalConfusion.from_pairs(pairs, k=args.k)
         kappa = metrics_mod.qwk(confusion)
         return {
-            "schema": REPORT_SCHEMA,
-            "command": "metrics",
             "config": {"mode": "agreement", "k": confusion.k},
             "qwk": kappa,
             "raw_one_minus_kappa": 1.0 - kappa,
             "blame": metrics_mod.blame_from_agreement(kappa),
         }
-    if args.cases:
-        if args.l is None or args.u is None or not args.positive:
-            raise ConfigError("case-log metrics need --l, --u and --positive")
-        policy = hitl_mod.FlagPolicy(l=args.l, u=args.u)
-        decisions = hitl_mod.run(load_cases(args.cases), policy)
-        log = decisions.log
-        # Compare label codes; a label absent from the log matches no case.
-        positive = log.labels.index(args.positive) if args.positive in log.labels else -1
-        scores = {}
-        for mode, final in (("hitl", decisions.final), ("human_only", log.human_decision)):
-            counts = metrics_mod.binary_counts(final, log.truth, positive)
-            precision, recall, f1 = metrics_mod.precision_recall_f1(counts)
-            scores[mode] = {
-                "tp": counts.tp,
-                "fp": counts.fp,
-                "fn": counts.fn,
-                "tn": counts.tn,
-                "precision": precision,
-                "recall": recall,
-                "f1": f1,
-            }
-        return {
-            "schema": REPORT_SCHEMA,
-            "command": "metrics",
-            "config": {
-                "mode": "f1_drop",
-                "l": args.l,
-                "u": args.u,
-                "positive": args.positive,
-            },
-            "hitl": scores["hitl"],
-            "human_only": scores["human_only"],
-            "blame": metrics_mod.blame_from_f1_drop(
-                scores["hitl"]["f1"], scores["human_only"]["f1"]
-            ),
+    if args.l is None or args.u is None or not args.positive:
+        raise ConfigError("case-log metrics need --l, --u and --positive")
+    policy = hitl_mod.FlagPolicy(l=args.l, u=args.u)
+    decisions = hitl_mod.run(load_cases(args.cases), policy)
+    log = decisions.log
+    # Compare label codes; a label absent from the log matches no case.
+    positive = log.labels.index(args.positive) if args.positive in log.labels else -1
+    scores = {}
+    for mode, final in (("hitl", decisions.final), ("human_only", log.human_decision)):
+        counts = metrics_mod.binary_counts(final, log.truth, positive)
+        precision, recall, f1 = metrics_mod.precision_recall_f1(counts)
+        scores[mode] = {
+            **dataclasses.asdict(counts), "precision": precision, "recall": recall, "f1": f1
         }
-    raise ConfigError("metrics needs --ratings or --cases")
+    return {
+        "config": {
+            "mode": "f1_drop",
+            "l": args.l,
+            "u": args.u,
+            "positive": args.positive,
+        },
+        "hitl": scores["hitl"],
+        "human_only": scores["human_only"],
+        "blame": metrics_mod.blame_from_f1_drop(
+            scores["hitl"]["f1"], scores["human_only"]["f1"]
+        ),
+    }
 
 
-def cmd_gen(args) -> None:
+def cmd_gen(args) -> str:
+    """The case log as CSV text, not a report."""
     cases = gen_synthetic(
         seed=args.seed,
         n_cases=args.n_cases,
@@ -295,58 +276,72 @@ def cmd_gen(args) -> None:
         human_accuracy=args.human_accuracy,
         confidence_profile=args.profile,
     )
-    text = dump_cases(cases)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    return dump_cases(cases)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ConfigErrors."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low."""
+
+    def parse(text):
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blamescope",
         description="Causal blameworthiness and responsibility attribution "
         "for human-AI decision systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_out(p):
-        p.add_argument("--out", help="write the report here instead of stdout")
+    def add_model(p):
+        p.add_argument("--scm", required=True)
+        p.add_argument("--outcome", required=True)
+
+    def add_discount(p):
+        p.add_argument("--discount", choices=["unit", "cost_ratio"])
+        p.add_argument(
+            "--epsilon", type=float,
+            help="discount epsilon in (0, 1] (default: the model file's, else 1e-9)",
+        )
 
     p = sub.add_parser("validate", help="validate model, case-log and ratings files")
     p.add_argument("--scm")
     p.add_argument("--cases")
     p.add_argument("--ratings")
-    add_out(p)
 
     p = sub.add_parser("prob", help="probability of a named outcome")
-    p.add_argument("--scm", required=True)
-    p.add_argument("--outcome", required=True)
+    add_model(p)
     p.add_argument("--action")
     p.add_argument("--do", action="append", metavar="VAR=VALUE")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    add_out(p)
+    p.add_argument("--samples", type=_int_at_least(1))
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("counterfactual", help="counterfactual outcome probability")
-    p.add_argument("--scm", required=True)
-    p.add_argument("--outcome", required=True)
+    add_model(p)
     p.add_argument("--observe", action="append", metavar="VAR=VALUE")
     p.add_argument("--do", action="append", metavar="VAR=VALUE")
-    add_out(p)
 
     p = sub.add_parser("blame", help="discounted blameworthiness of one action vs a baseline")
-    p.add_argument("--scm", required=True)
-    p.add_argument("--outcome", required=True)
+    add_model(p)
     p.add_argument("--action", required=True)
     p.add_argument("--baseline", required=True)
     p.add_argument("--cost")
-    p.add_argument("--discount", choices=["unit", "cost_ratio"])
-    p.add_argument(
-        "--epsilon", type=float, help="discount epsilon (default: the model file's, else 1e-9)"
-    )
-    add_out(p)
+    add_discount(p)
 
     p = sub.add_parser("hitl", help="blame and attribution over a recorded case log")
     p.add_argument("--cases", required=True)
@@ -354,27 +349,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--ai-cost", type=float, default=1.0)
     p.add_argument("--review-cost", type=float, default=1.0)
-    p.add_argument("--discount", choices=["unit", "cost_ratio"])
-    p.add_argument("--epsilon", type=float, help="discount epsilon (default 1e-9)")
-    add_out(p)
+    add_discount(p)
 
     p = sub.add_parser("metrics", help="agreement (QWK) or F1-drop metrics")
-    p.add_argument("--ratings")
-    p.add_argument("--k", type=int)
-    p.add_argument("--cases")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--ratings")
+    source.add_argument("--cases")
+    p.add_argument("--k", type=_int_at_least(2))
     p.add_argument("--l", type=float)
     p.add_argument("--u", type=float)
     p.add_argument("--positive")
-    add_out(p)
 
     p = sub.add_parser("gen", help="generate a seeded synthetic case log")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--n-cases", type=int, required=True)
     p.add_argument("--ai-accuracy", type=float, default=0.8)
     p.add_argument("--human-accuracy", type=float, default=0.9)
     p.add_argument("--profile", choices=["binned", "uniform"], default="binned")
-    p.add_argument("--out")
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write to this file instead of stdout")
     return parser
 
 
@@ -385,28 +379,22 @@ _HANDLERS = {
     "blame": cmd_blame,
     "hitl": cmd_hitl,
     "metrics": cmd_metrics,
+    "gen": cmd_gen,
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.command == "gen":
-            cmd_gen(args)
-        else:
-            report = _HANDLERS[args.command](args)
-            _emit(report, args.out)
+        args = build_parser().parse_args(argv)
+        out = _HANDLERS[args.command](args)
+        if isinstance(out, dict):
+            out = canonical_dumps({"schema": REPORT_SCHEMA, "command": args.command, **out})
+        _write(out, args.out)
     except BlamescopeError as exc:
         sys.stderr.write(
             canonical_dumps({"error": type(exc).__name__, "message": str(exc)})
         )
         return exc.exit_code
-    except FileNotFoundError as exc:
-        sys.stderr.write(
-            canonical_dumps({"error": "FileNotFound", "message": str(exc)})
-        )
-        return 3
     return 0
 
 

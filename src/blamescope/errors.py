@@ -89,7 +89,15 @@ class SchemaViolation(DataError):
     pass
 
 
+class FileNotFound(DataError, FileNotFoundError):
+    pass
+
+
 class UnreadableFile(DataError):
+    pass
+
+
+class UnwritableFile(DataError):
     pass
 
 

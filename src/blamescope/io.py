@@ -1,8 +1,14 @@
 """File formats: SCM description JSON, case-log CSV, ratings CSV, and
 canonical JSON report emission.
 
-Reports are serialized with sorted keys and floats at 12 significant
-digits so identical runs produce byte-identical output.
+Every text file is read or written through `open_text`, which turns a
+path that cannot be opened into a typed error. Case logs and ratings share
+one reader, `_read_csv`: it alone turns bytes that are not UTF-8 and CSV
+syntax errors into line-numbered MalformedRow errors and checks the
+header. Each loader then checks whole columns, and only when a check fails
+rescans the file with a per-row check (`_bad_row`) to name the first bad
+row's line. Reports are serialized with sorted keys and floats at 12
+significant digits so identical runs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -22,10 +28,12 @@ from .errors import (
     ConfigError,
     DataError,
     DuplicateCaseId,
+    FileNotFound,
     MalformedRow,
     NonFiniteNumber,
     SchemaViolation,
     UnreadableFile,
+    UnwritableFile,
 )
 from .hitl import CaseLog, first_duplicate
 from .scm import (
@@ -85,16 +93,19 @@ def _parse_outcome(raw: list, where: str) -> OutcomeSpec:
     return OutcomeSpec(clauses=tuple(clauses))
 
 
-def _open(path):
-    """Open a text input file. A path that exists but cannot be read (a
-    directory, no permission) is an UnreadableFile error; a missing file
-    stays a FileNotFoundError."""
+def open_text(path, mode="r"):
+    """Open a UTF-8 text file to read (mode "r") or write (mode "w"), with
+    no newline translation. A missing file, or a missing directory to write
+    in, is a FileNotFound error; a path that exists but cannot be opened (a
+    directory, no permission) is UnreadableFile, or UnwritableFile when
+    writing."""
     try:
-        return open(path, encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise
+        return open(path, mode, encoding="utf-8", newline="")
+    except FileNotFoundError as exc:
+        raise FileNotFound(exc.errno, exc.strerror, exc.filename) from None
     except OSError as exc:
-        raise UnreadableFile(f"{path}: {exc.strerror or exc}") from None
+        error = UnwritableFile if mode == "w" else UnreadableFile
+        raise error(f"{path}: {exc.strerror or exc}") from None
 
 
 def _undecodable_line(path) -> int:
@@ -146,7 +157,7 @@ def load_scm_bundle(path) -> ScmBundle:
     """Read and check a model file: the model itself, and every outcome
     and cost term against the model's variables and domains."""
     try:
-        with _open(path) as fh:
+        with open_text(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"{path}: invalid JSON: {exc}") from None
@@ -241,43 +252,17 @@ def load_scm_bundle(path) -> ScmBundle:
     return ScmBundle(scm=scm, outcomes=outcomes, actions=actions, costs=costs, discount=disc)
 
 
-def _numbered_rows(path):
-    """Yield (line number, row) for each non-blank row after the header,
-    with the line number as csv.reader counts it."""
-    with _open(path) as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if row:
-                yield reader.line_num, row
-
-
-def _bad_row(path, positions) -> MalformedRow:
-    """The error for the first row that fails a row check. Called only after
-    a check over the whole columns has failed, to find its line."""
-    for line, row in _numbered_rows(path):
-        fields = [row[i] if i < len(row) else "" for i in positions]
-        if "" in fields:
-            return MalformedRow(f"{path}: line {line}: incomplete row")
-        conf_text = fields[CASE_COLUMNS.index("ai_confidence")]
-        try:
-            conf = float(conf_text)
-        except ValueError:
-            return MalformedRow(f"{path}: line {line}: bad confidence {conf_text!r}")
-        if not 0.0 <= conf <= 1.0:
-            return MalformedRow(f"{path}: line {line}: confidence {conf} outside [0,1]")
-    raise AssertionError(f"{path}: no row fails the checks")
-
-
-def load_cases(path) -> CaseLog:
-    """Parse a case-log CSV into columns. Short or incomplete rows, bad or
-    out-of-range confidences, repeated ids and bytes that are not UTF-8
-    are hard errors with line numbers."""
+def _read_csv(path, columns):
+    """The rows after the header of a CSV file, blank lines skipped, and
+    the position of each of `columns` in the header. This is the only code
+    that reads a CSV file whole: bytes that are not UTF-8 and CSV syntax
+    errors are MalformedRow errors with the line number, as are an empty
+    file and a header without one of the columns."""
     try:
-        with _open(path) as fh:
+        with open_text(path) as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            rows = list(filter(None, reader))  # blank lines are skipped
+            rows = list(filter(None, reader))
     except UnicodeDecodeError:
         raise MalformedRow(f"{path}: line {_undecodable_line(path)}: not UTF-8") from None
     except csv.Error as exc:
@@ -286,23 +271,63 @@ def load_cases(path) -> CaseLog:
         raise MalformedRow(f"{path}: empty file")
     # A repeated column name means its last occurrence, as in csv.DictReader.
     position = {name: i for i, name in enumerate(header)}
-    missing = [c for c in CASE_COLUMNS if c not in position]
+    missing = [c for c in columns if c not in position]
     if missing:
         raise MalformedRow(f"{path}: missing column(s) {', '.join(missing)}")
-    positions = [position[c] for c in CASE_COLUMNS]
+    return rows, [position[c] for c in columns]
 
-    if min(map(len, rows), default=len(header)) <= max(positions):
-        raise _bad_row(path, positions)
-    ids, conf_text, ai, human, truth = ([row[i] for row in rows] for i in positions)
-    del rows
-    if any("" in col for col in (ids, conf_text, ai, human, truth)):
-        raise _bad_row(path, positions)
+
+def _numbered_rows(path):
+    """Yield (line number, row) for each non-blank row after the header,
+    with the line number as csv.reader counts it."""
+    with open_text(path) as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+
+
+def _bad_row(path, positions, problem) -> MalformedRow:
+    """The error for the first row whose fields at `positions` (empty when
+    the row is short) fail `problem`, which returns what is wrong or None.
+    Called only after a check over whole columns has failed, to find the
+    row's line."""
+    for line, row in _numbered_rows(path):
+        message = problem([row[i] if i < len(row) else "" for i in positions])
+        if message:
+            return MalformedRow(f"{path}: line {line}: {message}")
+    raise AssertionError(f"{path}: no row fails the checks")
+
+
+def _case_problem(fields):
+    if "" in fields:
+        return "incomplete row"
+    conf_text = fields[CASE_COLUMNS.index("ai_confidence")]
     try:
-        conf = np.fromiter(map(float, conf_text), dtype=np.float64, count=len(ids))
+        conf = float(conf_text)
     except ValueError:
-        raise _bad_row(path, positions) from None
-    if not ((0.0 <= conf) & (conf <= 1.0)).all():  # NaN fails too
-        raise _bad_row(path, positions)
+        return f"bad confidence {conf_text!r}"
+    if not 0.0 <= conf <= 1.0:
+        return f"confidence {conf} outside [0,1]"
+    return None
+
+
+def load_cases(path) -> CaseLog:
+    """Parse a case-log CSV into columns. Short or incomplete rows, bad or
+    out-of-range confidences, repeated ids and bytes that are not UTF-8
+    are hard errors with line numbers."""
+    rows, positions = _read_csv(path, CASE_COLUMNS)
+    # Checks over whole columns; a row that fails one is found by a rescan.
+    try:
+        ids, conf_text, ai, human, truth = ([row[i] for row in rows] for i in positions)
+        del rows
+        conf = np.fromiter(map(float, conf_text), dtype=np.float64, count=len(ids))
+    except (IndexError, ValueError):  # a short row, or a bad confidence
+        raise _bad_row(path, positions, _case_problem) from None
+    in_range = ((0.0 <= conf) & (conf <= 1.0)).all()  # NaN fails too
+    if not in_range or any("" in col for col in (ids, ai, human, truth)):
+        raise _bad_row(path, positions, _case_problem)
     dup = first_duplicate(ids)
     if dup is not None:
         line = next(itertools.islice(_numbered_rows(path), dup, None))[0]
@@ -324,35 +349,27 @@ def dump_cases(cases) -> str:
     return buf.getvalue()
 
 
+def _rating_problem(fields):
+    try:
+        low = min(map(int, fields))
+    except ValueError:
+        return "non-integer rating"
+    return f"rating {low} below 1" if low < 1 else None
+
+
 def load_ratings(path):
     """Parse a ratings CSV into (rater_a, rater_b) integer pairs. Short rows,
     non-integer ratings, ratings below 1, CSV syntax errors and bytes that
     are not UTF-8 are hard errors with line numbers."""
-    try:
-        with _open(path) as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise MalformedRow(f"{path}: empty file")
-            missing = [c for c in RATING_COLUMNS if c not in reader.fieldnames]
-            if missing:
-                raise MalformedRow(f"{path}: missing column(s) {', '.join(missing)}")
-            pairs = []
-            for row in reader:
-                line = reader.line_num
-                try:
-                    pair = (int(row["rater_a"]), int(row["rater_b"]))
-                except (TypeError, ValueError):
-                    raise MalformedRow(f"{path}: line {line}: non-integer rating") from None
-                if min(pair) < 1:
-                    raise MalformedRow(f"{path}: line {line}: rating {min(pair)} below 1")
-                pairs.append(pair)
-    except UnicodeDecodeError:
-        raise MalformedRow(f"{path}: line {_undecodable_line(path)}: not UTF-8") from None
-    except csv.Error as exc:
-        # DictReader.line_num is updated only after a row is read whole.
-        raise MalformedRow(f"{path}: line {reader.reader.line_num}: {exc}") from None
-    if not pairs:
+    rows, (_, a, b) = _read_csv(path, RATING_COLUMNS)
+    if not rows:
         raise DataError(f"{path}: no rating rows")
+    try:
+        pairs = [(int(row[a]), int(row[b])) for row in rows]
+    except (IndexError, ValueError):  # a short row, or a non-integer rating
+        raise _bad_row(path, (a, b), _rating_problem) from None
+    if min(map(min, pairs)) < 1:
+        raise _bad_row(path, (a, b), _rating_problem)
     return pairs
 
 

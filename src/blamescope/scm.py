@@ -25,6 +25,7 @@ the constant mechanism x.
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -185,25 +186,16 @@ def _compile(scm: Scm):
             codes.append(en.domain.index(en.mechanism[combo]))
         luts[en.id] = np.array(codes, dtype=np.int64).reshape(shape)
 
-    # Kahn's algorithm over endogenous vars; exogenous parents are sources.
-    indeg = {v.id: sum(1 for p in v.parents if p in luts) for v in scm.endogenous}
-    ready = [v.id for v in scm.endogenous if indeg[v.id] == 0]
-    children = {v.id: [] for v in scm.endogenous}
-    for v in scm.endogenous:
-        for p in v.parents:
-            if p in luts:
-                children[p].append(v.id)
-    order = []
-    while ready:
-        nxt = ready.pop(0)
-        order.append(nxt)
-        for c in children[nxt]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
-    if len(order) != len(scm.endogenous):
-        stuck = sorted(i for i, d in indeg.items() if d > 0)
-        raise CyclicGraph(f"cycle among endogenous variables: {stuck}")
+    # Every id first, in declaration order, so that ties keep that order;
+    # exogenous parents are not nodes.
+    graph = graphlib.TopologicalSorter(dict.fromkeys(luts, ()))
+    for en in scm.endogenous:
+        graph.add(en.id, *(p for p in en.parents if p in luts))
+    try:
+        order = list(graph.static_order())
+    except graphlib.CycleError as exc:
+        cycle = " -> ".join(exc.args[1])
+        raise CyclicGraph(f"cycle among endogenous variables: {cycle}") from None
     return [(vid, by_id[vid].parents, luts[vid]) for vid in order]
 
 

@@ -12,7 +12,7 @@ from blamescope import cli
 from blamescope.cli import main
 from blamescope.data import bundled_path
 from blamescope.hitl import Case
-from blamescope.io import dump_cases
+from blamescope.io import CASE_COLUMNS, dump_cases
 
 CYCLIC_SCM = {
     "schema": "blamescope/scm/1",
@@ -538,8 +538,11 @@ def _strict_json(text: str):
 
 
 _LOG = str(bundled_path("cases_200.csv"))
+_XOR = str(bundled_path("xor.json"))
 _BLAME_SCM = str(bundled_path("xor_blame.json"))
+_RATINGS = str(Path(__file__).parent / "golden" / "ratings.csv")
 _HITL = ("hitl", "--cases", _LOG, "--l", "0.3", "--u", "0.7", "--discount", "cost_ratio")
+_PROB = ("prob", "--scm", _XOR, "--outcome", "y1")
 # Each numeric flag, after the arguments that make the rest of the run valid.
 GATED_FLAGS = {
     "hitl --ai-cost": (*_HITL, "--ai-cost"),
@@ -554,8 +557,11 @@ GATED_FLAGS = {
     "metrics --cases --l": (
         "metrics", "--cases", _LOG, "--u", "0.7", "--positive", "pos", "--l"
     ),
+    "metrics --ratings --k": ("metrics", "--ratings", _RATINGS, "--k"),
+    "prob --samples": (*_PROB, "--samples"),
+    "prob --seed": (*_PROB, "--samples", "10", "--seed"),
 }
-GATED_VALUES = ["nan", "inf", "-inf", "-1", "0", "0.5", "1", "2"]
+GATED_VALUES = ["nan", "inf", "-inf", "-1", "0", "0.5", "1", "2", "x"]
 
 
 @pytest.mark.parametrize("value", GATED_VALUES)
@@ -572,3 +578,162 @@ def test_numeric_flag_gate(capsys, flag, value):
     else:
         assert out == ""
         assert _strict_json(err)["error"]
+
+
+@pytest.mark.parametrize("value", GATED_VALUES)
+def test_gen_seed_gate(capsys, value):
+    """gen writes CSV, so its --seed gets its own gate: a case log or a
+    usage error, and never a traceback."""
+    code, out, err = run_cli(capsys, "gen", "--n-cases", "2", f"--seed={value}")
+    if value in ("0", "1", "2"):
+        assert (code, out.splitlines()[0], err) == (0, ",".join(CASE_COLUMNS), "")
+    else:
+        assert (code, out) == (2, "")
+        error = _strict_json(err)
+        assert error["error"] == "ConfigError"
+        assert "--seed: must be an integer >= 0" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        ((*_PROB, "--samples", "0"), "--samples: must be an integer >= 1"),
+        ((*_PROB, "--samples", "10", "--seed=-1"), "--seed: must be an integer >= 0"),
+        (("metrics", "--ratings", _RATINGS, "--k=-1"), "--k: must be an integer >= 2"),
+        (("metrics", "--ratings", _RATINGS, "--k", "1"), "--k: must be an integer >= 2"),
+    ],
+    ids=["samples_0", "seed_negative", "k_negative", "k_1"],
+)
+def test_integer_flag_bounds_named(capsys, argv, bound):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert bound in _strict_json(err)["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        ((), "ConfigError"),
+        (("nope",), "ConfigError"),
+        ((*_PROB, "--bogus"), "ConfigError"),
+        (("prob", "--scm", _XOR), "ConfigError"),
+        (("hitl", "--cases", _LOG, "--l", "x", "--u", "0.8"), "ConfigError"),
+        (("blame", "--scm", _BLAME_SCM, *BLAME_ARGS, "--discount", "bad"), "ConfigError"),
+        ((*_PROB, "--do", "X"), "ConfigError"),
+        (("counterfactual", "--scm", _XOR, "--outcome", "y1", "--observe", "X"), "ConfigError"),
+        (("validate",), "ConfigError"),
+        (("metrics",), "ConfigError"),
+        (("metrics", "--ratings", _RATINGS, "--cases", _LOG), "ConfigError"),
+        (("metrics", "--cases", _LOG, "--l", "0.2", "--u", "0.8"), "ConfigError"),
+        (("prob", "--scm", _BLAME_SCM, "--outcome", "y1", "--action", "nope"), "UnknownAction"),
+    ],
+    ids=[
+        "no_command", "unknown_command", "unknown_flag", "missing_required", "bad_float",
+        "bad_choice", "do_without_equals", "observe_without_equals", "validate_no_file",
+        "metrics_no_source", "metrics_both_sources", "metrics_cases_no_positive",
+        "prob_unknown_action",
+    ],
+)
+def test_usage_and_config_errors_are_json(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert _strict_json(err)["error"] == error
+
+
+def _xor_with(edit) -> bytes:
+    doc = json.loads(bundled_path("xor.json").read_text())
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
+_PARENTLESS_KEYED = {"id": "X", "values": ["0", "1"], "parents": [], "table": {"1": "1"}}
+_RATINGS_HEADER = b"case_id,rater_a,rater_b\n"
+# name -> (file bytes, or None for a missing file; command before the path;
+# exit code; error; a part of the message)
+BAD_INPUTS = {
+    "scm_missing": (None, ("prob", "--outcome", "y1", "--scm"), 3, "FileNotFound",
+                    "No such file or directory"),
+    "scm_key_parts": (_xor_with(_set(["endogenous", 1, "table"], {"0": "0", "1": "1"})),
+                      ("validate", "--scm"), 3, "SchemaViolation", "1 parts for 2 parents"),
+    "scm_parentless_key": (_xor_with(_set(["endogenous", 0], _PARENTLESS_KEYED)),
+                           ("validate", "--scm"), 3, "SchemaViolation",
+                           "parentless mechanism key must be empty"),
+    "scm_bad_literal": (_xor_with(_set(["outcomes", "y1"], [[["Y", "is", "1"]]])),
+                        ("validate", "--scm"), 3, "SchemaViolation", "bad outcome literal"),
+    "scm_invalid_json": (b'{"schema": ', ("validate", "--scm"), 3, "SchemaViolation",
+                         "invalid JSON"),
+    "scm_not_utf8": (b'{"schema": "blamescope/scm/1",\n"x": "\xff"}', ("validate", "--scm"),
+                     3, "SchemaViolation", "line 2: not UTF-8"),
+    "cases_missing": (None, ("hitl", "--l", "0.2", "--u", "0.8", "--cases"), 3,
+                      "FileNotFound", "No such file or directory"),
+    "cases_empty": (b"", ("validate", "--cases"), 3, "MalformedRow", "empty file"),
+    "ratings_missing": (None, ("metrics", "--ratings"), 3, "FileNotFound",
+                        "No such file or directory"),
+    "ratings_empty": (b"", ("metrics", "--ratings"), 3, "MalformedRow", "empty file"),
+    "ratings_no_column": (b"case_id,rater_a\nc0,1\n", ("validate", "--ratings"), 3,
+                          "MalformedRow", "missing column(s) rater_b"),
+    "ratings_not_utf8": (_RATINGS_HEADER + b"c0,1,2\nc1,2,\xfe\n", ("metrics", "--ratings"), 3,
+                         "MalformedRow", "line 3: not UTF-8"),
+    "ratings_header_only": (_RATINGS_HEADER, ("validate", "--ratings"), 3, "DataError",
+                            "no rating rows"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_file(capsys, tmp_path, name):
+    data, command, code, error, part = BAD_INPUTS[name]
+    path = tmp_path / "input"
+    if data is not None:
+        path.write_bytes(data)
+    got, out, err = run_cli(capsys, *command, str(path))
+    assert (got, out) == (code, "")
+    report = _strict_json(err)
+    assert report["error"] == error
+    assert part in report["message"]
+
+
+@pytest.mark.parametrize(
+    "argv", [_PROB, ("gen", "--seed", "1", "--n-cases", "2")], ids=["prob", "gen"]
+)
+def test_out_unwritable(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert _strict_json(err) == {"error": "UnwritableFile",
+                                 "message": f"{tmp_path}: Is a directory"}
+    missing = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(missing))
+    assert (code, out) == (3, "")
+    assert err == ('{"error":"FileNotFound","message":"[Errno 2] No such file or directory: '
+                   f"'{missing}'\"}}\n")
+
+
+def test_prob_action(capsys):
+    code, out, err = run_cli(capsys, "prob", "--scm", _BLAME_SCM, "--outcome", "y1",
+                             "--action", "manual")
+    report = _strict_json(out)
+    assert (code, err, report["probability"], report["config"]["action"]) == (
+        0, "", 0.3, "manual")
+
+
+def test_validate_cases_and_ratings(capsys):
+    code, out, _ = run_cli(capsys, "validate", "--cases", _LOG, "--ratings", _RATINGS)
+    files = _strict_json(out)["files"]
+    assert code == 0
+    assert files[_LOG] == {"kind": "cases", "status": "ok", "rows": 200}
+    assert files[_RATINGS] == {"kind": "ratings", "status": "ok", "rows": 16}
+
+
+def test_blame_unit_discount_without_cost(capsys):
+    code, out, _ = run_cli(capsys, "blame", "--scm", _BLAME_SCM, "--outcome", "y1",
+                           "--action", "auto", "--baseline", "manual", "--discount", "unit")
+    blame = _strict_json(out)["blame"]
+    assert (code, blame["cost_a"], blame["gamma"], blame["db"]) == (0, 0, 1, 0.2)
+
+
+def test_gen_stdout(capsys, tmp_path):
+    from blamescope.io import load_cases
+
+    code, out, err = run_cli(capsys, "gen", "--seed", "1", "--n-cases", "3")
+    path = tmp_path / "log.csv"
+    path.write_text(out, encoding="utf-8", newline="")
+    assert (code, err, len(load_cases(path))) == (0, "", 3)
