@@ -40,13 +40,16 @@ from .io import (
 from .synthetic import gen_synthetic
 
 
-def _parse_bindings(pairs, what: str):
-    out = []
+def _parse_bindings(pairs, what: str) -> dict:
+    """VAR=VALUE pairs as {VAR: VALUE}; a variable named twice is an error."""
+    out = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise ConfigError(f"{what} must look like VAR=VALUE, got {pair!r}")
         var, _, value = pair.partition("=")
-        out.append((var, value))
+        if var in out:
+            raise ConfigError(f"{what} names {var!r} twice")
+        out[var] = value
     return out
 
 
@@ -114,7 +117,7 @@ def cmd_prob(args) -> dict:
     if args.action:
         action = _lookup(bundle.actions, args.action, "action", UnknownAction)
         model = apply_action(model, action)
-    for var, value in _parse_bindings(args.do, "--do"):
+    for var, value in _parse_bindings(args.do, "--do").items():
         model = scm_mod.intervene(model, var, value)
     if args.samples is not None:
         prob = scm_mod.event_probability_mc(model, phi, args.samples, args.seed)
@@ -137,8 +140,8 @@ def cmd_prob(args) -> dict:
 
 def cmd_counterfactual(args) -> dict:
     bundle, phi = _load_outcome(args)
-    observation = dict(_parse_bindings(args.observe, "--observe"))
-    interventions = _parse_bindings(args.do, "--do")
+    observation = _parse_bindings(args.observe, "--observe")
+    interventions = _parse_bindings(args.do, "--do").items()
     prob, support_size = scm_mod._counterfactual(bundle.scm, observation, interventions, phi)
     return {
         "config": {
@@ -228,7 +231,13 @@ def cmd_hitl(args) -> dict:
 
 
 def cmd_metrics(args) -> dict:
-    if args.ratings is not None:
+    # A flag of the other mode is an error rather than silently ignored.
+    ratings = args.ratings is not None
+    mode, other = ("--ratings", ("l", "u", "positive")) if ratings else ("--cases", ("k",))
+    for name in other:
+        if getattr(args, name) is not None:
+            raise ConfigError(f"--{name} does not apply to metrics {mode}")
+    if ratings:
         pairs = load_ratings(args.ratings)
         confusion = metrics_mod.OrdinalConfusion.from_pairs(pairs, k=args.k)
         kappa = metrics_mod.qwk(confusion)

@@ -24,7 +24,7 @@ from .errors import (
     EmptyCaseList,
     EmptyTraceList,
 )
-from .scm import Domain, EndogenousVar, ExogenousVar, OutcomeSpec, Scm, validate
+from .scm import Domain, EndogenousVar, ExogenousVar, OutcomeSpec, Scm
 
 # Outcome over the built model: final decision disagrees with the truth.
 HITL_OUTCOME = OutcomeSpec(clauses=((("ERR", "eq", "1"),),))
@@ -264,9 +264,7 @@ def build_hitl_scm(label_domain, joint_distribution: dict) -> Scm:
             {(y, t): "1" if y != t else "0" for y in labels for t in labels},
         ),
     ]
-    scm = Scm(exogenous=(exo,), endogenous=tuple(endogenous))
-    validate(scm)
-    return scm
+    return Scm(exogenous=(exo,), endogenous=tuple(endogenous))
 
 
 def hitl_action() -> Action:

@@ -28,6 +28,7 @@ from .errors import (
     ConfigError,
     DataError,
     DuplicateCaseId,
+    EmptyCaseList,
     FileNotFound,
     MalformedRow,
     NonFiniteNumber,
@@ -43,7 +44,6 @@ from .scm import (
     OutcomeSpec,
     Scm,
     _encode,
-    validate,
 )
 
 SCM_SCHEMA = "blamescope/scm/1"
@@ -142,7 +142,7 @@ def _get(raw, key: str, where: str, kind=object, default=_REQUIRED):
 def _number(value, where: str) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
         raise SchemaViolation(f"{where}: not a number: {value!r}") from None
 
 
@@ -159,10 +159,12 @@ def load_scm_bundle(path) -> ScmBundle:
     try:
         with open_text(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"{path}: invalid JSON: {exc}") from None
-    except UnicodeDecodeError:
+    except UnicodeDecodeError:  # a ValueError too, so caught first
         raise SchemaViolation(f"{path}: line {_undecodable_line(path)}: not UTF-8") from None
+    # JSONDecodeError, an integer literal over 4300 digits, or nesting past
+    # the recursion limit.
+    except (ValueError, RecursionError) as exc:
+        raise SchemaViolation(f"{path}: invalid JSON: {exc}") from None
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != SCM_SCHEMA:
         raise SchemaViolation(f"{path}: expected schema {SCM_SCHEMA!r}, got {schema!r}")
@@ -191,7 +193,6 @@ def load_scm_bundle(path) -> ScmBundle:
             )
         )
     scm = Scm(exogenous=tuple(exogenous), endogenous=tuple(endogenous))
-    validate(scm)
 
     outcomes = {}
     raw_outcomes = _get(doc, "outcomes", path, dict, {})
@@ -316,8 +317,11 @@ def _case_problem(fields):
 def load_cases(path) -> CaseLog:
     """Parse a case-log CSV into columns. Short or incomplete rows, bad or
     out-of-range confidences, repeated ids and bytes that are not UTF-8
-    are hard errors with line numbers."""
+    are hard errors with line numbers; a header without rows is
+    EmptyCaseList."""
     rows, positions = _read_csv(path, CASE_COLUMNS)
+    if not rows:
+        raise EmptyCaseList(f"{path}: case log is empty")
     # Checks over whole columns; a row that fails one is found by a rescan.
     try:
         ids, conf_text, ai, human, truth = ([row[i] for row in rows] for i in positions)

@@ -4,13 +4,15 @@ Variables take values in small symbolic domains. Endogenous mechanisms are
 explicit lookup tables, so a model is fully serializable and every query is
 a weighted sum over the exogenous joint space.
 
-Every query runs on one compiled evaluator. `_compile` validates a model and
-turns each mechanism into an index-coded lookup table in the same pass, and
-`validate` is that pass with the tables dropped. `_states` is the only walk
-over the exogenous joint space: it yields blocks of weights and the codes of
-every variable, which `_solve_codes` derives from the exogenous codes
-(scalars or arrays). `_holds` evaluates outcome, observation and cost
-literals as one DNF mask. `_expectation` is the one exact expectation: an
+Every query runs on one compiled evaluator. A model is checked and compiled
+once, when it is built: `Scm.__post_init__` runs `_compile`, which validates
+the model and turns each mechanism into an index-coded lookup table in the
+same pass, and keeps the tables on the instance, so any `Scm` that exists is
+valid and no query checks it again. `_states` is the only walk over the
+exogenous joint space: it yields blocks of weights and the codes of every
+variable, which `_solve_codes` derives from the exogenous codes (scalars or
+arrays). `_holds` evaluates outcome, observation and cost literals as one
+DNF mask. `_expectation` is the one exact expectation: an
 outcome probability is the expectation of its indicator, an expected cost
 that of the weighted cost terms. Expectations, abduction and counterfactuals
 add up weights with `math.fsum`, so each sum is correctly rounded and does
@@ -28,7 +30,7 @@ from __future__ import annotations
 import graphlib
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,10 +101,21 @@ class EndogenousVar:
 
 @dataclass(frozen=True)
 class Scm:
-    """A finite discrete acyclic SCM."""
+    """A finite discrete acyclic SCM, checked and compiled when it is built.
+
+    Construction raises CyclicGraph, DanglingParent, DuplicateVariable,
+    NonNormalizedDistribution or PartialMechanism naming the offending
+    variable. `tables` holds (id, parent ids, lookup table) for each
+    endogenous variable in topological order; it is derived, so it is not
+    an argument and is neither compared nor shown.
+    """
 
     exogenous: tuple
     endogenous: tuple
+    tables: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tables", _compile(self))
 
 
 @dataclass(frozen=True)
@@ -129,22 +142,17 @@ class NoisePosterior:
 
 
 def validate(scm: Scm) -> tuple:
-    """Check all model invariants; return the endogenous ids in
-    topological order.
-
-    Raises CyclicGraph, DanglingParent, DuplicateVariable,
-    NonNormalizedDistribution or PartialMechanism naming the offending
-    variable.
-    """
-    return tuple(vid for vid, _, _ in _compile(scm))
+    """The endogenous ids in topological order. The model was checked when
+    it was built, so this raises nothing."""
+    return tuple(vid for vid, _, _ in scm.tables)
 
 
 def _compile(scm: Scm):
     """Validate the model while building one index-coded lookup table per
-    endogenous variable; this is the only walk over mechanism entries.
-    Returns (id, parent ids, table) for each endogenous variable in
-    topological order, where the table maps parent codes to the variable's
-    code."""
+    endogenous variable; this is the only walk over mechanism entries, run
+    once by Scm construction. Returns (id, parent ids, table) for each
+    endogenous variable in topological order, where the table maps parent
+    codes to the variable's code."""
     ids = [v.id for v in scm.exogenous] + [v.id for v in scm.endogenous]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -196,15 +204,15 @@ def _compile(scm: Scm):
     except graphlib.CycleError as exc:
         cycle = " -> ".join(exc.args[1])
         raise CyclicGraph(f"cycle among endogenous variables: {cycle}") from None
-    return [(vid, by_id[vid].parents, luts[vid]) for vid in order]
+    return tuple((vid, by_id[vid].parents, luts[vid]) for vid in order)
 
 
-def _solve_codes(tables, codes: dict) -> dict:
+def _solve_codes(scm: Scm, codes: dict) -> dict:
     """Extend exogenous codes (scalars or equal-length arrays) with the code
     of every endogenous variable. This is the only place mechanisms are
     applied."""
     codes = dict(codes)
-    for vid, parents, lut in tables:
+    for vid, parents, lut in scm.tables:
         codes[vid] = lut[tuple(codes[p] for p in parents)]
     return codes
 
@@ -245,10 +253,10 @@ def _encode(scm: Scm, event: OutcomeSpec, what: str) -> tuple:
     )
 
 
-def _states(scm: Scm, tables):
+def _states(scm: Scm):
     """Yield (weights, codes) blocks that cover the exogenous joint space in
     itertools.product order; codes holds every variable, the endogenous
-    ones solved with the model's compiled `tables`. A state's weight is
+    ones solved with the model's tables. A state's weight is
     1.0 * p_0[c_0] * p_1[c_1] * ... in axis order."""
     sizes = [len(ex.domain) for ex in scm.exogenous]
     n_states = math.prod(sizes)
@@ -266,7 +274,7 @@ def _states(scm: Scm, tables):
             index, codes[ex.id] = np.divmod(index, size)
         for ex, dist in zip(scm.exogenous, dists):
             weights *= dist[codes[ex.id]]
-        yield weights, _solve_codes(tables, codes)
+        yield weights, _solve_codes(scm, codes)
 
 
 def _fsum(blocks) -> float:
@@ -277,24 +285,22 @@ def _fsum(blocks) -> float:
 def solve(scm: Scm, e: Assignment) -> Assignment:
     """Evaluate mechanisms in topological order for a total exogenous
     setting; returns the unique total endogenous assignment."""
-    tables = _compile(scm)
     for ex in scm.exogenous:
         if ex.id not in e:
             raise IncompleteExogenousAssignment(f"missing exogenous value for {ex.id!r}")
-    codes = _solve_codes(tables, {ex.id: ex.domain.index(e[ex.id]) for ex in scm.exogenous})
+    codes = _solve_codes(scm, {ex.id: ex.domain.index(e[ex.id]) for ex in scm.exogenous})
     domains = {v.id: v.domain for v in scm.endogenous}
-    return {vid: domains[vid].values[codes[vid]] for vid, _, _ in tables}
+    return {vid: domains[vid].values[codes[vid]] for vid, _, _ in scm.tables}
 
 
 def _expectation(scm: Scm, terms, what: str) -> float:
     """Exact expectation over the exogenous joint space of the sum, in term
     order, of the values of the (OutcomeSpec, value) terms whose event
     holds; `what` names the terms in errors."""
-    tables = _compile(scm)
     terms = [(_encode(scm, event, what), value) for event, value in terms]
 
     def weighted():
-        for weights, codes in _states(scm, tables):
+        for weights, codes in _states(scm):
             per_state = np.zeros(weights.shape)
             for clauses, value in terms:
                 per_state[_holds(clauses, codes, weights.shape)] += value
@@ -320,17 +326,14 @@ def event_probability_mc(
         ex.id: rng.choice(len(ex.domain), size=samples, p=np.asarray(ex.dist, dtype=float))
         for ex in scm.exogenous
     }
-    # Compiled after the draws: compiling first measured ~5 MB more peak
-    # RSS with 1e6 samples of a 24-variable chain.
-    tables = _compile(scm)
     clauses = _encode(scm, phi, "outcome")
-    hit = _holds(clauses, _solve_codes(tables, codes), (samples,))
+    hit = _holds(clauses, _solve_codes(scm, codes), (samples,))
     return float(np.count_nonzero(hit)) / samples
 
 
 def _rewire(scm: Scm, mechanisms: dict, unknown: str) -> Scm:
     """The model with each variable in `mechanisms` (id -> (parents,
-    table)) given that parent list and mechanism; checked by validate. An
+    table)) given that parent list and mechanism, checked as it is built. An
     id that is not endogenous raises UnknownVariable, with the message
     `unknown` followed by the id. The input model is untouched."""
     known = {v.id for v in scm.endogenous}
@@ -343,9 +346,7 @@ def _rewire(scm: Scm, mechanisms: dict, unknown: str) -> Scm:
             parents, table = mechanisms[v.id]
             v = EndogenousVar(v.id, v.domain, tuple(parents), dict(table))
         endogenous.append(v)
-    out = Scm(exogenous=scm.exogenous, endogenous=tuple(endogenous))
-    validate(out)
-    return out
+    return Scm(exogenous=scm.exogenous, endogenous=tuple(endogenous))
 
 
 def intervene(scm: Scm, var: str, value) -> Scm:
@@ -363,9 +364,8 @@ def _consistent(scm: Scm, observation: Assignment):
     """Yield (weights, exogenous codes) blocks restricted to the
     positive-weight settings under which the model reproduces the
     (possibly partial) endogenous observation."""
-    tables = _compile(scm)
     seen = _encode(scm, OutcomeSpec.conjunction(observation.items()), "observation")
-    for weights, codes in _states(scm, tables):
+    for weights, codes in _states(scm):
         keep = _holds(seen, codes, weights.shape) & (weights > 0)
         yield weights[keep], {ex.id: codes[ex.id][keep] for ex in scm.exogenous}
 
@@ -394,12 +394,11 @@ def _counterfactual(scm: Scm, observation: Assignment, interventions, phi: Outco
     twin = scm
     for var, value in interventions:
         twin = intervene(twin, var, value)
-    tables = _compile(twin)
     clauses = _encode(twin, phi, "outcome")
     kept, hits = [], []
     for weights, codes in _consistent(scm, observation):
         kept.append(weights)
-        hits.append(weights[_holds(clauses, _solve_codes(tables, codes), weights.shape)])
+        hits.append(weights[_holds(clauses, _solve_codes(twin, codes), weights.shape)])
     total = _fsum(kept)
     if total == 0:
         raise ZeroProbabilityObservation(

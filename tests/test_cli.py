@@ -626,18 +626,45 @@ def test_integer_flag_bounds_named(capsys, argv, bound):
         (("metrics", "--ratings", _RATINGS, "--cases", _LOG), "ConfigError"),
         (("metrics", "--cases", _LOG, "--l", "0.2", "--u", "0.8"), "ConfigError"),
         (("prob", "--scm", _BLAME_SCM, "--outcome", "y1", "--action", "nope"), "UnknownAction"),
+        ((*_PROB, "--do", "Y=0", "--do", "Y=1"), "ConfigError"),
+        (("counterfactual", "--scm", _XOR, "--outcome", "y1", "--observe", "Y=1",
+          "--observe", "Y=0"), "ConfigError"),
+        (("metrics", "--cases", _LOG, "--l", "0.2", "--u", "0.8", "--positive", "pos",
+          "--k", "5"), "ConfigError"),
+        (("metrics", "--ratings", _RATINGS, "--l", "0.2"), "ConfigError"),
+        (("metrics", "--ratings", _RATINGS, "--u", "0.9"), "ConfigError"),
+        (("metrics", "--ratings", _RATINGS, "--positive", "pos"), "ConfigError"),
     ],
     ids=[
         "no_command", "unknown_command", "unknown_flag", "missing_required", "bad_float",
         "bad_choice", "do_without_equals", "observe_without_equals", "validate_no_file",
         "metrics_no_source", "metrics_both_sources", "metrics_cases_no_positive",
-        "prob_unknown_action",
+        "prob_unknown_action", "do_twice", "observe_twice", "metrics_cases_k",
+        "metrics_ratings_l", "metrics_ratings_u", "metrics_ratings_positive",
     ],
 )
 def test_usage_and_config_errors_are_json(capsys, argv, error):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert _strict_json(err)["error"] == error
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((*_PROB, "--do", "Y=0", "--do", "Y=1"), "--do names 'Y' twice"),
+        (("counterfactual", "--scm", _XOR, "--outcome", "y1", "--observe", "Y=1",
+          "--observe", "Y=0"), "--observe names 'Y' twice"),
+        (("metrics", "--cases", _LOG, "--l", "0.2", "--u", "0.8", "--positive", "pos",
+          "--k", "5"), "--k does not apply to metrics --cases"),
+        (("metrics", "--ratings", _RATINGS, "--l", "0.2", "--u", "0.9", "--positive", "pos"),
+         "--l does not apply to metrics --ratings"),
+    ],
+    ids=["do_twice", "observe_twice", "metrics_cases_k", "metrics_ratings_l_u_positive"],
+)
+def test_repeated_or_foreign_flag_named(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, _strict_json(err)["message"]) == (2, "", message)
 
 
 def _xor_with(edit) -> bytes:
@@ -667,6 +694,22 @@ BAD_INPUTS = {
     "cases_missing": (None, ("hitl", "--l", "0.2", "--u", "0.8", "--cases"), 3,
                       "FileNotFound", "No such file or directory"),
     "cases_empty": (b"", ("validate", "--cases"), 3, "MalformedRow", "empty file"),
+    **{
+        f"cases_header_only_{name}": (
+            ",".join(CASE_COLUMNS).encode() + b"\n", command, 3, "EmptyCaseList",
+            "case log is empty",
+        )
+        for name, command in (
+            ("validate", ("validate", "--cases")),
+            ("hitl", ("hitl", "--l", "0.2", "--u", "0.8", "--cases")),
+            ("metrics", ("metrics", "--l", "0.2", "--u", "0.8", "--positive", "pos", "--cases")),
+        )
+    },
+    "scm_int_past_float_range": (_xor_with(_set(["exogenous", 0, "probs", 0], 10**400)),
+                                 ("validate", "--scm"), 3, "SchemaViolation", "not a number"),
+    "scm_int_over_digit_limit": (b'{"schema": "blamescope/scm/1", "x": ' + b"7" * 4301 + b"}",
+                                 ("validate", "--scm"), 3, "SchemaViolation",
+                                 "invalid JSON: Exceeds the limit (4300 digits)"),
     "ratings_missing": (None, ("metrics", "--ratings"), 3, "FileNotFound",
                         "No such file or directory"),
     "ratings_empty": (b"", ("metrics", "--ratings"), 3, "MalformedRow", "empty file"),

@@ -29,6 +29,7 @@ CASES = {
     "prob_mc.json": ("prob", "--scm", XOR, "--outcome", "y1", "--samples", "1000",
                      "--seed", "3"),
     "prob_action.json": ("prob", "--scm", XOR_BLAME, "--outcome", "y1", "--action", "auto"),
+    "prob_do.json": ("prob", "--scm", XOR, "--outcome", "y1", "--do", "X=1"),
     "counterfactual.json": ("counterfactual", "--scm", XOR, "--outcome", "y1",
                             "--observe", "X=1", "--observe", "Y=0", "--do", "X=0"),
     "blame_cost.json": (*BLAME, "--cost", "review_cost"),

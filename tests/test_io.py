@@ -7,6 +7,7 @@ import pytest
 from blamescope.data import bundled_path
 from blamescope.errors import (
     DuplicateCaseId,
+    EmptyCaseList,
     MalformedRow,
     NonFiniteNumber,
     SchemaViolation,
@@ -99,6 +100,34 @@ def test_load_scm_checks_outcomes_and_cost_terms(tmp_path):
         tmp_path, lambda doc: doc["costs"]["review_cost"][0].update(where={"NOPE": "1"})
     )
     with pytest.raises(UnknownVariable, match="cost model 'review_cost'"):
+        load_scm_bundle(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["exogenous"][0]["probs"].__setitem__(0, 10**400),
+        lambda doc: doc["costs"]["review_cost"][0].update(cost=10**400),
+        lambda doc: doc["discount"].update(epsilon=10**400),
+    ],
+    ids=["probability", "cost", "epsilon"],
+)
+def test_load_scm_int_past_float_range(tmp_path, edit):
+    with pytest.raises(SchemaViolation, match="not a number: 1000"):
+        load_scm_bundle(_edited(tmp_path, edit))
+
+
+def test_load_scm_int_literal_over_digit_limit(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(bundled_path("xor.json").read_text().replace("0.7", "7" * 4301))
+    with pytest.raises(SchemaViolation, match="invalid JSON: Exceeds the limit"):
+        load_scm_bundle(path)
+
+
+def test_load_scm_nested_too_deeply(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(SchemaViolation, match="invalid JSON: maximum recursion depth"):
         load_scm_bundle(path)
 
 
@@ -204,9 +233,8 @@ def test_load_cases_oversized_field(tmp_path):
 def test_load_cases_header_only(tmp_path):
     path = tmp_path / "cases.csv"
     path.write_text(HEADER)
-    log = load_cases(path)
-    assert len(log) == 0
-    assert log.ai_confidence.shape == (0,)
+    with pytest.raises(EmptyCaseList, match="case log is empty"):
+        load_cases(path)
 
 
 def test_load_cases_directory(tmp_path):

@@ -4,7 +4,17 @@ import random
 
 import pytest
 
-from blamescope.blame import Action, CostModel, expected_cost
+from blamescope import scm as scm_mod
+from blamescope.blame import (
+    Action,
+    CostModel,
+    CostTerm,
+    DiscountSpec,
+    Override,
+    apply_action,
+    discounted_blame,
+    expected_cost,
+)
 from blamescope.errors import (
     CyclicGraph,
     DanglingParent,
@@ -54,53 +64,94 @@ def test_scm_is_frozen(xor):
 
 
 def test_validate_cycle():
-    scm = Scm(
-        exogenous=(ExogenousVar("E", Domain(BITS), (0.5, 0.5)),),
-        endogenous=(
-            EndogenousVar("X", Domain(BITS), ("Y",), {("0",): "0", ("1",): "1"}),
-            EndogenousVar("Y", Domain(BITS), ("X",), {("0",): "0", ("1",): "1"}),
-        ),
-    )
     with pytest.raises(CyclicGraph, match="X"):
-        validate(scm)
+        Scm(
+            exogenous=(ExogenousVar("E", Domain(BITS), (0.5, 0.5)),),
+            endogenous=(
+                EndogenousVar("X", Domain(BITS), ("Y",), {("0",): "0", ("1",): "1"}),
+                EndogenousVar("Y", Domain(BITS), ("X",), {("0",): "0", ("1",): "1"}),
+            ),
+        )
 
 
 def test_validate_nonnormalized():
-    scm = Scm(
-        exogenous=(ExogenousVar("E", Domain(BITS), (0.5, 0.6)),),
-        endogenous=(),
-    )
     with pytest.raises(NonNormalizedDistribution, match="E"):
-        validate(scm)
+        Scm(
+            exogenous=(ExogenousVar("E", Domain(BITS), (0.5, 0.6)),),
+            endogenous=(),
+        )
 
 
 def test_validate_dangling_parent():
-    scm = Scm(
-        exogenous=(),
-        endogenous=(
-            EndogenousVar("X", Domain(BITS), ("NOPE",), {("0",): "0", ("1",): "1"}),
-        ),
-    )
     with pytest.raises(DanglingParent, match="NOPE"):
-        validate(scm)
+        Scm(
+            exogenous=(),
+            endogenous=(
+                EndogenousVar("X", Domain(BITS), ("NOPE",), {("0",): "0", ("1",): "1"}),
+            ),
+        )
 
 
 def test_validate_duplicate_ids():
-    scm = Scm(
-        exogenous=(ExogenousVar("X", Domain(BITS), (0.5, 0.5)),),
-        endogenous=(EndogenousVar("X", Domain(BITS), (), {(): "0"}),),
-    )
     with pytest.raises(DuplicateVariable, match=r"duplicate variable ids: \['X'\]"):
-        validate(scm)
+        Scm(
+            exogenous=(ExogenousVar("X", Domain(BITS), (0.5, 0.5)),),
+            endogenous=(EndogenousVar("X", Domain(BITS), (), {(): "0"}),),
+        )
 
 
 def test_validate_partial_mechanism():
-    scm = Scm(
-        exogenous=(ExogenousVar("E", Domain(BITS), (0.5, 0.5)),),
-        endogenous=(EndogenousVar("X", Domain(BITS), ("E",), {("0",): "0"}),),
-    )
     with pytest.raises(PartialMechanism, match="X"):
-        validate(scm)
+        Scm(
+            exogenous=(ExogenousVar("E", Domain(BITS), (0.5, 0.5)),),
+            endogenous=(EndogenousVar("X", Domain(BITS), ("E",), {("0",): "0"}),),
+        )
+
+
+def test_replace_checks_again(xor):
+    with pytest.raises(DanglingParent, match="NOPE"):
+        dataclasses.replace(
+            xor, endogenous=(EndogenousVar("X", Domain(BITS), ("NOPE",), {("0",): "0"}),)
+        )
+
+
+def test_tables_not_compared_or_shown(xor):
+    assert xor == scm_mod.Scm(xor.exogenous, xor.endogenous)
+    assert "tables" not in repr(xor)
+    assert [f.name for f in dataclasses.fields(xor) if f.init] == ["exogenous", "endogenous"]
+
+
+@pytest.mark.parametrize(
+    "query, compiles",
+    [
+        (lambda scm: event_probability(scm, Y1), 0),
+        (lambda scm: event_probability_mc(scm, Y1, samples=10, seed=0), 0),
+        (lambda scm: solve(scm, {"E1": "1", "E2": "0"}), 0),
+        (lambda scm: abduct(scm, {"Y": "1"}), 0),
+        (lambda scm: counterfactual_probability(scm, {"Y": "1"}, [], Y1), 0),
+        (lambda scm: intervene(scm, "X", "1"), 1),
+        (lambda scm: apply_action(scm, Action("keep")), 1),
+        (
+            lambda scm: discounted_blame(
+                scm,
+                Action("a", (Override("Y", ("E2",), {("0",): "0", ("1",): "1"}),)),
+                Action("b"),
+                Y1,
+                CostModel((CostTerm((("X", "1"),), 2.0),)),
+                DiscountSpec("cost_ratio"),
+            ),
+            4,
+        ),
+    ],
+    ids=["event_probability", "event_probability_mc", "solve", "abduct",
+         "counterfactual_probability", "intervene", "apply_action", "discounted_blame"],
+)
+def test_model_compiled_once_when_built(monkeypatch, xor, query, compiles):
+    calls = []
+    compile_ = scm_mod._compile
+    monkeypatch.setattr(scm_mod, "_compile", lambda scm: calls.append(1) or compile_(scm))
+    query(xor)
+    assert len(calls) == compiles
 
 
 def test_solve_xor(xor):
