@@ -140,10 +140,14 @@ def _get(raw, key: str, where: str, kind=object, default=_REQUIRED):
 
 
 def _number(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
-        raise SchemaViolation(f"{where}: not a number: {value!r}") from None
+    """A JSON number as a float. Booleans and strings are not numbers, even
+    where float() would take them."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an int past float range
+            pass
+    raise SchemaViolation(f"{where}: not a number: {value!r}")
 
 
 def _table(raw, n_parents: int, where: str) -> dict:

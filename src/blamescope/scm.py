@@ -11,12 +11,15 @@ same pass, and keeps the tables on the instance, so any `Scm` that exists is
 valid and no query checks it again. `_states` is the only walk over the
 exogenous joint space: it yields blocks of weights and the codes of every
 variable, which `_solve_codes` derives from the exogenous codes (scalars or
-arrays). `_holds` evaluates outcome, observation and cost literals as one
-DNF mask. `_expectation` is the one exact expectation: an
-outcome probability is the expectation of its indicator, an expected cost
-that of the weighted cost terms. Expectations, abduction and counterfactuals
-add up weights with `math.fsum`, so each sum is correctly rounded and does
-not depend on the block size. A counterfactual is read off the twin network:
+arrays). A variable's codes are stored in the smallest unsigned dtype that
+holds its domain (`uint8` up to 256 values), in the lookup tables, the
+enumerated states and the Monte Carlo draws alike. `_holds` evaluates
+outcome, observation and cost literals as one DNF mask. `_expectation` is
+the one exact expectation: an outcome probability is the expectation of
+its indicator, an expected cost that of the weighted cost terms.
+Expectations, abduction and counterfactuals add up weights with
+`math.fsum`, so each sum is correctly rounded and does not depend on the
+block size. A counterfactual is read off the twin network:
 one exogenous setting drives the factual model, which must reproduce the
 observation, and the intervened model, which is checked against the outcome.
 The Monte Carlo estimator draws exogenous codes instead of enumerating them,
@@ -147,6 +150,11 @@ def validate(scm: Scm) -> tuple:
     return tuple(vid for vid, _, _ in scm.tables)
 
 
+def _code_dtype(domain: Domain) -> np.dtype:
+    """The smallest unsigned dtype that holds every code of the domain."""
+    return np.min_scalar_type(len(domain) - 1)
+
+
 def _compile(scm: Scm):
     """Validate the model while building one index-coded lookup table per
     endogenous variable; this is the only walk over mechanism entries, run
@@ -182,17 +190,20 @@ def _compile(scm: Scm):
             raise PartialMechanism(
                 f"{en.id}: mechanism has {len(en.mechanism)} entries, expected {math.prod(shape)}"
             )
-        # itertools.product runs in the table's C order.
+        # A dict, not Domain.index, so that a wide domain compiles in
+        # linear time; itertools.product runs in the table's C order.
+        code_of = {value: code for code, value in enumerate(en.domain.values)}
         codes = []
         for combo in itertools.product(*(d.values for d in parent_domains)):
             if combo not in en.mechanism:
                 raise PartialMechanism(f"{en.id}: missing mechanism entry for {combo!r}")
-            if en.mechanism[combo] not in en.domain:
+            try:
+                codes.append(code_of[en.mechanism[combo]])
+            except (KeyError, TypeError):  # TypeError: an unhashable output
                 raise PartialMechanism(
                     f"{en.id}: mechanism output {en.mechanism[combo]!r} outside domain"
-                )
-            codes.append(en.domain.index(en.mechanism[combo]))
-        luts[en.id] = np.array(codes, dtype=np.int64).reshape(shape)
+                ) from None
+        luts[en.id] = np.array(codes, dtype=_code_dtype(en.domain)).reshape(shape)
 
     # Every id first, in declaration order, so that ties keep that order;
     # exogenous parents are not nodes.
@@ -273,7 +284,10 @@ def _states(scm: Scm):
         for ex, size in zip(reversed(scm.exogenous), reversed(sizes)):
             index, codes[ex.id] = np.divmod(index, size)
         for ex, dist in zip(scm.exogenous, dists):
+            # Narrowed after the weight is read: numpy indexes with intp
+            # codes faster than with narrow ones.
             weights *= dist[codes[ex.id]]
+            codes[ex.id] = codes[ex.id].astype(_code_dtype(ex.domain))
         yield weights, _solve_codes(scm, codes)
 
 
@@ -322,8 +336,12 @@ def event_probability_mc(
     if samples < 1:
         raise ValueOutOfDomain("samples must be >= 1")
     rng = np.random.default_rng(seed)
+    # Each draw is narrowed as soon as it is made, so at most one int64
+    # column is alive at a time; the draws themselves are unchanged.
     codes = {
-        ex.id: rng.choice(len(ex.domain), size=samples, p=np.asarray(ex.dist, dtype=float))
+        ex.id: rng.choice(
+            len(ex.domain), size=samples, p=np.asarray(ex.dist, dtype=float)
+        ).astype(_code_dtype(ex.domain))
         for ex in scm.exogenous
     }
     clauses = _encode(scm, phi, "outcome")

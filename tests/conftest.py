@@ -147,6 +147,42 @@ def wide_scm(rng: random.Random):
     return scm
 
 
+# Domain sizes at each edge of the code dtypes: the largest uint8 domain,
+# the smallest uint16 one, and one past uint16.
+WIDE_DOMAIN_SIZES = (2, 255, 256, 257, 65_537)
+
+
+def wide_domain_scm(rng: random.Random, size: int):
+    """Random SCM around one `size`-valued noise variable U and a binary B:
+    W := f(U) and Z := h(V, B) take `size` values, V := g(W) three. Some
+    values of U have probability zero."""
+    values = tuple(str(i) for i in range(size))
+    raw = [rng.random() if rng.random() > 0.1 else 0.0 for _ in values]
+    raw[0] += 1e-3
+    total = sum(raw)
+    wide = Domain(values)
+    small = Domain(("x", "y", "z"))
+    p1 = rng.random()
+    scm = Scm(
+        exogenous=(
+            ExogenousVar("U", wide, tuple(r / total for r in raw)),
+            ExogenousVar("B", Domain(BITS), (1 - p1, p1)),
+        ),
+        endogenous=(
+            EndogenousVar("W", wide, ("U",), {(u,): rng.choice(values) for u in values}),
+            EndogenousVar("V", small, ("W",), {(w,): rng.choice(small.values) for w in values}),
+            EndogenousVar(
+                "Z",
+                wide,
+                ("V", "B"),
+                {(v, b): rng.choice(values) for v in small.values for b in BITS},
+            ),
+        ),
+    )
+    validate(scm)
+    return scm
+
+
 def constant_scm():
     """No exogenous variables: A := 1, B := not A, C := A and B."""
     scm = Scm(

@@ -707,6 +707,12 @@ BAD_INPUTS = {
     },
     "scm_int_past_float_range": (_xor_with(_set(["exogenous", 0, "probs", 0], 10**400)),
                                  ("validate", "--scm"), 3, "SchemaViolation", "not a number"),
+    "scm_bool_probability": (_xor_with(_set(["exogenous", 0, "probs"], [True, False])),
+                             ("prob", "--outcome", "y1", "--scm"), 3, "SchemaViolation",
+                             "not a number: True"),
+    "scm_string_probability": (_xor_with(_set(["exogenous", 0, "probs"], ["0.7", "0.3"])),
+                               ("prob", "--outcome", "y1", "--scm"), 3, "SchemaViolation",
+                               "not a number: '0.7'"),
     "scm_int_over_digit_limit": (b'{"schema": "blamescope/scm/1", "x": ' + b"7" * 4301 + b"}",
                                  ("validate", "--scm"), 3, "SchemaViolation",
                                  "invalid JSON: Exceeds the limit (4300 digits)"),

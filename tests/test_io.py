@@ -117,6 +117,27 @@ def test_load_scm_int_past_float_range(tmp_path, edit):
         load_scm_bundle(_edited(tmp_path, edit))
 
 
+@pytest.mark.parametrize(
+    "value, shown",
+    [(True, "True"), ("0.7", "'0.7'"), (" 0.7 ", "' 0.7 '")],
+    ids=["bool", "string", "padded_string"],
+)
+@pytest.mark.parametrize(
+    "field",
+    [
+        lambda doc, v: doc["exogenous"][0]["probs"].__setitem__(0, v),
+        lambda doc, v: doc["costs"]["review_cost"][0].update(cost=v),
+        lambda doc, v: doc["discount"].update(epsilon=v),
+    ],
+    ids=["probability", "cost", "epsilon"],
+)
+def test_load_scm_number_must_be_json_number(tmp_path, field, value, shown):
+    """float() takes True and numeric strings; a model file may not."""
+    path = _edited(tmp_path, lambda doc: field(doc, value))
+    with pytest.raises(SchemaViolation, match=f"not a number: {shown}$"):
+        load_scm_bundle(path)
+
+
 def test_load_scm_int_literal_over_digit_limit(tmp_path):
     path = tmp_path / "long.json"
     path.write_text(bundled_path("xor.json").read_text().replace("0.7", "7" * 4301))

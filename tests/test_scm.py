@@ -1,7 +1,10 @@
 import copy
 import dataclasses
+import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from blamescope import scm as scm_mod
@@ -42,7 +45,14 @@ from blamescope.scm import (
     validate,
 )
 
-from conftest import oracle_models, random_noise, random_outcome, xor_scm
+from conftest import (
+    WIDE_DOMAIN_SIZES,
+    oracle_models,
+    random_noise,
+    random_outcome,
+    wide_domain_scm,
+    xor_scm,
+)
 from oracles import (
     brute_counterfactual_probability,
     brute_event_probability,
@@ -239,6 +249,45 @@ def test_mc_single_sample(xor):
     assert event_probability_mc(xor, Y1, samples=1, seed=5) in (0.0, 1.0)
 
 
+def _xor_chain(bits: int) -> Scm:
+    """X0 := E0, X_i := X_{i-1} xor E_i on `bits` fair noise bits."""
+    xor = {(a, b): str(int(a != b)) for a in BITS for b in BITS}
+    return Scm(
+        exogenous=tuple(ExogenousVar(f"E{i}", Domain(BITS), (0.5, 0.5)) for i in range(bits)),
+        endogenous=(EndogenousVar("X0", Domain(BITS), ("E0",), {("0",): "0", ("1",): "1"}),)
+        + tuple(
+            EndogenousVar(f"X{i}", Domain(BITS), (f"X{i - 1}", f"E{i}"), xor)
+            for i in range(1, bits)
+        ),
+    )
+
+
+def test_mc_memory_per_sample():
+    """Binary codes are held as one byte each: the traced peak stays under
+    two bytes per sample per variable (int64 codes need over eight)."""
+    scm = _xor_chain(24)
+    samples = 200_000
+    phi = OutcomeSpec(((("X23", "eq", "1"),),))
+    tracemalloc.start()
+    try:
+        event_probability_mc(scm, phi, samples=samples, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * samples * (len(scm.exogenous) + len(scm.endogenous))
+
+
+def test_mc_matches_oracle_within_standard_errors():
+    rng = random.Random(12)
+    n = 20_000
+    for seed, scm in enumerate(oracle_models(rng)):
+        phi = random_outcome(rng, scm)
+        p = brute_event_probability(scm, phi)
+        est = event_probability_mc(scm, phi, samples=n, seed=seed)
+        # The 1e-12 absorbs the oracle's rounding where p is 0 or 1.
+        assert abs(est - p) <= 5 * math.sqrt(max(p * (1 - p), 0.0) / n) + 1e-12
+
+
 def test_intervene_forces_value(xor):
     fixed = intervene(xor, "X", "1")
     phi = OutcomeSpec(((("X", "eq", "1"),),))
@@ -361,3 +410,26 @@ def test_counterfactual_matches_oracle():
             got = counterfactual_probability(scm, observation, interventions, phi)
             want = brute_counterfactual_probability(scm, observation, interventions, phi)
             assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("size", WIDE_DOMAIN_SIZES)
+def test_wide_domains_match_oracle(size):
+    rng = random.Random(size)
+    scm = wide_domain_scm(rng, size)
+    domains = {v.id: v.domain for v in scm.endogenous}
+    dtypes = {vid: lut.dtype for vid, _, lut in scm.tables}
+    assert dtypes == {vid: np.min_scalar_type(len(domains[vid]) - 1) for vid in domains}
+    assert dtypes["W"] == {2: np.uint8, 255: np.uint8, 256: np.uint8, 257: np.uint16,
+                           65_537: np.uint32}[size]
+    for _ in range(3):
+        noise = random_noise(rng, scm)
+        assert solve(scm, noise) == brute_solve(scm, noise)
+    phi = random_outcome(rng, scm)
+    assert abs(event_probability(scm, phi) - brute_event_probability(scm, phi)) <= 1e-12
+    observation = _observe(rng, scm)
+    target = rng.choice(scm.endogenous)
+    interventions = [(target.id, rng.choice(target.domain.values))]
+    phi = random_outcome(rng, scm)
+    got = counterfactual_probability(scm, observation, interventions, phi)
+    want = brute_counterfactual_probability(scm, observation, interventions, phi)
+    assert abs(got - want) <= 1e-12
