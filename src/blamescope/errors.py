@@ -117,3 +117,7 @@ class UnknownAction(ConfigError):
 
 class UnknownCostModel(ConfigError):
     pass
+
+
+class SampleCountTooLarge(ConfigError):
+    pass

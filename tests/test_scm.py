@@ -31,6 +31,7 @@ from blamescope.errors import (
     ZeroProbabilityObservation,
 )
 from blamescope.scm import (
+    PROB_TOL,
     Domain,
     EndogenousVar,
     ExogenousVar,
@@ -50,6 +51,7 @@ from conftest import (
     oracle_models,
     random_noise,
     random_outcome,
+    random_scm,
     wide_domain_scm,
     xor_scm,
 )
@@ -288,6 +290,53 @@ def test_mc_matches_oracle_within_standard_errors():
         assert abs(est - p) <= 5 * math.sqrt(max(p * (1 - p), 0.0) / n) + 1e-12
 
 
+def test_mc_memory_live_columns():
+    """Each column is dropped after its last reader, so on the 24-bit chain
+    the traced peak stays under one byte per sample per exogenous draw plus
+    24: the uniforms, the index copy and a few live columns."""
+    scm = _xor_chain(24)
+    samples = 200_000
+    phi = OutcomeSpec(((("X23", "eq", "1"),),))
+    tracemalloc.start()
+    try:
+        event_probability_mc(scm, phi, samples=samples, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (len(scm.exogenous) + 24) * samples
+
+
+# Domain widths at each edge of the draw: one value, the comparison
+# cutoff, and the code dtypes' limits.
+DRAW_WIDTHS = (1, 2, 3, scm_mod._COMPARE_MAX - 1, scm_mod._COMPARE_MAX,
+               scm_mod._COMPARE_MAX + 1, 255, 256, 257, 65_537)
+
+
+@pytest.mark.parametrize("width", DRAW_WIDTHS)
+def test_draw_pins_the_choice_stream(width):
+    """`_draw` returns `Generator.choice`'s codes, narrowed, and leaves the
+    generator where choice does, with zero probabilities first, in the
+    middle or last and totals up to PROB_TOL away from 1."""
+    rng = random.Random(width)
+    domain = Domain(tuple(range(width)))
+    dtype = scm_mod._code_dtype(domain)
+    samples = 500 if width < 1000 else 100
+    for zero in (None, 0, width // 2, width - 1) if width > 1 else (None,):
+        for total in (1.0, 1 + 0.9 * PROB_TOL, 1 - 0.9 * PROB_TOL):
+            raw = [rng.random() for _ in range(width)]
+            if zero is not None:
+                raw[zero] = 0.0
+            scale = total / sum(raw)
+            ex = ExogenousVar("U", domain, tuple(r * scale for r in raw))
+            for seed in range(6):
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = scm_mod._draw(got_rng, ex, samples)
+                want = want_rng.choice(width, size=samples, p=np.asarray(ex.dist)).astype(dtype)
+                assert got.dtype == dtype
+                assert np.array_equal(got, want)
+                assert got_rng.random() == want_rng.random()
+
+
 def test_intervene_forces_value(xor):
     fixed = intervene(xor, "X", "1")
     phi = OutcomeSpec(((("X", "eq", "1"),),))
@@ -433,3 +482,86 @@ def test_wide_domains_match_oracle(size):
     got = counterfactual_probability(scm, observation, interventions, phi)
     want = brute_counterfactual_probability(scm, observation, interventions, phi)
     assert abs(got - want) <= 1e-12
+
+
+def test_flat_index_wider_than_parent_codes_matches_oracle():
+    """W reads two 17-valued parents: its 289 entries need a uint16 flat
+    index while each parent's codes are uint8."""
+    rng = random.Random(17)
+    values = tuple(str(i) for i in range(17))
+    wide = Domain(values)
+
+    def dist():
+        raw = [rng.random() if rng.random() > 0.2 else 0.0 for _ in values]
+        raw[0] += 1e-3
+        return tuple(r / sum(raw) for r in raw)
+
+    scm = Scm(
+        exogenous=(ExogenousVar("U", wide, dist()), ExogenousVar("V", wide, dist())),
+        endogenous=(
+            EndogenousVar("W", wide, ("U", "V"),
+                          {(u, v): rng.choice(values) for u in values for v in values}),
+            EndogenousVar("Y", Domain(BITS), ("V", "W"),
+                          {(v, w): rng.choice(BITS) for v in values for w in values}),
+        ),
+    )
+    lut = {vid: table for vid, _, table in scm.tables}["W"]
+    assert (lut.size, lut.dtype, np.min_scalar_type(lut.size - 1)) == (289, np.uint8, np.uint16)
+    for _ in range(10):
+        noise = random_noise(rng, scm)
+        assert solve(scm, noise) == brute_solve(scm, noise)
+    for _ in range(5):
+        phi = random_outcome(rng, scm)
+        assert abs(event_probability(scm, phi) - brute_event_probability(scm, phi)) <= 1e-12
+        observation = _observe(rng, scm)
+        target = rng.choice(scm.endogenous)
+        interventions = [(target.id, rng.choice(target.domain.values))]
+        got = counterfactual_probability(scm, observation, interventions, phi)
+        want = brute_counterfactual_probability(scm, observation, interventions, phi)
+        assert abs(got - want) <= 1e-12
+
+
+def test_solve_codes_keeps_only_what_is_read():
+    """Solving for a subset of variables gives the full solve's codes on
+    exactly that subset, and leaves the caller's codes untouched."""
+    rng = random.Random(21)
+    gen = np.random.default_rng(21)
+    for _ in range(200):
+        scm = random_scm(rng, max_exo=8, max_endo=6)
+        codes = {
+            ex.id: gen.integers(0, len(ex.domain), 32).astype(scm_mod._code_dtype(ex.domain))
+            for ex in scm.exogenous
+        }
+        given = dict(codes)
+        ids = list(codes) + [vid for vid, _, _ in scm.tables]
+        full = scm_mod._solve_codes(scm, codes, ids)
+        for _ in range(3):
+            keep = set(rng.sample(ids, rng.randint(1, len(ids))))
+            got = scm_mod._solve_codes(scm, codes, keep)
+            assert set(got) == keep
+            for var in keep:
+                assert np.array_equal(got[var], full[var])
+            assert codes == given
+
+
+def test_one_valued_parent_in_a_full_uint8_index():
+    """W's table has 256 entries, a full uint8 flat index; its one-valued
+    parent A has stride 256 but code 0 and is left out of the index."""
+    rng = random.Random(256)
+    values = tuple(str(i) for i in range(256))
+    raw = [rng.random() for _ in values]
+    scm = Scm(
+        exogenous=(
+            ExogenousVar("A", Domain(("a",)), (1.0,)),
+            ExogenousVar("U", Domain(values), tuple(r / sum(raw) for r in raw)),
+        ),
+        endogenous=(
+            EndogenousVar("W", Domain(values), ("A", "U"),
+                          {("a", u): rng.choice(values) for u in values}),
+        ),
+    )
+    for _ in range(5):
+        noise = random_noise(rng, scm)
+        assert solve(scm, noise) == brute_solve(scm, noise)
+        phi = random_outcome(rng, scm)
+        assert abs(event_probability(scm, phi) - brute_event_probability(scm, phi)) <= 1e-12
