@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from . import attribution as attr_mod
@@ -295,16 +296,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer >= low."""
+def _int_at_least(low: int, high: float = math.inf):
+    """An argparse type: an integer >= low, and <= high."""
+    bound = f">= {low}" if high == math.inf else f">= {low} and <= {high}"
 
     def parse(text):
         try:
-            if int(text) >= low:
+            if low <= int(text) <= high:
                 return int(text)
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be an integer {bound}, got {text!r}")
 
     return parse
 
@@ -364,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--ratings")
     source.add_argument("--cases")
-    p.add_argument("--k", type=_int_at_least(2))
+    p.add_argument("--k", type=_int_at_least(2, metrics_mod.MAX_CATEGORIES))
     p.add_argument("--l", type=float)
     p.add_argument("--u", type=float)
     p.add_argument("--positive")

@@ -1,14 +1,22 @@
-"""File formats: SCM description JSON, case-log CSV, ratings CSV, and
+r"""File formats: SCM description JSON, case-log CSV, ratings CSV, and
 canonical JSON report emission.
 
 Every text file is read or written through `open_text`, which turns a
 path that cannot be opened into a typed error. Case logs and ratings share
 one reader, `_read_csv`: it alone turns bytes that are not UTF-8 and CSV
 syntax errors into line-numbered MalformedRow errors and checks the
-header. Each loader then checks whole columns, and only when a check fails
-rescans the file with a per-row check (`_bad_row`) to name the first bad
-row's line. Reports are serialized with sorted keys and floats at 12
-significant digits so identical runs produce byte-identical output.
+header, and it returns columns, not rows. It reads the file whole, and
+splits it in bulk with `str.split` when the text is sure to split as
+csv.reader would (no quote, NUL or bare "\r", no line over the field
+limit, one field count on every non-blank line; see `_plain_lines`). Any
+other file, and one that is not UTF-8, is streamed through csv.reader
+from the start, which raises the errors: results, errors and line numbers
+are the same on both paths, and a bad byte or a CSV syntax error anywhere
+in the file is still reported before a bad row. Each loader then checks
+whole columns, and only when a check fails rescans the file with a
+per-row check (`_bad_row`) to name the first bad row's line. Reports are
+serialized with sorted keys and floats at 12 significant digits so
+identical runs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -257,21 +265,60 @@ def load_scm_bundle(path) -> ScmBundle:
     return ScmBundle(scm=scm, outcomes=outcomes, actions=actions, costs=costs, discount=disc)
 
 
+def _plain_lines(text):
+    r"""The lines of CSV text, split at "\n", when csv.reader would read the
+    same lines and split each at "," alone into as many fields as the
+    header: the text has no quote character, no NUL (an error to csv.reader
+    before Python 3.11) and no "\r" but in "\r\n"; its first line is not
+    blank; no line is longer than the field limit; and every non-blank line
+    has the same number of fields. None for any other text."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if '"' in text or "\0" in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    del text
+    if (
+        not lines[0]
+        or max(map(len, lines)) > csv.field_size_limit()
+        or len(set(map(str.count, filter(None, lines), itertools.repeat(",")))) != 1
+    ):
+        return None
+    return lines
+
+
 def _read_csv(path, columns):
-    """The rows after the header of a CSV file, blank lines skipped, and
-    the position of each of `columns` in the header. This is the only code
-    that reads a CSV file whole: bytes that are not UTF-8 and CSV syntax
-    errors are MalformedRow errors with the line number, as are an empty
-    file and a header without one of the columns."""
-    try:
-        with open_text(path) as fh:
+    r"""The values of `columns` in a CSV file, one list of strings per column
+    with an entry for each non-blank row after the header ("" where the row
+    is too short), and the position of each column in the header.
+
+    This is the only code that reads a CSV file whole. Bytes that are not
+    UTF-8 and CSV syntax errors are MalformedRow errors with the line
+    number, as are an empty file and a header without one of the columns.
+    Text that `_plain_lines` accepts is split at "\n" and "," in bulk. Any
+    other file is streamed once more through csv.reader, which gives the
+    same columns wherever both apply, and raises the errors.
+    """
+    with open_text(path) as fh:
+        try:
+            lines = _plain_lines(fh.read())
+        except UnicodeDecodeError:
+            lines = None
+        if lines is None:
+            # Streamed from the start, so that the first fault is reported
+            # where csv.reader meets it: a bad byte, or a CSV syntax error in
+            # an earlier chunk of the file.
+            fh.seek(0)
             reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = list(filter(None, reader))
-    except UnicodeDecodeError:
-        raise MalformedRow(f"{path}: line {_undecodable_line(path)}: not UTF-8") from None
-    except csv.Error as exc:
-        raise MalformedRow(f"{path}: line {reader.line_num}: {exc}") from None
+            try:
+                header = next(reader, None)
+                rows = list(filter(None, reader))
+            except UnicodeDecodeError:
+                raise MalformedRow(f"{path}: line {_undecodable_line(path)}: not UTF-8") from None
+            except csv.Error as exc:
+                raise MalformedRow(f"{path}: line {reader.line_num}: {exc}") from None
+        else:
+            header = lines[0].split(",")
     if header is None:
         raise MalformedRow(f"{path}: empty file")
     # A repeated column name means its last occurrence, as in csv.DictReader.
@@ -279,7 +326,14 @@ def _read_csv(path, columns):
     missing = [c for c in columns if c not in position]
     if missing:
         raise MalformedRow(f"{path}: missing column(s) {', '.join(missing)}")
-    return rows, [position[c] for c in columns]
+    positions = [position[c] for c in columns]
+    if lines is None:
+        return [[row[i] if i < len(row) else "" for row in rows] for i in positions], positions
+    body = ",".join(filter(None, itertools.islice(lines, 1, None)))
+    del lines
+    fields = body.split(",") if body else []
+    del body
+    return [fields[i :: len(header)] for i in positions], positions
 
 
 def _numbered_rows(path):
@@ -323,16 +377,15 @@ def load_cases(path) -> CaseLog:
     out-of-range confidences, repeated ids and bytes that are not UTF-8
     are hard errors with line numbers; a header without rows is
     EmptyCaseList."""
-    rows, positions = _read_csv(path, CASE_COLUMNS)
-    if not rows:
+    (ids, conf_text, ai, human, truth), positions = _read_csv(path, CASE_COLUMNS)
+    if not ids:
         raise EmptyCaseList(f"{path}: case log is empty")
     # Checks over whole columns; a row that fails one is found by a rescan.
     try:
-        ids, conf_text, ai, human, truth = ([row[i] for row in rows] for i in positions)
-        del rows
         conf = np.fromiter(map(float, conf_text), dtype=np.float64, count=len(ids))
-    except (IndexError, ValueError):  # a short row, or a bad confidence
+    except ValueError:  # a bad or missing confidence
         raise _bad_row(path, positions, _case_problem) from None
+    del conf_text
     in_range = ((0.0 <= conf) & (conf <= 1.0)).all()  # NaN fails too
     if not in_range or any("" in col for col in (ids, ai, human, truth)):
         raise _bad_row(path, positions, _case_problem)
@@ -369,12 +422,12 @@ def load_ratings(path):
     """Parse a ratings CSV into (rater_a, rater_b) integer pairs. Short rows,
     non-integer ratings, ratings below 1, CSV syntax errors and bytes that
     are not UTF-8 are hard errors with line numbers."""
-    rows, (_, a, b) = _read_csv(path, RATING_COLUMNS)
-    if not rows:
+    (_, rater_a, rater_b), (_, a, b) = _read_csv(path, RATING_COLUMNS)
+    if not rater_a:
         raise DataError(f"{path}: no rating rows")
     try:
-        pairs = [(int(row[a]), int(row[b])) for row in rows]
-    except (IndexError, ValueError):  # a short row, or a non-integer rating
+        pairs = list(zip(map(int, rater_a), map(int, rater_b)))
+    except ValueError:  # a non-integer or missing rating
         raise _bad_row(path, (a, b), _rating_problem) from None
     if min(map(min, pairs)) < 1:
         raise _bad_row(path, (a, b), _rating_problem)

@@ -11,7 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DegenerateMarginals
+from .errors import ConfigError, DataError, DegenerateMarginals
+
+# The most ordinal categories a confusion matrix may have. Its k x k counts
+# are allocated, and then copied cell by cell, before any is read, so a
+# larger k would ask for gigabytes or more.
+MAX_CATEGORIES = 1000
 
 
 @dataclass(frozen=True)
@@ -34,12 +39,18 @@ class OrdinalConfusion:
 
     @classmethod
     def from_pairs(cls, pairs, k: int | None = None) -> "OrdinalConfusion":
-        """Build from (rater_1, rater_2) integer rating pairs in [1, k]."""
+        """Build from (rater_1, rater_2) integer rating pairs in [1, k]. A k
+        above MAX_CATEGORIES is a ConfigError; without k, a rating above it
+        is a DataError."""
         pairs = list(pairs)
         if not pairs:
             raise DataError("no rating pairs")
         if k is None:
             k = max(max(a, b) for a, b in pairs)
+            if k > MAX_CATEGORIES:
+                raise DataError(f"rating {k} above the {MAX_CATEGORIES}-category limit")
+        elif k > MAX_CATEGORIES:
+            raise ConfigError(f"k = {k} above the {MAX_CATEGORIES}-category limit")
         m = np.zeros((k, k), dtype=int)
         for a, b in pairs:
             if not (1 <= a <= k and 1 <= b <= k):

@@ -5,7 +5,11 @@ calls into the library's computation paths, so that library results can be
 checked against a second, independent implementation.
 """
 
+import csv
+import io
 import itertools
+
+from blamescope.errors import MalformedRow
 
 
 def brute_solve(scm, noise, do=()):
@@ -176,3 +180,25 @@ def recount_log(cases, l, u):
         "flagged_avoidable": flagged_avoidable,
         "per_case": per_case,
     }
+
+
+def csv_columns(text, columns):
+    """The reference for `io._read_csv` on a file holding `text`: plain
+    csv.reader over all of it, then the requested columns of the non-blank
+    rows after the header ("" where a row is too short) and each column's
+    position in the header (its last, for a repeated name). Raises
+    MalformedRow with the message `_read_csv` gives after the path."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise MalformedRow(f"line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise MalformedRow("empty file")
+    header = rows[0]
+    missing = [name for name in columns if name not in header]
+    if missing:
+        raise MalformedRow(f"missing column(s) {', '.join(missing)}")
+    positions = [max(i for i, name in enumerate(header) if name == c) for c in columns]
+    body = [row for row in rows[1:] if row]
+    return [[row[p] if p < len(row) else "" for row in body] for p in positions], positions

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import shutil
@@ -601,8 +602,10 @@ def test_gen_seed_gate(capsys, value):
         ((*_PROB, "--samples", "10", "--seed=-1"), "--seed: must be an integer >= 0"),
         (("metrics", "--ratings", _RATINGS, "--k=-1"), "--k: must be an integer >= 2"),
         (("metrics", "--ratings", _RATINGS, "--k", "1"), "--k: must be an integer >= 2"),
+        (("metrics", "--ratings", _RATINGS, "--k", "10000000"),
+         "--k: must be an integer >= 2 and <= 1000, got '10000000'"),
     ],
-    ids=["samples_0", "seed_negative", "k_negative", "k_1"],
+    ids=["samples_0", "seed_negative", "k_negative", "k_1", "k_10_7"],
 )
 def test_integer_flag_bounds_named(capsys, argv, bound):
     code, out, err = run_cli(capsys, *argv)
@@ -734,6 +737,9 @@ BAD_INPUTS = {
                          "MalformedRow", "line 3: not UTF-8"),
     "ratings_header_only": (_RATINGS_HEADER, ("validate", "--ratings"), 3, "DataError",
                             "no rating rows"),
+    "ratings_category_too_large": (_RATINGS_HEADER + b"c0,1,2\nc1,10000000,1\n",
+                                   ("metrics", "--ratings"), 3, "DataError",
+                                   "rating 10000000 above the 1000-category limit"),
 }
 
 
@@ -795,3 +801,27 @@ def test_gen_stdout(capsys, tmp_path):
     path = tmp_path / "log.csv"
     path.write_text(out, encoding="utf-8", newline="")
     assert (code, err, len(load_cases(path))) == (0, "", 3)
+
+
+def test_same_report_whatever_the_line_endings_or_quoting(capsys, tmp_path):
+    """The bundled case log with LF endings is split in bulk; with CRLF
+    endings it is too, and fully quoted it goes to csv.reader. All three
+    give byte-identical reports."""
+    with bundled_path("cases_200.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    path = tmp_path / "cases.csv"
+    writers = {
+        "lf": {"lineterminator": "\n"},
+        "crlf": {"lineterminator": "\r\n"},
+        "quote_all": {"lineterminator": "\n", "quoting": csv.QUOTE_ALL},
+    }
+    commands = (("validate", "--cases"), ("hitl", "--l", "0.2", "--u", "0.8", "--cases"))
+    reports = {}
+    for name, options in writers.items():
+        with path.open("w", newline="") as fh:
+            csv.writer(fh, **options).writerows(rows)
+        reports[name] = [run_cli(capsys, *command, str(path)) for command in commands]
+        if name == "lf":
+            assert path.read_bytes() == bundled_path("cases_200.csv").read_bytes()
+    assert [code for code, _, _ in reports["lf"]] == [0, 0]
+    assert reports["lf"] == reports["crlf"] == reports["quote_all"]

@@ -1,8 +1,13 @@
+import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blamescope.data import bundled_path
 from blamescope.errors import (
@@ -16,6 +21,8 @@ from blamescope.errors import (
 )
 from blamescope.hitl import Case, CaseLog
 from blamescope.io import (
+    RATING_COLUMNS,
+    _read_csv,
     canonical_dumps,
     dump_cases,
     load_cases,
@@ -24,6 +31,7 @@ from blamescope.io import (
 )
 from blamescope.scm import event_probability
 from blamescope.synthetic import gen_synthetic
+from oracles import csv_columns
 
 
 def test_load_bundled_xor():
@@ -325,6 +333,145 @@ def test_load_ratings_oversized_field(tmp_path):
     path.write_text("case_id,rater_a,rater_b\nc0,1,2\n" + "x" * 200_000 + ",1,2\n")
     with pytest.raises(MalformedRow, match="line 3: field larger than field limit"):
         load_ratings(path)
+
+
+LIMIT = csv.field_size_limit()
+_LOADERS = {
+    "cases": (load_cases, HEADER, "{},0.5,pos,neg,pos\n"),
+    "ratings": (load_ratings, "case_id,rater_a,rater_b\n", "{},1,2\n"),
+}
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["unquoted", "quoted"])
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+def test_field_at_the_limit(tmp_path, kind, quote):
+    """csv.reader counts a field's characters, not its bytes: a field of
+    exactly the limit loads, even when its UTF-8 form is longer, and one
+    more character is an error."""
+    load, header, row = _LOADERS[kind]
+    path = tmp_path / "in.csv"
+    for field, ok in (("x" * LIMIT, True), ("é" * LIMIT, True), ("x" * (LIMIT + 1), False)):
+        path.write_text(header + row.format("c0") + row.format(quote + field + quote),
+                        encoding="utf-8")
+        if not ok:
+            with pytest.raises(MalformedRow, match=rf"line 3: field larger than field "
+                                                   rf"limit \({LIMIT}\)$"):
+                load(path)
+        elif kind == "cases":
+            assert load(path).ids == ["c0", field]
+        else:
+            assert load(path) == [(1, 2), (1, 2)]
+
+
+def test_csv_error_before_a_later_bad_byte(tmp_path):
+    """The file is streamed through csv.reader when it is not UTF-8, so a
+    CSV syntax error in an earlier chunk of the file is reported first, and
+    a bad byte in the same chunk as the error is."""
+    path = tmp_path / "cases.csv"
+    head = HEADER.encode() + b"x" * (LIMIT + 1) + b",0.5,pos,neg,pos\n"
+    path.write_bytes(head + b"c0,0.5,pos,neg,pos\n" * 1000 + b"\xff\n")
+    with pytest.raises(MalformedRow, match="line 2: field larger than field limit"):
+        load_cases(path)
+    path.write_bytes(head + b"c0,0.5,pos,neg,pos\n" * 10 + b"\xff\n")
+    with pytest.raises(MalformedRow, match="line 13: not UTF-8"):
+        load_cases(path)
+
+
+def test_plain_file_is_split_without_csv_reader(tmp_path, monkeypatch):
+    r"""A file with no quote, NUL or bare "\r" and one field count on every
+    non-blank line never reaches csv.reader; a quoted one does."""
+    cases = gen_synthetic(seed=3, n_cases=20, ai_accuracy=0.8, human_accuracy=0.9)
+    path = tmp_path / "cases.csv"
+    path.write_text(dump_cases(cases).replace("\n", "\r\n", 3) + "\n\n")
+    expected = rows_of(load_cases(path))
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(csv, "reader", no_reader)
+    assert rows_of(load_cases(path)) == expected
+    path.write_text('"case_id"' + path.read_text()[len("case_id"):])
+    with pytest.raises(AssertionError, match="csv.reader called"):
+        load_cases(path)
+
+
+def _same_as_csv_reader(text):
+    """_read_csv of a file holding `text` gives the reference's columns, or
+    raises the reference's error type and message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            expected = csv_columns(text, RATING_COLUMNS)
+        except MalformedRow as exc:
+            with pytest.raises(MalformedRow) as got:
+                _read_csv(path, RATING_COLUMNS)
+            assert (type(got.value), str(got.value)) == (MalformedRow, f"{path}: {exc}")
+        else:
+            assert _read_csv(path, RATING_COLUMNS) == expected
+
+
+_ALPHABET = ["a", "1", ".", ",", "\n", "\r", "\r\n", '"', "\0", "é", " "]
+_PLAIN = ["a", "1", ".", "é", " "]
+
+
+@st.composite
+def _csv_texts(draw):
+    """A header of the column names in any order, with up to two repeated
+    or extra names and now and then without its first name, then rows of
+    fields over the alphabet: either any text, or rows of mostly the
+    header's width whose fields, for half of the texts, hold no separator
+    or quote."""
+    extra = draw(st.lists(st.sampled_from([*RATING_COLUMNS, "note"]), max_size=2))
+    header = draw(st.permutations([*RATING_COLUMNS, *extra]))
+    header = header[draw(st.sampled_from([0, 0, 0, 1])):]
+    end = st.sampled_from(["\n", "\n", "\r\n", "\r", ""])
+    if draw(st.booleans()):
+        body = draw(st.lists(st.sampled_from(_ALPHABET), max_size=40))
+        return ",".join(header) + "".join(body)
+    chars = _ALPHABET if draw(st.booleans()) else _PLAIN
+    field = st.lists(st.sampled_from(chars), max_size=3).map("".join)
+    width = max(len(header), 1)
+    row = st.lists(field, min_size=width, max_size=width) | st.lists(field, max_size=width + 1)
+    rows = draw(st.lists(st.tuples(row, end), max_size=6))
+    return ",".join(header) + draw(end) + "".join(",".join(r) + e for r, e in rows)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_csv_texts())
+def test_read_csv_matches_csv_reader(text):
+    _same_as_csv_reader(text)
+
+
+_H = "case_id,rater_a,rater_b"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"{_H}\nc0,1,2\n\n\r\nc1,2,3\n\n",
+        f"{_H}\nc0,1,2\nc1,2\nc2,3,3\n",
+        f"{_H}\nc0,1,2,x\nc1,2,3\n",
+        f"{_H}\nc0,1,2\nc1,2,3",
+        f"{_H}\n",
+        _H,
+        "",
+        f"\n{_H}\nc0,1,2\n",
+        f"\r\n{_H}\nc0,1,2\n",
+        f"{_H},rater_a,note\nc0,1,2,3,4\n",
+        f"{_H}\r\nc0,1,2\r\nc1,2,3\r\n",
+        f"{_H}\rc0,1,2\r",
+        f'{_H}\n"c\n0",1,2\n',
+        f"{_H}\nc\x000,1,2\n",
+    ],
+    ids=[
+        "blank_lines", "ragged_row", "longer_row", "no_final_newline", "header_only",
+        "header_without_newline", "empty_file", "blank_first_line", "blank_crlf_first_line",
+        "repeated_and_extra_columns", "crlf", "bare_cr", "quoted_newline", "nul",
+    ],
+)
+def test_read_csv_matches_csv_reader_on(text):
+    _same_as_csv_reader(text)
 
 
 @pytest.mark.parametrize("row", ["c1,0,2", "c1,2,-1"])

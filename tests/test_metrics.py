@@ -3,8 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from blamescope.errors import DataError, DegenerateMarginals
+from blamescope.errors import ConfigError, DataError, DegenerateMarginals
 from blamescope.metrics import (
+    MAX_CATEGORIES,
     BinaryCounts,
     OrdinalConfusion,
     binary_counts,
@@ -81,6 +82,19 @@ def test_confusion_from_pairs():
 def test_confusion_from_pairs_out_of_range():
     with pytest.raises(DataError):
         OrdinalConfusion.from_pairs([(0, 1)], k=3)
+
+
+def test_confusion_from_pairs_category_limit():
+    """k x k counts past MAX_CATEGORIES are refused before they are
+    allocated: a k argument is a ConfigError, an inferred one a DataError."""
+    top = MAX_CATEGORIES
+    assert OrdinalConfusion.from_pairs([(1, top)]).k == top
+    assert OrdinalConfusion.from_pairs([(1, 2)], k=top).k == top
+    with pytest.raises(DataError, match=f"rating {10**7} above the {top}-category limit"):
+        OrdinalConfusion.from_pairs([(1, 2), (10**7, 1)])
+    for k in (top + 1, 10**7):
+        with pytest.raises(ConfigError, match=f"k = {k} above the {top}-category limit"):
+            OrdinalConfusion.from_pairs([(1, 2)], k=k)
 
 
 def test_blame_from_agreement_paper_value():
