@@ -28,12 +28,9 @@ from .hitl import (
     CaseLog,
     Decisions,
     FlagPolicy,
-    HitlBlameInput,
     build_hitl_scm,
     empirical_joint,
-    error_rate,
     flag,
-    hitl_action,
     hitl_blame,
     human_only_action,
     run,

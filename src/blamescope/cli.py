@@ -183,14 +183,7 @@ def cmd_hitl(args) -> dict:
     policy = hitl_mod.FlagPolicy(l=args.l, u=args.u)
     spec = _discount_spec(args)
     decisions = hitl_mod.run(load_cases(args.cases), policy)
-    report = hitl_mod.hitl_blame(
-        hitl_mod.HitlBlameInput(
-            decisions=decisions,
-            ai_cost=args.ai_cost,
-            review_cost=args.review_cost,
-            discount=spec,
-        )
-    )
+    report = hitl_mod.hitl_blame(decisions, args.ai_cost, args.review_cost, spec)
     attribution = attr_mod.annotate(decisions)
     summary = attr_mod.summarize(attribution)
     # Per outcome class code: the class name and its sorted party names.

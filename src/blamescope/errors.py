@@ -73,10 +73,6 @@ class DuplicateCaseId(DataError):
     pass
 
 
-class EmptyTraceList(DataError):
-    pass
-
-
 class EmptyCaseList(DataError):
     pass
 

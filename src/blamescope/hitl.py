@@ -18,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blame import Action, BlameReport, DiscountSpec, Override
-from .errors import (
-    ConfigError,
-    DuplicateCaseId,
-    EmptyCaseList,
-    EmptyTraceList,
-)
+from .errors import ConfigError, DuplicateCaseId, EmptyCaseList
 from .scm import Domain, EndogenousVar, ExogenousVar, OutcomeSpec, Scm
 
 # Outcome over the built model: final decision disagrees with the truth.
@@ -132,25 +127,6 @@ class Decisions:
     human_error: np.ndarray
 
 
-@dataclass(frozen=True)
-class HitlBlameInput:
-    decisions: Decisions
-    ai_cost: float
-    review_cost: float
-    discount: DiscountSpec
-
-    def __post_init__(self):
-        if self.ai_cost < 0 or self.review_cost < 0:
-            raise ConfigError("decision costs must be non-negative")
-        # A NaN passes the check above; an infinite or NaN cost would make
-        # the report's costs and discount non-finite.
-        if not math.isfinite(self.ai_cost + self.review_cost):
-            raise ConfigError(
-                f"decision costs must be finite, got ai_cost={self.ai_cost}, "
-                f"review_cost={self.review_cost}"
-            )
-
-
 def flag(policy: FlagPolicy, p):
     """Whether a confidence, or each of an array of them, falls in the
     closed uncertainty band [l, u]. Confidences are range-checked where a
@@ -172,27 +148,31 @@ def run(log: CaseLog, policy: FlagPolicy) -> Decisions:
     )
 
 
-def error_rate(errors) -> float:
-    """Fraction of the cases marked in a per-case error array."""
-    if len(errors) == 0:
-        raise EmptyTraceList("cannot compute an error rate over zero cases")
-    return int(np.count_nonzero(errors)) / len(errors)
-
-
-def hitl_blame(inp: HitlBlameInput) -> BlameReport:
+def hitl_blame(
+    decisions: Decisions, ai_cost: float, review_cost: float, discount: DiscountSpec
+) -> BlameReport:
     """Empirical blame for deploying the HITL pipeline instead of the
-    human-only policy, with the two-rate cost model."""
-    d = inp.decisions
-    n = len(d.log)
+    human-only policy, with the two-rate cost model: a flagged case costs
+    review_cost, any other ai_cost."""
+    if ai_cost < 0 or review_cost < 0:
+        raise ConfigError("decision costs must be non-negative")
+    # A NaN passes the check above; an infinite or NaN cost would make
+    # the report's costs and discount non-finite.
+    if not math.isfinite(ai_cost + review_cost):
+        raise ConfigError(
+            f"decision costs must be finite, got ai_cost={ai_cost}, "
+            f"review_cost={review_cost}"
+        )
+    n = len(decisions.log)
     if not n:
         raise EmptyCaseList("case log is empty")
-    frac = int(np.count_nonzero(d.flagged)) / n
+    frac = int(np.count_nonzero(decisions.flagged)) / n
     return BlameReport.of(
-        error_rate(d.error),
-        error_rate(d.human_error),
-        inp.review_cost * frac + inp.ai_cost * (1.0 - frac),
-        inp.review_cost,
-        inp.discount,
+        int(np.count_nonzero(decisions.error)) / n,
+        int(np.count_nonzero(decisions.human_error)) / n,
+        review_cost * frac + ai_cost * (1.0 - frac),
+        review_cost,
+        discount,
         method="empirical",
         flagged_fraction=frac,
     )
@@ -224,8 +204,9 @@ def build_hitl_scm(label_domain, joint_distribution: dict) -> Scm:
 
     One exogenous variable carries the joint over (truth, ai decision, flag
     bit, human decision); endogenous variables project it out, route the
-    final decision by the flag, and mark the error. The human-only
-    comparison is the action returned by human_only_action.
+    final decision by the flag, and mark the error. The pipeline as built
+    is the identity action Action("hitl"); the human-only comparison is
+    the action returned by human_only_action.
     """
     atoms = sorted(joint_distribution)
     labels = tuple(label_domain)
@@ -265,11 +246,6 @@ def build_hitl_scm(label_domain, joint_distribution: dict) -> Scm:
         ),
     ]
     return Scm(exogenous=(exo,), endogenous=tuple(endogenous))
-
-
-def hitl_action() -> Action:
-    """Identity action: keep the pipeline as built."""
-    return Action(label="hitl")
 
 
 def human_only_action(label_domain) -> Action:

@@ -14,22 +14,23 @@ import numpy as np
 from .errors import ConfigError, DataError, DegenerateMarginals
 
 # The most ordinal categories a confusion matrix may have. Its k x k counts
-# are allocated, and then copied cell by cell, before any is read, so a
-# larger k would ask for gigabytes or more.
+# are allocated in full before any is read, so a larger k would ask for
+# gigabytes or more.
 MAX_CATEGORIES = 1000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrdinalConfusion:
     """k x k count matrix; rows are rater 1, columns rater 2."""
 
     k: int
-    counts: tuple  # row-major tuple of tuples of non-negative ints
+    counts: np.ndarray  # k x k non-negative integers; nested sequences are converted
 
     def __post_init__(self):
         if self.k < 2:
             raise DataError("need at least 2 ordinal categories")
         m = np.asarray(self.counts)
+        object.__setattr__(self, "counts", m)
         if m.shape != (self.k, self.k):
             raise DataError(f"count matrix must be {self.k}x{self.k}, got {m.shape}")
         if (m < 0).any():
@@ -56,7 +57,7 @@ class OrdinalConfusion:
             if not (1 <= a <= k and 1 <= b <= k):
                 raise DataError(f"rating pair ({a}, {b}) outside [1, {k}]")
             m[a - 1, b - 1] += 1
-        return cls(k=k, counts=tuple(tuple(int(x) for x in row) for row in m))
+        return cls(k=k, counts=m)
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,7 @@ def qwk(m: OrdinalConfusion) -> float:
     Raises DegenerateMarginals when the chance-agreement denominator is
     zero (both raters constant on the same category).
     """
-    counts = np.asarray(m.counts, dtype=float)
-    observed = counts / counts.sum()
+    observed = m.counts / m.counts.sum()
     rows = observed.sum(axis=1)
     cols = observed.sum(axis=0)
     expected = np.outer(rows, cols)

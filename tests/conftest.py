@@ -6,10 +6,8 @@ from blamescope.blame import Action, DiscountSpec, Override, delta
 from blamescope.hitl import (
     HITL_OUTCOME,
     CaseLog,
-    HitlBlameInput,
     build_hitl_scm,
     empirical_joint,
-    hitl_action,
     hitl_blame,
     human_only_action,
     run,
@@ -226,11 +224,9 @@ def exact_and_empirical_delta(cases, policy):
     from the model built on the decided log's joint, and from the log."""
     decisions = run(CaseLog.from_cases(cases), policy)
     empirical = hitl_blame(
-        HitlBlameInput(
-            decisions=decisions, ai_cost=1.0, review_cost=1.0, discount=DiscountSpec("unit")
-        )
+        decisions, ai_cost=1.0, review_cost=1.0, discount=DiscountSpec("unit")
     )
     labels, joint = empirical_joint(decisions)
     scm = build_hitl_scm(labels, joint)
-    exact = delta(scm, hitl_action(), human_only_action(labels), HITL_OUTCOME)
+    exact = delta(scm, Action("hitl"), human_only_action(labels), HITL_OUTCOME)
     return exact, empirical.delta

@@ -21,6 +21,7 @@ XOR = str(bundled_path("xor.json"))
 XOR_BLAME = str(bundled_path("xor_blame.json"))
 LOG = str(bundled_path("cases_200.csv"))
 RATINGS = str(GOLDEN / "ratings.csv")
+RATINGS_K1000 = str(GOLDEN / "ratings_k1000.csv")
 BLAME = ("blame", "--scm", XOR_BLAME, "--outcome", "y1", "--action", "auto",
          "--baseline", "manual")
 
@@ -43,6 +44,7 @@ CASES = {
     "metrics_cases_l03_u073.json": ("metrics", "--cases", LOG, "--l", "0.3", "--u", "0.73",
                                     "--positive", "neg"),
     "metrics_ratings.json": ("metrics", "--ratings", RATINGS),
+    "metrics_ratings_k1000.json": ("metrics", "--ratings", RATINGS_K1000),
     "gen_s42_n50.csv": ("gen", "--seed", "42", "--n-cases", "50"),
 }
 

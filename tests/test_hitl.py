@@ -3,12 +3,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from blamescope.blame import DiscountSpec, delta
+from blamescope.blame import Action, DiscountSpec, delta
 from blamescope.errors import (
     ConfigError,
     DuplicateCaseId,
     EmptyCaseList,
-    EmptyTraceList,
     NonNormalizedDistribution,
 )
 from blamescope.hitl import (
@@ -16,12 +15,9 @@ from blamescope.hitl import (
     Case,
     CaseLog,
     FlagPolicy,
-    HitlBlameInput,
     build_hitl_scm,
     empirical_joint,
-    error_rate,
     flag,
-    hitl_action,
     hitl_blame,
     human_only_action,
     run,
@@ -49,12 +45,8 @@ def decide(c):
 
 
 def blame_input(cases, policy=POLICY, review_cost=1.0, kind="unit"):
-    return HitlBlameInput(
-        decisions=run(CaseLog.from_cases(cases), policy),
-        ai_cost=1.0,
-        review_cost=review_cost,
-        discount=DiscountSpec(kind),
-    )
+    """The arguments of hitl_blame for a log decided under the policy."""
+    return run(CaseLog.from_cases(cases), policy), 1.0, review_cost, DiscountSpec(kind)
 
 
 def test_flag_band():
@@ -122,24 +114,12 @@ def test_run_duplicate_ids():
         CaseLog.from_cases([case(id="dup"), case(id="other"), case(id="dup")])
 
 
-def test_error_rate():
-    cases = [case(id=f"c{i}", conf=0.9, ai="pos", truth="pos") for i in range(6)] + [
-        case(id=f"e{i}", conf=0.9, ai="neg", truth="pos") for i in range(2)
-    ]
-    assert error_rate(run(CaseLog.from_cases(cases), POLICY).error) == 0.25
-
-
-def test_error_rate_empty():
-    with pytest.raises(EmptyTraceList):
-        error_rate(np.zeros(0, dtype=bool))
-
-
 def test_hitl_blame_flag_everything():
     cases = gen_synthetic(seed=3, n_cases=50, ai_accuracy=0.7, human_accuracy=0.9)
     inp = blame_input(
         cases, policy=FlagPolicy(l=0.0, u=1.0), review_cost=4.0, kind="cost_ratio"
     )
-    rep = hitl_blame(inp)
+    rep = hitl_blame(*inp)
     assert rep.delta == 0.0
     assert rep.flagged_fraction == 1.0
     assert rep.cost_a == rep.cost_aprime
@@ -151,7 +131,7 @@ def test_hitl_blame_clamped_at_zero():
     cases = [
         case(id=f"c{i}", conf=0.95, ai="pos", human="neg", truth="pos") for i in range(5)
     ]
-    rep = hitl_blame(blame_input(cases, review_cost=2.0))
+    rep = hitl_blame(*blame_input(cases, review_cost=2.0))
     assert rep.p_a == 0.0
     assert rep.p_aprime == 1.0
     assert rep.delta == 0.0
@@ -160,7 +140,7 @@ def test_hitl_blame_clamped_at_zero():
 
 def test_hitl_blame_empty():
     with pytest.raises(EmptyCaseList):
-        hitl_blame(blame_input([]))
+        hitl_blame(*blame_input([]))
 
 
 @pytest.mark.parametrize(
@@ -170,14 +150,14 @@ def test_hitl_blame_empty():
 def test_hitl_blame_input_rejects_non_finite_costs(ai_cost, review_cost):
     decisions = run(CaseLog.from_cases([case()]), POLICY)
     with pytest.raises(ConfigError, match="decision costs must be finite"):
-        HitlBlameInput(decisions, ai_cost, review_cost, DiscountSpec("cost_ratio"))
+        hitl_blame(decisions, ai_cost, review_cost, DiscountSpec("cost_ratio"))
 
 
 def test_hitl_blame_matches_recount():
     from oracles import recount_log
 
     cases = gen_synthetic(seed=11, n_cases=200, ai_accuracy=0.75, human_accuracy=0.85)
-    rep = hitl_blame(blame_input(cases, review_cost=3.0))
+    rep = hitl_blame(*blame_input(cases, review_cost=3.0))
     counts = recount_log(cases, POLICY.l, POLICY.u)
     assert rep.p_a == counts["hitl_errors"] / counts["n"]
     assert rep.p_aprime == counts["human_only_errors"] / counts["n"]
@@ -202,7 +182,7 @@ def test_build_hitl_scm_flag_everything_delta_zero():
     cases = gen_synthetic(seed=5, n_cases=100, ai_accuracy=0.7, human_accuracy=0.9)
     labels, joint = empirical_joint(run(CaseLog.from_cases(cases), FlagPolicy(l=0.0, u=1.0)))
     scm = build_hitl_scm(labels, joint)
-    assert delta(scm, hitl_action(), human_only_action(labels), HITL_OUTCOME) == 0.0
+    assert delta(scm, Action("hitl"), human_only_action(labels), HITL_OUTCOME) == 0.0
 
 
 @pytest.mark.parametrize("seed,ai_acc,human_acc", [(1, 0.6, 0.95), (2, 0.8, 0.8), (3, 0.9, 0.7)])

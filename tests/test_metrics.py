@@ -77,6 +77,17 @@ def test_confusion_from_pairs():
     assert m.counts[0][0] == 1
     assert m.counts[0][1] == 1
     assert m.counts[2][2] == 1
+    rng = random.Random(11)
+    for k in (2, 3, 17, 64):
+        pairs = [(rng.randint(1, k), rng.randint(1, k)) for _ in range(300)]
+        tally = [[0] * k for _ in range(k)]
+        for a, b in pairs:
+            tally[a - 1][b - 1] += 1
+        m = OrdinalConfusion.from_pairs(pairs, k=k)
+        assert isinstance(m.counts, np.ndarray)
+        assert m.counts.dtype.kind == "i"
+        assert m.counts.tolist() == tally
+        assert abs(qwk(m) - brute_qwk(tally)) <= 1e-12
 
 
 def test_confusion_from_pairs_out_of_range():
