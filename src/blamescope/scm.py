@@ -1,38 +1,48 @@
 """Finite discrete acyclic structural causal models.
 
 Variables take values in small symbolic domains. Endogenous mechanisms are
-explicit lookup tables, so a model is fully serializable and every query is
-a weighted sum over the exogenous joint space.
+explicit lookup tables, so a model is fully serializable and every exact
+query is a sum-product over the exogenous joint space.
 
-Every query runs on one compiled evaluator. A model is checked and compiled
-once, when it is built: `Scm.__post_init__` runs `_compile`, which validates
-the model and turns each mechanism into an index-coded lookup table in the
-same pass, and keeps the tables on the instance, so any `Scm` that exists is
-valid and no query checks it again. `_states` is the only walk over the
-exogenous joint space: it yields blocks of weights and the codes of the
-variables its caller reads, which `_solve_codes` derives from the exogenous
-codes (scalars or arrays). `_solve_codes` solves only the ancestors of those
-variables and drops every other column, exogenous ones included, after its
-last reader. `_lookup` reads a table through one flat index held in the
-smallest unsigned dtype that reaches every entry. A variable's codes are
-stored in the smallest unsigned dtype that holds its domain (`uint8` up to
-256 values), in the lookup tables, the enumerated states and the Monte Carlo
-draws alike. `_holds` evaluates outcome, observation and cost literals as
-one DNF mask. `_expectation` is the one exact expectation: an outcome
-probability is the expectation of its indicator, an expected cost that of
-the weighted cost terms. Expectations, abduction and counterfactuals add up
-weights with `math.fsum`, so each sum is correctly rounded and does not
-depend on the block size. A counterfactual is read off the twin network: one
-exogenous setting drives the factual model, which must reproduce the
-observation, and the intervened model, which is checked against the outcome.
-The Monte Carlo estimator draws exogenous codes instead of enumerating them,
-for spaces too large to enumerate. `_draw` consumes the same uniforms and
-returns the same codes as `Generator.choice`, so an estimate depends only on
-(seed, samples): a code is the number of CDF steps at or below its uniform,
-counted by comparison, or found by binary search in a domain wider than
-`_COMPARE_MAX` values. An intervention do(X = x) and an action's overrides
-are the same rewrite, `_rewire`: do(X = x) gives X no parents and the
-constant mechanism x.
+A model is checked and compiled once, when it is built: `Scm.__post_init__`
+runs `_compile`, which validates the model and turns each mechanism into an
+index-coded lookup table in the same pass, and keeps the tables on the
+instance, so any `Scm` that exists is valid and no query checks it again. A
+table has one axis per distinct parent with more than one value; a
+one-valued variable always has code 0. A variable's codes are stored in the
+smallest unsigned dtype that holds its domain (`uint8` up to 256 values), in
+the lookup tables and the Monte Carlo draws alike.
+
+Exact queries run by bucket elimination (`_eliminate`), never by walking the
+joint space, so their cost grows with the largest factor, not with the
+number of exogenous states. The factors are a prior per exogenous variable,
+the compiled tables, and one factor for the outcome or the cost terms
+(`_indicator`), plus a unary indicator per observed variable. A mechanism is
+a function, so it is never turned into a factor of its own: once no other
+mechanism left reads a variable, each factor over it is indexed with its
+table (`_substitute`). An exogenous variable is then summed out with its
+prior. `MAX_STATES` caps the largest factor. `_expectation` is the one exact
+expectation: an outcome probability is the expectation of its indicator, an
+expected cost that of the weighted cost terms. A counterfactual runs on the
+twin network: only the intervened variables and their descendants get
+copies, and P(phi* and observation) and P(observation) come from one
+elimination. Its sums are not correctly rounded: the tests hold them within
+1e-12 of brute-force enumeration.
+
+`_solve_codes` applies mechanisms to exogenous codes (scalars or arrays): it
+solves only the ancestors of the variables its caller reads, and drops every
+other column, exogenous ones included, after its last reader. `_lookup`
+reads a table through one flat index held in the smallest unsigned dtype
+that reaches every entry. `_holds` evaluates outcome, observation and cost
+literals as one DNF mask. The Monte Carlo estimator draws exogenous codes
+and solves them. `_draw` consumes the same uniforms and returns the same
+codes as `Generator.choice`, so an estimate depends only on (seed, samples):
+a code is the number of CDF steps at or below its uniform, counted by
+comparison, or found by binary search in a domain wider than `_COMPARE_MAX`
+values. `abduct` lists the posterior over a grid of the whole exogenous
+joint space, of at most `MAX_STATES` settings. An intervention do(X = x) and
+an action's overrides are the same rewrite, `_rewire`: do(X = x) gives X no
+parents and the constant mechanism x.
 """
 
 from __future__ import annotations
@@ -61,10 +71,9 @@ from .errors import (
 Assignment = dict  # variable id -> value
 
 PROB_TOL = 1e-9
-# Largest exogenous joint space an exact query enumerates.
+# Largest factor an exact query builds, in entries, and largest exogenous
+# joint space `abduct` lists.
 MAX_STATES = 1 << 24
-# Exogenous states per grid block: bounds the evaluator's working memory.
-_BLOCK = 1024
 # Widest domain whose Monte Carlo draws compare each sample with every CDF
 # step; wider ones binary-search the CDF. Set by measurement: at 10^6
 # samples on one x86-64 Xeon core, comparing took 0.5x the search's time
@@ -122,8 +131,9 @@ class Scm:
     Construction raises CyclicGraph, DanglingParent, DuplicateVariable,
     NonNormalizedDistribution or PartialMechanism naming the offending
     variable. `tables` holds (id, parent ids, lookup table) for each
-    endogenous variable in topological order; it is derived, so it is not
-    an argument and is neither compared nor shown.
+    endogenous variable in topological order, over its distinct parents
+    with more than one value; it is derived, so it is not an argument and
+    is neither compared nor shown.
     """
 
     exogenous: tuple
@@ -173,7 +183,8 @@ def _compile(scm: Scm):
     endogenous variable; this is the only walk over mechanism entries, run
     once by Scm construction. Returns (id, parent ids, table) for each
     endogenous variable in topological order, where the table maps parent
-    codes to the variable's code."""
+    codes to the variable's code. The parent ids are the distinct parents
+    with more than one value, one table axis each."""
     ids = [v.id for v in scm.exogenous] + [v.id for v in scm.endogenous]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -216,7 +227,17 @@ def _compile(scm: Scm):
                 raise PartialMechanism(
                     f"{en.id}: mechanism output {en.mechanism[combo]!r} outside domain"
                 ) from None
-        luts[en.id] = np.array(codes, dtype=_code_dtype(en.domain)).reshape(shape)
+        # A one-valued parent always has code 0, so its axis is dropped: a
+        # table may then read more parents than an array has dimensions.
+        multi = [p for p, d in zip(en.parents, parent_domains) if len(d) > 1]
+        lut = np.array(codes, dtype=_code_dtype(en.domain)).reshape(
+            [len(d) for d in parent_domains if len(d) > 1]
+        )
+        # A parent listed twice reads one code: keep the diagonal.
+        distinct = list(dict.fromkeys(multi))
+        if len(distinct) < len(multi):
+            lut = np.einsum(lut, [distinct.index(p) for p in multi], range(len(distinct))).copy()
+        luts[en.id] = (tuple(distinct), lut)
 
     # Every id first, in declaration order, so that ties keep that order;
     # exogenous parents are not nodes.
@@ -228,29 +249,27 @@ def _compile(scm: Scm):
     except graphlib.CycleError as exc:
         cycle = " -> ".join(exc.args[1])
         raise CyclicGraph(f"cycle among endogenous variables: {cycle}") from None
-    return tuple((vid, by_id[vid].parents, luts[vid]) for vid in order)
+    return tuple((vid, *luts[vid]) for vid in order)
 
 
 def _lookup(lut: np.ndarray, parent_codes):
     """`lut` at the parent codes, read through one flat C-order index held
     in the smallest unsigned dtype that reaches every entry, so that the
-    index cannot wrap. A one-valued parent always has code 0, so it is left
-    out: its stride need not fit that dtype."""
+    index cannot wrap."""
     itype = np.min_scalar_type(lut.size - 1)
     idx, stride = 0, lut.size
     for code, size in zip(parent_codes, lut.shape):
         stride //= size
-        if size > 1:
-            idx = idx + np.multiply(code, stride, dtype=itype)
+        idx = idx + np.multiply(code, stride, dtype=itype)
     return np.take(lut.ravel(), idx)
 
 
 def _solve_codes(scm: Scm, codes: dict, keep) -> dict:
     """The codes of the variables in `keep`, from exogenous codes (scalars
-    or equal-length arrays). Only their ancestors are solved, and every
-    other column, exogenous ones included, is dropped after its last
+    or arrays that broadcast together). Only their ancestors are solved, and
+    every other column, exogenous ones included, is dropped after its last
     reader; the caller's dict is left as it is. This is the only place
-    mechanisms are applied."""
+    mechanisms are applied to codes."""
     needed = set(keep)
     steps = []
     for vid, parents, lut in reversed(scm.tables):
@@ -264,7 +283,7 @@ def _solve_codes(scm: Scm, codes: dict, keep) -> dict:
         codes[vid] = _lookup(lut, [codes[p] for p in parents])
         for p in parents:
             if last[p] == i and p not in keep:
-                codes.pop(p, None)  # a parent may be listed twice
+                del codes[p]
     return codes
 
 
@@ -309,39 +328,6 @@ def _variables(clauses) -> set:
     return {var for clause in clauses for var, _, _ in clause}
 
 
-def _states(scm: Scm, keep):
-    """Yield (weights, codes) blocks that cover the exogenous joint space in
-    itertools.product order; codes holds the variables in `keep`, the
-    endogenous ones solved with the model's tables. A state's weight is
-    1.0 * p_0[c_0] * p_1[c_1] * ... in axis order."""
-    sizes = [len(ex.domain) for ex in scm.exogenous]
-    n_states = math.prod(sizes)
-    if n_states > MAX_STATES:
-        raise StateSpaceTooLarge(
-            f"exogenous joint space has {n_states} states (cap {MAX_STATES}); "
-            "use the Monte Carlo estimator"
-        )
-    dists = [np.asarray(ex.dist, dtype=float) for ex in scm.exogenous]
-    for start in range(0, n_states, _BLOCK):
-        index = np.arange(start, min(start + _BLOCK, n_states))
-        weights = np.ones(len(index))
-        codes = {}
-        for ex, size in zip(reversed(scm.exogenous), reversed(sizes)):
-            index, codes[ex.id] = np.divmod(index, size)
-        for ex, dist in zip(scm.exogenous, dists):
-            # Narrowed after the weight is read: numpy indexes with intp
-            # codes faster than with narrow ones, but `_lookup` sums codes
-            # into an index no wider than its table needs.
-            weights *= dist[codes[ex.id]]
-            codes[ex.id] = codes[ex.id].astype(_code_dtype(ex.domain))
-        yield weights, _solve_codes(scm, codes, keep)
-
-
-def _fsum(blocks) -> float:
-    """Exact sum of every value in a stream of arrays."""
-    return math.fsum(itertools.chain.from_iterable(b.tolist() for b in blocks))
-
-
 def solve(scm: Scm, e: Assignment) -> Assignment:
     """Evaluate mechanisms in topological order for a total exogenous
     setting; returns the unique total endogenous assignment."""
@@ -355,21 +341,179 @@ def solve(scm: Scm, e: Assignment) -> Assignment:
     return {vid: domains[vid].values[codes[vid]] for vid, _, _ in scm.tables}
 
 
+def _check_factor(entries: int):
+    if entries > MAX_STATES:
+        raise StateSpaceTooLarge(
+            f"exact query needs a factor of {entries} entries (cap {MAX_STATES}); "
+            "use the Monte Carlo estimator"
+        )
+
+
+def _indicator(terms, sizes: dict, name=lambda v: v) -> tuple:
+    """(scope, table, mechanisms) of one factor that holds, for each value
+    of the variables the terms read, the sum of the values of the
+    (clauses, value) terms whose DNF of encoded literals holds. `name` maps
+    a variable to the id the factor reads it as.
+
+    Literals only tell a variable's target codes from the rest, so a
+    variable with more codes than that gets an axis over those classes: a
+    new variable ("class", id), whose mechanism in `mechanisms` maps each
+    code to its class. So a factor over two 65,537-valued variables holds a
+    few entries, not 65,537^2. A one-valued variable gets no axis."""
+    targets = {}
+    for clauses, _ in terms:
+        for clause in clauses:
+            for var, _, code in clause:
+                targets.setdefault(var, set()).add(code)
+    axes, env, mechanisms = [], {}, {}  # axes: (variable, axis id, a code per entry)
+    for var, codes in targets.items():
+        size = sizes[name(var)]
+        if size == 1:
+            env[var] = 0
+        elif len(codes) + 1 < size:
+            codes = sorted(codes)
+            other = next(c for c in range(size) if c not in targets[var])
+            lut = np.full(size, len(codes), dtype=np.min_scalar_type(len(codes)))
+            lut[codes] = np.arange(len(codes))
+            mechanisms[("class", name(var))] = ((name(var),), lut)
+            axes.append((var, ("class", name(var)), np.array(codes + [other])))
+        else:
+            axes.append((var, name(var), np.arange(size)))
+    shape = tuple(len(codes) for _, _, codes in axes)
+    _check_factor(math.prod(shape))
+    for k, (var, _, codes) in enumerate(axes):
+        env[var] = codes.reshape([-1 if a == k else 1 for a in range(len(axes))])
+    table = np.zeros(shape)
+    for clauses, value in terms:
+        table[_holds(clauses, env, shape)] += value
+    return [axis for _, axis, _ in axes], table, mechanisms
+
+
+def _substitute(table, scope: list, group: list, mechanisms: dict, unary: dict):
+    """The factor with each variable in `group` replaced by its mechanism:
+    each entry reads `table` at the codes the lookup tables give for the
+    parents' codes, times each variable's unary weights at its code. A
+    parent not yet in the scope gets a new last axis; one that is shares
+    its axis, so no factor wider than the result is built. Returns (table,
+    scope)."""
+    rest = [v for v in scope if v not in group]
+    new = list(dict.fromkeys(p for v in group for p in mechanisms[v][0] if p not in scope))
+    out = rest + new
+    ndim = 1 + len(out)
+
+    def along(axis, size):
+        return np.arange(size).reshape([-1 if a == axis else 1 for a in range(ndim)])
+
+    codes = {}
+    for v in group:
+        parents, lut = mechanisms[v]
+        axes = [1 + out.index(p) for p in parents]
+        shape = [1] * ndim
+        for axis, size in zip(axes, lut.shape):
+            shape[axis] = size
+        codes[v] = lut.transpose(sorted(range(len(axes)), key=axes.__getitem__)).reshape(shape)
+    index = [along(0, table.shape[0])] + [
+        codes[v] if v in codes else along(1 + out.index(v), size)
+        for v, size in zip(scope, table.shape[1:])
+    ]
+    table = table[tuple(index)]
+    for v in group:
+        if v in unary:
+            table = table * unary[v][codes[v]]
+    return table, out
+
+
+def _eliminate(mechanisms: dict, unary: dict, scope: list, table: np.ndarray):
+    """Bucket elimination: the sum over the exogenous joint space of the
+    product of the unary factors and of `table` read at the codes the
+    mechanisms give its scope. `table`'s first axis is a batch, summed entry
+    by entry; its other axes follow `scope`. `mechanisms` maps each
+    endogenous id to (parent ids, lookup table), as in `Scm.tables`; `unary`
+    maps every exogenous id to its prior, and any endogenous id to weights
+    over its codes, such as the indicator of an observed value.
+
+    A variable is eliminated once no mechanism still to be eliminated reads
+    it. Endogenous ones are substituted by their mechanisms (`_substitute`),
+    all those with the same parents at once; an exogenous one is summed out
+    with its prior. Exogenous variables go first, as that only shrinks the
+    factor; otherwise the endogenous group that grows it least. The
+    candidates are the factor's own variables and the unary factors not yet
+    used, so no step scans the whole model. An exogenous variable that no
+    candidate reads multiplies the result by the sum of its weights. Each
+    sum is a multiply and a reduction, so every batch entry is rounded
+    alike."""
+    scope = list(scope)
+    sizes = dict(zip(scope, table.shape[1:]))
+    waiting = [v for v in unary if v in mechanisms]  # endogenous unary factors not yet used
+    sizes.update((v, len(unary[v])) for v in waiting)
+    pending = dict.fromkeys(sizes, 0)  # readers not yet eliminated
+    stack = [v for v in sizes if v in mechanisms]
+    while stack:
+        parents, lut = mechanisms[stack.pop()]
+        for p, size in zip(parents, lut.shape):
+            if p not in pending:
+                pending[p] = 0
+                sizes[p] = size
+                if p in mechanisms:
+                    stack.append(p)
+            pending[p] += 1
+
+    def growth(group):
+        # A variable with a unary factor and no axis counts as if it had
+        # one: otherwise every step on a twin chain would tie with the first
+        # step on the factual chain that shares its noise.
+        new = {p for v in group for p in mechanisms[v][0] if p not in scope}
+        return math.prod(sizes[p] for p in new) / math.prod(sizes[v] for v in group)
+
+    while scope or waiting:
+        ready = [v for v in scope + [v for v in waiting if v not in scope] if pending[v] == 0]
+        exogenous = [v for v in ready if v not in mechanisms]
+        if exogenous:
+            k = scope.index(exogenous[0])
+            prior = unary[scope.pop(k)].reshape((-1,) + (1,) * (len(scope) - k))
+            table = (table * prior).sum(axis=1 + k)
+            continue
+        groups = {}
+        for v in ready:
+            groups.setdefault(frozenset(mechanisms[v][0]), []).append(v)
+        group = min(groups.values(), key=growth)
+        parents = set().union(*(mechanisms[v][0] for v in group))
+        _check_factor(
+            math.prod(sizes[v] for v in scope if v not in group)
+            * math.prod(sizes[p] for p in parents if p not in scope)
+        )
+        table, scope = _substitute(table, scope, group, mechanisms, unary)
+        for v in group:
+            if v in waiting:
+                waiting.remove(v)
+            for p in mechanisms[v][0]:
+                pending[p] -= 1
+    mass = math.prod(
+        w.sum() for v, w in unary.items() if v not in pending and v not in mechanisms
+    )
+    return table * mass
+
+
+def _mechanisms(scm: Scm) -> dict:
+    return {vid: (parents, lut) for vid, parents, lut in scm.tables}
+
+
+def _priors(scm: Scm) -> dict:
+    return {ex.id: np.asarray(ex.dist, dtype=float) for ex in scm.exogenous}
+
+
+def _sizes(scm: Scm) -> dict:
+    return {v.id: len(v.domain) for v in scm.endogenous}
+
+
 def _expectation(scm: Scm, terms, what: str) -> float:
     """Exact expectation over the exogenous joint space of the sum, in term
     order, of the values of the (OutcomeSpec, value) terms whose event
-    holds; `what` names the terms in errors."""
+    holds; `what` names the terms in errors. One elimination over the
+    factor that holds that sum."""
     terms = [(_encode(scm, event, what), value) for event, value in terms]
-    keep = set().union(*(_variables(clauses) for clauses, _ in terms))
-
-    def weighted():
-        for weights, codes in _states(scm, keep):
-            per_state = np.zeros(weights.shape)
-            for clauses, value in terms:
-                per_state[_holds(clauses, codes, weights.shape)] += value
-            yield weights * per_state
-
-    return _fsum(weighted())
+    scope, table, classes = _indicator(terms, _sizes(scm))
+    return float(_eliminate(_mechanisms(scm) | classes, _priors(scm), scope, table[None])[0])
 
 
 def event_probability(scm: Scm, phi: OutcomeSpec) -> float:
@@ -447,25 +591,32 @@ def intervene(scm: Scm, var: str, value) -> Scm:
     )
 
 
-def _consistent(scm: Scm, observation: Assignment):
-    """Yield (weights, exogenous codes) blocks restricted to the
-    positive-weight settings under which the model reproduces the
-    (possibly partial) endogenous observation."""
-    seen = _encode(scm, OutcomeSpec.conjunction(observation.items()), "observation")
-    read = _variables(seen) | {ex.id for ex in scm.exogenous}
-    for weights, codes in _states(scm, read):
-        keep = _holds(seen, codes, weights.shape) & (weights > 0)
-        yield weights[keep], {ex.id: codes[ex.id][keep] for ex in scm.exogenous}
-
-
 def abduct(scm: Scm, observation: Assignment) -> NoisePosterior:
     """Posterior over exogenous joint settings consistent with a (possibly
-    partial) endogenous observation."""
+    partial) endogenous observation, over a grid of the whole exogenous
+    joint space: at most MAX_STATES settings."""
+    seen = _encode(scm, OutcomeSpec.conjunction(observation.items()), "observation")
+    multi = [ex for ex in scm.exogenous if len(ex.domain) > 1]
+    sizes = tuple(len(ex.domain) for ex in multi)
+    n_states = math.prod(sizes)
+    if n_states > MAX_STATES:
+        raise StateSpaceTooLarge(
+            f"exogenous joint space has {n_states} states (cap {MAX_STATES}); "
+            "use the Monte Carlo estimator"
+        )
+    grid = dict(zip((ex.id for ex in multi), np.indices(sizes, sparse=True)))
+    weights, codes = np.ones(sizes), {}
+    for ex in scm.exogenous:
+        code = grid.get(ex.id, 0)
+        weights = weights * np.asarray(ex.dist, dtype=float)[code]
+        codes[ex.id] = np.asarray(code).astype(_code_dtype(ex.domain))
+    held = _holds(seen, _solve_codes(scm, codes, _variables(seen)), sizes) & (weights > 0)
     support = []
-    for weights, codes in _consistent(scm, observation):
-        columns = [(ex, codes[ex.id].tolist()) for ex in scm.exogenous]
-        for i, p in enumerate(weights.tolist()):
-            support.append(({ex.id: ex.domain.values[col[i]] for ex, col in columns}, p))
+    for row, p in zip(np.argwhere(held).tolist(), weights[held].tolist()):
+        row = dict(zip(grid, row))
+        support.append(
+            ({ex.id: ex.domain.values[row.get(ex.id, 0)] for ex in scm.exogenous}, p)
+        )
     total = math.fsum(p for _, p in support)
     if total == 0:
         raise ZeroProbabilityObservation(
@@ -476,25 +627,43 @@ def abduct(scm: Scm, observation: Assignment) -> NoisePosterior:
 
 def _counterfactual(scm: Scm, observation: Assignment, interventions, phi: OutcomeSpec):
     """(counterfactual probability, posterior support size) on the twin
-    network: every exogenous setting consistent with the observation in
-    `scm` carries its posterior weight to the intervened model, where the
-    outcome is evaluated on the same setting."""
+    network. The intervened variables and their descendants get twin
+    copies, computed by the intervened model's mechanisms; every other
+    variable, exogenous ones included, is shared by both worlds. The
+    observation is one unary indicator per observed variable. The
+    probability is P(phi on the twins and the observation) / P(observation),
+    both from one elimination with a batch axis, so an outcome that holds
+    wherever the observation does gives exactly 1. The support size counts
+    the exogenous settings of positive prior weight that reproduce the
+    observation, by the same elimination over 0/1 Python integers."""
     twin = scm
     for var, value in interventions:
         twin = intervene(twin, var, value)
     clauses = _encode(twin, phi, "outcome")
-    read = _variables(clauses)
-    kept, hits = [], []
-    for weights, codes in _consistent(scm, observation):
-        kept.append(weights)
-        codes = _solve_codes(twin, codes, read)
-        hits.append(weights[_holds(clauses, codes, weights.shape)])
-    total = _fsum(kept)
+    seen = _encode(scm, OutcomeSpec.conjunction(observation.items()), "observation")
+    done = {var for var, _ in interventions}
+    factual, sizes, star, twins = _mechanisms(scm), _sizes(scm), {}, {}
+    for vid, parents, lut in twin.tables:
+        if vid in done or any(p in star for p in parents):
+            star[vid] = ("twin", vid)
+            sizes[star[vid]] = sizes[vid]
+            twins[star[vid]] = (tuple(star.get(p, p) for p in parents), lut)
+    scope, table, classes = _indicator([(clauses, 1.0)], sizes, lambda v: star.get(v, v))
+    table = np.stack([table, np.ones_like(table)])
+    masks = {}
+    for var, _, code in seen[0]:  # the observation is one conjunction
+        if sizes[var] > 1:
+            masks[var] = np.arange(sizes[var]) == code
+    both, total = _eliminate(factual | twins | classes, _priors(scm) | masks, scope, table)
     if total == 0:
         raise ZeroProbabilityObservation(
             f"observation {observation!r} is impossible under the model"
         )
-    return _fsum(h / total for h in hits), sum(len(w) for w in kept)
+    counts = {
+        ex.id: np.array([int(p > 0) for p in ex.dist], dtype=object) for ex in scm.exogenous
+    }
+    support = _eliminate(factual, counts | masks, [], np.ones(1, dtype=object))
+    return float(both / total), support[0]
 
 
 def counterfactual_probability(

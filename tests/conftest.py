@@ -1,4 +1,7 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,3 +233,15 @@ def exact_and_empirical_delta(cases, policy):
     scm = build_hitl_scm(labels, joint)
     exact = delta(scm, Action("hitl"), human_only_action(labels), HITL_OUTCOME)
     return exact, empirical.delta
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """`perfbench/workloads.py`, which writes the benchmark's XOR-chain
+    models and holds their closed forms, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module

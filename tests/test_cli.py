@@ -3,6 +3,7 @@ import json
 import math
 import shutil
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,88 @@ def test_counterfactual_impossible_observation(capsys, xor_path):
         "--observe", "X=2",
     )
     assert code == 4
+
+
+def test_counterfactual_support_size_is_an_exact_integer(capsys, tmp_path, workloads):
+    """On a 70-bit chain the posterior support holds 2^69 settings, past
+    any float's integers, and the probability is the closed form's."""
+    prepared = workloads.prepare_counterfactual(70, tmp_path, 70)
+    code, out, err = run_cli(capsys, *prepared.argv)
+    assert (code, err) == (0, "")
+    assert '"posterior_support_size":590295810358705651712,' in out
+    report = _strict_json(out)
+    assert report["posterior_support_size"] == 2**69
+    assert abs(report["probability"] - prepared.ref["probability"]) <= 1e-12
+    assert prepared.check(report) == []
+
+
+def test_counterfactual_underflowing_observation(capsys, tmp_path):
+    """Every setting that gives X = 1 has weight 1e-200 * 1e-200, which is
+    0.0 in floating point: a typed error, not a division by zero."""
+    tiny = {"values": ["0", "1"], "probs": [1.0, 1e-200]}
+    doc = {
+        "schema": "blamescope/scm/1",
+        "exogenous": [{"id": "E1", **tiny}, {"id": "E2", **tiny}],
+        "endogenous": [{"id": "X", "values": ["0", "1"], "parents": ["E1", "E2"],
+                        "table": {"0|0": "0", "0|1": "0", "1|0": "0", "1|1": "1"}}],
+        "outcomes": {"x1": [[["X", "eq", "1"]]]},
+    }
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "counterfactual", "--scm", str(path), "--outcome", "x1",
+                             "--observe", "X=1", "--do", "X=0")
+    assert (code, out) == (4, "")
+    assert _strict_json(err)["error"] == "ZeroProbabilityObservation"
+
+
+def test_more_parents_than_array_dimensions(capsys, tmp_path):
+    """Y reads 65 one-valued parents and a bit, 66 in all, more than a numpy
+    array has dimensions: a one-valued parent gets no table axis, so every
+    query works."""
+    key = "|".join(["only"] * 65)
+    doc = {
+        "schema": "blamescope/scm/1",
+        "exogenous": [{"id": f"O{i}", "values": ["only"], "probs": [1.0]} for i in range(65)]
+        + [{"id": "E", "values": ["0", "1"], "probs": [0.3, 0.7]}],
+        "endogenous": [{"id": "Y", "values": ["0", "1"],
+                        "parents": [f"O{i}" for i in range(65)] + ["E"],
+                        "table": {key + "|0": "0", key + "|1": "1"}}],
+        "outcomes": {"y1": [[["Y", "eq", "1"]]]},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    model = ("--scm", str(path), "--outcome", "y1")
+    for argv, field, want in [
+        (("prob", *model), "probability", 0.7),
+        (("prob", *model, "--samples", "100000", "--seed", "3"), "probability", 0.7),
+        (("counterfactual", *model, "--observe", "Y=0", "--do", "Y=1"), "probability", 1),
+        (("counterfactual", *model, "--observe", "Y=0"), "posterior_support_size", 1),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert abs(_strict_json(out)[field] - want) <= 0.01
+
+
+def test_exact_queries_scale_with_chain_length(capsys, tmp_path, workloads):
+    """prob, blame and counterfactual on 1000-bit XOR chains match the
+    closed forms, in well under a second on one core. A greedy order that
+    costs every variable of the model at each step took minutes here."""
+    chain = 1000
+    ps = workloads.draw_flip_probs(5, chain)
+    path = tmp_path / "chain.json"
+    workloads._write_model(path, workloads.chain_model(ps, chain))
+    blame = workloads.prepare_blame(5, tmp_path, chain, 2)
+    counterfactual = workloads.prepare_counterfactual(5, tmp_path, chain)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "prob", "--scm", str(path), "--outcome", "y1")
+    assert (code, err) == (0, "")
+    want = (1.0 - workloads.q(ps, 0, chain)) / 2.0
+    assert abs(_strict_json(out)["probability"] - want) <= 1e-12
+    for prepared in (blame, counterfactual):
+        code, out, err = run_cli(capsys, *prepared.argv)
+        assert (code, err) == (0, "")
+        assert prepared.check(_strict_json(out)) == []
+    assert time.perf_counter() - start < 10
 
 
 def test_counterfactual_collapse_matches_prob(capsys, xor_path):

@@ -1,3 +1,4 @@
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -198,6 +199,24 @@ def test_dual_path_agreement_off_grid():
     cases = gen_synthetic(0, 300, 0.6, 0.85, "uniform")
     exact, empirical = exact_and_empirical_delta(cases, FlagPolicy(l=0.3, u=0.73))
     assert empirical == pytest.approx(0.0667, abs=1e-4)
+    assert abs(exact - empirical) <= 1e-12
+
+
+def test_dual_path_agreement_many_labels():
+    """40 labels and about 7300 distinct (truth, ai, flag, human) atoms in
+    one exogenous variable U that TRUTH, AI, PSI and H all read. Reading
+    them off U one at a time would need a factor of 2 * 40^2 * |U| entries,
+    over the cap; substituted together they need |U|."""
+    rng = random.Random(40)
+    labels = [f"c{i}" for i in range(40)]
+    cases = []
+    for i in range(10000):
+        truth = rng.choice(labels)
+        human = truth if rng.random() < 0.5 else rng.choice(labels)
+        cases.append(case(id=f"k{i}", conf=rng.random(), ai=rng.choice(labels), human=human,
+                          truth=truth))
+    exact, empirical = exact_and_empirical_delta(cases, POLICY)
+    assert empirical > 0
     assert abs(exact - empirical) <= 1e-12
 
 

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -58,6 +59,7 @@ from conftest import (
 from oracles import (
     brute_counterfactual_probability,
     brute_event_probability,
+    brute_expected_cost,
     brute_posterior,
     brute_solve,
 )
@@ -209,26 +211,43 @@ def test_event_probability_exhaustive(xor):
 
 
 def _over_the_cap():
-    """25 binary exogenous variables: 2^25 joint states, over the 2^24 cap."""
+    """25 binary exogenous variables: 2^25 joint states, over the 2^24 cap.
+    Each X_i copies E_i, so an event on all 25 X_i needs a 2^25-entry factor."""
     exogenous = tuple(ExogenousVar(f"E{i}", Domain(BITS), (0.5, 0.5)) for i in range(25))
     return Scm(
         exogenous=exogenous,
-        endogenous=(EndogenousVar("Y", Domain(BITS), ("E0",), {("0",): "0", ("1",): "1"}),),
+        endogenous=(EndogenousVar("Y", Domain(BITS), ("E0",), {("0",): "0", ("1",): "1"}),)
+        + tuple(
+            EndogenousVar(f"X{i}", Domain(BITS), (f"E{i}",), {("0",): "0", ("1",): "1"})
+            for i in range(25)
+        ),
     )
 
 
+# Two clauses that together read all 25 X_i.
+_WIDE_TERMS = (
+    tuple((f"X{i}", "1") for i in range(13)),
+    tuple((f"X{i}", "1") for i in range(13, 25)),
+)
+_WIDE_EVENT = OutcomeSpec(tuple(tuple((v, "eq", x) for v, x in t) for t in _WIDE_TERMS))
+_FACTOR_CAP = "factor of 33554432 entries (cap 16777216)"
+
+
 @pytest.mark.parametrize(
-    "query",
+    "query, message",
     [
-        lambda scm: event_probability(scm, Y1),
-        lambda scm: abduct(scm, {"Y": "1"}),
-        lambda scm: counterfactual_probability(scm, {"Y": "1"}, [("Y", "0")], Y1),
-        lambda scm: expected_cost(scm, Action(label="keep"), CostModel()),
+        (lambda scm: event_probability(scm, _WIDE_EVENT), _FACTOR_CAP),
+        (lambda scm: abduct(scm, {"Y": "1"}), "33554432 states"),
+        (lambda scm: counterfactual_probability(scm, {"Y": "1"}, [("Y", "0")], _WIDE_EVENT),
+         _FACTOR_CAP),
+        (lambda scm: expected_cost(
+            scm, Action(label="keep"), CostModel(tuple(CostTerm(t, 1.0) for t in _WIDE_TERMS))
+        ), _FACTOR_CAP),
     ],
     ids=["event_probability", "abduct", "counterfactual_probability", "expected_cost"],
 )
-def test_exact_query_state_cap(query):
-    with pytest.raises(StateSpaceTooLarge, match="33554432 states"):
+def test_exact_query_state_cap(query, message):
+    with pytest.raises(StateSpaceTooLarge, match=re.escape(message)):
         query(_over_the_cap())
 
 
@@ -519,6 +538,102 @@ def test_flat_index_wider_than_parent_codes_matches_oracle():
         got = counterfactual_probability(scm, observation, interventions, phi)
         want = brute_counterfactual_probability(scm, observation, interventions, phi)
         assert abs(got - want) <= 1e-12
+
+
+def test_pruned_exogenous_mass_matches_oracle(xor):
+    """N is no ancestor of any query, so elimination never reads it, but
+    its weights still scale every sum, as in enumeration. They total
+    1 + 0.9 PROB_TOL, which moves P(Y = 1) = 0.5 by 4.5e-10."""
+    total = 1 + 0.9 * PROB_TOL
+    scm = Scm(xor.exogenous + (ExogenousVar("N", Domain(BITS), (0.25 * total, 0.75 * total)),),
+              xor.endogenous)
+    assert abs(event_probability(scm, Y1) - brute_event_probability(scm, Y1)) <= 1e-12
+    assert abs(event_probability(scm, Y1) - 0.5 * total) <= 1e-12
+    cost = CostModel((CostTerm((("X", "1"),), 2.0), CostTerm((), 1.0)))
+    got = expected_cost(scm, Action("keep"), cost)
+    assert abs(got - brute_expected_cost(scm, cost)) <= 1e-12
+    got = counterfactual_probability(scm, {"X": "1"}, [("X", "0")], Y1)
+    want = brute_counterfactual_probability(scm, {"X": "1"}, [("X", "0")], Y1)
+    assert abs(got - want) <= 1e-12
+
+
+def test_many_one_valued_variables_match_oracle():
+    """X reads 30 one-valued exogenous and 30 one-valued endogenous
+    parents and a bit, Y those and three more, and the events read some of
+    the one-valued ones: more one-valued variables in one bucket than
+    einsum has labels (52)."""
+    one = Domain(("only",))
+    rng = random.Random(60)
+    exogenous = tuple(ExogenousVar(f"O{i}", one, (1.0,)) for i in range(30)) + tuple(
+        ExogenousVar(f"E{i}", Domain(BITS), (1 - p, p)) for i, p in enumerate((0.2, 0.35))
+    )
+    consts = tuple(EndogenousVar(f"C{i}", one, (f"O{i}",), {("only",): "only"}) for i in range(30))
+    parents = tuple(f"O{i}" for i in range(30)) + tuple(f"C{i}" for i in range(30)) + ("E0",)
+    lead = ("only",) * 60
+    scm = Scm(
+        exogenous=exogenous,
+        endogenous=consts + (
+            EndogenousVar("X", Domain(BITS), parents, {lead + (b,): b for b in BITS}),
+            EndogenousVar("Y", Domain(BITS), ("X", "E1", "C3") + parents,
+                          {(x, e) + ("only",) + lead + (b,): rng.choice(BITS)
+                           for x in BITS for e in BITS for b in BITS}),
+        ),
+    )
+    phi = OutcomeSpec(((("Y", "eq", "1"), ("C0", "eq", "only")), (("X", "neq", "1"),)))
+    assert abs(event_probability(scm, phi) - brute_event_probability(scm, phi)) <= 1e-12
+    cost = CostModel((CostTerm((("C7", "only"), ("Y", "0")), 3.0),))
+    got = expected_cost(scm, Action("keep"), cost)
+    assert abs(got - brute_expected_cost(scm, cost)) <= 1e-12
+    for observation, interventions in [({"Y": "1", "C1": "only"}, [("X", "1")]),
+                                       ({"X": "0"}, [("C2", "only"), ("Y", "0")])]:
+        got = counterfactual_probability(scm, observation, interventions, phi)
+        want = brute_counterfactual_probability(scm, observation, interventions, phi)
+        assert abs(got - want) <= 1e-12
+
+
+def test_parent_listed_twice_matches_oracle():
+    """W lists U twice, with a one-valued parent between: its table keeps
+    the diagonal, one axis for U, and the entries off the diagonal, which no
+    setting reaches, are never read."""
+    rng = random.Random(2)
+    values = ("a", "b", "c")
+    scm = Scm(
+        exogenous=(ExogenousVar("U", Domain(values), (0.2, 0.5, 0.3)),
+                   ExogenousVar("O", Domain(("only",)), (1.0,)),
+                   ExogenousVar("B", Domain(BITS), (0.6, 0.4))),
+        endogenous=(
+            EndogenousVar("W", Domain(values), ("U", "O", "U"),
+                          {(u, "only", v): rng.choice(values) for u in values for v in values}),
+            EndogenousVar("Y", Domain(BITS), ("W", "B", "W"),
+                          {(w, b, x): rng.choice(BITS)
+                           for w in values for b in BITS for x in values}),
+        ),
+    )
+    assert [(vid, parents, lut.shape) for vid, parents, lut in scm.tables] == [
+        ("W", ("U",), (3,)), ("Y", ("W", "B"), (3, 2))]
+    for u in values:
+        for b in BITS:
+            noise = {"U": u, "O": "only", "B": b}
+            assert solve(scm, noise) == brute_solve(scm, noise)
+    for _ in range(5):
+        phi = random_outcome(rng, scm)
+        assert abs(event_probability(scm, phi) - brute_event_probability(scm, phi)) <= 1e-12
+        observation = _observe(rng, scm)
+        target = rng.choice(scm.endogenous)
+        interventions = [(target.id, rng.choice(target.domain.values))]
+        got = counterfactual_probability(scm, observation, interventions, phi)
+        want = brute_counterfactual_probability(scm, observation, interventions, phi)
+        assert abs(got - want) <= 1e-12
+
+
+def test_outcome_on_two_widest_variables_matches_oracle():
+    """W and Z take 65,537 values each. Their literals only tell a few
+    target codes from the rest, so the outcome factor holds a few entries,
+    not 65,537^2, over the cap."""
+    rng = random.Random(3)
+    scm = wide_domain_scm(rng, 65_537)
+    phi = OutcomeSpec(((("W", "eq", "7"), ("Z", "neq", "5")), (("Z", "eq", "9"),)))
+    assert abs(event_probability(scm, phi) - brute_event_probability(scm, phi)) <= 1e-12
 
 
 def test_solve_codes_keeps_only_what_is_read():
