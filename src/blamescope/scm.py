@@ -17,7 +17,9 @@ Exact queries run by bucket elimination (`_eliminate`), never by walking the
 joint space, so their cost grows with the largest factor, not with the
 number of exogenous states. The factors are a prior per exogenous variable,
 the compiled tables, and one factor for the outcome or the cost terms
-(`_indicator`), plus a unary indicator per observed variable. A mechanism is
+(`_indicator`), plus a unary indicator per observed variable (`_unary`). An
+outcome or cost of one conjunction is such unary indicators too, so it
+builds no factor over the variables it reads. A mechanism is
 a function, so it is never turned into a factor of its own: once no other
 mechanism left reads a variable, each factor over it is indexed with its
 table (`_substitute`). An exogenous variable is then summed out with its
@@ -35,7 +37,10 @@ other column, exogenous ones included, after its last reader. `_lookup`
 reads a table through one flat index held in the smallest unsigned dtype
 that reaches every entry. `_holds` evaluates outcome, observation and cost
 literals as one DNF mask. The Monte Carlo estimator draws exogenous codes
-and solves them. `_draw` consumes the same uniforms and returns the same
+and solves them in blocks of `_BLOCK` samples, so its memory does not grow
+with the sample count, which `MAX_SAMPLES` caps; each exogenous variable
+reads its own jumped PCG64 stream, so the blocks read the uniforms one
+generator would. `_draw` consumes the same uniforms and returns the same
 codes as `Generator.choice`, so an estimate depends only on (seed, samples):
 a code is the number of CDF steps at or below its uniform, counted by
 comparison, or found by binary search in a domain wider than `_COMPARE_MAX`
@@ -74,6 +79,13 @@ PROB_TOL = 1e-9
 # Largest factor an exact query builds, in entries, and largest exogenous
 # joint space `abduct` lists.
 MAX_STATES = 1 << 24
+# Most samples one Monte Carlo estimate draws: a fixed cap, not a parameter.
+MAX_SAMPLES = 1 << 32
+# Samples the Monte Carlo estimator draws and solves at once, so its memory
+# does not grow with the sample count. Set by measurement: at 10^6 samples
+# on a 24-bit binary chain on one x86-64 Xeon core, blocks of 2^14 and 2^18
+# took 1.1x and 1.5x the time of 2^16, and 2^12 took 1.9x.
+_BLOCK = 1 << 16
 # Widest domain whose Monte Carlo draws compare each sample with every CDF
 # step; wider ones binary-search the CDF. Set by measurement: at 10^6
 # samples on one x86-64 Xeon core, comparing took 0.5x the search's time
@@ -506,14 +518,32 @@ def _sizes(scm: Scm) -> dict:
     return {v.id: len(v.domain) for v in scm.endogenous}
 
 
+def _unary(clause, sizes: dict) -> dict:
+    """One 0/1 weight vector per variable a conjunction of encoded literals
+    reads, over the variable's codes; two literals on one variable
+    multiply."""
+    weights = {}
+    for var, cmp, code in clause:
+        held = _holds((((var, cmp, code),),), {var: np.arange(sizes[var])}, sizes[var])
+        weights[var] = weights[var] & held if var in weights else held
+    return weights
+
+
 def _expectation(scm: Scm, terms, what: str) -> float:
     """Exact expectation over the exogenous joint space of the sum, in term
     order, of the values of the (OutcomeSpec, value) terms whose event
     holds; `what` names the terms in errors. One elimination over the
-    factor that holds that sum."""
+    factor that holds that sum, or, for one term of one conjunction, over
+    one unary indicator per variable its literals read, as an observation
+    is, so that no factor spans the variables it reads."""
     terms = [(_encode(scm, event, what), value) for event, value in terms]
-    scope, table, classes = _indicator(terms, _sizes(scm))
-    return float(_eliminate(_mechanisms(scm) | classes, _priors(scm), scope, table[None])[0])
+    sizes, mechanisms, priors = _sizes(scm), _mechanisms(scm), _priors(scm)
+    if len(terms) == 1 and len(terms[0][0]) == 1:
+        (clause,), value = terms[0]
+        weights = priors | _unary(clause, sizes)
+        return float(_eliminate(mechanisms, weights, [], np.full(1, value))[0])
+    scope, table, classes = _indicator(terms, sizes)
+    return float(_eliminate(mechanisms | classes, priors, scope, table[None])[0])
 
 
 def event_probability(scm: Scm, phi: OutcomeSpec) -> float:
@@ -545,21 +575,40 @@ def event_probability_mc(
     scm: Scm, phi: OutcomeSpec, samples: int, seed: int
 ) -> float:
     """Monte Carlo estimate of event_probability; deterministic in
-    (seed, samples)."""
+    (seed, samples). Samples are drawn and solved `_BLOCK` at a time.
+    Exogenous variable j reads its own PCG64 stream of `seed`, advanced by
+    j * samples draws, so its block b holds the uniforms at j * samples +
+    b * _BLOCK onwards of one `default_rng(seed)` stream: the estimate is
+    that of drawing each variable's column whole, in model order, with
+    `Generator.choice`, whatever the block size."""
     if samples < 1:
         raise ValueOutOfDomain("samples must be >= 1")
+    if samples > MAX_SAMPLES:
+        raise SampleCountTooLarge(f"{samples} samples exceed the cap of {MAX_SAMPLES}")
     clauses = _encode(scm, phi, "outcome")
-    rng = np.random.default_rng(seed)
+    keep = _variables(clauses)
+    rngs = [
+        np.random.Generator(np.random.PCG64(seed).advance(j * samples))
+        for j in range(len(scm.exogenous))
+    ]
+    hits = 0
     try:
-        # No name holds the draws, so each column is freed after its
-        # last reader.
-        codes = _solve_codes(
-            scm, {ex.id: _draw(rng, ex, samples) for ex in scm.exogenous}, _variables(clauses)
-        )
-        hit = _holds(clauses, codes, (samples,))
+        for start in range(0, samples, _BLOCK):
+            block = min(_BLOCK, samples - start)
+            # No name holds the draws, so each column is freed after its
+            # last reader.
+            codes = _solve_codes(
+                scm,
+                {ex.id: _draw(rng, ex, block) for ex, rng in zip(scm.exogenous, rngs)},
+                keep,
+            )
+            hits += int(np.count_nonzero(_holds(clauses, codes, (block,))))
     except MemoryError:
-        raise SampleCountTooLarge(f"not enough memory for {samples} samples") from None
-    return float(np.count_nonzero(hit)) / samples
+        raise SampleCountTooLarge(
+            f"not enough memory for blocks of {_BLOCK} samples of "
+            f"{len(scm.exogenous)} exogenous variables"
+        ) from None
+    return hits / samples
 
 
 def _rewire(scm: Scm, mechanisms: dict, unknown: str) -> Scm:
@@ -650,10 +699,7 @@ def _counterfactual(scm: Scm, observation: Assignment, interventions, phi: Outco
             twins[star[vid]] = (tuple(star.get(p, p) for p in parents), lut)
     scope, table, classes = _indicator([(clauses, 1.0)], sizes, lambda v: star.get(v, v))
     table = np.stack([table, np.ones_like(table)])
-    masks = {}
-    for var, _, code in seen[0]:  # the observation is one conjunction
-        if sizes[var] > 1:
-            masks[var] = np.arange(sizes[var]) == code
+    masks = _unary(seen[0], sizes)  # the observation is one conjunction
     both, total = _eliminate(factual | twins | classes, _priors(scm) | masks, scope, table)
     if total == 0:
         raise ZeroProbabilityObservation(

@@ -9,6 +9,8 @@ import csv
 import io
 import itertools
 
+import numpy as np
+
 from blamescope.errors import MalformedRow
 
 
@@ -67,6 +69,21 @@ def brute_event_probability(scm, phi):
         if prob > 0 and brute_satisfied(phi.clauses, brute_solve(scm, noise)):
             total += prob
     return total
+
+
+def brute_mc(scm, phi, samples, seed):
+    """Monte Carlo estimate of P(phi) from one generator of `seed`: each
+    exogenous variable's column is drawn whole with `Generator.choice`, in
+    model order, then every sample is solved and checked on its own."""
+    rng = np.random.default_rng(seed)
+    columns = [
+        (ex, rng.choice(len(ex.domain.values), samples, p=ex.dist)) for ex in scm.exogenous
+    ]
+    hits = 0
+    for i in range(samples):
+        noise = {ex.id: ex.domain.values[column[i]] for ex, column in columns}
+        hits += brute_satisfied(phi.clauses, brute_solve(scm, noise))
+    return hits / samples
 
 
 def brute_expected_cost(scm, cost):

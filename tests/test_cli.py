@@ -736,7 +736,7 @@ def test_usage_and_config_errors_are_json(capsys, argv, error):
 
 
 def test_prob_samples_beyond_memory(capsys):
-    """10^12 samples fail at the first allocation, before any is drawn."""
+    """10^12 samples, over `scm.MAX_SAMPLES`, fail before any is drawn."""
     code, out, err = run_cli(capsys, *_PROB, "--samples", str(10**12))
     assert (code, out) == (2, "")
     error = _strict_json(err)

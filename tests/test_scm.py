@@ -26,6 +26,7 @@ from blamescope.errors import (
     IncompleteExogenousAssignment,
     NonNormalizedDistribution,
     PartialMechanism,
+    SampleCountTooLarge,
     StateSpaceTooLarge,
     UnknownVariable,
     ValueOutOfDomain,
@@ -60,6 +61,7 @@ from oracles import (
     brute_counterfactual_probability,
     brute_event_probability,
     brute_expected_cost,
+    brute_mc,
     brute_posterior,
     brute_solve,
 )
@@ -251,6 +253,47 @@ def test_exact_query_state_cap(query, message):
         query(_over_the_cap())
 
 
+def test_one_conjunction_over_many_variables_matches_oracle():
+    """25 copies X_i := E of one bit: the one-clause outcome X0 = 1 and ...
+    and X24 = 1, and a cost term on the same conjunction, read 25 binary
+    variables, one unary indicator each, so no 2^25-entry factor is built.
+    On a model with a one-valued C, a literal on C is kept or, for "neq",
+    never holds, and two literals on one variable multiply."""
+    p = 0.3
+    copy = {("0",): "0", ("1",): "1"}
+    scm = Scm(
+        exogenous=(ExogenousVar("E", Domain(BITS), (1 - p, p)),),
+        endogenous=tuple(EndogenousVar(f"X{i}", Domain(BITS), ("E",), copy) for i in range(25)),
+    )
+    pairs = tuple((f"X{i}", "1") for i in range(25))
+    phi = OutcomeSpec.conjunction(pairs)
+    got = event_probability(scm, phi)
+    assert abs(got - p) <= 1e-12
+    assert abs(got - brute_event_probability(scm, phi)) <= 1e-12
+    cost = CostModel((CostTerm(pairs, 3.0),))
+    assert abs(expected_cost(scm, Action("keep"), cost) - 3 * p) <= 1e-12
+
+    one = Domain(("only",))
+    scm = Scm(
+        exogenous=(ExogenousVar("O", one, (1.0,)), ExogenousVar("E", Domain(BITS), (1 - p, p))),
+        endogenous=(
+            EndogenousVar("C", one, ("O",), {("only",): "only"}),
+            EndogenousVar("X", Domain(BITS), ("E",), copy),
+            EndogenousVar("Y", Domain(("a", "b", "c")), ("X",), {("0",): "a", ("1",): "c"}),
+        ),
+    )
+    for clause in [
+        (("C", "eq", "only"), ("X", "eq", "1")),
+        (("C", "neq", "only"), ("X", "eq", "1")),
+        (("Y", "neq", "a"), ("Y", "neq", "b")),
+        (("Y", "neq", "c"), ("X", "eq", "0"), ("Y", "neq", "b")),
+        (("Y", "eq", "b"),),
+        (),
+    ]:
+        phi = OutcomeSpec((clause,))
+        assert abs(event_probability(scm, phi) - brute_event_probability(scm, phi)) <= 1e-12
+
+
 def test_mc_converges(xor):
     est = event_probability_mc(xor, Y1, samples=100000, seed=0)
     assert abs(est - 0.5) <= 0.01
@@ -323,6 +366,92 @@ def test_mc_memory_live_columns():
     finally:
         tracemalloc.stop()
     assert peak <= (len(scm.exogenous) + 24) * samples
+
+
+def test_mc_memory_does_not_grow_with_samples():
+    """Samples are drawn and solved a block at a time, so on the 24-bit
+    chain the traced peak at 40 blocks is within 10% of that at 4."""
+    scm = _xor_chain(24)
+    phi = OutcomeSpec(((("X23", "eq", "1"),),))
+    peaks = []
+    for samples in (4 * scm_mod._BLOCK, 40 * scm_mod._BLOCK):
+        tracemalloc.start()
+        try:
+            event_probability_mc(scm, phi, samples=samples, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def _one_valued_noise():
+    """The XOR model with a one-valued noise variable O between its two
+    bits, read by C: O's draws sit between theirs in the generator's
+    stream."""
+    one = Domain(("only",))
+    xor = {(a, b): str(int(a != b)) for a in BITS for b in BITS}
+    return Scm(
+        exogenous=(
+            ExogenousVar("E1", Domain(BITS), (0.3, 0.7)),
+            ExogenousVar("O", one, (1.0,)),
+            ExogenousVar("E2", Domain(BITS), (0.6, 0.4)),
+        ),
+        endogenous=(
+            EndogenousVar("X", Domain(BITS), ("E1",), {("0",): "0", ("1",): "1"}),
+            EndogenousVar("C", one, ("O",), {("only",): "only"}),
+            EndogenousVar("Y", Domain(BITS), ("X", "E2"), xor),
+        ),
+    )
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_mc_blocks_match_one_stream(monkeypatch, block):
+    """Whatever the block size, the estimate is exactly that of one
+    generator drawing each column whole with `Generator.choice`, at sample
+    counts around one and two blocks."""
+    monkeypatch.setattr(scm_mod, "_BLOCK", block)
+    rng = random.Random(block)
+    models = oracle_models(rng) + [_one_valued_noise()]
+    for seed, scm in enumerate(models):
+        phi = random_outcome(rng, scm)
+        for samples in (block - 1, block, block + 1, 2 * block + 1):
+            if samples >= 1:
+                assert event_probability_mc(scm, phi, samples, seed) == brute_mc(
+                    scm, phi, samples, seed
+                )
+
+
+def test_mc_blocks_match_one_stream_on_the_chain():
+    """One more sample than a default block on the 24-bit chain gives the
+    estimate of one generator drawing each column whole with
+    `Generator.choice`, solved by the library."""
+    scm = _xor_chain(24)
+    samples = scm_mod._BLOCK + 1
+    rng = np.random.default_rng(11)
+    columns = {ex.id: rng.choice(2, samples, p=ex.dist).astype(np.uint8) for ex in scm.exogenous}
+    want = np.count_nonzero(scm_mod._solve_codes(scm, columns, {"X23"})["X23"] == 1) / samples
+    phi = OutcomeSpec(((("X23", "eq", "1"),),))
+    assert event_probability_mc(scm, phi, samples, seed=11) == want
+
+
+def test_mc_sample_cap(monkeypatch, xor):
+    """More than MAX_SAMPLES samples fail before any generator is built or
+    any draw is made; MAX_SAMPLES itself passes the check."""
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(scm_mod, "_draw", reached)
+    cap = scm_mod.MAX_SAMPLES
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "PCG64", reached)
+        with pytest.raises(SampleCountTooLarge, match=f"^{cap + 1} samples .* {cap}$"):
+            event_probability_mc(xor, Y1, cap + 1, seed=0)
+    with pytest.raises(Reached):
+        event_probability_mc(xor, Y1, cap, seed=0)
 
 
 # Domain widths at each edge of the draw: one value, the comparison
