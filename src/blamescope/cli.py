@@ -6,15 +6,18 @@ report's `schema` and `command`, writes it as canonical JSON (gen writes
 CSV) to stdout or `--out`, so identical inputs and seeds produce
 byte-identical reports. Every error, usage errors included, is a
 BlamescopeError written as JSON to stderr. Exit codes: 0 success,
-2 configuration error, 3 data error, 4 model error.
+2 configuration error, 3 data error, 4 model error. `run`, the process
+entry, is `main` followed by `gc.freeze()`.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import math
 import sys
+from json.encoder import encode_basestring
 
 from . import attribution as attr_mod
 from . import hitl as hitl_mod
@@ -31,6 +34,7 @@ from .errors import (
 from .io import (
     REPORT_SCHEMA,
     ATTR_SCHEMA,
+    JsonText,
     canonical_dumps,
     dump_cases,
     load_cases,
@@ -179,6 +183,24 @@ def cmd_blame(args) -> dict:
     }
 
 
+def _per_case(attribution: attr_mod.Attribution) -> JsonText:
+    """The per-case records {"class", "id", "parties"}, one per error in
+    log order, as canonical JSON text built in one join. Keys sort as
+    class, id, parties, so a record is its class's text before the id,
+    the id, and its class's text after it."""
+    ends = []
+    for cls in attr_mod.CLASSES:
+        parties = sorted(p.value for p in attr_mod.attribute(cls))
+        ends.append((
+            f'{{"class":{encode_basestring(cls.value)},"id":',
+            f',"parties":[{",".join(map(encode_basestring, parties))}]}}',
+        ))
+    return JsonText("[" + ",".join([
+        ends[c][0] + encode_basestring(case_id) + ends[c][1]
+        for case_id, c in zip(attribution.case_ids, attribution.classes.tolist())
+    ]) + "]")
+
+
 def cmd_hitl(args) -> dict:
     policy = hitl_mod.FlagPolicy(l=args.l, u=args.u)
     spec = _discount_spec(args)
@@ -186,11 +208,6 @@ def cmd_hitl(args) -> dict:
     report = hitl_mod.hitl_blame(decisions, args.ai_cost, args.review_cost, spec)
     attribution = attr_mod.annotate(decisions)
     summary = attr_mod.summarize(attribution)
-    # Per outcome class code: the class name and its sorted party names.
-    shown = [
-        (cls.value, sorted(p.value for p in attr_mod.attribute(cls)))
-        for cls in attr_mod.CLASSES
-    ]
     return {
         "config": {
             "l": args.l,
@@ -202,10 +219,7 @@ def cmd_hitl(args) -> dict:
         "blame": _blame_report_dict(report),
         "attribution": {
             "schema": ATTR_SCHEMA,
-            "per_case": [
-                {"id": case_id, "class": shown[c][0], "parties": shown[c][1]}
-                for case_id, c in zip(attribution.case_ids, attribution.classes.tolist())
-            ],
+            "per_case": _per_case(attribution),
             "summary": {
                 "avoidable": summary.class_counts[attr_mod.OutcomeClass.AVOIDABLE],
                 "inevitable_flagged": summary.class_counts[
@@ -402,5 +416,12 @@ def main(argv=None) -> int:
     return 0
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> int:
+    """The process entry, for `python -m blamescope` and the `blamescope`
+    script: `main` on the command line, then `gc.freeze()`, which moves
+    every object left to the permanent generation, so the collections at
+    interpreter exit do not walk a heap that is about to be freed whole.
+    Returns `main`'s exit code."""
+    code = main()
+    gc.freeze()
+    return code

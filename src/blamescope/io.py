@@ -16,7 +16,8 @@ in the file is still reported before a bad row. Each loader then checks
 whole columns, and only when a check fails rescans the file with a
 per-row check (`_bad_row`) to name the first bad row's line. Reports are
 serialized with sorted keys and floats at 12 significant digits so
-identical runs produce byte-identical output.
+identical runs produce byte-identical output; a `JsonText` value is text a
+caller has already put in that form, and is written as it is.
 """
 
 from __future__ import annotations
@@ -434,6 +435,11 @@ def load_ratings(path):
     return pairs
 
 
+class JsonText(str):
+    """Text that is already canonical JSON: `canonical_dumps` writes it
+    as it is, where any other string becomes a JSON string."""
+
+
 def _canon(obj, out):
     if obj is None:
         out.append("null")
@@ -447,6 +453,8 @@ def _canon(obj, out):
         if not math.isfinite(obj):
             raise NonFiniteNumber(f"cannot write {obj} as JSON")
         out.append(format(obj, ".12g"))
+    elif type(obj) is JsonText:
+        out.append(obj)
     elif isinstance(obj, str):
         out.append(encode_basestring(obj))
     elif isinstance(obj, dict):

@@ -36,18 +36,20 @@ solves only the ancestors of the variables its caller reads, and drops every
 other column, exogenous ones included, after its last reader. `_lookup`
 reads a table through one flat index held in the smallest unsigned dtype
 that reaches every entry. `_holds` evaluates outcome, observation and cost
-literals as one DNF mask. The Monte Carlo estimator draws exogenous codes
-and solves them in blocks of `_BLOCK` samples, so its memory does not grow
-with the sample count, which `MAX_SAMPLES` caps; each exogenous variable
-reads its own jumped PCG64 stream, so the blocks read the uniforms one
-generator would. `_draw` consumes the same uniforms and returns the same
-codes as `Generator.choice`, so an estimate depends only on (seed, samples):
-a code is the number of CDF steps at or below its uniform, counted by
-comparison, or found by binary search in a domain wider than `_COMPARE_MAX`
-values. `abduct` lists the posterior over a grid of the whole exogenous
-joint space, of at most `MAX_STATES` settings. An intervention do(X = x) and
-an action's overrides are the same rewrite, `_rewire`: do(X = x) gives X no
-parents and the constant mechanism x.
+literals as one DNF mask. The Monte Carlo estimator draws the codes of the
+exogenous variables the outcome depends on, and no others, and solves them
+in blocks of `_BLOCK` samples, so its memory does not grow with the sample
+count, which `MAX_SAMPLES` caps; each exogenous variable reads its own
+jumped PCG64 stream, so the blocks read the uniforms one generator would,
+and a variable left undrawn moves no other's draws. `_draw` consumes the
+same uniforms and returns the same codes as `Generator.choice`, so an
+estimate depends only on (seed, samples): a code is the number of CDF
+steps at or below its uniform, counted by comparison, or found by binary
+search in a domain wider than `_COMPARE_MAX` values. `abduct` lists the
+posterior over a grid of the whole exogenous joint space, of at most
+`MAX_STATES` settings. An intervention do(X = x) and an action's overrides
+are the same rewrite, `_rewire`: do(X = x) gives X no parents and the
+constant mechanism x.
 """
 
 from __future__ import annotations
@@ -276,12 +278,9 @@ def _lookup(lut: np.ndarray, parent_codes):
     return np.take(lut.ravel(), idx)
 
 
-def _solve_codes(scm: Scm, codes: dict, keep) -> dict:
-    """The codes of the variables in `keep`, from exogenous codes (scalars
-    or arrays that broadcast together). Only their ancestors are solved, and
-    every other column, exogenous ones included, is dropped after its last
-    reader; the caller's dict is left as it is. This is the only place
-    mechanisms are applied to codes."""
+def _solve_steps(scm: Scm, keep) -> list:
+    """The tables, (id, parents, table) in model order, of the endogenous
+    variables in `keep` and of their endogenous ancestors."""
     needed = set(keep)
     steps = []
     for vid, parents, lut in reversed(scm.tables):
@@ -289,6 +288,17 @@ def _solve_codes(scm: Scm, codes: dict, keep) -> dict:
             needed.update(parents)
             steps.append((vid, parents, lut))
     steps.reverse()
+    return steps
+
+
+def _solve_codes(scm: Scm, codes: dict, keep) -> dict:
+    """The codes of the variables in `keep`, from exogenous codes (scalars
+    or arrays that broadcast together). Only their ancestors are solved, and
+    every other column, exogenous ones included, is dropped after its last
+    reader; the caller's dict is left as it is, and need hold only the
+    exogenous variables those ancestors read. This is the only place
+    mechanisms are applied to codes."""
+    steps = _solve_steps(scm, keep)
     last = {p: i for i, (_, parents, _) in enumerate(steps) for p in parents}
     codes = {v: c for v, c in codes.items() if v in keep or v in last}
     for i, (vid, parents, lut) in enumerate(steps):
@@ -575,21 +585,25 @@ def event_probability_mc(
     scm: Scm, phi: OutcomeSpec, samples: int, seed: int
 ) -> float:
     """Monte Carlo estimate of event_probability; deterministic in
-    (seed, samples). Samples are drawn and solved `_BLOCK` at a time.
-    Exogenous variable j reads its own PCG64 stream of `seed`, advanced by
-    j * samples draws, so its block b holds the uniforms at j * samples +
-    b * _BLOCK onwards of one `default_rng(seed)` stream: the estimate is
-    that of drawing each variable's column whole, in model order, with
-    `Generator.choice`, whatever the block size."""
+    (seed, samples). Samples are drawn and solved `_BLOCK` at a time, and
+    only the exogenous variables the outcome's variables depend on are
+    drawn. Exogenous variable j (its index in model order) reads its own
+    PCG64 stream of `seed`, advanced by j * samples draws, so its block b
+    holds the uniforms at j * samples + b * _BLOCK onwards of one
+    `default_rng(seed)` stream: the estimate is that of drawing every
+    variable's column whole, in model order, with `Generator.choice`,
+    whatever the block size and whichever variables are skipped."""
     if samples < 1:
         raise ValueOutOfDomain("samples must be >= 1")
     if samples > MAX_SAMPLES:
         raise SampleCountTooLarge(f"{samples} samples exceed the cap of {MAX_SAMPLES}")
     clauses = _encode(scm, phi, "outcome")
     keep = _variables(clauses)
-    rngs = [
-        np.random.Generator(np.random.PCG64(seed).advance(j * samples))
-        for j in range(len(scm.exogenous))
+    read = {p for _, parents, _ in _solve_steps(scm, keep) for p in parents}
+    drawn = [
+        (ex, np.random.Generator(np.random.PCG64(seed).advance(j * samples)))
+        for j, ex in enumerate(scm.exogenous)
+        if ex.id in read
     ]
     hits = 0
     try:
@@ -598,15 +612,13 @@ def event_probability_mc(
             # No name holds the draws, so each column is freed after its
             # last reader.
             codes = _solve_codes(
-                scm,
-                {ex.id: _draw(rng, ex, block) for ex, rng in zip(scm.exogenous, rngs)},
-                keep,
+                scm, {ex.id: _draw(rng, ex, block) for ex, rng in drawn}, keep
             )
             hits += int(np.count_nonzero(_holds(clauses, codes, (block,))))
     except MemoryError:
         raise SampleCountTooLarge(
             f"not enough memory for blocks of {_BLOCK} samples of "
-            f"{len(scm.exogenous)} exogenous variables"
+            f"{len(drawn)} exogenous variables"
         ) from None
     return hits / samples
 

@@ -6,11 +6,15 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blamescope import attribution as attr_mod
 from blamescope import cli
+from blamescope import hitl as hitl_mod
+from blamescope import io as io_mod
 from blamescope.cli import main
 from blamescope.data import bundled_path
 from blamescope.hitl import Case
@@ -612,6 +616,50 @@ def test_hitl_report_matches_recount(drawn):
     assert abs(blame["p_a"] - counts["hitl_errors"] / n) <= 1e-12
     assert abs(blame["p_aprime"] - counts["human_only_errors"] / n) <= 1e-12
     assert abs(blame["flagged_fraction"] - counts["flagged"] / n) <= 1e-12
+
+
+# Ids with characters JSON escapes or leaves as they are: quotes,
+# backslashes, control characters, non-ASCII and U+2028.
+RECORD_IDS = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "é", "\u2028",
+                     "\u2029", "\U0001f600"]),
+    st.characters(),
+), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(RECORD_IDS, st.integers(0, len(attr_mod.CLASSES) - 1)),
+                max_size=30))
+def test_per_case_text_is_canonical_json_of_the_records(records):
+    """The per-case text built in one join is `_canon` of the same records
+    as dicts, and `canonical_dumps` writes it as it is."""
+    attribution = attr_mod.Attribution(
+        rows=np.arange(len(records)),
+        case_ids=[case_id for case_id, _ in records],
+        classes=np.array([c for _, c in records], dtype=np.int64),
+        total_cases=len(records),
+    )
+    dicts = [
+        {"id": case_id, "class": attr_mod.CLASSES[c].value,
+         "parties": sorted(p.value for p in attr_mod.attribute(attr_mod.CLASSES[c]))}
+        for case_id, c in records
+    ]
+    want = []
+    io_mod._canon(dicts, want)
+    got = cli._per_case(attribution)
+    assert got == "".join(want)
+    assert json.loads(got) == dicts
+    assert io_mod.canonical_dumps({"per_case": got}) == io_mod.canonical_dumps(
+        {"per_case": dicts})
+
+
+def test_per_case_text_of_a_log_without_errors():
+    cases = [Case(id=f"c{i}", ai_confidence=i / 4, ai_decision="pos",
+                  human_decision="pos", truth="pos") for i in range(5)]
+    log = hitl_mod.CaseLog.from_cases(cases)
+    attribution = attr_mod.annotate(hitl_mod.run(log, hitl_mod.FlagPolicy(l=0.2, u=0.8)))
+    assert len(attribution) == 0
+    assert cli._per_case(attribution) == "[]"
 
 
 def _strict_json(text: str):

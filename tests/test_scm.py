@@ -434,6 +434,85 @@ def test_mc_blocks_match_one_stream_on_the_chain():
     assert event_probability_mc(scm, phi, samples, seed=11) == want
 
 
+def _unread_noise():
+    """The XOR model with noise that its X and Y do not read: N1
+    (three-valued) drives only Z, and N2 drives nothing. The unread
+    variables come first, between and last in model order."""
+    tri = Domain(("a", "b", "c"))
+    xor = {(a, b): str(int(a != b)) for a in BITS for b in BITS}
+    return Scm(
+        exogenous=(
+            ExogenousVar("N1", tri, (0.2, 0.3, 0.5)),
+            ExogenousVar("E1", Domain(BITS), (0.3, 0.7)),
+            ExogenousVar("N2", Domain(BITS), (0.5, 0.5)),
+            ExogenousVar("E2", Domain(BITS), (0.6, 0.4)),
+            ExogenousVar("N3", tri, (0.1, 0.1, 0.8)),
+        ),
+        endogenous=(
+            EndogenousVar("Z", tri, ("N1",), {(v,): v for v in tri.values}),
+            EndogenousVar("X", Domain(BITS), ("E1",), {("0",): "0", ("1",): "1"}),
+            EndogenousVar("Y", Domain(BITS), ("X", "E2"), xor),
+        ),
+    )
+
+
+def _exogenous_ancestors(scm, phi) -> set:
+    """The exogenous variables the outcome's variables depend on, found by
+    walking the model's parent lists."""
+    parents = {v.id: v.parents for v in scm.endogenous}
+    seen, todo = set(), [var for clause in phi.clauses for var, _, _ in clause]
+    while todo:
+        var = todo.pop()
+        if var not in seen:
+            seen.add(var)
+            todo.extend(parents.get(var, ()))
+    return seen & {ex.id for ex in scm.exogenous}
+
+
+@pytest.mark.parametrize("clauses, ancestors", [
+    (((("Y", "eq", "1"),),), {"E1", "E2"}),
+    (((("X", "neq", "1"),),), {"E1"}),
+    (((("Z", "eq", "b"),),), {"N1"}),
+    (((("Y", "eq", "1"),), (("Z", "eq", "c"),)), {"E1", "E2", "N1"}),
+    ((), set()),
+    (((),), set()),
+])
+def test_mc_draws_only_what_it_reads(monkeypatch, clauses, ancestors):
+    """Only the exogenous ancestors of the outcome's variables are drawn,
+    and the estimate is still exactly that of one generator drawing every
+    column whole with `Generator.choice`, over one block and several."""
+    scm, phi = _unread_noise(), OutcomeSpec(clauses)
+    assert _exogenous_ancestors(scm, phi) == ancestors
+    drawn = []
+    draw = scm_mod._draw
+    monkeypatch.setattr(
+        scm_mod, "_draw", lambda rng, ex, n: drawn.append(ex.id) or draw(rng, ex, n)
+    )
+    for block, samples in ((scm_mod._BLOCK, 500), (3, 8), (4, 8)):
+        monkeypatch.setattr(scm_mod, "_BLOCK", block)
+        for seed in (0, 5):
+            drawn.clear()
+            assert event_probability_mc(scm, phi, samples, seed) == brute_mc(
+                scm, phi, samples, seed
+            )
+            assert set(drawn) == ancestors
+            assert len(drawn) == len(ancestors) * -(-samples // block)
+
+
+def test_mc_draws_only_ancestors_on_random_models(monkeypatch):
+    rng = random.Random(14)
+    drawn = set()
+    draw = scm_mod._draw
+    monkeypatch.setattr(
+        scm_mod, "_draw", lambda rng, ex, n: drawn.add(ex.id) or draw(rng, ex, n)
+    )
+    for seed, scm in enumerate(oracle_models(rng)):
+        phi = random_outcome(rng, scm)
+        drawn.clear()
+        assert event_probability_mc(scm, phi, 50, seed) == brute_mc(scm, phi, 50, seed)
+        assert drawn == _exogenous_ancestors(scm, phi)
+
+
 def test_mc_sample_cap(monkeypatch, xor):
     """More than MAX_SAMPLES samples fail before any generator is built or
     any draw is made; MAX_SAMPLES itself passes the check."""
