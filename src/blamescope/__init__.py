@@ -3,11 +3,9 @@ decision systems."""
 
 from .attribution import (
     Attribution,
-    AttributionSummary,
     OutcomeClass,
     Party,
     annotate,
-    attribute,
     summarize,
 )
 from .blame import (

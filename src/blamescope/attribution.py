@@ -3,17 +3,21 @@
 Each error under the pipeline is classified by the human-only counterfactual:
 if the logged human decision is also wrong the error was inevitable (split by
 whether it was flagged), otherwise it was avoidable. Parties are then read
-off a fixed attribution table.
+off a fixed attribution table. This module also lays out the report's
+attribution section: `per_case` writes the per-error records and
+`summarize` the counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring
 
 import numpy as np
 
 from .hitl import Decisions
+from .io import JsonText
 
 
 class OutcomeClass(Enum):
@@ -41,28 +45,15 @@ ATTRIBUTION_TABLE = {
 
 @dataclass(frozen=True, eq=False)
 class Attribution:
-    """The errors of one decided log, in log order: each error's row in the
-    log, its case id and its outcome class (a code into CLASSES)."""
+    """The errors of one decided log, in log order: each error's case id
+    and its outcome class (a code into CLASSES)."""
 
-    rows: np.ndarray
     case_ids: list
     classes: np.ndarray
     total_cases: int
 
     def __len__(self) -> int:
         return len(self.case_ids)
-
-
-@dataclass(frozen=True)
-class AttributionSummary:
-    class_counts: dict  # OutcomeClass -> int
-    party_counts: dict  # Party -> int
-    total_errors: int
-    total_cases: int
-
-
-def attribute(outcome_class: OutcomeClass) -> frozenset:
-    return ATTRIBUTION_TABLE[outcome_class]
 
 
 def annotate(decisions: Decisions) -> Attribution:
@@ -85,21 +76,41 @@ def annotate(decisions: Decisions) -> Attribution:
     )
     ids = decisions.log.ids
     return Attribution(
-        rows=rows,
         case_ids=[ids[i] for i in rows.tolist()],
         classes=classes,
         total_cases=len(decisions.log),
     )
 
 
-def summarize(attribution: Attribution) -> AttributionSummary:
+def per_case(attribution: Attribution) -> JsonText:
+    """The per-case records {"class", "id", "parties"}, one per error in
+    log order, as canonical JSON text built in one join. Keys sort as
+    class, id, parties, so a record is its class's text before the id,
+    the id, and its class's text after it."""
+    ends = []
+    for cls in CLASSES:
+        parties = sorted(p.value for p in ATTRIBUTION_TABLE[cls])
+        ends.append((
+            f'{{"class":{encode_basestring(cls.value)},"id":',
+            f',"parties":[{",".join(map(encode_basestring, parties))}]}}',
+        ))
+    return JsonText("[" + ",".join([
+        ends[c][0] + encode_basestring(case_id) + ends[c][1]
+        for case_id, c in zip(attribution.case_ids, attribution.classes.tolist())
+    ]) + "]")
+
+
+def summarize(attribution: Attribution) -> dict:
+    """The report's attribution summary: the errors of each outcome class
+    (keyed by its lower-case name) and of each party (keyed by its value),
+    the errors in all and the cases in the log."""
     counts = np.bincount(attribution.classes, minlength=len(CLASSES)).tolist()
-    class_counts = dict(zip(CLASSES, counts))
-    return AttributionSummary(
-        class_counts=class_counts,
-        party_counts={
-            p: sum(n for cls, n in class_counts.items() if p in attribute(cls)) for p in Party
+    return {
+        **{cls.name.lower(): n for cls, n in zip(CLASSES, counts)},
+        "party_counts": {
+            p.value: sum(n for cls, n in zip(CLASSES, counts) if p in ATTRIBUTION_TABLE[cls])
+            for p in Party
         },
-        total_errors=len(attribution),
-        total_cases=attribution.total_cases,
-    )
+        "total_errors": len(attribution),
+        "total_cases": attribution.total_cases,
+    }

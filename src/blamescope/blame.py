@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .scm import OutcomeSpec, Scm, _expectation, _rewire, event_probability
+from .scm import OutcomeSpec, Scm, _query, _rewire, event_probability
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,11 @@ def delta(scm: Scm, a: Action, a_prime: Action, phi: OutcomeSpec) -> float:
 def expected_cost(scm: Scm, action: Action, cost: CostModel) -> float:
     """Expected decision cost under the modified system. A setting's cost is
     the sum, in term order, of the terms whose `where` holds."""
-    return _expectation(
+    return float(_query(
         apply_action(scm, action),
         [(OutcomeSpec.conjunction(term.where), term.cost) for term in cost.terms],
         "cost term",
-    )
+    )[0])
 
 
 def discount(spec: DiscountSpec, cost_a: float, cost_aprime: float) -> float:

@@ -17,7 +17,6 @@ import dataclasses
 import gc
 import math
 import sys
-from json.encoder import encode_basestring
 
 from . import attribution as attr_mod
 from . import hitl as hitl_mod
@@ -34,7 +33,6 @@ from .errors import (
 from .io import (
     REPORT_SCHEMA,
     ATTR_SCHEMA,
-    JsonText,
     canonical_dumps,
     dump_cases,
     load_cases,
@@ -147,7 +145,7 @@ def cmd_counterfactual(args) -> dict:
     bundle, phi = _load_outcome(args)
     observation = _parse_bindings(args.observe, "--observe")
     interventions = _parse_bindings(args.do, "--do").items()
-    prob, support_size = scm_mod._counterfactual(bundle.scm, observation, interventions, phi)
+    prob = scm_mod.counterfactual_probability(bundle.scm, observation, interventions, phi)
     return {
         "config": {
             "outcome": args.outcome,
@@ -155,7 +153,7 @@ def cmd_counterfactual(args) -> dict:
             "do": args.do or [],
         },
         "probability": prob,
-        "posterior_support_size": support_size,
+        "posterior_support_size": scm_mod.posterior_support_size(bundle.scm, observation),
     }
 
 
@@ -183,31 +181,12 @@ def cmd_blame(args) -> dict:
     }
 
 
-def _per_case(attribution: attr_mod.Attribution) -> JsonText:
-    """The per-case records {"class", "id", "parties"}, one per error in
-    log order, as canonical JSON text built in one join. Keys sort as
-    class, id, parties, so a record is its class's text before the id,
-    the id, and its class's text after it."""
-    ends = []
-    for cls in attr_mod.CLASSES:
-        parties = sorted(p.value for p in attr_mod.attribute(cls))
-        ends.append((
-            f'{{"class":{encode_basestring(cls.value)},"id":',
-            f',"parties":[{",".join(map(encode_basestring, parties))}]}}',
-        ))
-    return JsonText("[" + ",".join([
-        ends[c][0] + encode_basestring(case_id) + ends[c][1]
-        for case_id, c in zip(attribution.case_ids, attribution.classes.tolist())
-    ]) + "]")
-
-
 def cmd_hitl(args) -> dict:
     policy = hitl_mod.FlagPolicy(l=args.l, u=args.u)
     spec = _discount_spec(args)
     decisions = hitl_mod.run(load_cases(args.cases), policy)
     report = hitl_mod.hitl_blame(decisions, args.ai_cost, args.review_cost, spec)
     attribution = attr_mod.annotate(decisions)
-    summary = attr_mod.summarize(attribution)
     return {
         "config": {
             "l": args.l,
@@ -219,21 +198,8 @@ def cmd_hitl(args) -> dict:
         "blame": _blame_report_dict(report),
         "attribution": {
             "schema": ATTR_SCHEMA,
-            "per_case": _per_case(attribution),
-            "summary": {
-                "avoidable": summary.class_counts[attr_mod.OutcomeClass.AVOIDABLE],
-                "inevitable_flagged": summary.class_counts[
-                    attr_mod.OutcomeClass.INEVITABLE_FLAGGED
-                ],
-                "inevitable_unflagged": summary.class_counts[
-                    attr_mod.OutcomeClass.INEVITABLE_UNFLAGGED
-                ],
-                "party_counts": {
-                    p.value: summary.party_counts[p] for p in attr_mod.Party
-                },
-                "total_errors": summary.total_errors,
-                "total_cases": summary.total_cases,
-            },
+            "per_case": attr_mod.per_case(attribution),
+            "summary": attr_mod.summarize(attribution),
         },
     }
 

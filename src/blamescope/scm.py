@@ -19,16 +19,19 @@ number of exogenous states. The factors are a prior per exogenous variable,
 the compiled tables, and one factor for the outcome or the cost terms
 (`_indicator`), plus a unary indicator per observed variable (`_unary`). An
 outcome or cost of one conjunction is such unary indicators too, so it
-builds no factor over the variables it reads. A mechanism is
+builds no factor over the variables it reads, in a counterfactual as in a
+plain query. A mechanism is
 a function, so it is never turned into a factor of its own: once no other
 mechanism left reads a variable, each factor over it is indexed with its
 table (`_substitute`). An exogenous variable is then summed out with its
-prior. `MAX_STATES` caps the largest factor. `_expectation` is the one exact
-expectation: an outcome probability is the expectation of its indicator, an
-expected cost that of the weighted cost terms. A counterfactual runs on the
-twin network: only the intervened variables and their descendants get
-copies, and P(phi* and observation) and P(observation) come from one
-elimination. Its sums are not correctly rounded: the tests hold them within
+prior. `MAX_STATES` caps the largest factor. `_query` is the one exact
+query: an outcome probability is the expectation of its indicator, an
+expected cost that of the weighted cost terms, and a counterfactual the
+ratio of two rows of one query on the twin network, where only the
+intervened variables and their descendants get copies: P(phi* and
+observation) and P(observation). `posterior_support_size` counts the
+settings that reproduce an observation by the same elimination over Python
+integers. The sums are not correctly rounded: the tests hold them within
 1e-12 of brute-force enumeration.
 
 `_solve_codes` applies mechanisms to exogenous codes (scalars or arrays): it
@@ -327,9 +330,10 @@ def _holds(clauses, env, shape=()) -> np.ndarray:
     return hit
 
 
-def _encode(scm: Scm, event: OutcomeSpec, what: str) -> tuple:
+def _encode(scm: Scm, event: OutcomeSpec, what: str, name=lambda v: v) -> tuple:
     """The event's clauses with each literal's value replaced by its code,
-    after checking the literals against the model's endogenous domains."""
+    after checking the literals against the model's endogenous domains, and
+    each literal's variable replaced by `name(variable)`."""
     domains = {v.id: v.domain for v in scm.endogenous}
 
     def code(var, value):
@@ -340,7 +344,7 @@ def _encode(scm: Scm, event: OutcomeSpec, what: str) -> tuple:
         return domains[var].index(value)
 
     return tuple(
-        tuple((var, cmp, code(var, value)) for var, cmp, value in clause)
+        tuple((name(var), cmp, code(var, value)) for var, cmp, value in clause)
         for clause in event.clauses
     )
 
@@ -371,11 +375,10 @@ def _check_factor(entries: int):
         )
 
 
-def _indicator(terms, sizes: dict, name=lambda v: v) -> tuple:
+def _indicator(terms, sizes: dict) -> tuple:
     """(scope, table, mechanisms) of one factor that holds, for each value
     of the variables the terms read, the sum of the values of the
-    (clauses, value) terms whose DNF of encoded literals holds. `name` maps
-    a variable to the id the factor reads it as.
+    (clauses, value) terms whose DNF of encoded literals holds.
 
     Literals only tell a variable's target codes from the rest, so a
     variable with more codes than that gets an axis over those classes: a
@@ -389,7 +392,7 @@ def _indicator(terms, sizes: dict, name=lambda v: v) -> tuple:
                 targets.setdefault(var, set()).add(code)
     axes, env, mechanisms = [], {}, {}  # axes: (variable, axis id, a code per entry)
     for var, codes in targets.items():
-        size = sizes[name(var)]
+        size = sizes[var]
         if size == 1:
             env[var] = 0
         elif len(codes) + 1 < size:
@@ -397,10 +400,10 @@ def _indicator(terms, sizes: dict, name=lambda v: v) -> tuple:
             other = next(c for c in range(size) if c not in targets[var])
             lut = np.full(size, len(codes), dtype=np.min_scalar_type(len(codes)))
             lut[codes] = np.arange(len(codes))
-            mechanisms[("class", name(var))] = ((name(var),), lut)
-            axes.append((var, ("class", name(var)), np.array(codes + [other])))
+            mechanisms[("class", var)] = ((var,), lut)
+            axes.append((var, ("class", var), np.array(codes + [other])))
         else:
-            axes.append((var, name(var), np.arange(size)))
+            axes.append((var, var, np.arange(size)))
     shape = tuple(len(codes) for _, _, codes in axes)
     _check_factor(math.prod(shape))
     for k, (var, _, codes) in enumerate(axes):
@@ -414,8 +417,9 @@ def _indicator(terms, sizes: dict, name=lambda v: v) -> tuple:
 def _substitute(table, scope: list, group: list, mechanisms: dict, unary: dict):
     """The factor with each variable in `group` replaced by its mechanism:
     each entry reads `table` at the codes the lookup tables give for the
-    parents' codes, times each variable's unary weights at its code. A
-    parent not yet in the scope gets a new last axis; one that is shares
+    parents' codes, times each variable's unary weights at its code (weights
+    with a leading batch axis weigh each batch entry apart). A parent not
+    yet in the scope gets a new last axis; one that is shares
     its axis, so no factor wider than the result is built. Returns (table,
     scope)."""
     rest = [v for v in scope if v not in group]
@@ -441,7 +445,7 @@ def _substitute(table, scope: list, group: list, mechanisms: dict, unary: dict):
     table = table[tuple(index)]
     for v in group:
         if v in unary:
-            table = table * unary[v][codes[v]]
+            table = table * np.take(unary[v], codes[v][0], axis=-1)
     return table, out
 
 
@@ -452,7 +456,8 @@ def _eliminate(mechanisms: dict, unary: dict, scope: list, table: np.ndarray):
     by entry; its other axes follow `scope`. `mechanisms` maps each
     endogenous id to (parent ids, lookup table), as in `Scm.tables`; `unary`
     maps every exogenous id to its prior, and any endogenous id to weights
-    over its codes, such as the indicator of an observed value.
+    over its codes, such as the indicator of an observed value, or to a
+    row of such weights per batch entry.
 
     A variable is eliminated once no mechanism still to be eliminated reads
     it. Endogenous ones are substituted by their mechanisms (`_substitute`),
@@ -467,7 +472,7 @@ def _eliminate(mechanisms: dict, unary: dict, scope: list, table: np.ndarray):
     scope = list(scope)
     sizes = dict(zip(scope, table.shape[1:]))
     waiting = [v for v in unary if v in mechanisms]  # endogenous unary factors not yet used
-    sizes.update((v, len(unary[v])) for v in waiting)
+    sizes.update((v, unary[v].shape[-1]) for v in waiting)
     pending = dict.fromkeys(sizes, 0)  # readers not yet eliminated
     stack = [v for v in sizes if v in mechanisms]
     while stack:
@@ -520,10 +525,6 @@ def _mechanisms(scm: Scm) -> dict:
     return {vid: (parents, lut) for vid, parents, lut in scm.tables}
 
 
-def _priors(scm: Scm) -> dict:
-    return {ex.id: np.asarray(ex.dist, dtype=float) for ex in scm.exogenous}
-
-
 def _sizes(scm: Scm) -> dict:
     return {v.id: len(v.domain) for v in scm.endogenous}
 
@@ -539,26 +540,62 @@ def _unary(clause, sizes: dict) -> dict:
     return weights
 
 
-def _expectation(scm: Scm, terms, what: str) -> float:
-    """Exact expectation over the exogenous joint space of the sum, in term
-    order, of the values of the (OutcomeSpec, value) terms whose event
-    holds; `what` names the terms in errors. One elimination over the
-    factor that holds that sum, or, for one term of one conjunction, over
-    one unary indicator per variable its literals read, as an observation
-    is, so that no factor spans the variables it reads."""
-    terms = [(_encode(scm, event, what), value) for event, value in terms]
-    sizes, mechanisms, priors = _sizes(scm), _mechanisms(scm), _priors(scm)
+def _observed(scm: Scm, observation: Assignment) -> dict:
+    """The observation as one 0/1 weight vector per observed variable."""
+    seen = _encode(scm, OutcomeSpec.conjunction(observation.items()), "observation")
+    return _unary(seen[0], _sizes(scm))
+
+
+def _query(scm: Scm, terms, what: str, observation=None, interventions=()) -> np.ndarray:
+    """The one exact query. Row 0 is the expectation over the exogenous
+    joint space of the sum, in term order, of the values of the
+    (OutcomeSpec, value) terms whose event holds after the interventions,
+    times the indicator of `observation`; `what` names the terms in errors.
+    Given an observation, row 1 is P(observation) from the same
+    elimination, so an outcome that holds wherever the observation does
+    gives row 0 equal to row 1.
+
+    The terms are read on the twin network: the intervened variables and
+    their descendants get twin copies, computed by the intervened model's
+    mechanisms; every other variable, exogenous ones included, is shared by
+    both worlds. The observation is one unary indicator per observed
+    variable. So is one term of one conjunction, on row 0 only, so that no
+    factor spans the variables it reads; other terms are one factor
+    (`_indicator`)."""
+    twin, done = scm, set()
+    for var, value in interventions:
+        twin = intervene(twin, var, value)
+        done.add(var)
+    mechanisms, sizes, star = _mechanisms(scm), _sizes(scm), {}
+    for vid, parents, lut in twin.tables:
+        if vid in done or any(p in star for p in parents):
+            star[vid] = ("twin", vid)
+            sizes[star[vid]] = sizes[vid]
+            mechanisms[star[vid]] = (tuple(star.get(p, p) for p in parents), lut)
+    terms = [(_encode(twin, e, what, lambda v: star.get(v, v)), x) for e, x in terms]
+    unary = {ex.id: np.asarray(ex.dist, dtype=float) for ex in scm.exogenous}
+    unary |= _observed(scm, observation or {})
+
+    def on_row_0(table):
+        """`table` as the batch's row 0, a view; given an observation, row 1
+        is ones."""
+        return table[None] if observation is None else np.stack([table, np.ones(table.shape)])
+
     if len(terms) == 1 and len(terms[0][0]) == 1:
         (clause,), value = terms[0]
-        weights = priors | _unary(clause, sizes)
-        return float(_eliminate(mechanisms, weights, [], np.full(1, value))[0])
-    scope, table, classes = _indicator(terms, sizes)
-    return float(_eliminate(mechanisms | classes, priors, scope, table[None])[0])
+        scope, table = [], np.asarray(value, dtype=float)
+        for var, held in _unary(clause, sizes).items():
+            held = on_row_0(held)
+            unary[var] = unary[var] * held if var in unary else held
+    else:
+        scope, table, classes = _indicator(terms, sizes)
+        mechanisms |= classes
+    return _eliminate(mechanisms, unary, scope, on_row_0(table))
 
 
 def event_probability(scm: Scm, phi: OutcomeSpec) -> float:
     """Exact probability of the outcome: the expectation of its indicator."""
-    return _expectation(scm, ((phi, 1.0),), "outcome")
+    return float(_query(scm, ((phi, 1.0),), "outcome")[0])
 
 
 def _draw(rng: np.random.Generator, ex: ExogenousVar, samples: int) -> np.ndarray:
@@ -686,47 +723,25 @@ def abduct(scm: Scm, observation: Assignment) -> NoisePosterior:
     return NoisePosterior(support=tuple((e, p / total) for e, p in support))
 
 
-def _counterfactual(scm: Scm, observation: Assignment, interventions, phi: OutcomeSpec):
-    """(counterfactual probability, posterior support size) on the twin
-    network. The intervened variables and their descendants get twin
-    copies, computed by the intervened model's mechanisms; every other
-    variable, exogenous ones included, is shared by both worlds. The
-    observation is one unary indicator per observed variable. The
-    probability is P(phi on the twins and the observation) / P(observation),
-    both from one elimination with a batch axis, so an outcome that holds
-    wherever the observation does gives exactly 1. The support size counts
-    the exogenous settings of positive prior weight that reproduce the
-    observation, by the same elimination over 0/1 Python integers."""
-    twin = scm
-    for var, value in interventions:
-        twin = intervene(twin, var, value)
-    clauses = _encode(twin, phi, "outcome")
-    seen = _encode(scm, OutcomeSpec.conjunction(observation.items()), "observation")
-    done = {var for var, _ in interventions}
-    factual, sizes, star, twins = _mechanisms(scm), _sizes(scm), {}, {}
-    for vid, parents, lut in twin.tables:
-        if vid in done or any(p in star for p in parents):
-            star[vid] = ("twin", vid)
-            sizes[star[vid]] = sizes[vid]
-            twins[star[vid]] = (tuple(star.get(p, p) for p in parents), lut)
-    scope, table, classes = _indicator([(clauses, 1.0)], sizes, lambda v: star.get(v, v))
-    table = np.stack([table, np.ones_like(table)])
-    masks = _unary(seen[0], sizes)  # the observation is one conjunction
-    both, total = _eliminate(factual | twins | classes, _priors(scm) | masks, scope, table)
+def counterfactual_probability(
+    scm: Scm, observation: Assignment, interventions, phi: OutcomeSpec
+) -> float:
+    """P(phi after the interventions | observation): abduct the noise from
+    the observation, apply the interventions, and evaluate the outcome
+    under the posterior, as P(phi on the twins and the observation) /
+    P(observation), both from one elimination (`_query`)."""
+    both, total = _query(scm, ((phi, 1.0),), "outcome", observation, interventions)
     if total == 0:
         raise ZeroProbabilityObservation(
             f"observation {observation!r} is impossible under the model"
         )
-    counts = {
-        ex.id: np.array([int(p > 0) for p in ex.dist], dtype=object) for ex in scm.exogenous
-    }
-    support = _eliminate(factual, counts | masks, [], np.ones(1, dtype=object))
-    return float(both / total), support[0]
+    return float(both / total)
 
 
-def counterfactual_probability(
-    scm: Scm, observation: Assignment, interventions, phi: OutcomeSpec
-) -> float:
-    """Abduct noise from the observation, apply the interventions, and
-    evaluate the outcome probability under the posterior."""
-    return _counterfactual(scm, observation, interventions, phi)[0]
+def posterior_support_size(scm: Scm, observation: Assignment) -> int:
+    """The number of exogenous settings of positive prior weight that
+    reproduce the observation, counted by elimination over 0/1 Python
+    integers, so it is exact at any size."""
+    unary = {ex.id: np.array([int(p > 0) for p in ex.dist], dtype=object) for ex in scm.exogenous}
+    unary |= _observed(scm, observation)
+    return _eliminate(_mechanisms(scm), unary, [], np.ones(1, dtype=object))[0]

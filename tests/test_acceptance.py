@@ -129,9 +129,9 @@ def test_criterion_5_partition_law():
         counts = recount_log(cases, POLICY.l, POLICY.u)
         n_hitl_errors = int(decisions.error.sum())
         assert (
-            summary.class_counts[OutcomeClass.AVOIDABLE]
-            + summary.class_counts[OutcomeClass.INEVITABLE_FLAGGED]
-            + summary.class_counts[OutcomeClass.INEVITABLE_UNFLAGGED]
+            summary["avoidable"]
+            + summary["inevitable_flagged"]
+            + summary["inevitable_unflagged"]
             == n_hitl_errors
         )
         assert counts["flagged_avoidable"] == 0
@@ -141,15 +141,9 @@ def test_criterion_5_partition_law():
             for case_id, c in zip(attribution.case_ids, attribution.classes)
             if CLASSES[c] is OutcomeClass.AVOIDABLE
         )
-        assert summary.class_counts[OutcomeClass.AVOIDABLE] == counts["avoidable"]
-        assert (
-            summary.class_counts[OutcomeClass.INEVITABLE_FLAGGED]
-            == counts["inevitable_flagged"]
-        )
-        assert (
-            summary.class_counts[OutcomeClass.INEVITABLE_UNFLAGGED]
-            == counts["inevitable_unflagged"]
-        )
+        assert summary["avoidable"] == counts["avoidable"]
+        assert summary["inevitable_flagged"] == counts["inevitable_flagged"]
+        assert summary["inevitable_unflagged"] == counts["inevitable_unflagged"]
     assert time.monotonic() - started < 30
     _report(5, "partition law on 100 seeded logs", started)
 

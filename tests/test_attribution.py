@@ -1,12 +1,12 @@
 import numpy as np
 
 from blamescope.attribution import (
+    ATTRIBUTION_TABLE,
     CLASSES,
     Attribution,
     OutcomeClass,
     Party,
     annotate,
-    attribute,
     summarize,
 )
 from blamescope.hitl import Case, CaseLog, FlagPolicy, run
@@ -26,7 +26,6 @@ def classify_case(c):
 
 def attribution_of(classes, total_cases):
     return Attribution(
-        rows=np.arange(len(classes)),
         case_ids=[f"c{i}" for i in range(len(classes))],
         classes=np.array(classes, dtype=np.intp),
         total_cases=total_cases,
@@ -58,26 +57,27 @@ def test_classify_deterministic():
 
 
 def test_attribution_table():
-    assert attribute(OutcomeClass.INEVITABLE_FLAGGED) == {Party.HUMAN}
-    assert attribute(OutcomeClass.INEVITABLE_UNFLAGGED) == {Party.AI, Party.FLAG_DESIGNER}
-    assert attribute(OutcomeClass.AVOIDABLE) == {Party.AI, Party.FLAG_DESIGNER}
+    assert ATTRIBUTION_TABLE[OutcomeClass.INEVITABLE_FLAGGED] == {Party.HUMAN}
+    assert ATTRIBUTION_TABLE[OutcomeClass.INEVITABLE_UNFLAGGED] == {Party.AI, Party.FLAG_DESIGNER}
+    assert ATTRIBUTION_TABLE[OutcomeClass.AVOIDABLE] == {Party.AI, Party.FLAG_DESIGNER}
 
 
 def test_summarize_empty():
-    s = summarize(attribution_of([], total_cases=10))
-    assert s.total_errors == 0
-    assert all(v == 0 for v in s.class_counts.values())
-    assert all(v == 0 for v in s.party_counts.values())
-    assert s.total_cases == 10
+    assert summarize(attribution_of([], total_cases=10)) == {
+        "avoidable": 0,
+        "inevitable_flagged": 0,
+        "inevitable_unflagged": 0,
+        "party_counts": {"AI": 0, "FlagDesigner": 0, "Human": 0},
+        "total_errors": 0,
+        "total_cases": 10,
+    }
 
 
 def test_summarize_one_per_class():
     s = summarize(attribution_of([CLASSES.index(cls) for cls in OutcomeClass], total_cases=3))
-    assert all(v == 1 for v in s.class_counts.values())
-    assert s.party_counts[Party.HUMAN] == 1
-    assert s.party_counts[Party.AI] == 2
-    assert s.party_counts[Party.FLAG_DESIGNER] == 2
-    assert sum(s.class_counts.values()) == s.total_errors == 3
+    assert s["avoidable"] == s["inevitable_flagged"] == s["inevitable_unflagged"] == 1
+    assert s["party_counts"] == {"AI": 2, "FlagDesigner": 2, "Human": 1}
+    assert s["total_errors"] == s["total_cases"] == 3
 
 
 def test_annotate_keeps_log_order_and_ids():
@@ -88,7 +88,6 @@ def test_annotate_keeps_log_order_and_ids():
         case(id="avoidable", conf=0.1, ai="pos", human="neg", truth="neg"),
     ]
     attribution = annotate(run(CaseLog.from_cases(cases), POLICY))
-    assert attribution.rows.tolist() == [1, 2, 3]
     assert attribution.case_ids == ["unflagged", "flagged", "avoidable"]
     assert [CLASSES[c] for c in attribution.classes] == [
         OutcomeClass.INEVITABLE_UNFLAGGED,
@@ -107,10 +106,10 @@ def test_partition_and_recount_on_synthetic_log():
     attribution = annotate(decisions)
     s = summarize(attribution)
     counts = recount_log(cases, POLICY.l, POLICY.u)
-    assert s.class_counts[OutcomeClass.AVOIDABLE] == counts["avoidable"]
-    assert s.class_counts[OutcomeClass.INEVITABLE_FLAGGED] == counts["inevitable_flagged"]
-    assert s.class_counts[OutcomeClass.INEVITABLE_UNFLAGGED] == counts["inevitable_unflagged"]
-    assert s.total_errors == counts["hitl_errors"]
+    assert s["avoidable"] == counts["avoidable"]
+    assert s["inevitable_flagged"] == counts["inevitable_flagged"]
+    assert s["inevitable_unflagged"] == counts["inevitable_unflagged"]
+    assert s["total_errors"] == counts["hitl_errors"]
     records = list(zip(attribution.case_ids, (CLASSES[c] for c in attribution.classes)))
     # No avoidable record may come from a flagged case.
     flagged = {cid for cid, f in zip(decisions.log.ids, decisions.flagged) if f}
@@ -119,4 +118,4 @@ def test_partition_and_recount_on_synthetic_log():
             assert case_id not in flagged
     # Human appears in the party set iff the error was flagged-inevitable.
     for _, cls in records:
-        assert (Party.HUMAN in attribute(cls)) == (cls is OutcomeClass.INEVITABLE_FLAGGED)
+        assert (Party.HUMAN in ATTRIBUTION_TABLE[cls]) == (cls is OutcomeClass.INEVITABLE_FLAGGED)

@@ -634,19 +634,18 @@ def test_per_case_text_is_canonical_json_of_the_records(records):
     """The per-case text built in one join is `_canon` of the same records
     as dicts, and `canonical_dumps` writes it as it is."""
     attribution = attr_mod.Attribution(
-        rows=np.arange(len(records)),
         case_ids=[case_id for case_id, _ in records],
         classes=np.array([c for _, c in records], dtype=np.int64),
         total_cases=len(records),
     )
     dicts = [
         {"id": case_id, "class": attr_mod.CLASSES[c].value,
-         "parties": sorted(p.value for p in attr_mod.attribute(attr_mod.CLASSES[c]))}
+         "parties": sorted(p.value for p in attr_mod.ATTRIBUTION_TABLE[attr_mod.CLASSES[c]])}
         for case_id, c in records
     ]
     want = []
     io_mod._canon(dicts, want)
-    got = cli._per_case(attribution)
+    got = attr_mod.per_case(attribution)
     assert got == "".join(want)
     assert json.loads(got) == dicts
     assert io_mod.canonical_dumps({"per_case": got}) == io_mod.canonical_dumps(
@@ -659,7 +658,7 @@ def test_per_case_text_of_a_log_without_errors():
     log = hitl_mod.CaseLog.from_cases(cases)
     attribution = attr_mod.annotate(hitl_mod.run(log, hitl_mod.FlagPolicy(l=0.2, u=0.8)))
     assert len(attribution) == 0
-    assert cli._per_case(attribution) == "[]"
+    assert attr_mod.per_case(attribution) == "[]"
 
 
 def _strict_json(text: str):

@@ -44,6 +44,7 @@ from blamescope.scm import (
     event_probability,
     event_probability_mc,
     intervene,
+    posterior_support_size,
     solve,
     validate,
 )
@@ -686,6 +687,50 @@ def test_counterfactual_matches_oracle():
             got = counterfactual_probability(scm, observation, interventions, phi)
             want = brute_counterfactual_probability(scm, observation, interventions, phi)
             assert abs(got - want) <= 1e-12
+
+
+def _copies(n: int, p: float) -> Scm:
+    """n copies X_i := E of one bit E with P(E = 1) = p."""
+    copy = {("0",): "0", ("1",): "1"}
+    return Scm(
+        exogenous=(ExogenousVar("E", Domain(BITS), (1 - p, p)),),
+        endogenous=tuple(EndogenousVar(f"X{i}", Domain(BITS), ("E",), copy) for i in range(n)),
+    )
+
+
+def test_counterfactual_without_evidence_is_event_probability():
+    """With no observation and no intervention a counterfactual is P(phi),
+    on random outcomes and on one conjunction over 25 variables, which
+    needs no 2^25-entry factor on either path."""
+    rng = random.Random(12)
+    for scm in oracle_models(rng):
+        for _ in range(3):
+            phi = random_outcome(rng, scm)
+            got = counterfactual_probability(scm, {}, [], phi)
+            assert abs(got - event_probability(scm, phi)) <= 1e-12
+    scm = _copies(25, 0.5)
+    phi = OutcomeSpec.conjunction((f"X{i}", "1") for i in range(25))
+    got = counterfactual_probability(scm, {}, [], phi)
+    assert abs(got - event_probability(scm, phi)) <= 1e-12
+
+
+def test_counterfactual_of_one_conjunction_over_many_variables():
+    scm = _copies(25, 0.5)
+    phi = OutcomeSpec.conjunction((f"X{i}", "1") for i in range(25))
+    assert counterfactual_probability(scm, {}, [], phi) == 0.5
+    assert counterfactual_probability(scm, {"X0": "1"}, [("X1", "1")], phi) == 1.0
+    assert counterfactual_probability(scm, {"X0": "0"}, [("X1", "1")], phi) == 0.0
+
+
+def test_posterior_support_size_matches_oracle():
+    rng = random.Random(13)
+    for scm in oracle_models(rng):
+        for observation in ({}, _observe(rng, scm)):
+            want = len(brute_posterior(scm, observation))
+            assert posterior_support_size(scm, observation) == want
+    assert posterior_support_size(_copies(25, 0.5), {"X0": "1", "X7": "1"}) == 1
+    assert posterior_support_size(_copies(25, 0.5), {"X0": "1", "X7": "0"}) == 0
+    assert posterior_support_size(_copies(25, 1.0), {}) == 1
 
 
 @pytest.mark.parametrize("size", WIDE_DOMAIN_SIZES)
