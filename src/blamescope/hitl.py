@@ -57,7 +57,8 @@ class CaseLog:
     """A case log in columns, one entry per case in log order.
 
     The three label columns hold codes into `labels`, the sorted set of
-    every label that appears in any of them.
+    every label that appears in any of them, however the labels were first
+    coded (see `from_columns`).
     """
 
     ids: list
@@ -71,35 +72,49 @@ class CaseLog:
         return len(self.ids)
 
     @classmethod
-    def from_columns(cls, ids, confidence, ai, human, truth) -> CaseLog:
-        """Encode already checked columns: ids, confidences in [0, 1] and
-        the three label columns as strings. Ids are not checked here."""
-        labels = tuple(sorted(set(ai) | set(human) | set(truth)))
-        code = {label: i for i, label in enumerate(labels)}.__getitem__
-        n = len(ids)
+    def from_columns(cls, ids, confidence, labels, ai, human, truth) -> CaseLog:
+        """A log of already checked columns: a list of ids, confidences in
+        [0, 1], and the three label columns as codes into `labels`, a list
+        of distinct labels in any order, as `encode_labels` gives them. The
+        codes are mapped to those of the sorted labels. Ids are not checked
+        here."""
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        remap = np.empty(len(labels), dtype=np.intp)
+        remap[order] = np.arange(len(labels))
         return cls(
-            ids=list(ids),
+            ids=ids,
             ai_confidence=np.asarray(confidence, dtype=np.float64),
-            labels=labels,
-            ai_decision=np.fromiter(map(code, ai), dtype=np.intp, count=n),
-            human_decision=np.fromiter(map(code, human), dtype=np.intp, count=n),
-            truth=np.fromiter(map(code, truth), dtype=np.intp, count=n),
+            labels=tuple(labels[i] for i in order),
+            ai_decision=remap[ai],
+            human_decision=remap[human],
+            truth=remap[truth],
         )
 
     @classmethod
     def from_cases(cls, cases) -> CaseLog:
-        """Columns of a sequence of Case rows; a repeated id is an error."""
+        """Columns of a sequence of Case rows, with the labels coded by
+        `encode_labels` as `io.load_cases` codes them; a repeated id is an
+        error."""
         ids = [c.id for c in cases]
         dup = first_duplicate(ids)
         if dup is not None:
             raise DuplicateCaseId(f"duplicate case id {ids[dup]!r}")
+        codes = {}
+        ai = encode_labels([c.ai_decision for c in cases], codes)
+        human = encode_labels([c.human_decision for c in cases], codes)
+        truth = encode_labels([c.truth for c in cases], codes)
         return cls.from_columns(
-            ids,
-            [c.ai_confidence for c in cases],
-            [c.ai_decision for c in cases],
-            [c.human_decision for c in cases],
-            [c.truth for c in cases],
+            ids, [c.ai_confidence for c in cases], list(codes), ai, human, truth
         )
+
+
+def encode_labels(labels, codes: dict) -> np.ndarray:
+    """The codes of a list of labels under `codes`, a dict from label to
+    code that this call extends: each label not in it gets the next code.
+    So list(codes) is every label seen so far, in the order of its code."""
+    for label in sorted(set(labels).difference(codes)):
+        codes[label] = len(codes)
+    return np.fromiter(map(codes.__getitem__, labels), dtype=np.intp, count=len(labels))
 
 
 def first_duplicate(ids) -> int | None:
@@ -157,8 +172,9 @@ def hitl_blame(
     if ai_cost < 0 or review_cost < 0:
         raise ConfigError("decision costs must be non-negative")
     # A NaN passes the check above; an infinite or NaN cost would make
-    # the report's costs and discount non-finite.
-    if not math.isfinite(ai_cost + review_cost):
+    # the report's costs and discount non-finite. Each is checked alone,
+    # as their sum may overflow where both are finite.
+    if not (math.isfinite(ai_cost) and math.isfinite(review_cost)):
         raise ConfigError(
             f"decision costs must be finite, got ai_cost={ai_cost}, "
             f"review_cost={review_cost}"
@@ -167,10 +183,18 @@ def hitl_blame(
     if not n:
         raise EmptyCaseList("case log is empty")
     frac = int(np.count_nonzero(decisions.flagged)) / n
+    # Between the two costs in exact arithmetic, but its two rounded terms
+    # may sum past the largest float when both costs are near it.
+    cost = review_cost * frac + ai_cost * (1.0 - frac)
+    if not math.isfinite(cost):
+        raise ConfigError(
+            f"expected decision cost overflows, with ai_cost={ai_cost}, "
+            f"review_cost={review_cost} and flagged fraction {frac}"
+        )
     return BlameReport.of(
         int(np.count_nonzero(decisions.error)) / n,
         int(np.count_nonzero(decisions.human_error)) / n,
-        review_cost * frac + ai_cost * (1.0 - frac),
+        cost,
         review_cost,
         discount,
         method="empirical",

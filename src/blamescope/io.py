@@ -5,19 +5,25 @@ Every text file is read or written through `open_text`, which turns a
 path that cannot be opened into a typed error. Case logs and ratings share
 one reader, `_read_csv`: it alone turns bytes that are not UTF-8 and CSV
 syntax errors into line-numbered MalformedRow errors and checks the
-header, and it returns columns, not rows. It reads the file whole, and
-splits it in bulk with `str.split` when the text is sure to split as
-csv.reader would (no quote, NUL or bare "\r", no line over the field
-limit, one field count on every non-blank line; see `_plain_lines`). Any
-other file, and one that is not UTF-8, is streamed through csv.reader
-from the start, which raises the errors: results, errors and line numbers
-are the same on both paths, and a bad byte or a CSV syntax error anywhere
-in the file is still reported before a bad row. Each loader then checks
-whole columns, and only when a check fails rescans the file with a
-per-row check (`_bad_row`) to name the first bad row's line. Reports are
-serialized with sorted keys and floats at 12 significant digits so
-identical runs produce byte-identical output; a `JsonText` value is text a
-caller has already put in that form, and is written as it is.
+header. It reads the text whole but splits it in blocks of `_BLOCK`
+characters, cut at line ends, and hands each block's columns to the
+loader's `parse`, which types them (floats, label codes, int pairs) before
+the next block is split; so the loader holds columns, never every field
+string of the file at once. A block is split with `str.split` when it is
+sure to split as csv.reader would: the whole text has no quote, NUL or
+bare "\r" and a header that is not blank, and each line of the block is
+within the field limit and has the header's field count. A file that is
+not UTF-8, text with a quote, NUL or bare "\r", and a block that fails a
+per-line check make the whole file be read again through csv.reader from
+the start, as one block of rows, which raises the errors: results, errors
+and line numbers are the same on both paths. A block that `parse`
+rejects is noted and reading goes on, so a bad byte or a CSV syntax error
+anywhere in the file is still reported before a bad row; only then is the
+file rescanned row by row (`_bad_row`) to name the first bad row's line.
+
+Reports are serialized with sorted keys and floats at 12 significant
+digits so identical runs produce byte-identical output; a `JsonText` value
+is text a caller has already put in that form, and is written as it is.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .errors import (
     UnreadableFile,
     UnwritableFile,
 )
-from .hitl import CaseLog, first_duplicate
+from .hitl import CaseLog, encode_labels, first_duplicate
 from .scm import (
     Domain,
     EndogenousVar,
@@ -266,75 +272,140 @@ def load_scm_bundle(path) -> ScmBundle:
     return ScmBundle(scm=scm, outcomes=outcomes, actions=actions, costs=costs, discount=disc)
 
 
-def _plain_lines(text):
-    r"""The lines of CSV text, split at "\n", when csv.reader would read the
-    same lines and split each at "," alone into as many fields as the
-    header: the text has no quote character, no NUL (an error to csv.reader
-    before Python 3.11) and no "\r" but in "\r\n"; its first line is not
-    blank; no line is longer than the field limit; and every non-blank line
-    has the same number of fields. None for any other text."""
+# Characters of CSV text split at once: a block is the shortest run of
+# whole lines this long, and the loader turns its fields into typed columns
+# before the next block is split, so one block's field strings are alive at
+# a time. On a 100k-case log (4.2 MB), blocks of 2^14 to 2^18 characters
+# gave the same load time and traced peak; 2^20 raised the peak by 10 MB.
+_BLOCK = 1 << 16
+
+
+class _NotPlain(Exception):
+    r"""Raised at a block that splitting at "\n" and "," might read
+    otherwise than csv.reader does."""
+
+
+def _plain_blocks(text, start, commas):
+    r"""Yield, for each block of whole lines of text[start:], the fields of
+    its non-blank lines in one flat list, commas + 1 fields to a line.
+    Raise _NotPlain at the first block with a line longer than the field
+    limit or a non-blank line with another number of commas."""
+    limit = csv.field_size_limit()
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK - 1)
+        end = len(text) if end < 0 else end + 1
+        lines = text[start:end].split("\n")
+        start = end
+        if max(map(len, lines)) > limit or not set(
+            map(str.count, filter(None, lines), itertools.repeat(","))
+        ) <= {commas}:
+            raise _NotPlain
+        body = ",".join(filter(None, lines))
+        del lines
+        yield body.split(",") if body else []
+
+
+def _plain(text):
+    r"""(header, blocks) of CSV text that csv.reader would read as its lines
+    split at "\n" and ",": text with no quote character, no NUL and no "\r"
+    but in "\r\n", whose first line is not blank and not longer than the
+    field limit. `blocks` is `_plain_blocks`, which checks the other lines
+    as it reaches them. None for any other text."""
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     if '"' in text or "\0" in text or "\r" in text:
         return None
-    lines = text.split("\n")
-    del text
-    if (
-        not lines[0]
-        or max(map(len, lines)) > csv.field_size_limit()
-        or len(set(map(str.count, filter(None, lines), itertools.repeat(",")))) != 1
-    ):
+    end = text.find("\n")
+    header = text if end < 0 else text[:end]
+    if not header or len(header) > csv.field_size_limit():
         return None
-    return lines
+    return header.split(","), _plain_blocks(text, len(header) + 1, header.count(","))
 
 
-def _read_csv(path, columns):
-    r"""The values of `columns` in a CSV file, one list of strings per column
-    with an entry for each non-blank row after the header ("" where the row
-    is too short), and the position of each column in the header.
+def _positions(header, columns):
+    """The position of each of `columns` in the header, the last for a
+    repeated name as in csv.DictReader; None if one is missing."""
+    position = {name: i for i, name in enumerate(header or ())}
+    return [position[c] for c in columns] if all(c in position for c in columns) else None
+
+
+def _parse_blocks(blocks, positions, take, parse):
+    """`parse`'s result for each block that has rows, or None when there
+    are no `positions` or `parse` raised ValueError for a block. Every
+    block is read either way, so that the reader's own errors come first."""
+    results = None if positions is None else []
+    for block in blocks:
+        if block and results is not None:
+            values = [take(block, i) for i in positions]
+            del block  # free the rows before parse builds typed columns
+            try:
+                results.append(parse(*values))
+            except ValueError:
+                results = None
+            del values
+    return results
+
+
+def _read_csv(path, columns, parse, problem) -> list:
+    r"""Read a CSV file block by block: `parse(*values)` gets, for each block
+    of non-blank rows after the header, the values of each of `columns` as
+    a list of strings ("" where a row is too short), and returns them typed,
+    or raises ValueError when one is bad. Returns the list of its results.
 
     This is the only code that reads a CSV file whole. Bytes that are not
     UTF-8 and CSV syntax errors are MalformedRow errors with the line
-    number, as are an empty file and a header without one of the columns.
-    Text that `_plain_lines` accepts is split at "\n" and "," in bulk. Any
-    other file is streamed once more through csv.reader, which gives the
-    same columns wherever both apply, and raises the errors.
+    number, as are an empty file and a header without one of the columns;
+    then, if a block failed `parse`, `problem` finds the first bad row (see
+    `_bad_row`). Text that `_plain` accepts is split at "\n" and "," one
+    block at a time. A file that is not UTF-8, text that `_plain` rejects,
+    and a block that `_plain_blocks` rejects make the whole file be read
+    again through csv.reader, as one block of all its rows, which gives
+    the same values wherever both apply.
     """
     with open_text(path) as fh:
         try:
-            lines = _plain_lines(fh.read())
+            plain = _plain(fh.read())
         except UnicodeDecodeError:
-            lines = None
-        if lines is None:
-            # Streamed from the start, so that the first fault is reported
-            # where csv.reader meets it: a bad byte, or a CSV syntax error in
-            # an earlier chunk of the file.
+            plain = None
+        if plain is not None:
+            header, blocks = plain
+            positions = _positions(header, columns)
+            width = len(header)
+            try:
+                results = _parse_blocks(
+                    blocks, positions, lambda fields, i: fields[i::width], parse
+                )
+            except _NotPlain:
+                plain = None
+        if plain is None:
+            # Read from the start, so that the first fault is reported where
+            # csv.reader meets it: a bad byte, or a CSV syntax error in an
+            # earlier chunk of the file.
             fh.seek(0)
             reader = csv.reader(fh)
             try:
                 header = next(reader, None)
-                rows = list(filter(None, reader))
+                positions = _positions(header, columns)
+                results = _parse_blocks(
+                    # One block, made as the loop reaches it, so that the
+                    # loop alone holds the rows.
+                    map(list, [filter(None, reader)]),
+                    positions,
+                    lambda rows, i: [row[i] if i < len(row) else "" for row in rows],
+                    parse,
+                )
             except UnicodeDecodeError:
                 raise MalformedRow(f"{path}: line {_undecodable_line(path)}: not UTF-8") from None
             except csv.Error as exc:
                 raise MalformedRow(f"{path}: line {reader.line_num}: {exc}") from None
-        else:
-            header = lines[0].split(",")
     if header is None:
         raise MalformedRow(f"{path}: empty file")
-    # A repeated column name means its last occurrence, as in csv.DictReader.
-    position = {name: i for i, name in enumerate(header)}
-    missing = [c for c in columns if c not in position]
-    if missing:
+    if positions is None:
+        missing = [c for c in columns if c not in header]
         raise MalformedRow(f"{path}: missing column(s) {', '.join(missing)}")
-    positions = [position[c] for c in columns]
-    if lines is None:
-        return [[row[i] if i < len(row) else "" for row in rows] for i in positions], positions
-    body = ",".join(filter(None, itertools.islice(lines, 1, None)))
-    del lines
-    fields = body.split(",") if body else []
-    del body
-    return [fields[i :: len(header)] for i in positions], positions
+    if results is None:
+        raise _bad_row(path, positions, problem)
+    return results
 
 
 def _numbered_rows(path):
@@ -378,23 +449,31 @@ def load_cases(path) -> CaseLog:
     out-of-range confidences, repeated ids and bytes that are not UTF-8
     are hard errors with line numbers; a header without rows is
     EmptyCaseList."""
-    (ids, conf_text, ai, human, truth), positions = _read_csv(path, CASE_COLUMNS)
-    if not ids:
-        raise EmptyCaseList(f"{path}: case log is empty")
-    # Checks over whole columns; a row that fails one is found by a rescan.
-    try:
+    # Label codes in order of first appearance, over all three label
+    # columns and every block. When `_read_csv` restarts on csv.reader, the
+    # blocks it parsed before are rows of the log read as csv.reader reads
+    # them, so every label in `codes` is in the log.
+    codes = {}
+
+    def parse(ids, conf_text, ai, human, truth):
         conf = np.fromiter(map(float, conf_text), dtype=np.float64, count=len(ids))
-    except ValueError:  # a bad or missing confidence
-        raise _bad_row(path, positions, _case_problem) from None
-    del conf_text
-    in_range = ((0.0 <= conf) & (conf <= 1.0)).all()  # NaN fails too
-    if not in_range or any("" in col for col in (ids, ai, human, truth)):
-        raise _bad_row(path, positions, _case_problem)
+        # NaN fails the range check too.
+        if not ((0.0 <= conf) & (conf <= 1.0)).all() or any(
+            "" in col for col in (ids, ai, human, truth)
+        ):
+            raise ValueError("bad row")
+        return ids, conf, *(encode_labels(col, codes) for col in (ai, human, truth))
+
+    blocks = _read_csv(path, CASE_COLUMNS, parse, _case_problem)
+    if not blocks:
+        raise EmptyCaseList(f"{path}: case log is empty")
+    ids = [case_id for block in blocks for case_id in block[0]]
     dup = first_duplicate(ids)
     if dup is not None:
         line = next(itertools.islice(_numbered_rows(path), dup, None))[0]
         raise DuplicateCaseId(f"{path}: line {line}: duplicate case id {ids[dup]!r}")
-    return CaseLog.from_columns(ids, conf, ai, human, truth)
+    conf, ai, human, truth = (np.concatenate([block[i] for block in blocks]) for i in range(1, 5))
+    return CaseLog.from_columns(ids, conf, list(codes), ai, human, truth)
 
 
 def dump_cases(cases) -> str:
@@ -413,25 +492,27 @@ def dump_cases(cases) -> str:
 
 def _rating_problem(fields):
     try:
-        low = min(map(int, fields))
+        low = min(map(int, fields[1:]))
     except ValueError:
         return "non-integer rating"
     return f"rating {low} below 1" if low < 1 else None
+
+
+def _ratings(_, rater_a, rater_b):
+    pairs = list(zip(map(int, rater_a), map(int, rater_b)))
+    if min(map(min, pairs)) < 1:
+        raise ValueError("rating below 1")
+    return pairs
 
 
 def load_ratings(path):
     """Parse a ratings CSV into (rater_a, rater_b) integer pairs. Short rows,
     non-integer ratings, ratings below 1, CSV syntax errors and bytes that
     are not UTF-8 are hard errors with line numbers."""
-    (_, rater_a, rater_b), (_, a, b) = _read_csv(path, RATING_COLUMNS)
-    if not rater_a:
+    blocks = _read_csv(path, RATING_COLUMNS, _ratings, _rating_problem)
+    pairs = [pair for block in blocks for pair in block]
+    if not pairs:
         raise DataError(f"{path}: no rating rows")
-    try:
-        pairs = list(zip(map(int, rater_a), map(int, rater_b)))
-    except ValueError:  # a non-integer or missing rating
-        raise _bad_row(path, (a, b), _rating_problem) from None
-    if min(map(min, pairs)) < 1:
-        raise _bad_row(path, (a, b), _rating_problem)
     return pairs
 
 

@@ -371,7 +371,7 @@ def _check_factor(entries: int):
     if entries > MAX_STATES:
         raise StateSpaceTooLarge(
             f"exact query needs a factor of {entries} entries (cap {MAX_STATES}); "
-            "use the Monte Carlo estimator"
+            "estimate an outcome probability with `prob --samples N` instead"
         )
 
 
@@ -700,7 +700,7 @@ def abduct(scm: Scm, observation: Assignment) -> NoisePosterior:
     if n_states > MAX_STATES:
         raise StateSpaceTooLarge(
             f"exogenous joint space has {n_states} states (cap {MAX_STATES}); "
-            "use the Monte Carlo estimator"
+            "estimate an outcome probability with `prob --samples N` instead"
         )
     grid = dict(zip((ex.id for ex in multi), np.indices(sizes, sparse=True)))
     weights, codes = np.ones(sizes), {}

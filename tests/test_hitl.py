@@ -1,10 +1,14 @@
+import json
 import random
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from blamescope.blame import Action, DiscountSpec, delta
+from blamescope.cli import main
+from blamescope.data import bundled_path
 from blamescope.errors import (
     ConfigError,
     DuplicateCaseId,
@@ -152,6 +156,26 @@ def test_hitl_blame_input_rejects_non_finite_costs(ai_cost, review_cost):
     decisions = run(CaseLog.from_cases([case()]), POLICY)
     with pytest.raises(ConfigError, match="decision costs must be finite"):
         hitl_blame(decisions, ai_cost, review_cost, DiscountSpec("cost_ratio"))
+
+
+@pytest.mark.parametrize("discount", ["unit", "cost_ratio"])
+@pytest.mark.parametrize("cost", [1e308, sys.float_info.max], ids=["1e308", "float_max"])
+def test_hitl_accepts_finite_costs_whose_sum_overflows(capsys, discount, cost):
+    """cost + cost overflows, but each cost is finite, and so is the
+    expected cost, which lies between them: the report is strict JSON."""
+    code = main([
+        "hitl", "--cases", str(bundled_path("cases_200.csv")), "--l", "0.2", "--u", "0.8",
+        "--ai-cost", repr(cost), "--review-cost", repr(cost), "--discount", discount,
+    ])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+
+    def reject(constant):
+        raise AssertionError(f"{constant} in the report")
+
+    blame = json.loads(out, parse_constant=reject)["blame"]
+    written = float(format(cost, ".12g"))
+    assert (blame["cost_a"], blame["cost_aprime"], blame["gamma"]) == (written, written, 1.0)
 
 
 def test_hitl_blame_matches_recount():

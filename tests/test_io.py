@@ -1,7 +1,9 @@
+import contextlib
 import csv
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blamescope.io as bio
 from blamescope.data import bundled_path
 from blamescope.errors import (
     DuplicateCaseId,
@@ -377,9 +380,25 @@ def test_csv_error_before_a_later_bad_byte(tmp_path):
         load_cases(path)
 
 
+# The reader's real block size, and blocks of 1 and 7 characters, so that
+# block ends fall anywhere in a small file.
+BLOCK_SIZES = [None, 1, 7]
+
+
+@contextlib.contextmanager
+def blocks_of(size):
+    """Plain CSV text is split in blocks of `size` characters inside the
+    context, or in blocks of the real size for None."""
+    with pytest.MonkeyPatch.context() as mp:
+        if size is not None:
+            mp.setattr(bio, "_BLOCK", size)
+        yield
+
+
 def test_plain_file_is_split_without_csv_reader(tmp_path, monkeypatch):
     r"""A file with no quote, NUL or bare "\r" and one field count on every
-    non-blank line never reaches csv.reader; a quoted one does."""
+    non-blank line never reaches csv.reader, in blocks of any size; a
+    quoted one does."""
     cases = gen_synthetic(seed=3, n_cases=20, ai_accuracy=0.8, human_accuracy=0.9)
     path = tmp_path / "cases.csv"
     path.write_text(dump_cases(cases).replace("\n", "\r\n", 3) + "\n\n")
@@ -389,26 +408,38 @@ def test_plain_file_is_split_without_csv_reader(tmp_path, monkeypatch):
         raise AssertionError("csv.reader called")
 
     monkeypatch.setattr(csv, "reader", no_reader)
-    assert rows_of(load_cases(path)) == expected
+    for size in BLOCK_SIZES:
+        with blocks_of(size):
+            assert rows_of(load_cases(path)) == expected
     path.write_text('"case_id"' + path.read_text()[len("case_id"):])
     with pytest.raises(AssertionError, match="csv.reader called"):
         load_cases(path)
 
 
+def _columns(path):
+    """_read_csv's columns of RATING_COLUMNS in a file, its blocks joined."""
+    blocks = _read_csv(path, RATING_COLUMNS, lambda *values: values, None)
+    return [[v for block in blocks for v in block[i]] for i in range(len(RATING_COLUMNS))]
+
+
 def _same_as_csv_reader(text):
-    """_read_csv of a file holding `text` gives the reference's columns, or
-    raises the reference's error type and message."""
+    """_read_csv of a file holding `text`, in blocks of each of BLOCK_SIZES,
+    gives the reference's columns, or raises the reference's error type and
+    message."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "in.csv"
         path.write_text(text, encoding="utf-8", newline="")
         try:
-            expected = csv_columns(text, RATING_COLUMNS)
+            expected, _ = csv_columns(text, RATING_COLUMNS)
         except MalformedRow as exc:
-            with pytest.raises(MalformedRow) as got:
-                _read_csv(path, RATING_COLUMNS)
-            assert (type(got.value), str(got.value)) == (MalformedRow, f"{path}: {exc}")
+            for size in BLOCK_SIZES:
+                with blocks_of(size), pytest.raises(MalformedRow) as got:
+                    _columns(path)
+                assert (type(got.value), str(got.value)) == (MalformedRow, f"{path}: {exc}")
         else:
-            assert _read_csv(path, RATING_COLUMNS) == expected
+            for size in BLOCK_SIZES:
+                with blocks_of(size):
+                    assert _columns(path) == expected
 
 
 _ALPHABET = ["a", "1", ".", ",", "\n", "\r", "\r\n", '"', "\0", "é", " "]
@@ -463,15 +494,70 @@ _H = "case_id,rater_a,rater_b"
         f"{_H}\rc0,1,2\r",
         f'{_H}\n"c\n0",1,2\n',
         f"{_H}\nc\x000,1,2\n",
+        f"{_H},{'x' * (LIMIT + 1)}\nc0,1,2,3\n",
     ],
     ids=[
         "blank_lines", "ragged_row", "longer_row", "no_final_newline", "header_only",
         "header_without_newline", "empty_file", "blank_first_line", "blank_crlf_first_line",
         "repeated_and_extra_columns", "crlf", "bare_cr", "quoted_newline", "nul",
+        "header_over_the_limit",
     ],
 )
 def test_read_csv_matches_csv_reader_on(text):
     _same_as_csv_reader(text)
+
+
+# Plain rows enough to fill more than one block of the real size.
+_PLAIN_ROWS = "".join(f"c{i},1,2\n" for i in range(20_000))
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["c,1", "c,1,2,3", "c,1," + "x" * (LIMIT + 1)],
+    ids=["ragged_row", "longer_row", "over_the_limit"],
+)
+def test_read_csv_matches_csv_reader_past_the_first_block(line):
+    """A line that is not plain, after blocks of plain ones, gives the
+    columns or the error that csv.reader gives."""
+    _same_as_csv_reader(f"{_H}\n{_PLAIN_ROWS}{line}\n{_PLAIN_ROWS}")
+
+
+@pytest.mark.parametrize(
+    "tail, error",
+    [
+        (b"x" * (LIMIT + 1) + b",0.5,pos,neg,pos\n", "line 20003: field larger than field limit"),
+        (b"c,0.5,p\xe9s,neg,pos\n", "line 20003: not UTF-8"),
+    ],
+    ids=["csv_error", "bad_byte"],
+)
+def test_reader_error_after_a_bad_row_in_an_earlier_block(tmp_path, tail, error):
+    """A bad row in the first block does not stop the reader: a CSV syntax
+    error or a bad byte in a later block is still reported."""
+    path = tmp_path / "cases.csv"
+    rows = "".join(f"c{i},0.5,pos,neg,pos\n" for i in range(20_000))
+    path.write_bytes((HEADER + "c,7,pos,neg,pos\n" + rows).encode() + tail)
+    for size in BLOCK_SIZES:
+        with blocks_of(size), pytest.raises(MalformedRow, match=error):
+            load_cases(path)
+
+
+def test_load_cases_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
+    """Blocks of fields are typed before the next is split: the traced peak
+    of load_cases on a 50k-case log with the benchmark's uniform
+    confidences stays under 6 times the file's bytes (measured: 3.9 times
+    reading in blocks, 8.6 times splitting the whole file at once)."""
+    cases = gen_synthetic(5, 50_000, 0.8, 0.9, "uniform")
+    path = tmp_path / "cases.csv"
+    path.write_text(dump_cases(cases))
+    del cases
+    tracemalloc.start()
+    try:
+        log = load_cases(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(log) == 50_000
+    assert peak < 6 * path.stat().st_size
 
 
 @pytest.mark.parametrize("row", ["c1,0,2", "c1,2,-1"])

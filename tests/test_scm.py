@@ -250,8 +250,12 @@ _FACTOR_CAP = "factor of 33554432 entries (cap 16777216)"
     ids=["event_probability", "abduct", "counterfactual_probability", "expected_cost"],
 )
 def test_exact_query_state_cap(query, message):
-    with pytest.raises(StateSpaceTooLarge, match=re.escape(message)):
+    """The error names the cap, and the command that can still answer."""
+    with pytest.raises(StateSpaceTooLarge, match=re.escape(message)) as got:
         query(_over_the_cap())
+    assert str(got.value).endswith(
+        "estimate an outcome probability with `prob --samples N` instead"
+    )
 
 
 def test_one_conjunction_over_many_variables_matches_oracle():
