@@ -44,7 +44,6 @@ from .metrics import (
     qwk,
 )
 from .scm import (
-    Assignment,
     Domain,
     EndogenousVar,
     ExogenousVar,

@@ -110,11 +110,11 @@ def delta(scm: Scm, a: Action, a_prime: Action, phi: OutcomeSpec) -> float:
 def expected_cost(scm: Scm, action: Action, cost: CostModel) -> float:
     """Expected decision cost under the modified system. A setting's cost is
     the sum, in term order, of the terms whose `where` holds."""
-    return float(_query(
+    return _query(
         apply_action(scm, action),
         [(OutcomeSpec.conjunction(term.where), term.cost) for term in cost.terms],
         "cost term",
-    )[0])
+    )[0]
 
 
 def discount(spec: DiscountSpec, cost_a: float, cost_aprime: float) -> float:

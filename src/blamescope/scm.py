@@ -16,23 +16,27 @@ the lookup tables and the Monte Carlo draws alike.
 Exact queries run by bucket elimination (`_eliminate`), never by walking the
 joint space, so their cost grows with the largest factor, not with the
 number of exogenous states. The factors are a prior per exogenous variable,
-the compiled tables, and one factor for the outcome or the cost terms
-(`_indicator`), plus a unary indicator per observed variable (`_unary`). An
-outcome or cost of one conjunction is such unary indicators too, so it
-builds no factor over the variables it reads, in a counterfactual as in a
-plain query. A mechanism is
-a function, so it is never turned into a factor of its own: once no other
-mechanism left reads a variable, each factor over it is indexed with its
-table (`_substitute`). An exogenous variable is then summed out with its
-prior. `MAX_STATES` caps the largest factor. `_query` is the one exact
-query: an outcome probability is the expectation of its indicator, an
-expected cost that of the weighted cost terms, and a counterfactual the
-ratio of two rows of one query on the twin network, where only the
+the compiled tables, and 0/1 weights over the codes of one variable
+(`_unary`): one vector per observed variable, and one per variable that a
+conjunction of the outcome or of a cost term reads. An outcome's DNF is
+first split into pairwise disjoint conjunctions (`_disjoint`), each a row
+of one batch that the elimination carries, so no factor spans the
+variables an outcome reads, in a counterfactual as in a plain query. A
+mechanism is a function, so it is never turned into a factor of its own:
+once no other mechanism left reads a variable, each factor over it is
+indexed with its table (`_substitute`). An exogenous variable is then
+summed out with its prior. `MAX_STATES` caps the entries of one row of the
+largest factor; a batch whose rows together pass it, in a factor or in the
+stacked weights, is eliminated in chunks of rows that do not. `_query` is
+the one exact query: an outcome probability is the sum of the
+probabilities of its disjoint conjunctions, an expected cost the sum of
+each cost term's probability times its cost, and a counterfactual the
+ratio of two sums of one query on the twin network, where only the
 intervened variables and their descendants get copies: P(phi* and
-observation) and P(observation). `posterior_support_size` counts the
-settings that reproduce an observation by the same elimination over Python
-integers. The sums are not correctly rounded: the tests hold them within
-1e-12 of brute-force enumeration.
+observation) and P(observation). `posterior_support_size`
+counts the settings that reproduce an observation by the same elimination
+over Python integers. The sums are not correctly rounded: the tests hold
+them within 1e-12 of brute-force enumeration.
 
 `_solve_codes` applies mechanisms to exogenous codes (scalars or arrays): it
 solves only the ancestors of the variables its caller reads, and drops every
@@ -77,8 +81,6 @@ from .errors import (
     ValueOutOfDomain,
     ZeroProbabilityObservation,
 )
-
-Assignment = dict  # variable id -> value
 
 PROB_TOL = 1e-9
 # Largest factor an exact query builds, in entries, and largest exogenous
@@ -354,7 +356,7 @@ def _variables(clauses) -> set:
     return {var for clause in clauses for var, _, _ in clause}
 
 
-def solve(scm: Scm, e: Assignment) -> Assignment:
+def solve(scm: Scm, e: dict) -> dict:
     """Evaluate mechanisms in topological order for a total exogenous
     setting; returns the unique total endogenous assignment."""
     for ex in scm.exogenous:
@@ -367,51 +369,12 @@ def solve(scm: Scm, e: Assignment) -> Assignment:
     return {vid: domains[vid].values[codes[vid]] for vid, _, _ in scm.tables}
 
 
-def _check_factor(entries: int):
+def _check_factor(entries: int, needs="exact query needs a factor of {} entries"):
     if entries > MAX_STATES:
         raise StateSpaceTooLarge(
-            f"exact query needs a factor of {entries} entries (cap {MAX_STATES}); "
+            f"{needs.format(entries)} (cap {MAX_STATES}); "
             "estimate an outcome probability with `prob --samples N` instead"
         )
-
-
-def _indicator(terms, sizes: dict) -> tuple:
-    """(scope, table, mechanisms) of one factor that holds, for each value
-    of the variables the terms read, the sum of the values of the
-    (clauses, value) terms whose DNF of encoded literals holds.
-
-    Literals only tell a variable's target codes from the rest, so a
-    variable with more codes than that gets an axis over those classes: a
-    new variable ("class", id), whose mechanism in `mechanisms` maps each
-    code to its class. So a factor over two 65,537-valued variables holds a
-    few entries, not 65,537^2. A one-valued variable gets no axis."""
-    targets = {}
-    for clauses, _ in terms:
-        for clause in clauses:
-            for var, _, code in clause:
-                targets.setdefault(var, set()).add(code)
-    axes, env, mechanisms = [], {}, {}  # axes: (variable, axis id, a code per entry)
-    for var, codes in targets.items():
-        size = sizes[var]
-        if size == 1:
-            env[var] = 0
-        elif len(codes) + 1 < size:
-            codes = sorted(codes)
-            other = next(c for c in range(size) if c not in targets[var])
-            lut = np.full(size, len(codes), dtype=np.min_scalar_type(len(codes)))
-            lut[codes] = np.arange(len(codes))
-            mechanisms[("class", var)] = ((var,), lut)
-            axes.append((var, ("class", var), np.array(codes + [other])))
-        else:
-            axes.append((var, var, np.arange(size)))
-    shape = tuple(len(codes) for _, _, codes in axes)
-    _check_factor(math.prod(shape))
-    for k, (var, _, codes) in enumerate(axes):
-        env[var] = codes.reshape([-1 if a == k else 1 for a in range(len(axes))])
-    table = np.zeros(shape)
-    for clauses, value in terms:
-        table[_holds(clauses, env, shape)] += value
-    return [axis for _, axis, _ in axes], table, mechanisms
 
 
 def _substitute(table, scope: list, group: list, mechanisms: dict, unary: dict):
@@ -434,9 +397,7 @@ def _substitute(table, scope: list, group: list, mechanisms: dict, unary: dict):
     for v in group:
         parents, lut = mechanisms[v]
         axes = [1 + out.index(p) for p in parents]
-        shape = [1] * ndim
-        for axis, size in zip(axes, lut.shape):
-            shape[axis] = size
+        shape = [dict(zip(axes, lut.shape)).get(axis, 1) for axis in range(ndim)]
         codes[v] = lut.transpose(sorted(range(len(axes)), key=axes.__getitem__)).reshape(shape)
     index = [along(0, table.shape[0])] + [
         codes[v] if v in codes else along(1 + out.index(v), size)
@@ -468,7 +429,10 @@ def _eliminate(mechanisms: dict, unary: dict, scope: list, table: np.ndarray):
     used, so no step scans the whole model. An exogenous variable that no
     candidate reads multiplies the result by the sum of its weights. Each
     sum is a multiply and a reduction, so every batch entry is rounded
-    alike."""
+    alike. Before each substitution, the entries per batch entry of the
+    factor it builds are checked against `MAX_STATES`; when the batch
+    entries together pass it, the rest of the elimination runs on each
+    chunk of as many entries as fit, with the weights not yet used."""
     scope = list(scope)
     sizes = dict(zip(scope, table.shape[1:]))
     waiting = [v for v in unary if v in mechanisms]  # endogenous unary factors not yet used
@@ -478,12 +442,13 @@ def _eliminate(mechanisms: dict, unary: dict, scope: list, table: np.ndarray):
     while stack:
         parents, lut = mechanisms[stack.pop()]
         for p, size in zip(parents, lut.shape):
-            if p not in pending:
-                pending[p] = 0
-                sizes[p] = size
-                if p in mechanisms:
-                    stack.append(p)
-            pending[p] += 1
+            if p not in pending and p in mechanisms:
+                stack.append(p)
+            pending[p], sizes[p] = pending.get(p, 0) + 1, size
+
+    mass = math.prod(
+        w.sum() for v, w in unary.items() if v not in pending and v not in mechanisms
+    )
 
     def growth(group):
         # A variable with a unary factor and no axis counts as if it had
@@ -505,68 +470,129 @@ def _eliminate(mechanisms: dict, unary: dict, scope: list, table: np.ndarray):
             groups.setdefault(frozenset(mechanisms[v][0]), []).append(v)
         group = min(groups.values(), key=growth)
         parents = set().union(*(mechanisms[v][0] for v in group))
-        _check_factor(
-            math.prod(sizes[v] for v in scope if v not in group)
-            * math.prod(sizes[p] for p in parents if p not in scope)
-        )
+        entries = math.prod(sizes[v] for v in set(scope).difference(group) | parents - set(scope))
+        _check_factor(entries)
+        fit = MAX_STATES // entries
+        if len(table) > fit:
+            # Weights already used or summed out, and the priors in `mass`,
+            # must not count again in a chunk.
+            left = {v: w for v, w in unary.items() if v in waiting or pending.get(v)}
+            return mass * np.concatenate([
+                _eliminate(mechanisms, {v: w[i : i + fit] if w.ndim > 1 else w
+                                        for v, w in left.items()}, scope, table[i : i + fit])
+                for i in range(0, len(table), fit)
+            ])
         table, scope = _substitute(table, scope, group, mechanisms, unary)
         for v in group:
             if v in waiting:
                 waiting.remove(v)
             for p in mechanisms[v][0]:
                 pending[p] -= 1
-    mass = math.prod(
-        w.sum() for v, w in unary.items() if v not in pending and v not in mechanisms
-    )
     return table * mass
-
-
-def _mechanisms(scm: Scm) -> dict:
-    return {vid: (parents, lut) for vid, parents, lut in scm.tables}
-
-
-def _sizes(scm: Scm) -> dict:
-    return {v.id: len(v.domain) for v in scm.endogenous}
 
 
 def _unary(clause, sizes: dict) -> dict:
     """One 0/1 weight vector per variable a conjunction of encoded literals
     reads, over the variable's codes; two literals on one variable
     multiply."""
-    weights = {}
-    for var, cmp, code in clause:
-        held = _holds((((var, cmp, code),),), {var: np.arange(sizes[var])}, sizes[var])
-        weights[var] = weights[var] & held if var in weights else held
-    return weights
+    codes = {var: np.arange(sizes[var]) for var, _, _ in clause}
+    return {var: _holds(([x for x in clause if x[0] == var],), codes, sizes[var]) for var in codes}
 
 
-def _observed(scm: Scm, observation: Assignment) -> dict:
+def _observed(scm: Scm, observation: dict) -> dict:
     """The observation as one 0/1 weight vector per observed variable."""
     seen = _encode(scm, OutcomeSpec.conjunction(observation.items()), "observation")
-    return _unary(seen[0], _sizes(scm))
+    return _unary(seen[0], {v.id: len(v.domain) for v in scm.endogenous})
 
 
-def _query(scm: Scm, terms, what: str, observation=None, interventions=()) -> np.ndarray:
-    """The one exact query. Row 0 is the expectation over the exogenous
-    joint space of the sum, in term order, of the values of the
+def _minus(box: dict, clause: dict) -> list:
+    """`box` and not `clause`, two conjunctions as 0/1 weights per variable
+    (`_unary`), as disjoint conjunctions: the k-th holds `box`, `clause` on
+    the variables of `clause` before its k-th, and not `clause` on its k-th,
+    and is left out when no code satisfies it. A box that `clause` cannot
+    meet is kept whole."""
+    if any(not (box[v] & w).any() for v, w in clause.items() if v in box):
+        return [box]
+    pieces = []
+    for v, w in clause.items():
+        have = box.get(v, True)
+        if (have & ~w).any():
+            pieces.append(box | {v: have & ~w})
+        box = box | {v: have & w}
+    return pieces
+
+
+def _merge(boxes: list) -> list:
+    """Conjunctions as 0/1 weights per variable (`_unary`), with any that
+    read the same variables and differ in one variable's weights only
+    replaced by one conjunction, the union of their weights on it."""
+    for var in dict.fromkeys(v for box in boxes for v in box):
+        merged = {}
+        for box in boxes:
+            key = var in box, frozenset((v, w.tobytes()) for v, w in box.items() if v != var)
+            if key in merged and var in box:
+                box = box | {var: merged[key][var] | box[var]}
+            merged[key] = box
+        boxes = list(merged.values())
+    return boxes
+
+
+def _disjoint(clauses, sizes: dict) -> list:
+    """A DNF of encoded literals C1 or ... or Ck as the pairwise disjoint
+    conjunctions C1, C2 and not C1, ..., Ck and not C1 ... not Ck-1, each as
+    0/1 weights per variable it reads (`_unary`), without those no code
+    satisfies: the sum of disjoint products (Abraham 1979). Clauses that
+    differ in one variable's literals only are first joined (`_merge`), so
+    W = a1 or ... or W = a256 is one conjunction.
+
+    The pieces are disjoint boxes over the classes of codes the literals
+    tell apart, so there are never more pieces than classes. When the
+    classes are more than `MAX_STATES`, a bound on the pieces, the sum over
+    i of the product of the variable counts of C1 ... Ci-1, times the
+    weights one piece can hold, is checked against `MAX_STATES` before any
+    clause is joined or piece built."""
+    targets = {}
+    for var, _, code in (literal for clause in clauses for literal in clause):
+        targets.setdefault(var, set()).add(code)
+    boxes = [_unary(clause, sizes) for clause in clauses]
+    boxes = [box for box in boxes if all(w.any() for w in box.values())]
+    if math.prod(min(sizes[v], len(codes) + 1) for v, codes in targets.items()) > MAX_STATES:
+        pieces = sum(math.prod(map(len, boxes[:i])) for i in range(len(boxes)))
+        _check_factor(pieces * sum(sizes[v] for v in targets))
+    boxes, pieces = _merge(boxes), []
+    for i, box in enumerate(boxes):
+        parts = [box]
+        for clause in boxes[:i]:
+            parts = [piece for part in parts for piece in _minus(part, clause)]
+        pieces += parts
+    return pieces
+
+
+def _query(scm: Scm, terms, what: str, observation=None, interventions=()) -> tuple:
+    """The one exact query: (E, P(observation)). E is the expectation over
+    the exogenous joint space of the sum of the values of the
     (OutcomeSpec, value) terms whose event holds after the interventions,
-    times the indicator of `observation`; `what` names the terms in errors.
-    Given an observation, row 1 is P(observation) from the same
-    elimination, so an outcome that holds wherever the observation does
-    gives row 0 equal to row 1.
+    where the observation holds; `what` names the terms in errors. Without
+    an observation, P(observation) is None.
 
     The terms are read on the twin network: the intervened variables and
     their descendants get twin copies, computed by the intervened model's
     mechanisms; every other variable, exogenous ones included, is shared by
-    both worlds. The observation is one unary indicator per observed
-    variable. So is one term of one conjunction, on row 0 only, so that no
-    factor spans the variables it reads; other terms are one factor
-    (`_indicator`)."""
+    both worlds. Each term's DNF is split into disjoint conjunctions
+    (`_disjoint`), and each of them is one row of the batch that
+    `_eliminate` carries, as a unary weight vector per variable it reads;
+    given an observation, one more row reads no term and gives
+    P(observation). The observation is one unary indicator per observed
+    variable, on every row. The rows are stacked and eliminated in chunks
+    of as many as fit `MAX_STATES` with one weight vector each of the
+    widest variable they read. E is the `math.fsum` of each row's
+    probability times its term's value."""
     twin, done = scm, set()
     for var, value in interventions:
         twin = intervene(twin, var, value)
         done.add(var)
-    mechanisms, sizes, star = _mechanisms(scm), _sizes(scm), {}
+    mechanisms = {vid: (parents, lut) for vid, parents, lut in scm.tables}
+    sizes, star = {v.id: len(v.domain) for v in scm.endogenous}, {}
     for vid, parents, lut in twin.tables:
         if vid in done or any(p in star for p in parents):
             star[vid] = ("twin", vid)
@@ -575,27 +601,25 @@ def _query(scm: Scm, terms, what: str, observation=None, interventions=()) -> np
     terms = [(_encode(twin, e, what, lambda v: star.get(v, v)), x) for e, x in terms]
     unary = {ex.id: np.asarray(ex.dist, dtype=float) for ex in scm.exogenous}
     unary |= _observed(scm, observation or {})
-
-    def on_row_0(table):
-        """`table` as the batch's row 0, a view; given an observation, row 1
-        is ones."""
-        return table[None] if observation is None else np.stack([table, np.ones(table.shape)])
-
-    if len(terms) == 1 and len(terms[0][0]) == 1:
-        (clause,), value = terms[0]
-        scope, table = [], np.asarray(value, dtype=float)
-        for var, held in _unary(clause, sizes).items():
-            held = on_row_0(held)
-            unary[var] = unary[var] * held if var in unary else held
-    else:
-        scope, table, classes = _indicator(terms, sizes)
-        mechanisms |= classes
-    return _eliminate(mechanisms, unary, scope, on_row_0(table))
+    rows = [(piece, value) for clauses, value in terms for piece in _disjoint(clauses, sizes)]
+    rows += [] if observation is None else [({}, 0.0)]
+    read = dict.fromkeys(v for row, _ in rows for v in row)
+    read = {v: np.ones(sizes[v], dtype=bool) for v in read}
+    fit = max(1, MAX_STATES // max(map(len, read.values()), default=1))
+    p = [np.zeros(0)]
+    for chunk in (rows[i : i + fit] for i in range(0, len(rows), fit)):
+        weights = unary | {
+            v: unary.get(v, True) * np.stack([row.get(v, ones) for row, _ in chunk])
+            for v, ones in read.items()
+        }
+        p.append(_eliminate(mechanisms, weights, [], np.ones(len(chunk))))
+    p = np.concatenate(p)
+    return math.fsum(p * [x for _, x in rows]), None if observation is None else float(p[-1])
 
 
 def event_probability(scm: Scm, phi: OutcomeSpec) -> float:
     """Exact probability of the outcome: the expectation of its indicator."""
-    return float(_query(scm, ((phi, 1.0),), "outcome")[0])
+    return _query(scm, ((phi, 1.0),), "outcome")[0]
 
 
 def _draw(rng: np.random.Generator, ex: ExogenousVar, samples: int) -> np.ndarray:
@@ -689,19 +713,14 @@ def intervene(scm: Scm, var: str, value) -> Scm:
     )
 
 
-def abduct(scm: Scm, observation: Assignment) -> NoisePosterior:
+def abduct(scm: Scm, observation: dict) -> NoisePosterior:
     """Posterior over exogenous joint settings consistent with a (possibly
     partial) endogenous observation, over a grid of the whole exogenous
     joint space: at most MAX_STATES settings."""
     seen = _encode(scm, OutcomeSpec.conjunction(observation.items()), "observation")
     multi = [ex for ex in scm.exogenous if len(ex.domain) > 1]
     sizes = tuple(len(ex.domain) for ex in multi)
-    n_states = math.prod(sizes)
-    if n_states > MAX_STATES:
-        raise StateSpaceTooLarge(
-            f"exogenous joint space has {n_states} states (cap {MAX_STATES}); "
-            "estimate an outcome probability with `prob --samples N` instead"
-        )
+    _check_factor(math.prod(sizes), "exogenous joint space has {} states")
     grid = dict(zip((ex.id for ex in multi), np.indices(sizes, sparse=True)))
     weights, codes = np.ones(sizes), {}
     for ex in scm.exogenous:
@@ -724,24 +743,26 @@ def abduct(scm: Scm, observation: Assignment) -> NoisePosterior:
 
 
 def counterfactual_probability(
-    scm: Scm, observation: Assignment, interventions, phi: OutcomeSpec
+    scm: Scm, observation: dict, interventions, phi: OutcomeSpec
 ) -> float:
     """P(phi after the interventions | observation): abduct the noise from
     the observation, apply the interventions, and evaluate the outcome
     under the posterior, as P(phi on the twins and the observation) /
-    P(observation), both from one elimination (`_query`)."""
+    P(observation), both from one elimination (`_query`). The two are
+    rounded apart, so a ratio past 1 by an ulp is read as 1."""
     both, total = _query(scm, ((phi, 1.0),), "outcome", observation, interventions)
     if total == 0:
         raise ZeroProbabilityObservation(
             f"observation {observation!r} is impossible under the model"
         )
-    return float(both / total)
+    return min(both / total, 1.0)
 
 
-def posterior_support_size(scm: Scm, observation: Assignment) -> int:
+def posterior_support_size(scm: Scm, observation: dict) -> int:
     """The number of exogenous settings of positive prior weight that
     reproduce the observation, counted by elimination over 0/1 Python
     integers, so it is exact at any size."""
     unary = {ex.id: np.array([int(p > 0) for p in ex.dist], dtype=object) for ex in scm.exogenous}
     unary |= _observed(scm, observation)
-    return _eliminate(_mechanisms(scm), unary, [], np.ones(1, dtype=object))[0]
+    mechanisms = {vid: (parents, lut) for vid, parents, lut in scm.tables}
+    return _eliminate(mechanisms, unary, [], np.ones(1, dtype=object))[0]

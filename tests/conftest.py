@@ -100,20 +100,21 @@ def random_action(rng: random.Random, scm: Scm, label: str) -> Action:
     return Action(label=label, overrides=(Override(target.id, parents, table),))
 
 
-def random_outcome(rng: random.Random, scm: Scm):
-    """Random DNF outcome over the endogenous variables."""
+def random_outcome(rng: random.Random, scm: Scm, clauses=2, literals=2):
+    """Random DNF outcome over the endogenous variables: 1 to `clauses`
+    clauses of 1 to `literals` literals each."""
     from blamescope.scm import OutcomeSpec
 
     def literal():
         var = rng.choice(scm.endogenous)
         return (var.id, rng.choice(("eq", "neq")), rng.choice(var.domain.values))
 
-    n_clauses = rng.randint(1, 2)
-    clauses = []
+    n_clauses = rng.randint(1, clauses)
+    drawn = []
     for _ in range(n_clauses):
-        n_lits = rng.randint(1, 2)
-        clauses.append(tuple(literal() for _ in range(n_lits)))
-    return OutcomeSpec(clauses=tuple(clauses))
+        n_lits = rng.randint(1, literals)
+        drawn.append(tuple(literal() for _ in range(n_lits)))
+    return OutcomeSpec(clauses=tuple(drawn))
 
 
 def wide_scm(rng: random.Random):

@@ -213,16 +213,39 @@ def test_event_probability_exhaustive(xor):
     assert event_probability(xor, phi) == pytest.approx(1.0, abs=1e-12)
 
 
-def _over_the_cap():
-    """25 binary exogenous variables: 2^25 joint states, over the 2^24 cap.
-    Each X_i copies E_i, so an event on all 25 X_i needs a 2^25-entry factor."""
-    exogenous = tuple(ExogenousVar(f"E{i}", Domain(BITS), (0.5, 0.5)) for i in range(25))
+def _over_the_cap(n=25):
+    """n fair binary exogenous variables: 2^n joint states, over the 2^24
+    cap from n = 25 on. Each X_i copies E_i, and Y copies E0."""
+    exogenous = tuple(ExogenousVar(f"E{i}", Domain(BITS), (0.5, 0.5)) for i in range(n))
     return Scm(
         exogenous=exogenous,
         endogenous=(EndogenousVar("Y", Domain(BITS), ("E0",), {("0",): "0", ("1",): "1"}),)
         + tuple(
             EndogenousVar(f"X{i}", Domain(BITS), (f"E{i}",), {("0",): "0", ("1",): "1"})
-            for i in range(25)
+            for i in range(n)
+        ),
+    )
+
+
+def _past_the_cap_at_step_two(n=4100):
+    """U and V uniform over n values, M := U mod 2, P := f(U, M) and
+    Q := g(V, M). Eliminating P = 1 and Q = 1 substitutes P, over (U, M),
+    then Q, over (U, M, V): n^2 * 2 entries, over the 2^24 cap at 4,100."""
+    values = tuple(str(i) for i in range(n))
+    uniform = (1 / n,) * n
+    return Scm(
+        exogenous=(
+            ExogenousVar("U", Domain(values), uniform),
+            ExogenousVar("V", Domain(values), uniform),
+        ),
+        endogenous=(
+            EndogenousVar("M", Domain(BITS), ("U",), {(u,): str(int(u) % 2) for u in values}),
+            EndogenousVar("P", Domain(BITS), ("U", "M"), {
+                (u, m): str((int(u) // 2 + int(m)) % 2) for u in values for m in BITS
+            }),
+            EndogenousVar("Q", Domain(BITS), ("V", "M"), {
+                (v, m): str((int(v) // 3 + int(m)) % 2) for v in values for m in BITS
+            }),
         ),
     )
 
@@ -233,29 +256,138 @@ _WIDE_TERMS = (
     tuple((f"X{i}", "1") for i in range(13, 25)),
 )
 _WIDE_EVENT = OutcomeSpec(tuple(tuple((v, "eq", x) for v, x in t) for t in _WIDE_TERMS))
-_FACTOR_CAP = "factor of 33554432 entries (cap 16777216)"
+_PQ = (("P", "1"), ("Q", "1"))
+
+
+def _factor_cap(entries):
+    return re.escape(f"factor of {entries} entries (cap 16777216)")
 
 
 @pytest.mark.parametrize(
-    "query, message",
+    "model, query, message",
     [
-        (lambda scm: event_probability(scm, _WIDE_EVENT), _FACTOR_CAP),
-        (lambda scm: abduct(scm, {"Y": "1"}), "33554432 states"),
-        (lambda scm: counterfactual_probability(scm, {"Y": "1"}, [("Y", "0")], _WIDE_EVENT),
-         _FACTOR_CAP),
-        (lambda scm: expected_cost(
-            scm, Action(label="keep"), CostModel(tuple(CostTerm(t, 1.0) for t in _WIDE_TERMS))
-        ), _FACTOR_CAP),
+        (_past_the_cap_at_step_two,
+         lambda scm: event_probability(scm, OutcomeSpec.conjunction(_PQ)),
+         _factor_cap(4100**2 * 2)),
+        (_over_the_cap, lambda scm: abduct(scm, {"Y": "1"}), re.escape("33554432 states")),
+        # P's copy reads M's copy, so substituting Q builds a factor over
+        # (U, M, M's copy, V).
+        (_past_the_cap_at_step_two,
+         lambda scm: counterfactual_probability(
+             scm, dict(_PQ), [("M", "0")], OutcomeSpec.conjunction(_PQ)
+         ), _factor_cap(4100**2 * 4)),
+        (_past_the_cap_at_step_two,
+         lambda scm: expected_cost(scm, Action(label="keep"), CostModel((CostTerm(_PQ, 1.0),))),
+         _factor_cap(4100**2 * 2)),
     ],
     ids=["event_probability", "abduct", "counterfactual_probability", "expected_cost"],
 )
-def test_exact_query_state_cap(query, message):
+def test_exact_query_state_cap(model, query, message):
     """The error names the cap, and the command that can still answer."""
-    with pytest.raises(StateSpaceTooLarge, match=re.escape(message)) as got:
-        query(_over_the_cap())
+    with pytest.raises(StateSpaceTooLarge, match=message) as got:
+        query(model())
     assert str(got.value).endswith(
         "estimate an outcome probability with `prob --samples N` instead"
     )
+
+
+def test_batches_split_to_fit_the_cap(monkeypatch):
+    """Rows whose weights or factors together pass the cap are eliminated
+    in chunks whose own do not, and give the same sums: three cost terms on
+    `_past_the_cap_at_step_two(8)`, split at the second elimination step,
+    and a three-clause counterfactual on `wide_domain_scm`'s 64-valued W
+    and Z, whose stacked weights are split before elimination."""
+    wide = wide_domain_scm(random.Random(4), 64)
+    phi = OutcomeSpec(
+        ((("W", "eq", "27"),), (("Z", "neq", "41"), ("W", "neq", "4")), (("Z", "eq", "33"),))
+    )
+    cost = CostModel((
+        CostTerm(_PQ, 1.3), CostTerm((("P", "1"), ("Q", "0")), 2.7), CostTerm((("P", "0"),), 0.1),
+    ))
+    queries = [
+        lambda: expected_cost(_past_the_cap_at_step_two(8), Action(label="keep"), cost),
+        lambda: counterfactual_probability(wide, {"V": "z"}, [("V", "x")], phi),
+    ]
+    sizes, real_eliminate, real_substitute = [], scm_mod._eliminate, scm_mod._substitute
+
+    def eliminate(mechanisms, unary, scope, table):
+        sizes.extend(w.size for w in unary.values())
+        return real_eliminate(mechanisms, unary, scope, table)
+
+    def substitute(*args):
+        table, scope = real_substitute(*args)
+        sizes.append(table.size)
+        return table, scope
+
+    monkeypatch.setattr(scm_mod, "_eliminate", eliminate)
+    monkeypatch.setattr(scm_mod, "_substitute", substitute)
+    for query in queries:
+        monkeypatch.setattr(scm_mod, "MAX_STATES", 1 << 24)
+        sizes.clear()
+        want = query()
+        assert max(sizes) > 200
+        monkeypatch.setattr(scm_mod, "MAX_STATES", 200)
+        sizes.clear()
+        assert query() == want
+        assert max(sizes) <= 200
+
+
+def test_two_clauses_over_25_bits_match_closed_forms():
+    """Two clauses that together read 25 independent fair bits are 14
+    disjoint conjunctions, not one factor of 2^25 entries. Each one's
+    probability is a power of two, so the sums are exact."""
+    scm = _over_the_cap()
+    assert event_probability(scm, _WIDE_EVENT) == 2**-13 + 2**-12 - 2**-25
+    cost = CostModel(tuple(CostTerm(t, 1.0) for t in _WIDE_TERMS))
+    assert expected_cost(scm, Action(label="keep"), cost) == 2**-13 + 2**-12
+    # Y copies E0, so Y = 1 fixes X0 = 1, and do(Y = 0) changes no X_i.
+    got = counterfactual_probability(scm, {"Y": "1"}, [("Y", "0")], _WIDE_EVENT)
+    assert got == 2**-11 - 2**-24
+
+
+@pytest.mark.parametrize("clauses, literals", [(12, 12), (24, 2), (40, 2)])
+def test_dnf_past_the_cap_raises_before_any_piece(monkeypatch, clauses, literals):
+    """A DNF of `clauses` clauses of `literals` literals over distinct bits
+    has more disjoint pieces than the cap allows, and raises before any
+    clause is joined or piece built."""
+
+    def built(*args):
+        raise AssertionError("a clause was joined or a piece built")
+
+    monkeypatch.setattr(scm_mod, "_minus", built)
+    monkeypatch.setattr(scm_mod, "_merge", built)
+    bit = iter(range(clauses * literals))
+    phi = OutcomeSpec(tuple(
+        tuple((f"X{next(bit)}", "eq", "1") for _ in range(literals)) for _ in range(clauses)
+    ))
+    # The bound: the sum over i of literals^i pieces, times the weights a
+    # piece can hold, two for each bit read.
+    bound = sum(literals**i for i in range(clauses)) * 2 * clauses * literals
+    with pytest.raises(StateSpaceTooLarge, match=_factor_cap(bound)):
+        event_probability(_over_the_cap(clauses * literals), phi)
+
+
+def test_random_dnfs_match_oracles():
+    """Outcomes of 1 to 6 clauses of 1 to 3 literals, as probabilities,
+    counterfactuals and cost models with one term per clause."""
+    rng = random.Random(17)
+    for scm in oracle_models(rng):
+        for _ in range(2):
+            phi = random_outcome(rng, scm, clauses=6, literals=3)
+            assert abs(event_probability(scm, phi) - brute_event_probability(scm, phi)) <= 1e-12
+            cost = CostModel(tuple(
+                CostTerm(tuple((var, value) for var, _, value in clause), rng.uniform(0, 5))
+                for clause in phi.clauses
+            ))
+            got = expected_cost(scm, Action("keep"), cost)
+            assert abs(got - brute_expected_cost(scm, cost)) <= 1e-12
+            observation = _observe(rng, scm)
+            targets = rng.sample(scm.endogenous, rng.randint(1, min(2, len(scm.endogenous))))
+            interventions = [(v.id, rng.choice(v.domain.values)) for v in targets]
+            phi = random_outcome(rng, scm, clauses=6, literals=3)
+            got = counterfactual_probability(scm, observation, interventions, phi)
+            want = brute_counterfactual_probability(scm, observation, interventions, phi)
+            assert abs(got - want) <= 1e-12
 
 
 def test_one_conjunction_over_many_variables_matches_oracle():
@@ -884,13 +1016,64 @@ def test_parent_listed_twice_matches_oracle():
 
 
 def test_outcome_on_two_widest_variables_matches_oracle():
-    """W and Z take 65,537 values each. Their literals only tell a few
-    target codes from the rest, so the outcome factor holds a few entries,
-    not 65,537^2, over the cap."""
+    """W and Z take 65,537 values each. Each disjoint conjunction of the
+    outcome weighs W and Z by one vector of 65,537 entries each, so no
+    factor spans both, which would hold 65,537^2 entries, over the cap."""
     rng = random.Random(3)
     scm = wide_domain_scm(rng, 65_537)
-    phi = OutcomeSpec(((("W", "eq", "7"), ("Z", "neq", "5")), (("Z", "eq", "9"),)))
-    assert abs(event_probability(scm, phi) - brute_event_probability(scm, phi)) <= 1e-12
+    for phi in [
+        OutcomeSpec(((("W", "eq", "7"), ("Z", "neq", "5")), (("Z", "eq", "9"),))),
+        # Z takes six values in this model; the targets are among them.
+        OutcomeSpec((
+            (("W", "eq", "4"), ("Z", "neq", "10825")),
+            (("Z", "eq", "13390"),),
+            (("Z", "eq", "40062"), ("W", "neq", "4")),
+            (("Z", "neq", "13390"), ("Z", "eq", "10825")),
+        )),
+    ]:
+        assert abs(event_probability(scm, phi) - brute_event_probability(scm, phi)) <= 1e-12
+
+
+def test_many_clauses_on_one_wide_variable_match_oracle(monkeypatch):
+    """W = a_1 or ... or W = a_256, over 256 values that the 65,537-valued W
+    takes: the clauses differ in W's weights only, so they join into one
+    conjunction, one row of one weight vector, not 256 rows that together
+    pass the cap."""
+    scm = wide_domain_scm(random.Random(3), 65_537)
+    (w,) = (v for v in scm.endogenous if v.id == "W")
+    taken = sorted(set(w.mechanism.values()))[:256]
+    phi = OutcomeSpec(tuple((("W", "eq", value),) for value in taken))
+    rows, real = [], scm_mod._eliminate
+
+    def eliminate(mechanisms, unary, scope, table):
+        rows.append(len(table))
+        return real(mechanisms, unary, scope, table)
+
+    monkeypatch.setattr(scm_mod, "_eliminate", eliminate)
+    got = event_probability(scm, phi)
+    assert rows == [1]
+    assert abs(got - brute_event_probability(scm, phi)) <= 1e-12
+
+
+def test_counterfactual_of_a_tautology_is_at_most_one():
+    """X = a, or Y = b, or X != a and Y != b, holds everywhere, but its
+    disjoint conjunctions are rounded apart from P(observation), so their
+    ratio can come out one ulp above 1 (it does for seeds 5, 8 and 10)."""
+    for seed in range(11):
+        rng = random.Random(seed)
+        for scm in oracle_models(rng):
+            if len(scm.endogenous) < 2:
+                continue
+            x, y = rng.sample(scm.endogenous, 2)
+            a, b = rng.choice(x.domain.values), rng.choice(y.domain.values)
+            phi = OutcomeSpec(
+                (((x.id, "eq", a),), ((y.id, "eq", b),), ((x.id, "neq", a), (y.id, "neq", b)))
+            )
+            observation = _observe(rng, scm)
+            target = rng.choice(scm.endogenous)
+            interventions = [(target.id, rng.choice(target.domain.values))]
+            got = counterfactual_probability(scm, observation, interventions, phi)
+            assert 1 - 1e-12 <= got <= 1.0
 
 
 def test_solve_codes_keeps_only_what_is_read():
