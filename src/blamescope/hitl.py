@@ -112,6 +112,10 @@ def encode_labels(labels, codes: dict) -> np.ndarray:
     """The codes of a list of labels under `codes`, a dict from label to
     code that this call extends: each label not in it gets the next code.
     So list(codes) is every label seen so far, in the order of its code."""
+    try:  # most often every label has its code already
+        return np.fromiter(map(codes.__getitem__, labels), dtype=np.intp, count=len(labels))
+    except KeyError:
+        pass
     for label in sorted(set(labels).difference(codes)):
         codes[label] = len(codes)
     return np.fromiter(map(codes.__getitem__, labels), dtype=np.intp, count=len(labels))

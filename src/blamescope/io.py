@@ -9,17 +9,18 @@ header. It reads the text whole but splits it in blocks of `_BLOCK`
 characters, cut at line ends, and hands each block's columns to the
 loader's `parse`, which types them (floats, label codes, int pairs) before
 the next block is split; so the loader holds columns, never every field
-string of the file at once. A block is split with `str.split` when it is
-sure to split as csv.reader would: the whole text has no quote, NUL or
-bare "\r" and a header that is not blank, and each line of the block is
-within the field limit and has the header's field count. A file that is
-not UTF-8, text with a quote, NUL or bare "\r", and a block that fails a
-per-line check make the whole file be read again through csv.reader from
-the start, as one block of rows, which raises the errors: results, errors
-and line numbers are the same on both paths. A block that `parse`
-rejects is noted and reading goes on, so a bad byte or a CSV syntax error
-anywhere in the file is still reported before a bad row; only then is the
-file rescanned row by row (`_bad_row`) to name the first bad row's line.
+string of the file at once. A block is split with one `str.split` call
+when it is sure to split as csv.reader would: the whole text has no quote,
+NUL or bare "\r" and a header that is not blank, and each line of the
+block, checked with numpy on the block's UTF-8 bytes, is within the field
+limit and has the header's field count. A file that is not UTF-8, text
+with a quote, NUL or bare "\r", and a block that fails a per-line check
+make the whole file be read again through csv.reader from the start, as
+one block of rows, which raises the errors: results, errors and line
+numbers are the same on both paths. A block that `parse` rejects is noted
+and reading goes on, so a bad byte or a CSV syntax error anywhere in the
+file is still reported before a bad row; only then is the file rescanned
+row by row (`_bad_row`) to name the first bad row's line.
 
 Reports are serialized with sorted keys and floats at 12 significant
 digits so identical runs produce byte-identical output; a `JsonText` value
@@ -275,9 +276,13 @@ def load_scm_bundle(path) -> ScmBundle:
 # Characters of CSV text split at once: a block is the shortest run of
 # whole lines this long, and the loader turns its fields into typed columns
 # before the next block is split, so one block's field strings are alive at
-# a time. On a 100k-case log (4.2 MB), blocks of 2^14 to 2^18 characters
-# gave the same load time and traced peak; 2^20 raised the peak by 10 MB.
-_BLOCK = 1 << 16
+# a time. The numpy line check costs a few calls per block, which larger
+# blocks share out: on a 100k-case log (4.2 MB, 2-vCPU host), 2^18 loaded
+# it 2-4% faster than 2^16 in medians of 60 alternating in-process loads
+# (2^18 won 32 and 41 of them, with either size first), at a traced peak
+# of 17.5 MB against 17.1 MB and a process peak RSS of 50.9 MB against
+# 47.6 MB. 2^19 and 2^20 raised the traced peak to 20.9 and 27.8 MB.
+_BLOCK = 1 << 18
 
 
 class _NotPlain(Exception):
@@ -288,21 +293,40 @@ class _NotPlain(Exception):
 def _plain_blocks(text, start, commas):
     r"""Yield, for each block of whole lines of text[start:], the fields of
     its non-blank lines in one flat list, commas + 1 fields to a line.
-    Raise _NotPlain at the first block with a line longer than the field
-    limit or a non-blank line with another number of commas."""
+    Raise _NotPlain at the first block with a non-blank line with another
+    number of commas, or a line whose UTF-8 form is longer than the field
+    limit.
+
+    The lines are checked with numpy on the block's UTF-8 bytes. The field
+    limit counts characters, and a line's UTF-8 form is never shorter than
+    its characters, so a line over the limit is never split here; a line of
+    multi-byte text within it may send its block to csv.reader, which reads
+    it the same."""
     limit = csv.field_size_limit()
     while start < len(text):
         end = text.find("\n", start + _BLOCK - 1)
         end = len(text) if end < 0 else end + 1
-        lines = text[start:end].split("\n")
+        block = text[start:end]
         start = end
-        if max(map(len, lines)) > limit or not set(
-            map(str.count, filter(None, lines), itertools.repeat(","))
-        ) <= {commas}:
+        data = np.frombuffer(block.encode(), dtype=np.uint8)
+        # Each line ends at a "\n", or at the end of a last block without one.
+        ends = np.flatnonzero(data == ord("\n"))
+        if block[-1] != "\n":
+            ends = np.append(ends, len(data))
+        lengths = np.diff(ends, prepend=-1) - 1
+        # Commas before each line's end, less those before the previous one's.
+        line_commas = np.diff(np.searchsorted(np.flatnonzero(data == ord(",")), ends), prepend=0)
+        del data
+        if lengths.max() > limit or ((line_commas != commas) & (lengths > 0)).any():
             raise _NotPlain
-        body = ",".join(filter(None, lines))
-        del lines
-        yield body.split(",") if body else []
+        if not lengths.all():  # csv.reader skips blank lines
+            block = "\n".join(filter(None, block.split("\n")))
+        block = block.replace("\n", ",")
+        fields = block.split(",")
+        del block
+        # Drops the empty field after a final "\n", or the one of "".split.
+        del fields[np.count_nonzero(lengths) * (commas + 1) :]
+        yield fields
 
 
 def _plain(text):
@@ -357,10 +381,11 @@ def _read_csv(path, columns, parse, problem) -> list:
     number, as are an empty file and a header without one of the columns;
     then, if a block failed `parse`, `problem` finds the first bad row (see
     `_bad_row`). Text that `_plain` accepts is split at "\n" and "," one
-    block at a time. A file that is not UTF-8, text that `_plain` rejects,
-    and a block that `_plain_blocks` rejects make the whole file be read
-    again through csv.reader, as one block of all its rows, which gives
-    the same values wherever both apply.
+    block at a time, in one `str.split` call once `_plain_blocks` has
+    checked the block's lines. A file that is not UTF-8, text that
+    `_plain` rejects, and a block that `_plain_blocks` rejects make the
+    whole file be read again through csv.reader, as one block of all its
+    rows, which gives the same values wherever both apply.
     """
     with open_text(path) as fh:
         try:
@@ -456,18 +481,21 @@ def load_cases(path) -> CaseLog:
     codes = {}
 
     def parse(ids, conf_text, ai, human, truth):
-        conf = np.fromiter(map(float, conf_text), dtype=np.float64, count=len(ids))
-        # NaN fails the range check too.
-        if not ((0.0 <= conf) & (conf <= 1.0)).all() or any(
-            "" in col for col in (ids, ai, human, truth)
-        ):
+        n = len(ids)
+        conf = np.fromiter(map(float, conf_text), dtype=np.float64, count=n)
+        labels = encode_labels(ai + human + truth, codes)
+        # NaN fails the range check too. An empty label is in `codes` once
+        # any block has one, and then the log has a bad row.
+        if not ((0.0 <= conf) & (conf <= 1.0)).all() or "" in codes or "" in ids:
             raise ValueError("bad row")
-        return ids, conf, *(encode_labels(col, codes) for col in (ai, human, truth))
+        return ids, conf, labels[:n], labels[n : 2 * n], labels[2 * n :]
 
     blocks = _read_csv(path, CASE_COLUMNS, parse, _case_problem)
     if not blocks:
         raise EmptyCaseList(f"{path}: case log is empty")
-    ids = [case_id for block in blocks for case_id in block[0]]
+    ids = []
+    for block in blocks:
+        ids.extend(block[0])
     dup = first_duplicate(ids)
     if dup is not None:
         line = next(itertools.islice(_numbered_rows(path), dup, None))[0]

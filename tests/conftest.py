@@ -100,14 +100,16 @@ def random_action(rng: random.Random, scm: Scm, label: str) -> Action:
     return Action(label=label, overrides=(Override(target.id, parents, table),))
 
 
-def random_outcome(rng: random.Random, scm: Scm, clauses=2, literals=2):
+def random_outcome(rng: random.Random, scm: Scm, clauses=2, literals=2, value=None):
     """Random DNF outcome over the endogenous variables: 1 to `clauses`
-    clauses of 1 to `literals` literals each."""
+    clauses of 1 to `literals` literals each. A literal's value is
+    `value(var)` for its variable, or drawn from the variable's domain."""
     from blamescope.scm import OutcomeSpec
 
     def literal():
         var = rng.choice(scm.endogenous)
-        return (var.id, rng.choice(("eq", "neq")), rng.choice(var.domain.values))
+        op = rng.choice(("eq", "neq"))
+        return (var.id, op, value(var) if value else rng.choice(var.domain.values))
 
     n_clauses = rng.randint(1, clauses)
     drawn = []

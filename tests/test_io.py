@@ -395,25 +395,51 @@ def blocks_of(size):
         yield
 
 
-def test_plain_file_is_split_without_csv_reader(tmp_path, monkeypatch):
+def _no_reader(*args, **kwargs):
+    raise AssertionError("csv.reader called")
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+def test_plain_file_is_split_without_csv_reader(tmp_path, monkeypatch, kind):
     r"""A file with no quote, NUL or bare "\r" and one field count on every
     non-blank line never reaches csv.reader, in blocks of any size; a
     quoted one does."""
-    cases = gen_synthetic(seed=3, n_cases=20, ai_accuracy=0.8, human_accuracy=0.9)
+    load, header, row = _LOADERS[kind]
+    shown = rows_of if kind == "cases" else list
+    path = tmp_path / "in.csv"
+    text = header + "".join(row.format(f"c{i}") for i in range(20))
+    path.write_text(text.replace("\n", "\r\n", 3) + "\n\n")
+    expected = shown(load(path))
+
+    monkeypatch.setattr(csv, "reader", _no_reader)
+    for size in BLOCK_SIZES:
+        with blocks_of(size):
+            assert shown(load(path)) == expected
+    path.write_text('"case_id"' + path.read_text()[len("case_id"):])
+    with pytest.raises(AssertionError, match="csv.reader called"):
+        load(path)
+
+
+def test_multibyte_case_log_is_split_without_csv_reader(tmp_path, monkeypatch):
+    r"""Ids and labels with a two-byte character, blank lines and "\r\n"
+    rows: the check on the UTF-8 bytes of each block still splits the file
+    without csv.reader, in blocks of any size, into csv.reader's fields."""
+    text = (
+        HEADER.replace("\n", "\r\n")
+        + "cé0,0.5,pés,neg,pés\r\n\n"
+        + "\r\nc1,0.25,neg,pés,neg\n"
+        + "é2,1,pés,pés,né\r\n\n\n"
+        + "c3,0,né,neg,pés"
+    )
     path = tmp_path / "cases.csv"
-    path.write_text(dump_cases(cases).replace("\n", "\r\n", 3) + "\n\n")
-    expected = rows_of(load_cases(path))
-
-    def no_reader(*args, **kwargs):
-        raise AssertionError("csv.reader called")
-
-    monkeypatch.setattr(csv, "reader", no_reader)
+    path.write_text(text, encoding="utf-8", newline="")
+    columns, _ = csv_columns(text, bio.CASE_COLUMNS)
+    expected = [(i, float(c), *labels) for i, c, *labels in zip(*columns)]
+    assert len(expected) == 4
+    monkeypatch.setattr(csv, "reader", _no_reader)
     for size in BLOCK_SIZES:
         with blocks_of(size):
             assert rows_of(load_cases(path)) == expected
-    path.write_text('"case_id"' + path.read_text()[len("case_id"):])
-    with pytest.raises(AssertionError, match="csv.reader called"):
-        load_cases(path)
 
 
 def _columns(path):
@@ -507,8 +533,20 @@ def test_read_csv_matches_csv_reader_on(text):
     _same_as_csv_reader(text)
 
 
-# Plain rows enough to fill more than one block of the real size.
-_PLAIN_ROWS = "".join(f"c{i},1,2\n" for i in range(20_000))
+def _two_blocks_of(row):
+    """Lines row.format(i), i = 0, 1, ..., enough to fill two whole blocks
+    of the reader's real size wherever the first block starts among them:
+    a block ends at the first line end at least bio._BLOCK characters on.
+    `row` makes lines of one length; long lines keep the count of lines,
+    and so of blocks of 1 or 7 characters, small."""
+    width = len(row.format(0))
+    rows = "".join(row.format(i) for i in range(2 * (bio._BLOCK // width + 2)))
+    assert len(set(map(len, rows.splitlines()))) == 1
+    assert len(rows) >= 2 * (bio._BLOCK + width)
+    return rows
+
+
+_PLAIN_ROWS = _two_blocks_of("c{:06d}" + "x" * 90 + ",1,2\n")
 
 
 @pytest.mark.parametrize(
@@ -517,7 +555,7 @@ _PLAIN_ROWS = "".join(f"c{i},1,2\n" for i in range(20_000))
     ids=["ragged_row", "longer_row", "over_the_limit"],
 )
 def test_read_csv_matches_csv_reader_past_the_first_block(line):
-    """A line that is not plain, after blocks of plain ones, gives the
+    """A line that is not plain, after two blocks of plain ones, gives the
     columns or the error that csv.reader gives."""
     _same_as_csv_reader(f"{_H}\n{_PLAIN_ROWS}{line}\n{_PLAIN_ROWS}")
 
@@ -525,17 +563,19 @@ def test_read_csv_matches_csv_reader_past_the_first_block(line):
 @pytest.mark.parametrize(
     "tail, error",
     [
-        (b"x" * (LIMIT + 1) + b",0.5,pos,neg,pos\n", "line 20003: field larger than field limit"),
-        (b"c,0.5,p\xe9s,neg,pos\n", "line 20003: not UTF-8"),
+        (b"x" * (LIMIT + 1) + b",0.5,pos,neg,pos\n", "line {}: field larger than field limit"),
+        (b"c,0.5,p\xe9s,neg,pos\n", "line {}: not UTF-8"),
     ],
     ids=["csv_error", "bad_byte"],
 )
 def test_reader_error_after_a_bad_row_in_an_earlier_block(tmp_path, tail, error):
     """A bad row in the first block does not stop the reader: a CSV syntax
-    error or a bad byte in a later block is still reported."""
+    error or a bad byte two blocks later is still reported."""
     path = tmp_path / "cases.csv"
-    rows = "".join(f"c{i},0.5,pos,neg,pos\n" for i in range(20_000))
+    rows = _two_blocks_of("c{:06d}" + "x" * 90 + ",0.5,pos,neg,pos\n")
     path.write_bytes((HEADER + "c,7,pos,neg,pos\n" + rows).encode() + tail)
+    # The header, the bad row and the rows come before the tail's line.
+    error = error.format(rows.count("\n") + 3)
     for size in BLOCK_SIZES:
         with blocks_of(size), pytest.raises(MalformedRow, match=error):
             load_cases(path)

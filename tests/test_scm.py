@@ -786,6 +786,23 @@ def _observe(rng, scm):
     return {var: x[var] for var in rng.sample(sorted(x), rng.randint(1, len(x)))}
 
 
+def _uncertain_outcome(rng, scm, tries=20):
+    """(phi, P(phi) by the oracle) for the first of up to `tries` random
+    outcomes with 0 < P(phi) < 1. Each literal's value is one its variable
+    takes: the value it has in the solution of random noise of positive
+    probability. An outcome that holds nowhere or everywhere would match
+    the oracle whatever the elimination did with the weights."""
+    def taken(var):
+        return brute_solve(scm, random_noise(rng, scm))[var.id]
+
+    for _ in range(tries):
+        phi = random_outcome(rng, scm, value=taken)
+        want = brute_event_probability(scm, phi)
+        if 0 < want < 1:
+            return phi, want
+    raise AssertionError(f"none of {tries} outcomes has a probability strictly between 0 and 1")
+
+
 def test_solve_matches_oracle():
     rng = random.Random(7)
     for scm in oracle_models(rng):
@@ -881,8 +898,8 @@ def test_wide_domains_match_oracle(size):
     for _ in range(3):
         noise = random_noise(rng, scm)
         assert solve(scm, noise) == brute_solve(scm, noise)
-    phi = random_outcome(rng, scm)
-    assert abs(event_probability(scm, phi) - brute_event_probability(scm, phi)) <= 1e-12
+    phi, want = _uncertain_outcome(rng, scm)
+    assert abs(event_probability(scm, phi) - want) <= 1e-12
     observation = _observe(rng, scm)
     target = rng.choice(scm.endogenous)
     interventions = [(target.id, rng.choice(target.domain.values))]
@@ -1021,8 +1038,10 @@ def test_outcome_on_two_widest_variables_matches_oracle():
     factor spans both, which would hold 65,537^2 entries, over the cap."""
     rng = random.Random(3)
     scm = wide_domain_scm(rng, 65_537)
+    x, y = (brute_solve(scm, random_noise(rng, scm)) for _ in range(2))
     for phi in [
-        OutcomeSpec(((("W", "eq", "7"), ("Z", "neq", "5")), (("Z", "eq", "9"),))),
+        # Values that W and Z take, from two solutions.
+        OutcomeSpec(((("W", "eq", x["W"]), ("Z", "neq", y["Z"])), (("Z", "eq", x["Z"]),))),
         # Z takes six values in this model; the targets are among them.
         OutcomeSpec((
             (("W", "eq", "4"), ("Z", "neq", "10825")),
@@ -1031,7 +1050,9 @@ def test_outcome_on_two_widest_variables_matches_oracle():
             (("Z", "neq", "13390"), ("Z", "eq", "10825")),
         )),
     ]:
-        assert abs(event_probability(scm, phi) - brute_event_probability(scm, phi)) <= 1e-12
+        want = brute_event_probability(scm, phi)
+        assert 0 < want < 1
+        assert abs(event_probability(scm, phi) - want) <= 1e-12
 
 
 def test_many_clauses_on_one_wide_variable_match_oracle(monkeypatch):
