@@ -39,20 +39,25 @@ over Python integers. The sums are not correctly rounded: the tests hold
 them within 1e-12 of brute-force enumeration.
 
 `_solve_codes` applies mechanisms to exogenous codes (scalars or arrays): it
-solves only the ancestors of the variables its caller reads, and drops every
-other column, exogenous ones included, after its last reader. `_lookup`
-reads a table through one flat index held in the smallest unsigned dtype
-that reaches every entry. `_holds` evaluates outcome, observation and cost
-literals as one DNF mask. The Monte Carlo estimator draws the codes of the
-exogenous variables the outcome depends on, and no others, and solves them
-in blocks of `_BLOCK` samples, so its memory does not grow with the sample
-count, which `MAX_SAMPLES` caps; each exogenous variable reads its own
-jumped PCG64 stream, so the blocks read the uniforms one generator would,
-and a variable left undrawn moves no other's draws. `_draw` consumes the
-same uniforms and returns the same codes as `Generator.choice`, so an
-estimate depends only on (seed, samples): a code is the number of CDF
-steps at or below its uniform, counted by comparison, or found by binary
-search in a domain wider than `_COMPARE_MAX` values. `abduct` lists the
+plans the solve (`_plan_solve`), which reads only the ancestors of the
+variables its caller reads, and runs the plan (`_solve_planned`), which
+drops every other column, exogenous ones included, after its last reader.
+`_lookup` reads a table at array codes as shifts of one packed integer
+when its entries times the bits of one output code fit `_PACK_BITS`
+(`_pack`), and otherwise, and at scalar codes, through one flat index held
+in the smallest unsigned dtype that reaches every entry. `_holds` evaluates
+outcome, observation and cost literals as one DNF mask. The Monte Carlo
+estimator plans its solve once, draws the codes of the exogenous variables
+the outcome depends on, and no others, and solves them in blocks of
+`_BLOCK` samples, so its memory does not grow with the sample count, which
+`MAX_SAMPLES` caps; each exogenous variable reads its own jumped PCG64
+stream, so the blocks read the uniforms one generator would, and a
+variable left undrawn moves no other's draws. `_draw` consumes the same
+uniforms and returns the same codes as `Generator.choice`, so an estimate
+depends only on (seed, samples): a code is the number of CDF steps at or
+below its uniform, counted by comparison (one for a binary variable), or
+found by binary search in a domain wider than `_COMPARE_MAX` values. So a
+block costs little more than its uniforms. `abduct` lists the
 posterior over a grid of the whole exogenous joint space, of at most
 `MAX_STATES` settings. An intervention do(X = x) and an action's overrides
 are the same rewrite, `_rewire`: do(X = x) gives X no parents and the
@@ -98,6 +103,11 @@ _BLOCK = 1 << 16
 # samples on one x86-64 Xeon core, comparing took 0.5x the search's time
 # at 64 values, 0.8x at 128 and 1.5x at 256.
 _COMPARE_MAX = 128
+# Most bits a packed table holds (`_pack`): entries times the bits of one
+# output code. Set by measurement: on 2^16 codes on one x86-64 Xeon core, a
+# packed read took 0.2-0.3x the time of a flat-index read at 2 to 16 bits,
+# 0.4-0.65x at 32 and 0.7-1.0x from 33 to 64, so no width up to 64 loses.
+_PACK_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -271,10 +281,43 @@ def _compile(scm: Scm):
     return tuple((vid, *luts[vid]) for vid in order)
 
 
-def _lookup(lut: np.ndarray, parent_codes):
-    """`lut` at the parent codes, read through one flat C-order index held
-    in the smallest unsigned dtype that reaches every entry, so that the
-    index cannot wrap."""
+def _pack(lut: np.ndarray, size: int):
+    """`lut`, the table of a variable with `size` values, packed for
+    `_lookup` as (mask, low, width): each entry's code takes `width` =
+    (size - 1).bit_length() bits of the integer `mask`, in flat C order from
+    the lowest bits, and `low` is 2^width - 1; both are held in the smallest
+    unsigned dtype that holds every entry's bits. None when the table has
+    no axis, or its entries need no bits or more than `_PACK_BITS`."""
+    width = (size - 1).bit_length()
+    bits = lut.size * width
+    if lut.ndim == 0 or not 0 < bits <= _PACK_BITS:
+        return None
+    mask = 0
+    for i, code in enumerate(lut.ravel().tolist()):
+        mask |= code << (i * width)
+    dtype = np.min_scalar_type((1 << bits) - 1)
+    return dtype.type(mask), dtype.type((1 << width) - 1), width
+
+
+def _lookup(lut: np.ndarray, packed, parent_codes):
+    """`lut` at the parent codes, in the table's dtype; `packed` is
+    `_pack`'s form of it, or None. Array codes of a packed table read
+    `(mask >> (index * width)) & low` at the flat C-order index, a shift of
+    at most 63 bits held in `uint8`, as no packed table has more than 64
+    entries; every step names its unsigned dtype, so numpy's promotion
+    rules do not change the result. Scalar codes, and tables not packed,
+    read the table through the flat index held in the smallest unsigned
+    dtype that reaches every entry, so that the index cannot wrap."""
+    if packed is not None and any(np.ndim(code) for code in parent_codes):
+        mask, low, width = packed
+        shift, stride = None, lut.size
+        for code, size in zip(parent_codes, lut.shape):
+            stride //= size
+            term = np.multiply(code, stride * width, dtype=np.uint8)
+            shift = term if shift is None else np.add(shift, term, dtype=np.uint8)
+        codes = np.right_shift(mask, shift, dtype=mask.dtype)
+        np.bitwise_and(codes, low, out=codes)
+        return codes.astype(lut.dtype, copy=False)
     itype = np.min_scalar_type(lut.size - 1)
     idx, stride = 0, lut.size
     for code, size in zip(parent_codes, lut.shape):
@@ -283,9 +326,13 @@ def _lookup(lut: np.ndarray, parent_codes):
     return np.take(lut.ravel(), idx)
 
 
-def _solve_steps(scm: Scm, keep) -> list:
-    """The tables, (id, parents, table) in model order, of the endogenous
-    variables in `keep` and of their endogenous ancestors."""
+def _plan_solve(scm: Scm, keep) -> tuple:
+    """How `_solve_planned` finds the codes of the variables in `keep`:
+    (steps, read). A step (id, parents, table, packed table, dropped)
+    solves one endogenous variable in `keep` or one of their endogenous
+    ancestors, in model order; `dropped` lists the parents that no later
+    step reads and `keep` leaves out. `read` holds every variable a step
+    reads and every variable in `keep`."""
     needed = set(keep)
     steps = []
     for vid, parents, lut in reversed(scm.tables):
@@ -293,25 +340,35 @@ def _solve_steps(scm: Scm, keep) -> list:
             needed.update(parents)
             steps.append((vid, parents, lut))
     steps.reverse()
-    return steps
+    last = {p: i for i, (_, parents, _) in enumerate(steps) for p in parents}
+    sizes = {v.id: len(v.domain) for v in scm.endogenous}
+    return [
+        (vid, parents, lut, _pack(lut, sizes[vid]),
+         [p for p in parents if last[p] == i and p not in keep])
+        for i, (vid, parents, lut) in enumerate(steps)
+    ], needed
+
+
+def _solve_planned(plan: tuple, codes: dict) -> dict:
+    """The codes a plan (`_plan_solve`) keeps, from exogenous codes (scalars
+    or arrays that broadcast together). Every other column, exogenous ones
+    included, is dropped after its last reader; the caller's dict is left
+    as it is, and need hold only the exogenous variables the plan reads.
+    This is the only place mechanisms are applied to codes."""
+    steps, read = plan
+    codes = {v: c for v, c in codes.items() if v in read}
+    for vid, parents, lut, packed, dropped in steps:
+        codes[vid] = _lookup(lut, packed, [codes[p] for p in parents])
+        for p in dropped:
+            del codes[p]
+    return codes
 
 
 def _solve_codes(scm: Scm, codes: dict, keep) -> dict:
     """The codes of the variables in `keep`, from exogenous codes (scalars
-    or arrays that broadcast together). Only their ancestors are solved, and
-    every other column, exogenous ones included, is dropped after its last
-    reader; the caller's dict is left as it is, and need hold only the
-    exogenous variables those ancestors read. This is the only place
-    mechanisms are applied to codes."""
-    steps = _solve_steps(scm, keep)
-    last = {p: i for i, (_, parents, _) in enumerate(steps) for p in parents}
-    codes = {v: c for v, c in codes.items() if v in keep or v in last}
-    for i, (vid, parents, lut) in enumerate(steps):
-        codes[vid] = _lookup(lut, [codes[p] for p in parents])
-        for p in parents:
-            if last[p] == i and p not in keep:
-                del codes[p]
-    return codes
+    or arrays that broadcast together): only their ancestors are solved
+    (`_plan_solve`, `_solve_planned`)."""
+    return _solve_planned(_plan_solve(scm, keep), codes)
 
 
 def _holds(clauses, env, shape=()) -> np.ndarray:
@@ -625,18 +682,20 @@ def event_probability(scm: Scm, phi: OutcomeSpec) -> float:
 def _draw(rng: np.random.Generator, ex: ExogenousVar, samples: int) -> np.ndarray:
     """`samples` codes of `ex` in its code dtype: the values, and the draws
     taken from `rng`, of `rng.choice(len(ex.domain), samples, p=ex.dist)`,
-    whose CDF this builds in the same way."""
+    whose CDF this builds in the same way. Up to `_COMPARE_MAX` values, the
+    codes start as the first CDF comparison and add one comparison per
+    further step, so a binary column is one `>=` over its uniforms."""
     cdf = np.asarray(ex.dist, dtype=float).cumsum()
     cdf /= cdf[-1]
     u = rng.random(samples)
-    dtype = _code_dtype(ex.domain)
     if len(cdf) > _COMPARE_MAX:
-        return cdf.searchsorted(u, side="right").astype(dtype)
+        return cdf.searchsorted(u, side="right").astype(_code_dtype(ex.domain))
     # The number of CDF steps at or below u is searchsorted(side="right"),
-    # and the last step, exactly 1, is above every u.
-    codes = np.zeros(samples, dtype)
+    # and the last step, exactly 1, is above every u. A domain this narrow
+    # has `uint8` codes.
+    codes = np.greater_equal(u, cdf[0]).view(np.uint8)
     reached = np.empty(samples, dtype=bool)
-    for step in cdf[:-1]:
+    for step in cdf[1:-1]:
         np.greater_equal(u, step, out=reached)
         codes += reached.view(np.uint8)
     return codes
@@ -646,9 +705,9 @@ def event_probability_mc(
     scm: Scm, phi: OutcomeSpec, samples: int, seed: int
 ) -> float:
     """Monte Carlo estimate of event_probability; deterministic in
-    (seed, samples). Samples are drawn and solved `_BLOCK` at a time, and
-    only the exogenous variables the outcome's variables depend on are
-    drawn. Exogenous variable j (its index in model order) reads its own
+    (seed, samples). The solve is planned once (`_plan_solve`), then
+    samples are drawn and solved `_BLOCK` at a time, and only the exogenous
+    variables the outcome's variables depend on are drawn. Exogenous variable j (its index in model order) reads its own
     PCG64 stream of `seed`, advanced by j * samples draws, so its block b
     holds the uniforms at j * samples + b * _BLOCK onwards of one
     `default_rng(seed)` stream: the estimate is that of drawing every
@@ -660,11 +719,11 @@ def event_probability_mc(
         raise SampleCountTooLarge(f"{samples} samples exceed the cap of {MAX_SAMPLES}")
     clauses = _encode(scm, phi, "outcome")
     keep = _variables(clauses)
-    read = {p for _, parents, _ in _solve_steps(scm, keep) for p in parents}
+    plan = _plan_solve(scm, keep)
     drawn = [
         (ex, np.random.Generator(np.random.PCG64(seed).advance(j * samples)))
         for j, ex in enumerate(scm.exogenous)
-        if ex.id in read
+        if ex.id in plan[1]
     ]
     hits = 0
     try:
@@ -672,9 +731,7 @@ def event_probability_mc(
             block = min(_BLOCK, samples - start)
             # No name holds the draws, so each column is freed after its
             # last reader.
-            codes = _solve_codes(
-                scm, {ex.id: _draw(rng, ex, block) for ex, rng in drawn}, keep
-            )
+            codes = _solve_planned(plan, {ex.id: _draw(rng, ex, block) for ex, rng in drawn})
             hits += int(np.count_nonzero(_holds(clauses, codes, (block,))))
     except MemoryError:
         raise SampleCountTooLarge(

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import math
 import random
 import re
@@ -64,6 +65,7 @@ from oracles import (
     brute_expected_cost,
     brute_mc,
     brute_posterior,
+    brute_satisfied,
     brute_solve,
 )
 
@@ -492,7 +494,8 @@ def test_mc_matches_oracle_within_standard_errors():
 def test_mc_memory_live_columns():
     """Each column is dropped after its last reader, so on the 24-bit chain
     the traced peak stays under one byte per sample per exogenous draw plus
-    24: the uniforms, the index copy and a few live columns."""
+    24: the uniforms, the shift amounts of a packed table read and a few
+    live columns."""
     scm = _xor_chain(24)
     samples = 200_000
     phi = OutcomeSpec(((("X23", "eq", "1"),),))
@@ -541,16 +544,51 @@ def _one_valued_noise():
     )
 
 
+def _packing_edges(rng):
+    """Random tables with 3- and 5-valued outputs around the packing limit:
+    P (3 values, 2 bits) reads 4 x 8 = 32 entries, exactly `_PACK_BITS`
+    bits; Q (3 values) reads P and an 11-valued D, 33 entries, just past
+    it; R (5 values, 3 bits) reads Q and C; S (binary) reads R and P."""
+    def noise(id, size):
+        raw = [rng.random() if rng.random() > 0.2 else 0.0 for _ in range(size)]
+        raw[0] += 1e-3
+        return ExogenousVar(id, Domain(tuple(f"{id}{i}" for i in range(size))),
+                            tuple(r / sum(raw) for r in raw))
+
+    def mechanism(id, size, parents):
+        domain = Domain(tuple(f"{id}{i}" for i in range(size)))
+        table = {combo: rng.choice(domain.values)
+                 for combo in itertools.product(*(p.domain.values for p in parents))}
+        return EndogenousVar(id, domain, tuple(p.id for p in parents), table)
+
+    a, b, c, d = noise("A", 4), noise("B", 8), noise("C", 3), noise("D", 11)
+    p = mechanism("P", 3, (a, b))
+    q = mechanism("Q", 3, (p, d))
+    r = mechanism("R", 5, (q, c))
+    s = mechanism("S", 2, (r, p))
+    return Scm(exogenous=(a, b, c, d), endogenous=(p, q, r, s))
+
+
 @pytest.mark.parametrize("block", [1, 3, 64])
 def test_mc_blocks_match_one_stream(monkeypatch, block):
     """Whatever the block size, the estimate is exactly that of one
     generator drawing each column whole with `Generator.choice`, at sample
-    counts around one and two blocks."""
+    counts around one and two blocks; also on tables of 2- to 3-bit codes
+    packed at the limit, and just past it, where they are read by index."""
     monkeypatch.setattr(scm_mod, "_BLOCK", block)
     rng = random.Random(block)
     models = oracle_models(rng) + [_one_valued_noise()]
-    for seed, scm in enumerate(models):
-        phi = random_outcome(rng, scm)
+    cases = [(scm, random_outcome(rng, scm)) for scm in models]
+    edges = _packing_edges(rng)
+    sizes = {v.id: len(v.domain) for v in edges.endogenous}
+    packed = {vid: scm_mod._pack(lut, sizes[vid]) for vid, _, lut in edges.tables}
+    assert {vid: lut.size * (sizes[vid] - 1).bit_length() for vid, _, lut in edges.tables} == {
+        "P": scm_mod._PACK_BITS, "Q": 66, "R": 27, "S": 15}
+    assert [vid for vid in packed if packed[vid] is None] == ["Q"]
+    for clauses in (((("S", "eq", "S1"),),),
+                    ((("R", "neq", "R4"), ("P", "eq", "P2")), (("Q", "eq", "Q1"),))):
+        cases.append((edges, OutcomeSpec(clauses)))
+    for seed, (scm, phi) in enumerate(cases):
         for samples in (block - 1, block, block + 1, 2 * block + 1):
             if samples >= 1:
                 assert event_probability_mc(scm, phi, samples, seed) == brute_mc(
@@ -561,12 +599,12 @@ def test_mc_blocks_match_one_stream(monkeypatch, block):
 def test_mc_blocks_match_one_stream_on_the_chain():
     """One more sample than a default block on the 24-bit chain gives the
     estimate of one generator drawing each column whole with
-    `Generator.choice`, solved by the library."""
+    `Generator.choice`, where X23 is the XOR of E0 ... E23."""
     scm = _xor_chain(24)
     samples = scm_mod._BLOCK + 1
     rng = np.random.default_rng(11)
-    columns = {ex.id: rng.choice(2, samples, p=ex.dist).astype(np.uint8) for ex in scm.exogenous}
-    want = np.count_nonzero(scm_mod._solve_codes(scm, columns, {"X23"})["X23"] == 1) / samples
+    columns = [rng.choice(2, samples, p=ex.dist) for ex in scm.exogenous]
+    want = np.count_nonzero(np.bitwise_xor.reduce(columns)) / samples
     phi = OutcomeSpec(((("X23", "eq", "1"),),))
     assert event_probability_mc(scm, phi, samples, seed=11) == want
 
@@ -803,6 +841,32 @@ def _uncertain_outcome(rng, scm, tries=20):
     raise AssertionError(f"none of {tries} outcomes has a probability strictly between 0 and 1")
 
 
+def _uncertain_counterfactual(rng, scm, tries=20, outcomes=10):
+    """(observation, interventions, phi, worlds) for the first of up to
+    `tries` random observations and single interventions whose posterior
+    reaches `worlds` >= 2 distinct counterfactual worlds, with the first of
+    up to `outcomes` random outcomes that holds in some of those worlds and
+    not in others, so that 0 < P < 1. Each literal's value is one its
+    variable takes in a world. A query with one world, or an outcome that
+    holds in all or none, would match the oracle whatever the twin-network
+    elimination did with the weights."""
+    for _ in range(tries):
+        observation = _observe(rng, scm)
+        target = rng.choice(scm.endogenous)
+        interventions = [(target.id, rng.choice(target.domain.values))]
+        solved = [(brute_solve(scm, noise, interventions), p)
+                  for noise, p in brute_posterior(scm, observation)]
+        worlds = list({tuple((v.id, x[v.id]) for v in scm.endogenous): None for x, _ in solved})
+        if len(worlds) < 2:
+            continue
+        for _ in range(outcomes):
+            phi = random_outcome(rng, scm, value=lambda var: dict(rng.choice(worlds))[var.id])
+            held = [brute_satisfied(phi.clauses, x) for x, _ in solved]
+            if 0 < sum(held) < len(held):
+                return observation, interventions, phi, len(worlds)
+    raise AssertionError(f"no counterfactual in {tries} tries reaches two worlds with 0 < P < 1")
+
+
 def test_solve_matches_oracle():
     rng = random.Random(7)
     for scm in oracle_models(rng):
@@ -900,12 +964,10 @@ def test_wide_domains_match_oracle(size):
         assert solve(scm, noise) == brute_solve(scm, noise)
     phi, want = _uncertain_outcome(rng, scm)
     assert abs(event_probability(scm, phi) - want) <= 1e-12
-    observation = _observe(rng, scm)
-    target = rng.choice(scm.endogenous)
-    interventions = [(target.id, rng.choice(target.domain.values))]
-    phi = random_outcome(rng, scm)
-    got = counterfactual_probability(scm, observation, interventions, phi)
+    observation, interventions, phi, worlds = _uncertain_counterfactual(rng, scm)
     want = brute_counterfactual_probability(scm, observation, interventions, phi)
+    assert worlds >= 2 and 0 < want < 1
+    got = counterfactual_probability(scm, observation, interventions, phi)
     assert abs(got - want) <= 1e-12
 
 
@@ -1118,6 +1180,49 @@ def test_solve_codes_keeps_only_what_is_read():
             for var in keep:
                 assert np.array_equal(got[var], full[var])
             assert codes == given
+
+
+# (values, parent sizes): tables on each side of the packing limit for
+# their output's code width, 64 and 65 one-bit entries, 32 and 33 two-bit,
+# 21 and 22 three-bit, 16 and 17 four-bit.
+LOOKUP_TABLES = [(2, (8, 8)), (2, (5, 13)), (3, (4, 8)), (3, (3, 11)),
+                 (5, (3, 7)), (5, (2, 11)), (16, (16,)), (16, (17,))]
+
+
+@pytest.mark.parametrize("values, shape", LOOKUP_TABLES)
+def test_lookup_matches_take(values, shape):
+    """`_lookup` reads what `np.take` reads at the flat C-order index, in
+    value and dtype, on random tables packed or past the packing limit,
+    compiled from a mechanism with a one-valued parent, which is dropped,
+    and a parent listed twice; at array codes, broadcast ones as `abduct`
+    passes them, and at scalar codes, as `solve` passes them."""
+    rng = random.Random(values * len(shape) + math.prod(shape))
+    parents = [ExogenousVar(f"U{i}", Domain(tuple(range(size))), (1 / size,) * size)
+               for i, size in enumerate(shape)]
+    one = ExogenousVar("O", Domain(("only",)), (1.0,))
+    listed = ["U0", "O"] + [p.id for p in parents[1:]] + ["U0"]
+    domains = {v.id: v.domain for v in parents + [one]}
+    out = Domain(tuple(range(values)))
+    table = {combo: rng.choice(out.values)
+             for combo in itertools.product(*(domains[p].values for p in listed))}
+    table[next(iter(table))] = values - 1  # the widest code, on the diagonal
+    scm = Scm(exogenous=(*parents, one), endogenous=(EndogenousVar("T", out, tuple(listed), table),))
+    [(_, axes, lut)] = scm.tables
+    assert axes == tuple(p.id for p in parents) and lut.shape == shape
+    packed = scm_mod._pack(lut, values)
+    assert (packed is None) == (lut.size * (values - 1).bit_length() > scm_mod._PACK_BITS)
+    grid = np.indices(shape, dtype=np.uint8).reshape(len(shape), -1)
+    order = np.random.default_rng(values).permutation(lut.size)
+    for codes in ([c[order] for c in grid], list(np.indices(shape, np.uint8, sparse=True))):
+        got = scm_mod._lookup(lut, packed, codes)
+        want = np.take(lut.ravel(), np.ravel_multi_index(codes, shape))
+        assert got.dtype == want.dtype == lut.dtype
+        assert np.array_equal(got, want)
+    for flat in range(lut.size):
+        codes = [int(c) for c in np.unravel_index(flat, shape)]
+        got = scm_mod._lookup(lut, packed, codes)
+        want = np.take(lut.ravel(), flat)
+        assert got.dtype == want.dtype and got == want
 
 
 def test_one_valued_parent_in_a_full_uint8_index():
