@@ -25,18 +25,20 @@ variables an outcome reads, in a counterfactual as in a plain query. A
 mechanism is a function, so it is never turned into a factor of its own:
 once no other mechanism left reads a variable, each factor over it is
 indexed with its table (`_substitute`). An exogenous variable is then
-summed out with its prior. `MAX_STATES` caps the entries of one row of the
-largest factor; a batch whose rows together pass it, in a factor or in the
-stacked weights, is eliminated in chunks of rows that do not. `_query` is
-the one exact query: an outcome probability is the sum of the
+summed out with its prior. The order and each factor's size are planned
+from scopes alone (`_plan`), and the chunk size from the plan, before any
+factor is built: a factor of more than `MAX_STATES` entries in one row is
+refused, and a batch whose rows together pass the cap, in a factor or in
+the stacked weights, is eliminated in chunks of rows that do not. `_query`
+is the one exact query: an outcome probability is the sum of the
 probabilities of its disjoint conjunctions, an expected cost the sum of
 each cost term's probability times its cost, and a counterfactual the
 ratio of two sums of one query on the twin network, where only the
 intervened variables and their descendants get copies: P(phi* and
-observation) and P(observation). `posterior_support_size`
-counts the settings that reproduce an observation by the same elimination
-over Python integers. The sums are not correctly rounded: the tests hold
-them within 1e-12 of brute-force enumeration.
+observation) and P(observation). `posterior_support_size` counts the
+settings that reproduce an observation by the same elimination over Python
+integers. The sums are not correctly rounded: the tests hold them within
+1e-12 of brute-force enumeration.
 
 `_solve_codes` applies mechanisms to exogenous codes (scalars or arrays): it
 plans the solve (`_plan_solve`), which reads only the ancestors of the
@@ -434,17 +436,13 @@ def _check_factor(entries: int, needs="exact query needs a factor of {} entries"
         )
 
 
-def _substitute(table, scope: list, group: list, mechanisms: dict, unary: dict):
-    """The factor with each variable in `group` replaced by its mechanism:
-    each entry reads `table` at the codes the lookup tables give for the
-    parents' codes, times each variable's unary weights at its code (weights
-    with a leading batch axis weigh each batch entry apart). A parent not
-    yet in the scope gets a new last axis; one that is shares
-    its axis, so no factor wider than the result is built. Returns (table,
-    scope)."""
-    rest = [v for v in scope if v not in group]
-    new = list(dict.fromkeys(p for v in group for p in mechanisms[v][0] if p not in scope))
-    out = rest + new
+def _substitute(table, scope: list, group: list, out: list, mechanisms: dict, unary: dict):
+    """The factor over `out`, its scope in the plan (`_plan`), with each
+    variable in `group` replaced by its mechanism: each entry reads `table`
+    at the codes the lookup tables give for the parents' codes, times each
+    variable's unary weights at its code (weights with a leading batch axis
+    weigh each batch entry apart). A parent already in `scope` shares its
+    axis, so no factor wider than the result is built."""
     ndim = 1 + len(out)
 
     def along(axis, size):
@@ -464,48 +462,36 @@ def _substitute(table, scope: list, group: list, mechanisms: dict, unary: dict):
     for v in group:
         if v in unary:
             table = table * np.take(unary[v], codes[v][0], axis=-1)
-    return table, out
+    return table
 
 
-def _eliminate(mechanisms: dict, unary: dict, scope: list, table: np.ndarray):
-    """Bucket elimination: the sum over the exogenous joint space of the
-    product of the unary factors and of `table` read at the codes the
-    mechanisms give its scope. `table`'s first axis is a batch, summed entry
-    by entry; its other axes follow `scope`. `mechanisms` maps each
-    endogenous id to (parent ids, lookup table), as in `Scm.tables`; `unary`
-    maps every exogenous id to its prior, and any endogenous id to weights
-    over its codes, such as the indicator of an observed value, or to a
-    row of such weights per batch entry.
+def _plan(mechanisms: dict, sizes: dict) -> tuple:
+    """The steps of bucket elimination, from scopes alone: (steps, unread,
+    largest). `mechanisms` maps each endogenous id to (parent ids, lookup
+    table), as in `Scm.tables`; `sizes` maps each variable with unary
+    weights, every exogenous one included, to its number of values.
 
     A variable is eliminated once no mechanism still to be eliminated reads
-    it. Endogenous ones are substituted by their mechanisms (`_substitute`),
-    all those with the same parents at once; an exogenous one is summed out
-    with its prior. Exogenous variables go first, as that only shrinks the
-    factor; otherwise the endogenous group that grows it least. The
-    candidates are the factor's own variables and the unary factors not yet
-    used, so no step scans the whole model. An exogenous variable that no
-    candidate reads multiplies the result by the sum of its weights. Each
-    sum is a multiply and a reduction, so every batch entry is rounded
-    alike. Before each substitution, the entries per batch entry of the
-    factor it builds are checked against `MAX_STATES`; when the batch
-    entries together pass it, the rest of the elimination runs on each
-    chunk of as many entries as fit, with the weights not yet used."""
-    scope = list(scope)
-    sizes = dict(zip(scope, table.shape[1:]))
-    waiting = [v for v in unary if v in mechanisms]  # endogenous unary factors not yet used
-    sizes.update((v, unary[v].shape[-1]) for v in waiting)
-    pending = dict.fromkeys(sizes, 0)  # readers not yet eliminated
-    stack = [v for v in sizes if v in mechanisms]
+    it. A step is (id, None), an exogenous variable summed out with its
+    prior, or (group, out): the endogenous variables with the same parents,
+    substituted by their mechanisms at once, and the scope of the factor
+    that builds. Exogenous variables go first, as that only shrinks the
+    factor; otherwise the group that grows it least. The candidates are the
+    factor's own variables and the unary factors not yet used, so no step
+    scans the whole model. `unread` lists the exogenous variables no step
+    reads; `largest` is the most entries in one row of a factor, and each
+    factor is checked against `MAX_STATES` before the next is planned."""
+    sizes = dict(sizes)
+    waiting = [v for v in sizes if v in mechanisms]  # endogenous unary factors not yet used
+    pending = dict.fromkeys(waiting, 0)  # readers not yet eliminated
+    stack = list(waiting)
     while stack:
         parents, lut = mechanisms[stack.pop()]
         for p, size in zip(parents, lut.shape):
             if p not in pending and p in mechanisms:
                 stack.append(p)
             pending[p], sizes[p] = pending.get(p, 0) + 1, size
-
-    mass = math.prod(
-        w.sum() for v, w in unary.items() if v not in pending and v not in mechanisms
-    )
+    unread = [v for v in sizes if v not in pending]
 
     def growth(group):
         # A variable with a unary factor and no axis counts as if it had
@@ -514,38 +500,49 @@ def _eliminate(mechanisms: dict, unary: dict, scope: list, table: np.ndarray):
         new = {p for v in group for p in mechanisms[v][0] if p not in scope}
         return math.prod(sizes[p] for p in new) / math.prod(sizes[v] for v in group)
 
+    scope, steps, largest = [], [], 1
     while scope or waiting:
         ready = [v for v in scope + [v for v in waiting if v not in scope] if pending[v] == 0]
         exogenous = [v for v in ready if v not in mechanisms]
         if exogenous:
-            k = scope.index(exogenous[0])
-            prior = unary[scope.pop(k)].reshape((-1,) + (1,) * (len(scope) - k))
-            table = (table * prior).sum(axis=1 + k)
+            scope = [v for v in scope if v != exogenous[0]]
+            steps.append((exogenous[0], None))
             continue
         groups = {}
         for v in ready:
             groups.setdefault(frozenset(mechanisms[v][0]), []).append(v)
         group = min(groups.values(), key=growth)
-        parents = set().union(*(mechanisms[v][0] for v in group))
-        entries = math.prod(sizes[v] for v in set(scope).difference(group) | parents - set(scope))
-        _check_factor(entries)
-        fit = MAX_STATES // entries
-        if len(table) > fit:
-            # Weights already used or summed out, and the priors in `mass`,
-            # must not count again in a chunk.
-            left = {v: w for v, w in unary.items() if v in waiting or pending.get(v)}
-            return mass * np.concatenate([
-                _eliminate(mechanisms, {v: w[i : i + fit] if w.ndim > 1 else w
-                                        for v, w in left.items()}, scope, table[i : i + fit])
-                for i in range(0, len(table), fit)
-            ])
-        table, scope = _substitute(table, scope, group, mechanisms, unary)
+        new = dict.fromkeys(p for v in group for p in mechanisms[v][0] if p not in scope)
+        scope = [v for v in scope if v not in group] + list(new)
+        largest = max(largest, math.prod(sizes[v] for v in scope))
+        _check_factor(largest)
+        steps.append((group, scope))
         for v in group:
             if v in waiting:
                 waiting.remove(v)
             for p in mechanisms[v][0]:
                 pending[p] -= 1
-    return table * mass
+    return steps, unread, largest
+
+
+def _eliminate(plan: tuple, mechanisms: dict, unary: dict, table: np.ndarray):
+    """Runs `plan` (`_plan`): the sum over the exogenous joint space of the
+    product of the unary factors and of `table`, a batch of one axis.
+    `unary` maps every exogenous id to its prior, and any endogenous id to
+    weights over its codes, such as the indicator of an observed value, or
+    to a row of such weights per batch entry. Each sum is a multiply and a
+    reduction, so every row is rounded alike; an exogenous variable that no
+    step reads multiplies the result by the sum of its weights."""
+    steps, unread, _ = plan
+    scope = []
+    for step, out in steps:
+        if out is None:  # an exogenous variable, summed out with its prior
+            k = scope.index(step)
+            scope = scope[:k] + scope[k + 1 :]
+            table = (table * unary[step].reshape((-1,) + (1,) * (len(scope) - k))).sum(axis=1 + k)
+        else:
+            table, scope = _substitute(table, scope, step, out, mechanisms, unary), out
+    return table * math.prod(unary[v].sum() for v in unread)
 
 
 def _unary(clause, sizes: dict) -> dict:
@@ -640,10 +637,10 @@ def _query(scm: Scm, terms, what: str, observation=None, interventions=()) -> tu
     `_eliminate` carries, as a unary weight vector per variable it reads;
     given an observation, one more row reads no term and gives
     P(observation). The observation is one unary indicator per observed
-    variable, on every row. The rows are stacked and eliminated in chunks
-    of as many as fit `MAX_STATES` with one weight vector each of the
-    widest variable they read. E is the `math.fsum` of each row's
-    probability times its term's value."""
+    variable, on every row. It is planned once (`_plan`), and the rows are
+    eliminated in chunks of as many as fit `MAX_STATES` in its largest
+    factor and in a weight vector of the widest variable they read. E is
+    the `math.fsum` of each row's probability times its term's value."""
     twin, done = scm, set()
     for var, value in interventions:
         twin = intervene(twin, var, value)
@@ -662,14 +659,15 @@ def _query(scm: Scm, terms, what: str, observation=None, interventions=()) -> tu
     rows += [] if observation is None else [({}, 0.0)]
     read = dict.fromkeys(v for row, _ in rows for v in row)
     read = {v: np.ones(sizes[v], dtype=bool) for v in read}
-    fit = max(1, MAX_STATES // max(map(len, read.values()), default=1))
+    plan = _plan(mechanisms, {v: len(w) for v, w in (unary | read).items()})
+    fit = max(1, MAX_STATES // max([plan[2], *map(len, read.values())]))
     p = [np.zeros(0)]
     for chunk in (rows[i : i + fit] for i in range(0, len(rows), fit)):
         weights = unary | {
             v: unary.get(v, True) * np.stack([row.get(v, ones) for row, _ in chunk])
             for v, ones in read.items()
         }
-        p.append(_eliminate(mechanisms, weights, [], np.ones(len(chunk))))
+        p.append(_eliminate(plan, mechanisms, weights, np.ones(len(chunk))))
     p = np.concatenate(p)
     return math.fsum(p * [x for _, x in rows]), None if observation is None else float(p[-1])
 
@@ -704,14 +702,14 @@ def _draw(rng: np.random.Generator, ex: ExogenousVar, samples: int) -> np.ndarra
 def event_probability_mc(
     scm: Scm, phi: OutcomeSpec, samples: int, seed: int
 ) -> float:
-    """Monte Carlo estimate of event_probability; deterministic in
-    (seed, samples). The solve is planned once (`_plan_solve`), then
-    samples are drawn and solved `_BLOCK` at a time, and only the exogenous
-    variables the outcome's variables depend on are drawn. Exogenous variable j (its index in model order) reads its own
-    PCG64 stream of `seed`, advanced by j * samples draws, so its block b
-    holds the uniforms at j * samples + b * _BLOCK onwards of one
-    `default_rng(seed)` stream: the estimate is that of drawing every
-    variable's column whole, in model order, with `Generator.choice`,
+    """Monte Carlo estimate of event_probability; deterministic in (seed,
+    samples). The solve is planned once (`_plan_solve`), then samples are drawn
+    and solved `_BLOCK` at a time, and only the exogenous variables the
+    outcome's variables depend on are drawn. Exogenous variable j (its index in
+    model order) reads its own PCG64 stream of `seed`, advanced by j * samples
+    draws, so its block b holds the uniforms at j * samples + b * _BLOCK
+    onwards of one `default_rng(seed)` stream: the estimate is that of drawing
+    every variable's column whole, in model order, with `Generator.choice`,
     whatever the block size and whichever variables are skipped."""
     if samples < 1:
         raise ValueOutOfDomain("samples must be >= 1")
@@ -822,4 +820,5 @@ def posterior_support_size(scm: Scm, observation: dict) -> int:
     unary = {ex.id: np.array([int(p > 0) for p in ex.dist], dtype=object) for ex in scm.exogenous}
     unary |= _observed(scm, observation)
     mechanisms = {vid: (parents, lut) for vid, parents, lut in scm.tables}
-    return _eliminate(mechanisms, unary, [], np.ones(1, dtype=object))[0]
+    plan = _plan(mechanisms, {v: len(w) for v, w in unary.items()})
+    return _eliminate(plan, mechanisms, unary, np.ones(1, dtype=object))[0]

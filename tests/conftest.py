@@ -206,6 +206,22 @@ def constant_scm():
     return scm
 
 
+def pairwise_xor_scm(n: int):
+    """n fair bits B0..B(n-1) and one XOR per pair, X{i}_{j} := Bi xor Bj.
+    An outcome that reads every XOR makes the bits a clique: at n = 26 its
+    elimination needs a factor of 2^25 entries, past the 2^24 cap."""
+    import itertools
+
+    return Scm(
+        exogenous=tuple(ExogenousVar(f"B{i}", Domain(BITS), (0.5, 0.5)) for i in range(n)),
+        endogenous=tuple(
+            EndogenousVar(f"X{i}_{j}", Domain(BITS), (f"B{i}", f"B{j}"),
+                          {(a, b): str(int(a != b)) for a in BITS for b in BITS})
+            for i, j in itertools.combinations(range(n), 2)
+        ),
+    )
+
+
 def oracle_models(rng: random.Random, n_random=60):
     """Models for oracle comparisons: small random binary ones, two larger
     than one evaluator block with non-binary domains, and one with no

@@ -20,6 +20,8 @@ from blamescope.data import bundled_path
 from blamescope.hitl import Case
 from blamescope.io import CASE_COLUMNS, dump_cases
 
+from conftest import pairwise_xor_scm
+
 CYCLIC_SCM = {
     "schema": "blamescope/scm/1",
     "exogenous": [{"id": "E", "values": ["0", "1"], "probs": [0.5, 0.5]}],
@@ -767,6 +769,9 @@ def test_integer_flag_bounds_named(capsys, argv, bound):
         (("metrics", "--ratings", _RATINGS, "--l", "0.2"), "ConfigError"),
         (("metrics", "--ratings", _RATINGS, "--u", "0.9"), "ConfigError"),
         (("metrics", "--ratings", _RATINGS, "--positive", "pos"), "ConfigError"),
+        (("blame", "--scm", _BLAME_SCM, *BLAME_ARGS[:-1], "nope"), "UnknownCostModel"),
+        # The model's discount is cost_ratio, which requires --cost.
+        (("blame", "--scm", _BLAME_SCM, *BLAME_ARGS[:-2]), "ConfigError"),
     ],
     ids=[
         "no_command", "unknown_command", "unknown_flag", "missing_required", "bad_float",
@@ -774,6 +779,7 @@ def test_integer_flag_bounds_named(capsys, argv, bound):
         "metrics_no_source", "metrics_both_sources", "metrics_cases_no_positive",
         "prob_unknown_action", "do_twice", "observe_twice", "metrics_cases_k",
         "metrics_ratings_l", "metrics_ratings_u", "metrics_ratings_positive",
+        "blame_unknown_cost", "blame_cost_ratio_without_cost",
     ],
 )
 def test_usage_and_config_errors_are_json(capsys, argv, error):
@@ -789,6 +795,31 @@ def test_prob_samples_beyond_memory(capsys):
     error = _strict_json(err)
     assert error["error"] == "SampleCountTooLarge"
     assert "1000000000000 samples" in error["message"]
+
+
+def test_exact_prob_past_the_cap_exits_4(capsys, tmp_path):
+    """Exact `prob` on the 26-bit pairwise-XOR clique, whose elimination
+    needs a factor of 2^25 entries, is refused with a JSON error."""
+    scm = pairwise_xor_scm(26)
+    path = tmp_path / "clique.json"
+    path.write_text(json.dumps({
+        "schema": "blamescope/scm/1",
+        "exogenous": [
+            {"id": ex.id, "values": list(ex.domain.values), "probs": list(ex.dist)}
+            for ex in scm.exogenous
+        ],
+        "endogenous": [
+            {"id": v.id, "values": list(v.domain.values), "parents": list(v.parents),
+             "table": {"|".join(key): x for key, x in v.mechanism.items()}}
+            for v in scm.endogenous
+        ],
+        "outcomes": {"all_zero": [[[v.id, "eq", "0"] for v in scm.endogenous]]},
+    }))
+    code, out, err = run_cli(capsys, "prob", "--scm", str(path), "--outcome", "all_zero")
+    assert (code, out) == (4, "")
+    error = _strict_json(err)
+    assert error["error"] == "StateSpaceTooLarge"
+    assert "factor of 33554432 entries" in error["message"]
 
 
 @pytest.mark.parametrize(

@@ -53,6 +53,7 @@ from blamescope.scm import (
 from conftest import (
     WIDE_DOMAIN_SIZES,
     oracle_models,
+    pairwise_xor_scm,
     random_noise,
     random_outcome,
     random_scm,
@@ -231,7 +232,7 @@ def _over_the_cap(n=25):
 
 def _past_the_cap_at_step_two(n=4100):
     """U and V uniform over n values, M := U mod 2, P := f(U, M) and
-    Q := g(V, M). Eliminating P = 1 and Q = 1 substitutes P, over (U, M),
+    Q := g(V, M). The plan for P = 1 and Q = 1 substitutes P, over (U, M),
     then Q, over (U, M, V): n^2 * 2 entries, over the 2^24 cap at 4,100."""
     values = tuple(str(i) for i in range(n))
     uniform = (1 / n,) * n
@@ -281,11 +282,24 @@ def _factor_cap(entries):
         (_past_the_cap_at_step_two,
          lambda scm: expected_cost(scm, Action(label="keep"), CostModel((CostTerm(_PQ, 1.0),))),
          _factor_cap(4100**2 * 2)),
+        # Every XOR is read, so the plan's factors grow to span the 26 bits.
+        (lambda: pairwise_xor_scm(26),
+         lambda scm: event_probability(
+             scm, OutcomeSpec.conjunction((v.id, "0") for v in scm.endogenous)
+         ), _factor_cap(2**25)),
     ],
-    ids=["event_probability", "abduct", "counterfactual_probability", "expected_cost"],
+    ids=["event_probability", "abduct", "counterfactual_probability", "expected_cost",
+         "pairwise_xor_clique"],
 )
-def test_exact_query_state_cap(model, query, message):
-    """The error names the cap, and the command that can still answer."""
+def test_exact_query_state_cap(monkeypatch, model, query, message):
+    """The error names the cap, and the command that can still answer. An
+    exact query is refused by its plan, before any factor is built: no
+    elimination step runs, though the first factor of each plan fits."""
+
+    def built(*args):
+        raise AssertionError("a factor was built")
+
+    monkeypatch.setattr(scm_mod, "_substitute", built)
     with pytest.raises(StateSpaceTooLarge, match=message) as got:
         query(model())
     assert str(got.value).endswith(
@@ -296,9 +310,10 @@ def test_exact_query_state_cap(model, query, message):
 def test_batches_split_to_fit_the_cap(monkeypatch):
     """Rows whose weights or factors together pass the cap are eliminated
     in chunks whose own do not, and give the same sums: three cost terms on
-    `_past_the_cap_at_step_two(8)`, split at the second elimination step,
-    and a three-clause counterfactual on `wide_domain_scm`'s 64-valued W
-    and Z, whose stacked weights are split before elimination."""
+    `_past_the_cap_at_step_two(8)`, whose plan's second factor passes the
+    cap, and a three-clause counterfactual on `wide_domain_scm`'s 64-valued
+    W and Z, whose stacked weights pass it. Each query is planned once,
+    however many chunks its rows are eliminated in."""
     wide = wide_domain_scm(random.Random(4), 64)
     phi = OutcomeSpec(
         ((("W", "eq", "27"),), (("Z", "neq", "41"), ("W", "neq", "4")), (("Z", "eq", "33"),))
@@ -310,17 +325,26 @@ def test_batches_split_to_fit_the_cap(monkeypatch):
         lambda: expected_cost(_past_the_cap_at_step_two(8), Action(label="keep"), cost),
         lambda: counterfactual_probability(wide, {"V": "z"}, [("V", "x")], phi),
     ]
-    sizes, real_eliminate, real_substitute = [], scm_mod._eliminate, scm_mod._substitute
+    sizes, calls = [], []
+    real_plan, real_eliminate, real_substitute = (
+        scm_mod._plan, scm_mod._eliminate, scm_mod._substitute
+    )
 
-    def eliminate(mechanisms, unary, scope, table):
+    def plan(*args):
+        calls.append("plan")
+        return real_plan(*args)
+
+    def eliminate(plan, mechanisms, unary, table):
+        calls.append("eliminate")
         sizes.extend(w.size for w in unary.values())
-        return real_eliminate(mechanisms, unary, scope, table)
+        return real_eliminate(plan, mechanisms, unary, table)
 
     def substitute(*args):
-        table, scope = real_substitute(*args)
+        table = real_substitute(*args)
         sizes.append(table.size)
-        return table, scope
+        return table
 
+    monkeypatch.setattr(scm_mod, "_plan", plan)
     monkeypatch.setattr(scm_mod, "_eliminate", eliminate)
     monkeypatch.setattr(scm_mod, "_substitute", substitute)
     for query in queries:
@@ -330,8 +354,10 @@ def test_batches_split_to_fit_the_cap(monkeypatch):
         assert max(sizes) > 200
         monkeypatch.setattr(scm_mod, "MAX_STATES", 200)
         sizes.clear()
+        calls.clear()
         assert query() == want
         assert max(sizes) <= 200
+        assert calls.count("plan") == 1 and calls.count("eliminate") > 1
 
 
 def test_two_clauses_over_25_bits_match_closed_forms():
@@ -1128,9 +1154,9 @@ def test_many_clauses_on_one_wide_variable_match_oracle(monkeypatch):
     phi = OutcomeSpec(tuple((("W", "eq", value),) for value in taken))
     rows, real = [], scm_mod._eliminate
 
-    def eliminate(mechanisms, unary, scope, table):
+    def eliminate(plan, mechanisms, unary, table):
         rows.append(len(table))
-        return real(mechanisms, unary, scope, table)
+        return real(plan, mechanisms, unary, table)
 
     monkeypatch.setattr(scm_mod, "_eliminate", eliminate)
     got = event_probability(scm, phi)
