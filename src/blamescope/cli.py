@@ -120,8 +120,8 @@ def cmd_prob(args) -> dict:
     if args.action:
         action = _lookup(bundle.actions, args.action, "action", UnknownAction)
         model = apply_action(model, action)
-    for var, value in _parse_bindings(args.do, "--do").items():
-        model = scm_mod.intervene(model, var, value)
+    if args.do:
+        model = scm_mod.intervene(model, _parse_bindings(args.do, "--do"))
     if args.samples is not None:
         prob = scm_mod.event_probability_mc(model, phi, args.samples, args.seed)
         method = "mc"

@@ -231,14 +231,15 @@ def build_hitl_scm(label_domain, joint_distribution: dict) -> Scm:
     """Discrete causal model of the pipeline.
 
     One exogenous variable carries the joint over (truth, ai decision, flag
-    bit, human decision); endogenous variables project it out, route the
-    final decision by the flag, and mark the error. The pipeline as built
+    bit, human decision), each atom named by its index, as labels are free
+    text; endogenous variables project it out, route the final decision by
+    the flag, and mark the error. The pipeline as built
     is the identity action Action("hitl"); the human-only comparison is
     the action returned by human_only_action.
     """
     atoms = sorted(joint_distribution)
     labels = tuple(label_domain)
-    atom_ids = tuple("|".join((t, a, str(f), h)) for t, a, f, h in atoms)
+    atom_ids = tuple(str(i) for i in range(len(atoms)))
 
     exo = ExogenousVar(
         id="U",

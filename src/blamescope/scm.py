@@ -35,10 +35,11 @@ probabilities of its disjoint conjunctions, an expected cost the sum of
 each cost term's probability times its cost, and a counterfactual the
 ratio of two sums of one query on the twin network, where only the
 intervened variables and their descendants get copies: P(phi* and
-observation) and P(observation). `posterior_support_size` counts the
-settings that reproduce an observation by the same elimination over Python
-integers. The sums are not correctly rounded: the tests hold them within
-1e-12 of brute-force enumeration.
+observation) and P(observation). It runs over the number type of its
+weights: floats for every report, and 0/1 Python integers for
+`posterior_support_size`, P(observation) counted exactly at any size.
+The float sums are not correctly rounded; the tests hold the same query
+over `fractions.Fraction` equal to brute-force enumeration.
 
 `_solve_codes` applies mechanisms to exogenous codes (scalars or arrays): it
 plans the solve (`_plan_solve`), which reads only the ancestors of the
@@ -553,12 +554,6 @@ def _unary(clause, sizes: dict) -> dict:
     return {var: _holds(([x for x in clause if x[0] == var],), codes, sizes[var]) for var in codes}
 
 
-def _observed(scm: Scm, observation: dict) -> dict:
-    """The observation as one 0/1 weight vector per observed variable."""
-    seen = _encode(scm, OutcomeSpec.conjunction(observation.items()), "observation")
-    return _unary(seen[0], {v.id: len(v.domain) for v in scm.endogenous})
-
-
 def _minus(box: dict, clause: dict) -> list:
     """`box` and not `clause`, two conjunctions as 0/1 weights per variable
     (`_unary`), as disjoint conjunctions: the k-th holds `box`, `clause` on
@@ -622,7 +617,7 @@ def _disjoint(clauses, sizes: dict) -> list:
     return pieces
 
 
-def _query(scm: Scm, terms, what: str, observation=None, interventions=()) -> tuple:
+def _query(scm: Scm, terms, what: str, observation=None, interventions=(), weight=float) -> tuple:
     """The one exact query: (E, P(observation)). E is the expectation over
     the exogenous joint space of the sum of the values of the
     (OutcomeSpec, value) terms whose event holds after the interventions,
@@ -639,12 +634,12 @@ def _query(scm: Scm, terms, what: str, observation=None, interventions=()) -> tu
     P(observation). The observation is one unary indicator per observed
     variable, on every row. It is planned once (`_plan`), and the rows are
     eliminated in chunks of as many as fit `MAX_STATES` in its largest
-    factor and in a weight vector of the widest variable they read. E is
-    the `math.fsum` of each row's probability times its term's value."""
-    twin, done = scm, set()
-    for var, value in interventions:
-        twin = intervene(twin, var, value)
-        done.add(var)
+    factor and in a weight vector of the widest variable they read. Each
+    prior and term value is read as `weight` of it. With `float`, E is the
+    `math.fsum` of each row's probability times its term's value; any other
+    type, such as 0/1 ints or `Fraction`, sums exactly in object arrays."""
+    done = dict(interventions)
+    twin = intervene(scm, done) if done else scm
     mechanisms = {vid: (parents, lut) for vid, parents, lut in scm.tables}
     sizes, star = {v.id: len(v.domain) for v in scm.endogenous}, {}
     for vid, parents, lut in twin.tables:
@@ -653,23 +648,27 @@ def _query(scm: Scm, terms, what: str, observation=None, interventions=()) -> tu
             sizes[star[vid]] = sizes[vid]
             mechanisms[star[vid]] = (tuple(star.get(p, p) for p in parents), lut)
     terms = [(_encode(twin, e, what, lambda v: star.get(v, v)), x) for e, x in terms]
-    unary = {ex.id: np.asarray(ex.dist, dtype=float) for ex in scm.exogenous}
-    unary |= _observed(scm, observation or {})
+    dtype = float if weight is float else object
+    unary = {ex.id: np.array([weight(p) for p in ex.dist], dtype) for ex in scm.exogenous}
+    seen = _encode(scm, OutcomeSpec.conjunction((observation or {}).items()), "observation")
+    unary |= _unary(seen[0], sizes)
     rows = [(piece, value) for clauses, value in terms for piece in _disjoint(clauses, sizes)]
     rows += [] if observation is None else [({}, 0.0)]
     read = dict.fromkeys(v for row, _ in rows for v in row)
     read = {v: np.ones(sizes[v], dtype=bool) for v in read}
     plan = _plan(mechanisms, {v: len(w) for v, w in (unary | read).items()})
     fit = max(1, MAX_STATES // max([plan[2], *map(len, read.values())]))
-    p = [np.zeros(0)]
+    p = [np.zeros(0, dtype)]
     for chunk in (rows[i : i + fit] for i in range(0, len(rows), fit)):
         weights = unary | {
             v: unary.get(v, True) * np.stack([row.get(v, ones) for row, _ in chunk])
             for v, ones in read.items()
         }
-        p.append(_eliminate(plan, mechanisms, weights, np.ones(len(chunk))))
+        p.append(_eliminate(plan, mechanisms, weights, np.ones(len(chunk), dtype)))
     p = np.concatenate(p)
-    return math.fsum(p * [x for _, x in rows]), None if observation is None else float(p[-1])
+    if dtype is float:
+        return math.fsum(p * [x for _, x in rows]), None if observation is None else float(p[-1])
+    return sum(p * [weight(x) for _, x in rows]), None if observation is None else p[-1]
 
 
 def event_probability(scm: Scm, phi: OutcomeSpec) -> float:
@@ -757,15 +756,18 @@ def _rewire(scm: Scm, mechanisms: dict, unknown: str) -> Scm:
     return Scm(exogenous=scm.exogenous, endogenous=tuple(endogenous))
 
 
-def intervene(scm: Scm, var: str, value) -> Scm:
-    """do(var = value): the variable becomes a parentless constant. Returns
-    a new model; the input is untouched."""
-    for v in scm.endogenous:
-        if v.id == var and value not in v.domain:
+def intervene(scm: Scm, bindings: dict) -> Scm:
+    """do(var = value) for each pair of `bindings`, in one rewrite: each
+    variable becomes a parentless constant. The first bad binding, in
+    order, raises. Returns a new model; the input is untouched."""
+    unknown = "cannot intervene on unknown endogenous variable"
+    domains = {v.id: v.domain for v in scm.endogenous}
+    for var, value in bindings.items():
+        if var not in domains:
+            raise UnknownVariable(f"{unknown} {var!r}")
+        if value not in domains[var]:
             raise ValueOutOfDomain(f"value {value!r} not in domain of {var!r}")
-    return _rewire(
-        scm, {var: ((), {(): value})}, "cannot intervene on unknown endogenous variable"
-    )
+    return _rewire(scm, {var: ((), {(): value}) for var, value in bindings.items()}, unknown)
 
 
 def abduct(scm: Scm, observation: dict) -> NoisePosterior:
@@ -815,10 +817,6 @@ def counterfactual_probability(
 
 def posterior_support_size(scm: Scm, observation: dict) -> int:
     """The number of exogenous settings of positive prior weight that
-    reproduce the observation, counted by elimination over 0/1 Python
-    integers, so it is exact at any size."""
-    unary = {ex.id: np.array([int(p > 0) for p in ex.dist], dtype=object) for ex in scm.exogenous}
-    unary |= _observed(scm, observation)
-    mechanisms = {vid: (parents, lut) for vid, parents, lut in scm.tables}
-    plan = _plan(mechanisms, {v: len(w) for v, w in unary.items()})
-    return _eliminate(plan, mechanisms, unary, np.ones(1, dtype=object))[0]
+    reproduce the observation: P(observation) with each prior read as 0 or
+    1 in Python integers, so it is exact at any size."""
+    return _query(scm, (), "observation", observation, weight=lambda p: int(p > 0))[1]

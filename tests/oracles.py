@@ -2,7 +2,10 @@
 
 Everything here is written from the definitions with plain loops and no
 calls into the library's computation paths, so that library results can be
-checked against a second, independent implementation.
+checked against a second, independent implementation. The oracles that sum
+probabilities take `number`, the type each probability and cost is read as
+and summed in: float by default, or `fractions.Fraction` for exact sums of
+the binary values the model holds.
 """
 
 import csv
@@ -51,21 +54,22 @@ def brute_satisfied(clauses, x):
     return False
 
 
-def brute_noise(scm):
+def brute_noise(scm, number=float):
     """Yield (exogenous assignment, probability) over the joint space."""
+    dists = [[number(p) for p in ex.dist] for ex in scm.exogenous]
     for combo in itertools.product(*(range(len(ex.domain.values)) for ex in scm.exogenous)):
-        prob = 1.0
+        prob = number(1)
         noise = {}
-        for ex, idx in zip(scm.exogenous, combo):
-            prob *= ex.dist[idx]
+        for ex, dist, idx in zip(scm.exogenous, dists, combo):
+            prob *= dist[idx]
             noise[ex.id] = ex.domain.values[idx]
         yield noise, prob
 
 
-def brute_event_probability(scm, phi):
+def brute_event_probability(scm, phi, number=float):
     """Enumerate the exogenous joint space directly."""
-    total = 0.0
-    for noise, prob in brute_noise(scm):
+    total = number(0)
+    for noise, prob in brute_noise(scm, number):
         if prob > 0 and brute_satisfied(phi.clauses, brute_solve(scm, noise)):
             total += prob
     return total
@@ -86,23 +90,23 @@ def brute_mc(scm, phi, samples, seed):
     return hits / samples
 
 
-def brute_expected_cost(scm, cost):
+def brute_expected_cost(scm, cost, number=float):
     """Expected cost of a model that already has the action applied: each
     setting pays every term whose `where` pairs all match."""
-    total = 0.0
-    for noise, prob in brute_noise(scm):
+    total = number(0)
+    for noise, prob in brute_noise(scm, number):
         x = brute_solve(scm, noise)
         for term in cost.terms:
             if all(x[var] == value for var, value in term.where):
-                total += prob * term.cost
+                total += prob * number(term.cost)
     return total
 
 
-def brute_posterior(scm, observation):
+def brute_posterior(scm, observation, number=float):
     """(noise, posterior probability) for every positive-weight setting that
     reproduces the observation; empty when the observation is impossible."""
     support = []
-    for noise, prob in brute_noise(scm):
+    for noise, prob in brute_noise(scm, number):
         x = brute_solve(scm, noise)
         if prob > 0 and all(x[var] == value for var, value in observation.items()):
             support.append((noise, prob))
@@ -110,10 +114,10 @@ def brute_posterior(scm, observation):
     return [(noise, p / total) for noise, p in support]
 
 
-def brute_counterfactual_probability(scm, observation, interventions, phi):
+def brute_counterfactual_probability(scm, observation, interventions, phi, number=float):
     """Abduct, intervene, predict: re-solve each posterior setting with the
     interventions forced. None when the observation is impossible."""
-    posterior = brute_posterior(scm, observation)
+    posterior = brute_posterior(scm, observation, number)
     if not posterior:
         return None
     return sum(

@@ -108,6 +108,26 @@ def test_prob_with_do(capsys, xor_path):
     assert json.loads(out)["probability"] == 1.0
 
 
+@pytest.mark.parametrize("command", ["prob", "counterfactual"])
+@pytest.mark.parametrize(
+    "do, error, message",
+    [
+        (("Z=0", "X=2"), "UnknownVariable", "cannot intervene on unknown endogenous variable 'Z'"),
+        (("X=2", "Z=0"), "ValueOutOfDomain", "value '2' not in domain of 'X'"),
+    ],
+    ids=["unknown_first", "out_of_domain_first"],
+)
+def test_first_bad_do_binding_named(capsys, xor_path, command, do, error, message):
+    """With several bad `--do` bindings, the first on the command line is
+    the one reported."""
+    argv = [command, "--scm", xor_path, "--outcome", "y1"]
+    for binding in do:
+        argv += ["--do", binding]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert _strict_json(err) == {"error": error, "message": message}
+
+
 def test_prob_unknown_outcome(capsys, xor_path):
     code, _, err = run_cli(capsys, "prob", "--scm", xor_path, "--outcome", "nope")
     assert code == 2

@@ -244,6 +244,20 @@ def test_dual_path_agreement_many_labels():
     assert abs(exact - empirical) <= 1e-12
 
 
+def test_labels_with_the_separator_get_distinct_atoms():
+    """Labels are free text: ("a|b", "c", 0, "d") and ("a", "b|c", 0, "d")
+    are two atoms of the built model, and its exact delta is the log's."""
+    cases = [
+        case(id="k0", conf=0.9, truth="a|b", ai="c", human="d"),
+        case(id="k1", conf=0.9, truth="a", ai="b|c", human="d"),
+        case(id="k2", conf=0.95, truth="a|b", ai="c", human="a|b"),
+        case(id="k3", conf=0.5, truth="d", ai="a", human="d"),
+    ]
+    exact, empirical = exact_and_empirical_delta(cases, POLICY)
+    assert empirical == 0.25
+    assert abs(exact - empirical) <= 1e-12
+
+
 def test_empirical_joint_keys_on_flag_bit():
     cases = [case(id="a", conf=0.2), case(id="b", conf=0.25), case(id="c", conf=0.9)]
     labels, joint = empirical_joint(run(CaseLog.from_cases(cases), POLICY))

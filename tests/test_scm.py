@@ -2,9 +2,11 @@ import copy
 import dataclasses
 import itertools
 import math
+import operator
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -149,7 +151,7 @@ def test_tables_not_compared_or_shown(xor):
         (lambda scm: solve(scm, {"E1": "1", "E2": "0"}), 0),
         (lambda scm: abduct(scm, {"Y": "1"}), 0),
         (lambda scm: counterfactual_probability(scm, {"Y": "1"}, [], Y1), 0),
-        (lambda scm: intervene(scm, "X", "1"), 1),
+        (lambda scm: intervene(scm, {"X": "1", "Y": "0"}), 1),
         (lambda scm: apply_action(scm, Action("keep")), 1),
         (
             lambda scm: discounted_blame(
@@ -478,11 +480,15 @@ def test_mc_single_sample(xor):
     assert event_probability_mc(xor, Y1, samples=1, seed=5) in (0.0, 1.0)
 
 
-def _xor_chain(bits: int) -> Scm:
-    """X0 := E0, X_i := X_{i-1} xor E_i on `bits` fair noise bits."""
+def _xor_chain(bits: int, flips=None) -> Scm:
+    """X0 := E0, X_i := X_{i-1} xor E_i on `bits` noise bits, where
+    P(E_i = 1) is flips[i], or one half without `flips`."""
     xor = {(a, b): str(int(a != b)) for a in BITS for b in BITS}
+    flips = flips or [0.5] * bits
     return Scm(
-        exogenous=tuple(ExogenousVar(f"E{i}", Domain(BITS), (0.5, 0.5)) for i in range(bits)),
+        exogenous=tuple(
+            ExogenousVar(f"E{i}", Domain(BITS), (1 - p, p)) for i, p in enumerate(flips)
+        ),
         endogenous=(EndogenousVar("X0", Domain(BITS), ("E0",), {("0",): "0", ("1",): "1"}),)
         + tuple(
             EndogenousVar(f"X{i}", Domain(BITS), (f"X{i - 1}", f"E{i}"), xor)
@@ -766,20 +772,22 @@ def test_draw_pins_the_choice_stream(width):
 
 
 def test_intervene_forces_value(xor):
-    fixed = intervene(xor, "X", "1")
+    fixed = intervene(xor, {"X": "1"})
     phi = OutcomeSpec(((("X", "eq", "1"),),))
     assert event_probability(fixed, phi) == 1.0
+    both = intervene(xor, {"X": "1", "Y": "0"})
+    assert solve(both, {"E1": "0", "E2": "1"}) == {"X": "1", "Y": "0"}
 
 
 def test_intervene_does_not_mutate(xor):
     snapshot = copy.deepcopy(xor)
-    intervene(xor, "X", "0")
+    intervene(xor, {"X": "0"})
     assert xor == snapshot
 
 
 def test_intervene_idempotent_on_constant(xor):
-    once = intervene(xor, "X", "0")
-    twice = intervene(once, "X", "0")
+    once = intervene(xor, {"X": "0"})
+    twice = intervene(once, {"X": "0"})
     for e1 in BITS:
         for e2 in BITS:
             e = {"E1": e1, "E2": e2}
@@ -787,10 +795,15 @@ def test_intervene_idempotent_on_constant(xor):
 
 
 def test_intervene_errors(xor):
+    """The first bad binding, in order, is the one named."""
     with pytest.raises(UnknownVariable):
-        intervene(xor, "Z", "0")
+        intervene(xor, {"Z": "0"})
     with pytest.raises(ValueOutOfDomain):
-        intervene(xor, "X", "2")
+        intervene(xor, {"X": "2"})
+    with pytest.raises(UnknownVariable, match="'Z'"):
+        intervene(xor, {"Z": "0", "X": "2"})
+    with pytest.raises(ValueOutOfDomain, match="'X'"):
+        intervene(xor, {"X": "2", "Z": "0"})
 
 
 def test_abduct_point_posterior(xor):
@@ -974,6 +987,101 @@ def test_posterior_support_size_matches_oracle():
     assert posterior_support_size(_copies(25, 0.5), {"X0": "1", "X7": "1"}) == 1
     assert posterior_support_size(_copies(25, 0.5), {"X0": "1", "X7": "0"}) == 0
     assert posterior_support_size(_copies(25, 1.0), {}) == 1
+
+
+def _rational(scm, terms, observation=None, interventions=()):
+    """`_query` over `Fraction`: (E, P(observation)) with exact sums."""
+    return scm_mod._query(scm, terms, "outcome", observation, interventions, weight=Fraction)
+
+
+def test_rational_engine_equals_brute_force():
+    """Over `Fraction`, the engine and the oracles both sum the binary
+    values the model holds exactly, so they are equal with no tolerance:
+    P(phi) and E[cost] on random DNFs, a counterfactual with an observation
+    and do(), P(observation) and the support size."""
+    rng = random.Random(17)
+    for scm in oracle_models(rng, n_random=20):
+        phi = random_outcome(rng, scm, clauses=6, literals=3)
+        assert _rational(scm, ((phi, 1),))[0] == brute_event_probability(scm, phi, Fraction)
+        cost = CostModel(tuple(
+            CostTerm(tuple((var, value) for var, _, value in clause), rng.uniform(0, 5))
+            for clause in phi.clauses
+        ))
+        terms = [(OutcomeSpec.conjunction(term.where), term.cost) for term in cost.terms]
+        assert _rational(scm, terms)[0] == brute_expected_cost(scm, cost, Fraction)
+        observation = _observe(rng, scm)
+        targets = rng.sample(scm.endogenous, rng.randint(1, min(2, len(scm.endogenous))))
+        interventions = [(v.id, rng.choice(v.domain.values)) for v in targets]
+        phi = random_outcome(rng, scm, clauses=6, literals=3)
+        both, total = _rational(scm, ((phi, 1),), observation, interventions)
+        seen = OutcomeSpec.conjunction(observation.items())
+        assert total == brute_event_probability(scm, seen, Fraction) > 0
+        want = brute_counterfactual_probability(scm, observation, interventions, phi, Fraction)
+        assert both / total == want
+        support = posterior_support_size(scm, observation)
+        assert type(support) is int
+        assert support == len(brute_posterior(scm, observation, Fraction))
+
+
+def _float_bound(scm, ratio=False) -> Fraction:
+    """The README's bound on the float engine's relative error against the
+    same query over `Fraction`: gamma(k) = k u / (1 - k u), u = 2^-53, where
+    k is 2 plus the values of all exogenous variables, and 2k + 1 for a
+    counterfactual, a ratio of two such sums."""
+    k = 2 + sum(len(ex.domain) for ex in scm.exogenous)
+    k = 2 * k + 1 if ratio else k
+    return Fraction(k, 2**53 - k)
+
+
+def _noisy_chain(bits):
+    rng = random.Random(bits)
+    return _xor_chain(bits, [rng.uniform(0.01, 0.05) for _ in range(bits)])
+
+
+def _last(bits):
+    return OutcomeSpec.conjunction([(f"X{bits - 1}", "1")])
+
+
+_CHAIN_COST = CostModel((CostTerm((("X149", "1"),), 3.7),
+                         CostTerm((("X75", "0"), ("X149", "0")), 1.3)))
+_ALL_ZERO = OutcomeSpec.conjunction((v.id, "0") for v in pairwise_xor_scm(14).endogenous)
+_WIDE_PHI = OutcomeSpec(((("W", "neq", "7"), ("V", "eq", "x")),))
+
+
+@pytest.mark.parametrize(
+    "model, query, rational, ratio, closed",
+    [
+        (lambda: _noisy_chain(300), lambda scm: event_probability(scm, _last(300)),
+         lambda scm: _rational(scm, ((_last(300), 1),))[0], False, None),
+        (lambda: _noisy_chain(150), lambda scm: expected_cost(scm, Action("keep"), _CHAIN_COST),
+         lambda scm: _rational(
+             scm, [(OutcomeSpec.conjunction(t.where), t.cost) for t in _CHAIN_COST.terms]
+         )[0], False, None),
+        (lambda: _noisy_chain(150), lambda scm: counterfactual_probability(
+            scm, {"X149": "1"}, [("X74", "0")], _last(150)
+        ), lambda scm: operator.truediv(*_rational(
+            scm, ((_last(150), 1),), {"X149": "1"}, [("X74", "0")]
+        )), True, None),
+        (lambda: pairwise_xor_scm(14), lambda scm: event_probability(scm, _ALL_ZERO),
+         lambda scm: _rational(scm, ((_ALL_ZERO, 1),))[0], False, Fraction(1, 2**13)),
+        (lambda: wide_domain_scm(random.Random(65_537), 65_537),
+         lambda scm: event_probability(scm, _WIDE_PHI),
+         lambda scm: _rational(scm, ((_WIDE_PHI, 1),))[0], False, None),
+    ],
+    ids=["chain_300", "chain_150_cost", "chain_150_counterfactual", "clique_14",
+         "wide_65537"],
+)
+def test_float_engine_within_its_bound(model, query, rational, ratio, closed):
+    """On models past brute force, the float engine users get is held to a
+    relative bound of the same query over `Fraction`. A relative bound is
+    sound because every term is non-negative, so no sum cancels. The
+    clique's XORs are all 0 when its 14 fair bits are equal, so its
+    rational answer is also the closed form 2^-13."""
+    scm = model()
+    got, want = query(scm), rational(scm)
+    assert want > 0
+    assert abs(Fraction(got) - want) <= _float_bound(scm, ratio) * want
+    assert closed is None or want == closed
 
 
 @pytest.mark.parametrize("size", WIDE_DOMAIN_SIZES)
