@@ -14,6 +14,7 @@ import itertools
 
 import numpy as np
 
+from blamescope import scm as scm_module
 from blamescope.errors import MalformedRow
 
 
@@ -75,17 +76,68 @@ def brute_event_probability(scm, phi, number=float):
     return total
 
 
-def brute_mc(scm, phi, samples, seed):
-    """Monte Carlo estimate of P(phi) from one generator of `seed`: each
-    exogenous variable's column is drawn whole with `Generator.choice`, in
-    model order, then every sample is solved and checked on its own."""
+def brute_skips(ex, samples, rng, skip_max, refill):
+    """The column of `samples` codes of `ex` by geometric skipping, or None
+    when `ex` does not skip: it skips when the values other than its mode
+    (the first most likely value) have probability r <= `skip_max`, each
+    probability divided by their running total. Every sample takes the
+    mode but the exceptions, at -1 + g1, -1 + g1 + g2, ..., where the gaps
+    are drawn `refill` at a time by `rng.geometric(r)`. With more than two
+    values, each refill of gaps is followed by `refill` uniforms, and the
+    k-th picks the k-th exception's value by the other values' running
+    totals, divided by their sum. Positions are Python integers, so
+    nothing wraps."""
+    total = 0.0
+    for p in ex.dist:
+        total += p
+    mode = max(range(len(ex.dist)), key=lambda i: (ex.dist[i], -i))
+    others = [i for i in range(len(ex.dist)) if i != mode]
+    steps, rest = [], 0.0
+    for i in others:
+        rest += ex.dist[i]
+        steps.append(rest)
+    rate = rest / total
+    if rate > skip_max:
+        return None
+    column, position = [mode] * samples, -1
+    while rate and position < samples:
+        gaps = rng.geometric(rate, refill)
+        picks = rng.random(refill) if len(others) > 1 else [0.0] * refill
+        for gap, u in zip(gaps.tolist(), picks):
+            position += gap
+            if position < samples:
+                column[position] = others[sum(u >= step / rest for step in steps[:-1])]
+    return column
+
+
+def brute_columns(scm, samples, seed):
+    """Each exogenous variable's column of `samples` codes, drawn whole in
+    model order with `Generator.choice` from one generator of `seed`. A
+    variable that skips (`brute_skips`, by the estimator's `_SKIP_MAX` and
+    `_REFILL` as they are when this is called) draws its column from its
+    own generator, the seed's PCG64 jumped once per variable up to and
+    including it, and the `samples` uniforms it would have read from the
+    one generator go unread."""
     rng = np.random.default_rng(seed)
-    columns = [
-        (ex, rng.choice(len(ex.domain.values), samples, p=ex.dist)) for ex in scm.exogenous
-    ]
+    columns = {}
+    for j, ex in enumerate(scm.exogenous):
+        own = np.random.Generator(np.random.PCG64(seed).jumped(j + 1))
+        column = brute_skips(ex, samples, own, scm_module._SKIP_MAX, scm_module._REFILL)
+        if column is None:
+            column = rng.choice(len(ex.domain.values), samples, p=ex.dist).tolist()
+        else:
+            rng.random(samples)
+        columns[ex.id] = column
+    return columns
+
+
+def brute_mc(scm, phi, samples, seed):
+    """Monte Carlo estimate of P(phi) on the columns of `brute_columns`:
+    every sample is solved and checked on its own."""
+    columns = brute_columns(scm, samples, seed)
     hits = 0
     for i in range(samples):
-        noise = {ex.id: ex.domain.values[column[i]] for ex, column in columns}
+        noise = {ex.id: ex.domain.values[columns[ex.id][i]] for ex in scm.exogenous}
         hits += brute_satisfied(phi.clauses, brute_solve(scm, noise))
     return hits / samples
 

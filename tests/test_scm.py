@@ -63,6 +63,7 @@ from conftest import (
     xor_scm,
 )
 from oracles import (
+    brute_columns,
     brute_counterfactual_probability,
     brute_event_probability,
     brute_expected_cost,
@@ -497,18 +498,29 @@ def _xor_chain(bits: int, flips=None) -> Scm:
     )
 
 
+def _skewed_chain() -> Scm:
+    """The 24-bit chain with P(E_i = 1) = 0.03, where every noise variable
+    skips to its exceptions."""
+    return _xor_chain(24, flips=[0.03] * 24)
+
+
+def _mc_peak(scm: Scm, samples: int) -> int:
+    """The traced peak of one estimate of P(X23 = 1) on a 24-bit chain."""
+    phi = OutcomeSpec(((("X23", "eq", "1"),),))
+    tracemalloc.start()
+    try:
+        event_probability_mc(scm, phi, samples=samples, seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_mc_memory_per_sample():
     """Binary codes are held as one byte each: the traced peak stays under
     two bytes per sample per variable (int64 codes need over eight)."""
     scm = _xor_chain(24)
     samples = 200_000
-    phi = OutcomeSpec(((("X23", "eq", "1"),),))
-    tracemalloc.start()
-    try:
-        event_probability_mc(scm, phi, samples=samples, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _mc_peak(scm, samples)
     assert peak <= 2 * samples * (len(scm.exogenous) + len(scm.endogenous))
 
 
@@ -530,29 +542,32 @@ def test_mc_memory_live_columns():
     live columns."""
     scm = _xor_chain(24)
     samples = 200_000
-    phi = OutcomeSpec(((("X23", "eq", "1"),),))
-    tracemalloc.start()
-    try:
-        event_probability_mc(scm, phi, samples=samples, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= (len(scm.exogenous) + 24) * samples
+    assert _mc_peak(scm, samples) <= (len(scm.exogenous) + 24) * samples
+
+
+def test_mc_memory_live_columns_when_skipping():
+    """The same bound on the chain whose noise skips to its exceptions:
+    each variable keeps one buffer of `_REFILL` exceptions, and no
+    uniforms."""
+    scm = _skewed_chain()
+    samples = 200_000
+    assert _mc_peak(scm, samples) <= (len(scm.exogenous) + 24) * samples
 
 
 def test_mc_memory_does_not_grow_with_samples():
     """Samples are drawn and solved a block at a time, so on the 24-bit
     chain the traced peak at 40 blocks is within 10% of that at 4."""
     scm = _xor_chain(24)
-    phi = OutcomeSpec(((("X23", "eq", "1"),),))
-    peaks = []
-    for samples in (4 * scm_mod._BLOCK, 40 * scm_mod._BLOCK):
-        tracemalloc.start()
-        try:
-            event_probability_mc(scm, phi, samples=samples, seed=1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [_mc_peak(scm, blocks * scm_mod._BLOCK) for blocks in (4, 40)]
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_mc_memory_does_not_grow_with_samples_when_skipping():
+    """The same on the chain whose noise skips: the exceptions are drawn
+    `_REFILL` at a time into a buffer each variable keeps from block to
+    block, so no buffer grows with the sample count."""
+    scm = _skewed_chain()
+    peaks = [_mc_peak(scm, blocks * scm_mod._BLOCK) for blocks in (4, 40)]
     assert peaks[1] <= 1.1 * peaks[0]
 
 
@@ -604,9 +619,11 @@ def _packing_edges(rng):
 @pytest.mark.parametrize("block", [1, 3, 64])
 def test_mc_blocks_match_one_stream(monkeypatch, block):
     """Whatever the block size, the estimate is exactly that of one
-    generator drawing each column whole with `Generator.choice`, at sample
-    counts around one and two blocks; also on tables of 2- to 3-bit codes
-    packed at the limit, and just past it, where they are read by index."""
+    generator drawing each column whole with `Generator.choice`, and each
+    skipping column whole from its own generator, at sample counts around
+    one and two blocks; also on tables of 2- to 3-bit codes packed at the
+    limit, and just past it, where they are read by index, and on the
+    24-bit chain whose noise all skips."""
     monkeypatch.setattr(scm_mod, "_BLOCK", block)
     rng = random.Random(block)
     models = oracle_models(rng) + [_one_valued_noise()]
@@ -620,6 +637,7 @@ def test_mc_blocks_match_one_stream(monkeypatch, block):
     for clauses in (((("S", "eq", "S1"),),),
                     ((("R", "neq", "R4"), ("P", "eq", "P2")), (("Q", "eq", "Q1"),))):
         cases.append((edges, OutcomeSpec(clauses)))
+    cases.append((_skewed_chain(), OutcomeSpec(((("X23", "eq", "1"),),))))
     for seed, (scm, phi) in enumerate(cases):
         for samples in (block - 1, block, block + 1, 2 * block + 1):
             if samples >= 1:
@@ -693,7 +711,7 @@ def test_mc_draws_only_what_it_reads(monkeypatch, clauses, ancestors):
     drawn = []
     draw = scm_mod._draw
     monkeypatch.setattr(
-        scm_mod, "_draw", lambda rng, ex, n: drawn.append(ex.id) or draw(rng, ex, n)
+        scm_mod, "_draw", lambda rng, ex, n, skips: drawn.append(ex.id) or draw(rng, ex, n, skips)
     )
     for block, samples in ((scm_mod._BLOCK, 500), (3, 8), (4, 8)):
         monkeypatch.setattr(scm_mod, "_BLOCK", block)
@@ -711,7 +729,7 @@ def test_mc_draws_only_ancestors_on_random_models(monkeypatch):
     drawn = set()
     draw = scm_mod._draw
     monkeypatch.setattr(
-        scm_mod, "_draw", lambda rng, ex, n: drawn.add(ex.id) or draw(rng, ex, n)
+        scm_mod, "_draw", lambda rng, ex, n, skips: drawn.add(ex.id) or draw(rng, ex, n, skips)
     )
     for seed, scm in enumerate(oracle_models(rng)):
         phi = random_outcome(rng, scm)
@@ -769,6 +787,149 @@ def test_draw_pins_the_choice_stream(width):
                 assert got.dtype == dtype
                 assert np.array_equal(got, want)
                 assert got_rng.random() == want_rng.random()
+
+
+def _skewed_noise():
+    """One noise variable of each kind of draw, each read by its own
+    variable, which W reads: A (five values, one of probability 0) and B
+    (r exactly `_SKIP_MAX`) skip; C (fair) and F (r = 0.07) compare; D (r = 0) and the one-valued O skip and never draw."""
+    five = Domain(tuple("abcde"))
+    copy = {(v,): v for v in five.values}
+    xor = {(a, b): str(int(a != b)) for a in BITS for b in BITS}
+    return Scm(
+        exogenous=(
+            ExogenousVar("A", five, (0.01, 0.94, 0.0, 0.03, 0.02)),
+            ExogenousVar("B", Domain(BITS), (1 - scm_mod._SKIP_MAX, scm_mod._SKIP_MAX)),
+            ExogenousVar("C", Domain(BITS), (0.5, 0.5)),
+            ExogenousVar("D", Domain(BITS), (0.0, 1.0)),
+            ExogenousVar("F", Domain(BITS), (0.93, 0.07)),
+            ExogenousVar("O", Domain(("only",)), (1.0,)),
+        ),
+        endogenous=(
+            EndogenousVar("X", five, ("A",), copy),
+            EndogenousVar("Y", Domain(BITS), ("B", "C"), xor),
+            EndogenousVar("Z", Domain(BITS), ("D", "F"), xor),
+            EndogenousVar("K", Domain(("only",)), ("O",), {("only",): "only"}),
+            EndogenousVar("W", Domain(BITS), ("X", "Y", "Z"), {
+                (x, y, z): str(int((x in "ad") != (y == z))) for x in five.values
+                for y in BITS for z in BITS}),
+        ),
+    )
+
+
+def _drawn_columns(monkeypatch, scm, phi, samples, seed) -> dict:
+    """Each exogenous column one estimate draws, its blocks joined."""
+    blocks, draw = {}, scm_mod._draw
+
+    def keep(rng, ex, n, skips):
+        codes = draw(rng, ex, n, skips)
+        blocks.setdefault(ex.id, []).append(codes.copy())
+        return codes
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scm_mod, "_draw", keep)
+        event_probability_mc(scm, phi, samples, seed)
+    return {vid: np.concatenate(codes) for vid, codes in blocks.items()}
+
+
+@pytest.mark.parametrize("refill", [1, 3, scm_mod._REFILL])
+def test_mc_skipping_columns_match_one_stream(monkeypatch, refill):
+    """Every drawn column is the oracle's, whatever the block size and
+    with refills that end inside a block and across blocks: a skipping
+    column from its own generator, any other from `Generator.choice` on
+    the one generator. O, whose one value no table reads, is not drawn.
+    The zero-probability value never appears, D is always 1, and A and B
+    do take values other than their modes."""
+    monkeypatch.setattr(scm_mod, "_REFILL", refill)
+    scm = _skewed_noise()
+    phi = OutcomeSpec(((("W", "eq", "1"),), (("K", "eq", "only"), ("Z", "eq", "0"))))
+    assert [ex.id for ex in scm.exogenous if scm_mod._skips(ex)] == ["A", "B", "D", "O"]
+    for block in (1, 7, scm_mod._BLOCK):
+        monkeypatch.setattr(scm_mod, "_BLOCK", block)
+        for samples in (1, 6, 400):
+            for seed in (0, 3):
+                got = _drawn_columns(monkeypatch, scm, phi, samples, seed)
+                want = brute_columns(scm, samples, seed)
+                assert set(got) == {"A", "B", "C", "D", "F"}
+                assert all(got[v].tolist() == want[v] for v in got)
+                assert event_probability_mc(scm, phi, samples, seed) == brute_mc(
+                    scm, phi, samples, seed)
+    assert 2 not in want["A"] and set(want["D"]) == {1}
+    assert set(want["A"]) == {0, 1, 3, 4} and set(want["B"]) == {0, 1}
+
+
+def test_skip_rule_at_its_bound():
+    """A variable skips when the values other than its mode hold at most
+    `_SKIP_MAX`, and one ulp more compares; a one-valued variable, or one
+    whose other values all have probability 0, skips with r = 0."""
+    bound = scm_mod._SKIP_MAX
+    assert scm_mod._skips(ExogenousVar("B", Domain(BITS), (1 - bound, bound)))[0] == bound
+    past = np.nextafter(bound, 1.0)
+    assert scm_mod._skips(ExogenousVar("B", Domain(BITS), (1 - past, past))) is None
+    assert scm_mod._skips(ExogenousVar("B", Domain(BITS), (bound, 1 - bound)))[1] == 1
+    for ex in (ExogenousVar("O", Domain(("only",)), (1.0,)),
+               ExogenousVar("D", Domain(("a", "b", "c")), (0.0, 1.0, 0.0))):
+        assert scm_mod._skips(ex)[0] == 0
+
+
+@pytest.mark.parametrize("rate", [5e-324, 1e-300, 1e-20, 0.0])
+def test_skip_gaps_past_the_int64_range(rate):
+    """numpy's `geometric` saturates at 2^63 - 1 as r nears 0; the gaps are
+    clamped before they are summed, so no position wraps to a negative
+    index, and over three blocks every sample takes the mode. At r = 0
+    nothing is drawn."""
+    if rate in (5e-324, 1e-300):
+        assert set(np.random.default_rng(0).geometric(rate, 64).tolist()) == {2**63 - 1}
+    ex = ExogenousVar("E", Domain(BITS), (1.0, rate))
+    skips = scm_mod._skips(ex)
+    assert skips[0] == rate
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    for samples in (1000, scm_mod._BLOCK, 5):
+        assert not scm_mod._draw(rng, ex, samples, skips).any()
+        assert (skips[4][skips[6]:] >= 0).all()
+    assert (rng.bit_generator.state == before) == (rate == 0)
+
+
+@pytest.mark.parametrize("dist", [(0.97, 0.03), (0.01, 0.0, 0.955, 0.02, 0.015)])
+def test_skipped_draws_follow_the_distribution(dist):
+    """Checked from the distribution alone, not from how it is drawn: over
+    10^6 skipped samples, drawn a block at a time, each value's count is
+    within 5 SE of n p, so a value of probability 0 never appears, and the
+    mean gap between exceptions (values other than the mode) is within 5
+    SE of 1/r, r their probability."""
+    n = 10**6
+    ex = ExogenousVar("U", Domain(tuple("abcde"[: len(dist)])), dist)
+    skips = scm_mod._skips(ex)
+    rng = np.random.default_rng(2)
+    column = np.concatenate([
+        scm_mod._draw(rng, ex, min(scm_mod._BLOCK, n - start), skips)
+        for start in range(0, n, scm_mod._BLOCK)
+    ])
+    for count, p in zip(np.bincount(column, minlength=len(dist)).tolist(), dist):
+        assert abs(count - n * p) <= 5 * math.sqrt(n * p * (1 - p))
+    r = 1 - max(dist)
+    gaps = np.diff(np.flatnonzero(column != dist.index(max(dist))), prepend=-1)
+    assert abs(gaps.mean() - 1 / r) <= 5 * math.sqrt((1 - r) / r**2 / len(gaps))
+
+
+def test_skipping_column_is_common_to_every_estimate(monkeypatch):
+    """The common random numbers of two estimates: a skipping variable's
+    column is the same whether the variables before it in model order are
+    drawn or left undrawn, and whatever the block size."""
+    scm, samples = _skewed_noise(), 3000
+    alone = OutcomeSpec(((("Z", "eq", "1"),),))
+    after = OutcomeSpec(((("Z", "eq", "1"),), (("X", "eq", "a"), ("Y", "eq", "1"))))
+    columns = [_drawn_columns(monkeypatch, scm, alone, samples, 8)]
+    columns.append(_drawn_columns(monkeypatch, scm, after, samples, 8))
+    monkeypatch.setattr(scm_mod, "_BLOCK", 100)
+    columns.append(_drawn_columns(monkeypatch, scm, after, samples, 8))
+    assert set(columns[0]) == {"D", "F"} and set(columns[1]) == {"A", "B", "C", "D", "F"}
+    a = columns[1]["A"]
+    assert np.array_equal(a, columns[2]["A"]) and (a != 1).any()
+    for column in columns[1:]:
+        assert np.array_equal(column["D"], columns[0]["D"])
+        assert np.array_equal(column["F"], columns[0]["F"])
 
 
 def test_intervene_forces_value(xor):
@@ -1291,6 +1452,19 @@ def test_counterfactual_of_a_tautology_is_at_most_one():
             interventions = [(target.id, rng.choice(target.domain.values))]
             got = counterfactual_probability(scm, observation, interventions, phi)
             assert 1 - 1e-12 <= got <= 1.0
+
+
+def test_probability_of_a_near_sure_outcome_is_at_most_one():
+    """The 65,537 priors of U sum to 1 + 4.3e-15 in binary, within
+    `PROB_TOL`, and W != 7 and Z != 3 holds on almost every setting, so the
+    sum the query returns is past 1; the probability reported is at most
+    1, and still within 1e-12 of brute force."""
+    scm = wide_domain_scm(random.Random(65_537), 65_537)
+    phi = OutcomeSpec(((("W", "neq", "7"), ("Z", "neq", "3")),))
+    assert scm_mod._query(scm, ((phi, 1.0),), "outcome")[0] > 1
+    got = event_probability(scm, phi)
+    assert got <= 1.0
+    assert abs(got - brute_event_probability(scm, phi)) <= 1e-12
 
 
 def test_solve_codes_keeps_only_what_is_read():
