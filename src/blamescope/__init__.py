@@ -16,7 +16,6 @@ from .blame import (
     DiscountSpec,
     Override,
     apply_action,
-    delta,
     discount,
     discounted_blame,
     expected_cost,

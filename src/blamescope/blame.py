@@ -1,15 +1,17 @@
 """Blameworthiness of one policy choice against a reference.
 
-An action rewires part of a decision system; blame is the clamped increase
+An action rewires part of a decision system: `apply_action` builds M^a.
+Blame compares M^a with the baseline's M^a': delta is the clamped increase
 in the probability of the undesired outcome, optionally discounted by the
-ratio of expected decision costs.
+ratio of expected decision costs. Each query reads the model it is given,
+so `discounted_blame` builds each of the two models once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, DuplicateVariable
 from .scm import OutcomeSpec, Scm, _query, _rewire, event_probability
 
 
@@ -85,33 +87,21 @@ class BlameReport:
 
 def apply_action(scm: Scm, action: Action) -> Scm:
     """Build the modified system: replace each overridden variable's
-    mechanism and parent list. The input model is untouched."""
-    return _rewire(
-        scm,
-        {ov.var: (ov.parents, ov.table) for ov in action.overrides},
-        f"action {action.label!r} overrides unknown variable",
-    )
+    mechanism and parent list. The input model is untouched. An action
+    that overrides one variable twice raises DuplicateVariable."""
+    mechanisms = {}
+    for ov in action.overrides:
+        if ov.var in mechanisms:
+            raise DuplicateVariable(f"action {action.label!r} overrides {ov.var!r} twice")
+        mechanisms[ov.var] = (ov.parents, ov.table)
+    return _rewire(scm, mechanisms, f"action {action.label!r} overrides unknown variable")
 
 
-def _probabilities(scm: Scm, a: Action, a_prime: Action, phi: OutcomeSpec) -> tuple:
-    """(P(phi | M^a), P(phi | M^a'))."""
-    return event_probability(apply_action(scm, a), phi), event_probability(
-        apply_action(scm, a_prime), phi
-    )
-
-
-def delta(scm: Scm, a: Action, a_prime: Action, phi: OutcomeSpec) -> float:
-    """max{0, P(phi | M^a) - P(phi | M^a')} with exact probabilities."""
-    p_a, p_ap = _probabilities(scm, a, a_prime, phi)
-    # delta does not depend on the costs or the discount.
-    return BlameReport.of(p_a, p_ap, 0.0, 0.0, DiscountSpec()).delta
-
-
-def expected_cost(scm: Scm, action: Action, cost: CostModel) -> float:
-    """Expected decision cost under the modified system. A setting's cost is
+def expected_cost(scm: Scm, cost: CostModel) -> float:
+    """Expected decision cost of the model it is given. A setting's cost is
     the sum, in term order, of the terms whose `where` holds."""
     return _query(
-        apply_action(scm, action),
+        scm,
         [(OutcomeSpec.conjunction(term.where), term.cost) for term in cost.terms],
         "cost term",
     )[0]
@@ -137,8 +127,13 @@ def discounted_blame(
     spec: DiscountSpec,
 ) -> BlameReport:
     """Full report: outcome probabilities, expected costs, discount and the
-    discounted blame score."""
-    p_a, p_ap = _probabilities(scm, a, a_prime, phi)
+    discounted blame score. M^a and M^a' are each built once, and each is
+    read for P(phi) and the expected cost."""
+    m_a, m_ap = apply_action(scm, a), apply_action(scm, a_prime)
     return BlameReport.of(
-        p_a, p_ap, expected_cost(scm, a, cost), expected_cost(scm, a_prime, cost), spec
+        event_probability(m_a, phi),
+        event_probability(m_ap, phi),
+        expected_cost(m_a, cost),
+        expected_cost(m_ap, cost),
+        spec,
     )

@@ -91,6 +91,8 @@ def cmd_validate(args) -> dict:
     files = {}
     if args.scm:
         bundle = load_scm_bundle(args.scm)
+        for action in bundle.actions.values():
+            apply_action(bundle.scm, action)
         files[args.scm] = {
             "kind": "scm",
             "status": "ok",

@@ -103,7 +103,7 @@ def _parse_outcome(raw: list, where: str) -> OutcomeSpec:
         lits = []
         for lit in clause:
             if not isinstance(lit, list) or len(lit) != 3 or lit[1] not in ("eq", "neq"):
-                raise SchemaViolation(f"bad outcome literal {lit!r}")
+                raise SchemaViolation(f"{where}: bad outcome literal {lit!r}")
             lits.append((str(lit[0]), lit[1], str(lit[2])))
         clauses.append(tuple(lits))
     return OutcomeSpec(clauses=tuple(clauses))

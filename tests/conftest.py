@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from blamescope.blame import Action, DiscountSpec, Override, delta
+from blamescope.blame import Action, CostModel, DiscountSpec, Override, discounted_blame
 from blamescope.hitl import (
     HITL_OUTCOME,
     CaseLog,
@@ -241,6 +241,12 @@ def random_noise(rng: random.Random, scm: Scm):
     }
 
 
+def unit_delta(scm, a, a_prime, phi) -> float:
+    """The exact blameworthiness max{0, P(phi | M^a) - P(phi | M^a')}: the
+    delta of the blame report with no cost and the unit discount."""
+    return discounted_blame(scm, a, a_prime, phi, CostModel(), DiscountSpec()).delta
+
+
 def exact_and_empirical_delta(cases, policy):
     """(exact, empirical) blameworthiness of the HITL pipeline over a log:
     from the model built on the decided log's joint, and from the log."""
@@ -250,7 +256,7 @@ def exact_and_empirical_delta(cases, policy):
     )
     labels, joint = empirical_joint(decisions)
     scm = build_hitl_scm(labels, joint)
-    exact = delta(scm, Action("hitl"), human_only_action(labels), HITL_OUTCOME)
+    exact = unit_delta(scm, Action("hitl"), human_only_action(labels), HITL_OUTCOME)
     return exact, empirical.delta
 
 

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from blamescope.attribution import CLASSES, OutcomeClass, annotate, summarize
-from blamescope.blame import DiscountSpec, delta, discount, discounted_blame, CostModel, CostTerm
+from blamescope.blame import DiscountSpec, discount, discounted_blame, CostModel, CostTerm
 from blamescope.data import bundled_path
 from blamescope.hitl import CaseLog, FlagPolicy, run
 from blamescope.metrics import (
@@ -39,6 +39,7 @@ from conftest import (
     random_action,
     random_outcome,
     random_scm,
+    unit_delta,
     xor_scm,
 )
 from oracles import brute_event_probability, brute_prf1, brute_qwk, recount_log
@@ -101,10 +102,10 @@ def test_criterion_4_blame_laws():
         a = random_action(rng, scm, "a")
         a_prime = random_action(rng, scm, "a_prime")
         phi = random_outcome(rng, scm)
-        d_fwd = delta(scm, a, a_prime, phi)
-        d_rev = delta(scm, a_prime, a, phi)
+        d_fwd = unit_delta(scm, a, a_prime, phi)
+        d_rev = unit_delta(scm, a_prime, a, phi)
         assert 0.0 <= d_fwd <= 1.0
-        assert delta(scm, a, a, phi) == 0.0
+        assert unit_delta(scm, a, a, phi) == 0.0
         assert not (d_fwd > 1e-12 and d_rev > 1e-12)
         rep_unit = discounted_blame(scm, a, a_prime, phi, cost, DiscountSpec("unit"))
         assert rep_unit.db == rep_unit.delta

@@ -10,16 +10,15 @@ from blamescope.blame import (
     DiscountSpec,
     Override,
     apply_action,
-    delta,
     discount,
     discounted_blame,
     expected_cost,
 )
-from blamescope.errors import ConfigError, CyclicGraph, UnknownVariable
+from blamescope.errors import ConfigError, CyclicGraph, DuplicateVariable, UnknownVariable
 from blamescope.scm import OutcomeSpec, event_probability, solve
 
-from conftest import oracle_models, random_action
-from oracles import brute_expected_cost
+from conftest import oracle_models, random_action, random_outcome, unit_delta
+from oracles import brute_event_probability, brute_expected_cost
 
 BITS = ("0", "1")
 Y1 = OutcomeSpec(((("Y", "eq", "1"),),))
@@ -73,55 +72,83 @@ def test_apply_action_unknown_variable(xor):
         apply_action(xor, bad)
 
 
+def test_apply_action_overrides_twice(xor):
+    twice = Action(label="twice", overrides=(*CONST_Y0.overrides, *NOISE_Y.overrides))
+    with pytest.raises(DuplicateVariable, match="^action 'twice' overrides 'Y' twice$"):
+        apply_action(xor, twice)
+
+
 def test_delta_self_comparison(xor):
-    assert delta(xor, XOR_Y, XOR_Y, Y1) == 0.0
+    assert unit_delta(xor, XOR_Y, XOR_Y, Y1) == 0.0
 
 
 def test_delta_extremes(xor):
     force = Action(label="y1", overrides=(Override("Y", (), {(): "1"}),))
-    assert delta(xor, force, CONST_Y0, Y1) == 1.0
+    assert unit_delta(xor, force, CONST_Y0, Y1) == 1.0
 
 
 def test_delta_xor_vs_noise(xor):
     # P(Y=1 | xor) = 0.5, P(Y=1 | noise only) = P(E2=1) = 0.3.
-    assert delta(xor, XOR_Y, NOISE_Y, Y1) == pytest.approx(0.2, abs=1e-12)
-    assert delta(xor, NOISE_Y, XOR_Y, Y1) == 0.0
+    assert unit_delta(xor, XOR_Y, NOISE_Y, Y1) == pytest.approx(0.2, abs=1e-12)
+    assert unit_delta(xor, NOISE_Y, XOR_Y, Y1) == 0.0
 
 
 def test_expected_cost_empty(xor):
-    assert expected_cost(xor, IDENTITY, CostModel()) == 0.0
+    assert expected_cost(xor, CostModel()) == 0.0
 
 
 def test_expected_cost_constant(xor):
     cost = CostModel(terms=(CostTerm(where=(), cost=3.5),))
-    assert expected_cost(xor, IDENTITY, cost) == pytest.approx(3.5, abs=1e-12)
+    assert expected_cost(xor, cost) == pytest.approx(3.5, abs=1e-12)
 
 
 def test_expected_cost_y1(xor):
     cost = CostModel(terms=(CostTerm(where=(("Y", "1"),), cost=2.0),))
-    assert expected_cost(xor, XOR_Y, cost) == pytest.approx(1.0, abs=1e-12)
+    assert expected_cost(apply_action(xor, XOR_Y), cost) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expected_cost_linear(xor):
     cost = CostModel(terms=(CostTerm(where=(("Y", "1"),), cost=2.0),))
     scaled = CostModel(terms=(CostTerm(where=(("Y", "1"),), cost=6.0),))
-    assert expected_cost(xor, XOR_Y, scaled) == pytest.approx(
-        3 * expected_cost(xor, XOR_Y, cost), abs=1e-12
+    model = apply_action(xor, XOR_Y)
+    assert expected_cost(model, scaled) == pytest.approx(
+        3 * expected_cost(model, cost), abs=1e-12
     )
+
+
+def _random_cost(rng: random.Random, scm) -> CostModel:
+    """Three cost terms, each matching 0 to 2 random (variable, value) pairs."""
+    terms = []
+    for _ in range(3):
+        matched = rng.sample(scm.endogenous, rng.randint(0, min(2, len(scm.endogenous))))
+        where = tuple((v.id, rng.choice(v.domain.values)) for v in matched)
+        terms.append(CostTerm(where=where, cost=rng.choice((0.5, 2.0, 7.25))))
+    return CostModel(terms=tuple(terms))
 
 
 def test_expected_cost_matches_oracle():
     rng = random.Random(11)
     for scm in oracle_models(rng):
-        action = random_action(rng, scm, "a")
-        terms = []
-        for _ in range(3):
-            matched = rng.sample(scm.endogenous, rng.randint(0, min(2, len(scm.endogenous))))
-            where = tuple((v.id, rng.choice(v.domain.values)) for v in matched)
-            terms.append(CostTerm(where=where, cost=rng.choice((0.5, 2.0, 7.25))))
-        cost = CostModel(terms=tuple(terms))
-        want = brute_expected_cost(apply_action(scm, action), cost)
-        assert abs(expected_cost(scm, action, cost) - want) <= 1e-12
+        model = apply_action(scm, random_action(rng, scm, "a"))
+        cost = _random_cost(rng, scm)
+        assert abs(expected_cost(model, cost) - brute_expected_cost(model, cost)) <= 1e-12
+
+
+def test_discounted_blame_matches_oracle():
+    """Each of the four numbers comes from its own action's model: a swap of
+    a and a' would show as soon as the two models differ."""
+    rng = random.Random(23)
+    spec = DiscountSpec("cost_ratio")
+    for scm in oracle_models(rng):
+        a, a_prime = random_action(rng, scm, "a"), random_action(rng, scm, "a_prime")
+        phi, cost = random_outcome(rng, scm), _random_cost(rng, scm)
+        rep = discounted_blame(scm, a, a_prime, phi, cost, spec)
+        m_a, m_ap = apply_action(scm, a), apply_action(scm, a_prime)
+        want = (brute_event_probability(m_a, phi), brute_event_probability(m_ap, phi),
+                brute_expected_cost(m_a, cost), brute_expected_cost(m_ap, cost))
+        got = (rep.p_a, rep.p_aprime, rep.cost_a, rep.cost_aprime)
+        assert all(abs(g - w) <= 1e-12 for g, w in zip(got, want)), (got, want)
+        assert rep == BlameReport.of(*got, spec)
 
 
 def test_discount_unit():

@@ -866,6 +866,15 @@ def _xor_with(edit) -> bytes:
     return json.dumps(doc).encode()
 
 
+def _override(var, parents, table) -> dict:
+    return {"var": var, "parents": parents, "table": table}
+
+
+def _with_action(*overrides) -> bytes:
+    """xor.json with one action, 'broken', made of `overrides`."""
+    return _xor_with(_set(["actions"], {"broken": list(overrides)}))
+
+
 _PARENTLESS_KEYED = {"id": "X", "values": ["0", "1"], "parents": [], "table": {"1": "1"}}
 _RATINGS_HEADER = b"case_id,rater_a,rater_b\n"
 # name -> (file bytes, or None for a missing file; command before the path;
@@ -879,7 +888,20 @@ BAD_INPUTS = {
                            ("validate", "--scm"), 3, "SchemaViolation",
                            "parentless mechanism key must be empty"),
     "scm_bad_literal": (_xor_with(_set(["outcomes", "y1"], [[["Y", "is", "1"]]])),
-                        ("validate", "--scm"), 3, "SchemaViolation", "bad outcome literal"),
+                        ("validate", "--scm"), 3, "SchemaViolation",
+                        "outcome 'y1': bad outcome literal"),
+    "scm_action_unknown_variable": (_with_action(_override("Nope", [], {"": "0"})),
+                                    ("validate", "--scm"), 4, "UnknownVariable",
+                                    "action 'broken' overrides unknown variable 'Nope'"),
+    "scm_action_cycle": (_with_action(_override("X", ["Y"], {"0": "0", "1": "1"})),
+                         ("validate", "--scm"), 4, "CyclicGraph", "X -> Y -> X"),
+    "scm_action_partial_table": (_with_action(_override("Y", ["E2"], {"0": "1"})),
+                                 ("validate", "--scm"), 4, "PartialMechanism",
+                                 "Y: mechanism has 1 entries, expected 2"),
+    "scm_action_overrides_twice": (
+        _with_action(_override("Y", [], {"": "1"}), _override("Y", [], {"": "0"})),
+        ("validate", "--scm"), 4, "DuplicateVariable", "action 'broken' overrides 'Y' twice",
+    ),
     "scm_invalid_json": (b'{"schema": ', ("validate", "--scm"), 3, "SchemaViolation",
                          "invalid JSON"),
     "scm_not_utf8": (b'{"schema": "blamescope/scm/1",\n"x": "\xff"}', ("validate", "--scm"),

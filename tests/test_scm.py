@@ -163,11 +163,13 @@ def test_tables_not_compared_or_shown(xor):
                 CostModel((CostTerm((("X", "1"),), 2.0),)),
                 DiscountSpec("cost_ratio"),
             ),
-            4,
+            2,
         ),
+        (lambda scm: expected_cost(scm, CostModel((CostTerm((("X", "1"),), 2.0),))), 0),
     ],
     ids=["event_probability", "event_probability_mc", "solve", "abduct",
-         "counterfactual_probability", "intervene", "apply_action", "discounted_blame"],
+         "counterfactual_probability", "intervene", "apply_action", "discounted_blame",
+         "expected_cost"],
 )
 def test_model_compiled_once_when_built(monkeypatch, xor, query, compiles):
     calls = []
@@ -283,7 +285,7 @@ def _factor_cap(entries):
              scm, dict(_PQ), [("M", "0")], OutcomeSpec.conjunction(_PQ)
          ), _factor_cap(4100**2 * 4)),
         (_past_the_cap_at_step_two,
-         lambda scm: expected_cost(scm, Action(label="keep"), CostModel((CostTerm(_PQ, 1.0),))),
+         lambda scm: expected_cost(scm, CostModel((CostTerm(_PQ, 1.0),))),
          _factor_cap(4100**2 * 2)),
         # Every XOR is read, so the plan's factors grow to span the 26 bits.
         (lambda: pairwise_xor_scm(26),
@@ -325,7 +327,7 @@ def test_batches_split_to_fit_the_cap(monkeypatch):
         CostTerm(_PQ, 1.3), CostTerm((("P", "1"), ("Q", "0")), 2.7), CostTerm((("P", "0"),), 0.1),
     ))
     queries = [
-        lambda: expected_cost(_past_the_cap_at_step_two(8), Action(label="keep"), cost),
+        lambda: expected_cost(_past_the_cap_at_step_two(8), cost),
         lambda: counterfactual_probability(wide, {"V": "z"}, [("V", "x")], phi),
     ]
     sizes, calls = [], []
@@ -370,7 +372,7 @@ def test_two_clauses_over_25_bits_match_closed_forms():
     scm = _over_the_cap()
     assert event_probability(scm, _WIDE_EVENT) == 2**-13 + 2**-12 - 2**-25
     cost = CostModel(tuple(CostTerm(t, 1.0) for t in _WIDE_TERMS))
-    assert expected_cost(scm, Action(label="keep"), cost) == 2**-13 + 2**-12
+    assert expected_cost(scm, cost) == 2**-13 + 2**-12
     # Y copies E0, so Y = 1 fixes X0 = 1, and do(Y = 0) changes no X_i.
     got = counterfactual_probability(scm, {"Y": "1"}, [("Y", "0")], _WIDE_EVENT)
     assert got == 2**-11 - 2**-24
@@ -410,7 +412,7 @@ def test_random_dnfs_match_oracles():
                 CostTerm(tuple((var, value) for var, _, value in clause), rng.uniform(0, 5))
                 for clause in phi.clauses
             ))
-            got = expected_cost(scm, Action("keep"), cost)
+            got = expected_cost(scm, cost)
             assert abs(got - brute_expected_cost(scm, cost)) <= 1e-12
             observation = _observe(rng, scm)
             targets = rng.sample(scm.endogenous, rng.randint(1, min(2, len(scm.endogenous))))
@@ -439,7 +441,7 @@ def test_one_conjunction_over_many_variables_matches_oracle():
     assert abs(got - p) <= 1e-12
     assert abs(got - brute_event_probability(scm, phi)) <= 1e-12
     cost = CostModel((CostTerm(pairs, 3.0),))
-    assert abs(expected_cost(scm, Action("keep"), cost) - 3 * p) <= 1e-12
+    assert abs(expected_cost(scm, cost) - 3 * p) <= 1e-12
 
     one = Domain(("only",))
     scm = Scm(
@@ -1214,7 +1216,7 @@ _WIDE_PHI = OutcomeSpec(((("W", "neq", "7"), ("V", "eq", "x")),))
     [
         (lambda: _noisy_chain(300), lambda scm: event_probability(scm, _last(300)),
          lambda scm: _rational(scm, ((_last(300), 1),))[0], False, None),
-        (lambda: _noisy_chain(150), lambda scm: expected_cost(scm, Action("keep"), _CHAIN_COST),
+        (lambda: _noisy_chain(150), lambda scm: expected_cost(scm, _CHAIN_COST),
          lambda scm: _rational(
              scm, [(OutcomeSpec.conjunction(t.where), t.cost) for t in _CHAIN_COST.terms]
          )[0], False, None),
@@ -1313,7 +1315,7 @@ def test_pruned_exogenous_mass_matches_oracle(xor):
     assert abs(event_probability(scm, Y1) - brute_event_probability(scm, Y1)) <= 1e-12
     assert abs(event_probability(scm, Y1) - 0.5 * total) <= 1e-12
     cost = CostModel((CostTerm((("X", "1"),), 2.0), CostTerm((), 1.0)))
-    got = expected_cost(scm, Action("keep"), cost)
+    got = expected_cost(scm, cost)
     assert abs(got - brute_expected_cost(scm, cost)) <= 1e-12
     got = counterfactual_probability(scm, {"X": "1"}, [("X", "0")], Y1)
     want = brute_counterfactual_probability(scm, {"X": "1"}, [("X", "0")], Y1)
@@ -1345,7 +1347,7 @@ def test_many_one_valued_variables_match_oracle():
     phi = OutcomeSpec(((("Y", "eq", "1"), ("C0", "eq", "only")), (("X", "neq", "1"),)))
     assert abs(event_probability(scm, phi) - brute_event_probability(scm, phi)) <= 1e-12
     cost = CostModel((CostTerm((("C7", "only"), ("Y", "0")), 3.0),))
-    got = expected_cost(scm, Action("keep"), cost)
+    got = expected_cost(scm, cost)
     assert abs(got - brute_expected_cost(scm, cost)) <= 1e-12
     for observation, interventions in [({"Y": "1", "C1": "only"}, [("X", "1")]),
                                        ({"X": "0"}, [("C2", "only"), ("Y", "0")])]:
