@@ -40,7 +40,7 @@ from .io import (
     load_scm_bundle,
     open_text,
 )
-from .synthetic import gen_synthetic
+from .synthetic import MAX_CASES, gen_synthetic
 
 
 def _parse_bindings(pairs, what: str) -> dict:
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a seeded synthetic case log")
     p.add_argument("--seed", type=_int_at_least(0), required=True)
-    p.add_argument("--n-cases", type=int, required=True)
+    p.add_argument("--n-cases", type=_int_at_least(1, MAX_CASES), required=True)
     p.add_argument("--ai-accuracy", type=float, default=0.8)
     p.add_argument("--human-accuracy", type=float, default=0.9)
     p.add_argument("--profile", choices=["binned", "uniform"], default="binned")

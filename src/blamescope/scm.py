@@ -53,18 +53,11 @@ outcome, observation and cost literals as one DNF mask. The Monte Carlo
 estimator plans its solve once, draws the codes of the exogenous variables
 the outcome depends on, and no others, and solves them in blocks of
 `_BLOCK` samples, so its memory does not grow with the sample count, which
-`MAX_SAMPLES` caps. Each exogenous variable reads its own PCG64 stream of
-the seed, so an estimate depends only on (seed, samples), and a variable
-left undrawn moves no other's draws. A variable whose values other than
-its mode hold probability r <= `_SKIP_MAX` skips (`_skips`): every sample
-takes the mode but the exceptions, geometric(r) gaps apart, so it draws
-about r numbers per sample, from a stream jumped past every other's. Any
-other variable's stream is advanced past the draws of those before it,
-and `_draw` consumes the same uniforms and returns the same codes as
-`Generator.choice`: a code is the number of CDF steps at or below its
-uniform, counted by comparison (one for a binary variable), or found by
-binary search in a domain wider than `_COMPARE_MAX` values. `abduct` lists
-the posterior over a grid of the whole exogenous joint space, of at most
+`MAX_SAMPLES` caps. Each variable's codes come from its own column
+(`_column`), which fixes how they are drawn and from which stream of the
+seed: by skipping to the rare values of skewed noise, or by `_draw`, with
+the uniforms and codes of `Generator.choice`. `abduct` lists the
+posterior over a grid of the whole exogenous joint space, of at most
 `MAX_STATES` settings. An intervention do(X = x) and an action's overrides
 are the same rewrite, `_rewire`: do(X = x) gives X no parents and the
 constant mechanism x.
@@ -696,61 +689,12 @@ def event_probability(scm: Scm, phi: OutcomeSpec) -> float:
     return min(_query(scm, ((phi, 1.0),), "outcome")[0], 1.0)
 
 
-def _skips(ex: ExogenousVar):
-    """What `_draw` keeps for `ex` if it skips, else None: the list [r,
-    mode, other codes, their CDF, positions of the last refill's
-    exceptions, counted from the next sample, their codes, the index of the
-    first not yet used]. The mode is the first most likely value; r, the
-    probability of the other values under the normalisation of `_draw`'s
-    CDF, is summed apart from the mode, so that a tiny r is not lost, and
-    `ex` skips when r <= `_SKIP_MAX`. The CDF is the other values',
-    renormalised."""
-    p = np.asarray(ex.dist, dtype=float)
-    mode = int(p.argmax())
-    rest = np.delete(p, mode).cumsum()
-    rate = rest[-1] / p.cumsum()[-1] if rest.size else 0.0
-    if rate > _SKIP_MAX:
-        return None
-    dtype = _code_dtype(ex.domain)
-    others = np.delete(np.arange(len(p)), mode).astype(dtype)
-    cdf = rest / rest[-1] if rate else rest
-    return [rate, dtype.type(mode), others, cdf, np.empty(0, np.int64), np.empty(0, dtype), 0]
-
-
-def _draw(rng: np.random.Generator, ex: ExogenousVar, samples: int, skips=None) -> np.ndarray:
-    """`samples` codes of `ex` in its code dtype.
-
-    Without `skips`: the values, and the draws taken from `rng`, of
+def _draw(rng: np.random.Generator, ex: ExogenousVar, samples: int) -> np.ndarray:
+    """The values, in `ex`'s code dtype, and the draws taken from `rng`, of
     `rng.choice(len(ex.domain), samples, p=ex.dist)`, whose CDF this builds
     in the same way. Up to `_COMPARE_MAX` values, the codes start as the
     first CDF comparison and add one comparison per further step, so a
-    binary column is one `>=` over its uniforms.
-
-    With `skips`, `_skips(ex)` of a variable that skips, the next `samples`
-    codes of its column, which `skips` carries from call to call (Devroye
-    1986, ch. 10, on geometric skipping): every sample takes the mode but
-    the exceptions, geometric(r) gaps apart, none when r is 0. They are
-    drawn `_REFILL` at a time: the gaps, then, in a domain of more than two
-    values, one uniform each on the other values' CDF. A gap is clamped
-    past `MAX_SAMPLES` before it is summed, as numpy's `geometric`
-    saturates at 2^63 - 1 for r below about 1e-19."""
-    if skips is not None:
-        rate, mode, others, cdf, pos, codes, i = skips
-        column = np.full(samples, mode, dtype=others.dtype)
-        while rate:
-            j = i + pos[i:].searchsorted(samples)
-            column[pos[i:j]] = codes[i:j] if len(others) > 1 else others[0]
-            if j < len(pos):
-                pos -= samples
-                skips[4:] = pos, codes, j
-                break
-            last = pos[-1] if len(pos) else -1
-            pos = np.minimum(rng.geometric(rate, _REFILL), MAX_SAMPLES + 1).cumsum()
-            pos += last
-            if len(others) > 1:
-                codes = others[cdf.searchsorted(rng.random(_REFILL), side="right")]
-            i = 0
-        return column
+    binary column is one `>=` over its uniforms."""
     cdf = np.asarray(ex.dist, dtype=float).cumsum()
     cdf /= cdf[-1]
     u = rng.random(samples)
@@ -767,48 +711,99 @@ def _draw(rng: np.random.Generator, ex: ExogenousVar, samples: int, skips=None) 
     return codes
 
 
+def _fill(samples: int, mode, exceptions: list) -> np.ndarray:
+    """`samples` codes, each `mode` but at the (positions, codes) pairs it
+    takes off `exceptions`, so its caller keeps no view of a spent refill."""
+    column = np.full(samples, mode)
+    while exceptions:
+        at, codes = exceptions.pop()
+        column[at] = codes
+    return column
+
+
+def _column(ex: ExogenousVar, j: int, seed: int, samples: int):
+    """`ex`'s `samples` codes, `_BLOCK` at a time, each block a fresh array
+    the generator does not keep; j is `ex`'s index in model order. The
+    stream rules are here, and an estimate depends only on (seed, samples):
+    not on the block size, nor on which variables are drawn.
+
+    The mode is the first most likely value; r, the other values'
+    probability under `_draw`'s normalisation, is summed apart from it, so
+    that a tiny r is not lost. If r > `_SKIP_MAX`, the blocks are `_draw`'s
+    on the seed's PCG64 stream advanced j * samples draws: the column of one
+    `default_rng(seed)` drawing each variable's whole, in model order, with
+    `Generator.choice`. Otherwise the column skips (Devroye 1986, ch. 10):
+    every sample takes the mode but the exceptions, geometric(r) gaps
+    apart, none when r is 0, on the seed's stream jumped j + 1 times (about
+    2^127 draws each), as its draw count varies. Exceptions are drawn
+    `_REFILL` at a time into a buffer kept from block to block: the gaps,
+    then, with more than two values, one uniform each on the other values'
+    CDF, renormalised. A gap is clamped past `MAX_SAMPLES` before it is
+    summed, as numpy's `geometric` saturates at 2^63 - 1 for r below about
+    1e-19."""
+    p = np.asarray(ex.dist, dtype=float)
+    mode = int(p.argmax())
+    rest = np.delete(p, mode).cumsum()
+    rate = rest[-1] / p.cumsum()[-1] if rest.size else 0.0
+    blocks = range(0, samples, _BLOCK)
+    if rate > _SKIP_MAX:
+        rng = np.random.Generator(np.random.PCG64(seed).advance(j * samples))
+        for start in blocks:
+            yield _draw(rng, ex, min(_BLOCK, samples - start))
+        return
+    rng = np.random.Generator(np.random.PCG64(seed).jumped(j + 1))
+    others = np.delete(np.arange(len(p)), mode).astype(_code_dtype(ex.domain))
+    cdf = rest / rest[-1] if rate else rest
+    # The last refill: positions from the block's first sample, codes
+    # (unread if there is one other value) and the first index not used.
+    pos, codes, i = np.empty(0, np.int64), others[:0], 0
+    for start in blocks:
+        block = min(_BLOCK, samples - start)
+        exceptions = []
+        while rate:
+            k = i + pos[i:].searchsorted(block)
+            exceptions.append((pos[i:k], codes[i:k] if len(others) > 1 else others[0]))
+            if k < len(pos):
+                i = k
+                break
+            last = pos[-1] if len(pos) else -1
+            pos = np.minimum(rng.geometric(rate, _REFILL), MAX_SAMPLES + 1).cumsum()
+            pos += last
+            if len(others) > 1:
+                codes = others[cdf.searchsorted(rng.random(_REFILL), side="right")]
+            i = 0
+        yield _fill(block, others.dtype.type(mode), exceptions)
+        pos -= block
+
+
 def event_probability_mc(
     scm: Scm, phi: OutcomeSpec, samples: int, seed: int
 ) -> float:
     """Monte Carlo estimate of event_probability; deterministic in (seed,
-    samples). The solve is planned once (`_plan_solve`), then samples are drawn
-    and solved `_BLOCK` at a time, and only the exogenous variables the
-    outcome's variables depend on are drawn. Exogenous variable j (its index in
-    model order) reads its own PCG64 stream of `seed`. If it skips (`_skips`),
-    its draw count varies, so its stream is jumped j + 1 times, each jump
-    about 2^127 draws on. Otherwise the stream is advanced by j * samples
-    draws, so its block b holds the uniforms at j * samples + b * _BLOCK
-    onwards of one `default_rng(seed)` stream, as `Generator.choice` draws
-    them. Either way the estimate is that of drawing every variable's column
-    whole, in model order, whatever the block size and whichever variables
-    are left undrawn."""
+    samples). The solve is planned once (`_plan_solve`), then samples are
+    drawn and solved `_BLOCK` at a time, and only the exogenous variables
+    the outcome's variables depend on are drawn, each from its own column
+    (`_column`)."""
     if samples < 1:
         raise ValueOutOfDomain("samples must be >= 1")
     if samples > MAX_SAMPLES:
         raise SampleCountTooLarge(f"{samples} samples exceed the cap of {MAX_SAMPLES}")
     clauses = _encode(scm, phi, "outcome")
-    keep = _variables(clauses)
-    plan = _plan_solve(scm, keep)
-    drawn = []
-    for j, ex in enumerate(scm.exogenous):
-        if ex.id in plan[1]:
-            skips, bits = _skips(ex), np.random.PCG64(seed)
-            bits = bits.advance(j * samples) if skips is None else bits.jumped(j + 1)
-            drawn.append((ex, np.random.Generator(bits), skips))
+    plan = _plan_solve(scm, _variables(clauses))
+    columns = {ex.id: _column(ex, j, seed, samples)
+               for j, ex in enumerate(scm.exogenous) if ex.id in plan[1]}
     hits = 0
     try:
         for start in range(0, samples, _BLOCK):
             block = min(_BLOCK, samples - start)
             # No name holds the draws, so each column is freed after its
             # last reader.
-            codes = _solve_planned(
-                plan, {ex.id: _draw(rng, ex, block, skips) for ex, rng, skips in drawn}
-            )
+            codes = _solve_planned(plan, {v: next(column) for v, column in columns.items()})
             hits += int(np.count_nonzero(_holds(clauses, codes, (block,))))
     except MemoryError:
         raise SampleCountTooLarge(
             f"not enough memory for blocks of {_BLOCK} samples of "
-            f"{len(drawn)} exogenous variables"
+            f"{len(columns)} exogenous variables"
         ) from None
     return hits / samples
 

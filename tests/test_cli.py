@@ -18,7 +18,9 @@ from blamescope import io as io_mod
 from blamescope.cli import main
 from blamescope.data import bundled_path
 from blamescope.hitl import Case
+from blamescope.errors import ConfigError
 from blamescope.io import CASE_COLUMNS, dump_cases
+from blamescope.synthetic import MAX_CASES, gen_synthetic
 
 from conftest import pairwise_xor_scm
 
@@ -765,6 +767,24 @@ def test_integer_flag_bounds_named(capsys, argv, bound):
     assert bound in _strict_json(err)["message"]
 
 
+def test_gen_synthetic_case_cap(monkeypatch):
+    """The library refuses more than MAX_CASES cases, as `gen` does, before
+    it builds a generator; MAX_CASES itself passes the check."""
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(np.random, "default_rng", reached)
+    for n in (0, MAX_CASES + 1):
+        with pytest.raises(ConfigError, match=f"^n_cases must be >= 1 and <= {MAX_CASES}, got {n}$"):
+            gen_synthetic(1, n, 0.8, 0.9)
+    with pytest.raises(Reached):
+        gen_synthetic(1, MAX_CASES, 0.8, 0.9)
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [
@@ -943,6 +963,11 @@ BAD_INPUTS = {
     "ratings_category_too_large": (_RATINGS_HEADER + b"c0,1,2\nc1,10000000,1\n",
                                    ("metrics", "--ratings"), 3, "DataError",
                                    "rating 10000000 above the 1000-category limit"),
+    # The path is gen's --out, which nothing is written to.
+    "gen_n_cases_past_cap": (None, ("gen", "--seed", "1", "--n-cases", f"{MAX_CASES + 1}", "--out"),
+                             2, "ConfigError",
+                             f"--n-cases: must be an integer >= 1 and <= {MAX_CASES}, "
+                             f"got '{MAX_CASES + 1}'"),
 }
 
 

@@ -70,6 +70,7 @@ from oracles import (
     brute_mc,
     brute_posterior,
     brute_satisfied,
+    brute_skips,
     brute_solve,
 )
 
@@ -573,6 +574,25 @@ def test_mc_memory_does_not_grow_with_samples_when_skipping():
     assert peaks[1] <= 1.1 * peaks[0]
 
 
+@pytest.mark.parametrize("dist", [(0.97, 0.03), (0.96, 0.02, 0.02)])
+def test_mc_memory_skipping_column_holds_one_refill(dist):
+    """Between blocks, a skipping column holds one refill of `_REFILL`
+    positions and codes, and no view of a refill it has used up, though
+    each block here reaches past one refill."""
+    ex = ExogenousVar("U", Domain(tuple("abc"[: len(dist)])), dist)
+    list(scm_mod._column(ex, 0, 1, 3 * scm_mod._BLOCK))  # numpy's first-use allocations
+    column = scm_mod._column(ex, 0, 1, 8 * scm_mod._BLOCK)
+    tracemalloc.start()
+    try:
+        held = []
+        for _ in range(8):
+            next(column)
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert max(held) <= scm_mod._REFILL * (8 + 1) + 8192
+
+
 def _one_valued_noise():
     """The XOR model with a one-valued noise variable O between its two
     bits, read by C: O's draws sit between theirs in the generator's
@@ -696,6 +716,18 @@ def _exogenous_ancestors(scm, phi) -> set:
     return seen & {ex.id for ex in scm.exogenous}
 
 
+def _watch_columns(monkeypatch, seen):
+    """Patches `_column` to call `seen(ex, codes)` on each block it yields."""
+    column = scm_mod._column
+
+    def watched(ex, j, seed, samples):
+        for codes in column(ex, j, seed, samples):
+            seen(ex, codes)
+            yield codes
+
+    monkeypatch.setattr(scm_mod, "_column", watched)
+
+
 @pytest.mark.parametrize("clauses, ancestors", [
     (((("Y", "eq", "1"),),), {"E1", "E2"}),
     (((("X", "neq", "1"),),), {"E1"}),
@@ -711,10 +743,7 @@ def test_mc_draws_only_what_it_reads(monkeypatch, clauses, ancestors):
     scm, phi = _unread_noise(), OutcomeSpec(clauses)
     assert _exogenous_ancestors(scm, phi) == ancestors
     drawn = []
-    draw = scm_mod._draw
-    monkeypatch.setattr(
-        scm_mod, "_draw", lambda rng, ex, n, skips: drawn.append(ex.id) or draw(rng, ex, n, skips)
-    )
+    _watch_columns(monkeypatch, lambda ex, codes: drawn.append(ex.id))
     for block, samples in ((scm_mod._BLOCK, 500), (3, 8), (4, 8)):
         monkeypatch.setattr(scm_mod, "_BLOCK", block)
         for seed in (0, 5):
@@ -729,10 +758,7 @@ def test_mc_draws_only_what_it_reads(monkeypatch, clauses, ancestors):
 def test_mc_draws_only_ancestors_on_random_models(monkeypatch):
     rng = random.Random(14)
     drawn = set()
-    draw = scm_mod._draw
-    monkeypatch.setattr(
-        scm_mod, "_draw", lambda rng, ex, n, skips: drawn.add(ex.id) or draw(rng, ex, n, skips)
-    )
+    _watch_columns(monkeypatch, lambda ex, codes: drawn.add(ex.id))
     for seed, scm in enumerate(oracle_models(rng)):
         phi = random_outcome(rng, scm)
         drawn.clear()
@@ -741,8 +767,8 @@ def test_mc_draws_only_ancestors_on_random_models(monkeypatch):
 
 
 def test_mc_sample_cap(monkeypatch, xor):
-    """More than MAX_SAMPLES samples fail before any generator is built or
-    any draw is made; MAX_SAMPLES itself passes the check."""
+    """More than MAX_SAMPLES samples fail before any column or stream is
+    built; MAX_SAMPLES itself passes the check and builds a stream."""
 
     class Reached(Exception):
         pass
@@ -750,10 +776,10 @@ def test_mc_sample_cap(monkeypatch, xor):
     def reached(*args):
         raise Reached
 
-    monkeypatch.setattr(scm_mod, "_draw", reached)
+    monkeypatch.setattr(np.random, "PCG64", reached)
     cap = scm_mod.MAX_SAMPLES
     with monkeypatch.context() as patch:
-        patch.setattr(np.random, "PCG64", reached)
+        patch.setattr(scm_mod, "_column", reached)
         with pytest.raises(SampleCountTooLarge, match=f"^{cap + 1} samples .* {cap}$"):
             event_probability_mc(xor, Y1, cap + 1, seed=0)
     with pytest.raises(Reached):
@@ -821,17 +847,42 @@ def _skewed_noise():
 
 def _drawn_columns(monkeypatch, scm, phi, samples, seed) -> dict:
     """Each exogenous column one estimate draws, its blocks joined."""
-    blocks, draw = {}, scm_mod._draw
-
-    def keep(rng, ex, n, skips):
-        codes = draw(rng, ex, n, skips)
-        blocks.setdefault(ex.id, []).append(codes.copy())
-        return codes
-
+    blocks = {}
     with monkeypatch.context() as patch:
-        patch.setattr(scm_mod, "_draw", keep)
+        _watch_columns(patch, lambda ex, codes: blocks.setdefault(ex.id, []).append(codes.copy()))
         event_probability_mc(scm, phi, samples, seed)
     return {vid: np.concatenate(codes) for vid, codes in blocks.items()}
+
+
+def _run_column(monkeypatch, ex, samples, seed):
+    """`_column` of `ex` as variable 0, run to its end: (its blocks joined,
+    the state of its bit generator when built, that state after the last
+    block, and after each block the positions of the exceptions it holds
+    and has not used, or None when it does not skip)."""
+    made, generator = [], np.random.Generator
+
+    def build(bits):
+        made.append((bits.state, generator(bits)))
+        return made[-1][1]
+
+    blocks, buffers = [], []
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "Generator", build)
+        column = scm_mod._column(ex, 0, seed, samples)
+        for codes in column:
+            blocks.append(codes)
+            held = column.gi_frame.f_locals
+            buffers.append(held["pos"][held["i"]:] if "pos" in held else None)
+    (first, rng), = made
+    return np.concatenate(blocks), first, rng.bit_generator.state, buffers
+
+
+def _skipping(monkeypatch, ex) -> bool:
+    """Whether `_column` draws `ex` by skipping: from the seed's stream
+    jumped once, not the seed's own."""
+    first = _run_column(monkeypatch, ex, 1, seed=0)[1]
+    assert first in (np.random.PCG64(0).state, np.random.PCG64(0).jumped(1).state)
+    return first == np.random.PCG64(0).jumped(1).state
 
 
 @pytest.mark.parametrize("refill", [1, 3, scm_mod._REFILL])
@@ -845,7 +896,7 @@ def test_mc_skipping_columns_match_one_stream(monkeypatch, refill):
     monkeypatch.setattr(scm_mod, "_REFILL", refill)
     scm = _skewed_noise()
     phi = OutcomeSpec(((("W", "eq", "1"),), (("K", "eq", "only"), ("Z", "eq", "0"))))
-    assert [ex.id for ex in scm.exogenous if scm_mod._skips(ex)] == ["A", "B", "D", "O"]
+    assert [ex.id for ex in scm.exogenous if _skipping(monkeypatch, ex)] == ["A", "B", "D", "O"]
     for block in (1, 7, scm_mod._BLOCK):
         monkeypatch.setattr(scm_mod, "_BLOCK", block)
         for samples in (1, 6, 400):
@@ -860,22 +911,34 @@ def test_mc_skipping_columns_match_one_stream(monkeypatch, refill):
     assert set(want["A"]) == {0, 1, 3, 4} and set(want["B"]) == {0, 1}
 
 
-def test_skip_rule_at_its_bound():
+def test_skip_rule_at_its_bound(monkeypatch):
     """A variable skips when the values other than its mode hold at most
-    `_SKIP_MAX`, and one ulp more compares; a one-valued variable, or one
-    whose other values all have probability 0, skips with r = 0."""
-    bound = scm_mod._SKIP_MAX
-    assert scm_mod._skips(ExogenousVar("B", Domain(BITS), (1 - bound, bound)))[0] == bound
+    `_SKIP_MAX`, whichever value the mode is: its column is the oracle's
+    skipping column. One ulp more compares: its column is
+    `Generator.choice`'s. A one-valued variable, or one whose other values
+    all have probability 0, skips with r = 0: every sample takes the mode,
+    and its stream is left as it was built."""
+    bound, samples = scm_mod._SKIP_MAX, 3000
+    for dist, mode in (((1 - bound, bound), 0), ((bound, 1 - bound), 1)):
+        ex = ExogenousVar("B", Domain(BITS), dist)
+        column = _run_column(monkeypatch, ex, samples, seed=0)[0]
+        own = np.random.Generator(np.random.PCG64(0).jumped(1))
+        want = brute_skips(ex, samples, own, bound, scm_mod._REFILL)
+        assert _skipping(monkeypatch, ex) and column.tolist() == want
+        assert 0 < np.count_nonzero(column != mode) < samples / 8
     past = np.nextafter(bound, 1.0)
-    assert scm_mod._skips(ExogenousVar("B", Domain(BITS), (1 - past, past))) is None
-    assert scm_mod._skips(ExogenousVar("B", Domain(BITS), (bound, 1 - bound)))[1] == 1
-    for ex in (ExogenousVar("O", Domain(("only",)), (1.0,)),
-               ExogenousVar("D", Domain(("a", "b", "c")), (0.0, 1.0, 0.0))):
-        assert scm_mod._skips(ex)[0] == 0
+    ex = ExogenousVar("B", Domain(BITS), (1 - past, past))
+    assert not _skipping(monkeypatch, ex)
+    column = _run_column(monkeypatch, ex, samples, seed=0)[0]
+    assert column.tolist() == np.random.default_rng(0).choice(2, samples, p=ex.dist).tolist()
+    for ex, mode in ((ExogenousVar("O", Domain(("only",)), (1.0,)), 0),
+                     (ExogenousVar("D", Domain(("a", "b", "c")), (0.0, 1.0, 0.0)), 1)):
+        column, first, last, _ = _run_column(monkeypatch, ex, samples, seed=0)
+        assert _skipping(monkeypatch, ex) and set(column.tolist()) == {mode} and first == last
 
 
 @pytest.mark.parametrize("rate", [5e-324, 1e-300, 1e-20, 0.0])
-def test_skip_gaps_past_the_int64_range(rate):
+def test_skip_gaps_past_the_int64_range(monkeypatch, rate):
     """numpy's `geometric` saturates at 2^63 - 1 as r nears 0; the gaps are
     clamped before they are summed, so no position wraps to a negative
     index, and over three blocks every sample takes the mode. At r = 0
@@ -883,14 +946,11 @@ def test_skip_gaps_past_the_int64_range(rate):
     if rate in (5e-324, 1e-300):
         assert set(np.random.default_rng(0).geometric(rate, 64).tolist()) == {2**63 - 1}
     ex = ExogenousVar("E", Domain(BITS), (1.0, rate))
-    skips = scm_mod._skips(ex)
-    assert skips[0] == rate
-    rng = np.random.default_rng(4)
-    before = rng.bit_generator.state
-    for samples in (1000, scm_mod._BLOCK, 5):
-        assert not scm_mod._draw(rng, ex, samples, skips).any()
-        assert (skips[4][skips[6]:] >= 0).all()
-    assert (rng.bit_generator.state == before) == (rate == 0)
+    assert _skipping(monkeypatch, ex)
+    column, first, last, buffers = _run_column(monkeypatch, ex, 2 * scm_mod._BLOCK + 5, seed=4)
+    assert len(buffers) == 3 and not column.any()
+    assert all((pos >= 0).all() for pos in buffers)
+    assert (last == first) == (rate == 0)
 
 
 @pytest.mark.parametrize("dist", [(0.97, 0.03), (0.01, 0.0, 0.955, 0.02, 0.015)])
@@ -902,12 +962,7 @@ def test_skipped_draws_follow_the_distribution(dist):
     SE of 1/r, r their probability."""
     n = 10**6
     ex = ExogenousVar("U", Domain(tuple("abcde"[: len(dist)])), dist)
-    skips = scm_mod._skips(ex)
-    rng = np.random.default_rng(2)
-    column = np.concatenate([
-        scm_mod._draw(rng, ex, min(scm_mod._BLOCK, n - start), skips)
-        for start in range(0, n, scm_mod._BLOCK)
-    ])
+    column = np.concatenate(list(scm_mod._column(ex, 0, 2, n)))
     for count, p in zip(np.bincount(column, minlength=len(dist)).tolist(), dist):
         assert abs(count - n * p) <= 5 * math.sqrt(n * p * (1 - p))
     r = 1 - max(dist)
