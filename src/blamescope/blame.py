@@ -1,10 +1,11 @@
 """Blameworthiness of one policy choice against a reference.
 
-An action rewires part of a decision system: `apply_action` builds M^a.
-Blame compares M^a with the baseline's M^a': delta is the clamped increase
-in the probability of the undesired outcome, optionally discounted by the
-ratio of expected decision costs. Each query reads the model it is given,
-so `discounted_blame` builds each of the two models once.
+An action rewires part of a decision system: `apply_action` builds M^a,
+and the model loader builds each action's model once, when it reads the
+file. Blame compares M^a with the baseline's M^a': delta is the clamped
+increase in the probability of the undesired outcome, optionally
+discounted by the ratio of expected decision costs. Each query reads the
+model it is given, so `discounted_blame` builds no model.
 """
 
 from __future__ import annotations
@@ -119,21 +120,16 @@ def discount(spec: DiscountSpec, cost_a: float, cost_aprime: float) -> float:
 
 
 def discounted_blame(
-    scm: Scm,
-    a: Action,
-    a_prime: Action,
-    phi: OutcomeSpec,
-    cost: CostModel,
-    spec: DiscountSpec,
+    m_a: Scm, m_aprime: Scm, phi: OutcomeSpec, cost: CostModel, spec: DiscountSpec
 ) -> BlameReport:
-    """Full report: outcome probabilities, expected costs, discount and the
-    discounted blame score. M^a and M^a' are each built once, and each is
-    read for P(phi) and the expected cost."""
-    m_a, m_ap = apply_action(scm, a), apply_action(scm, a_prime)
+    """Full report for the model under the action, M^a, against the model
+    under the baseline, M^a': outcome probabilities, expected costs,
+    discount and the discounted blame score. Each model is read for P(phi)
+    and the expected cost."""
     return BlameReport.of(
         event_probability(m_a, phi),
-        event_probability(m_ap, phi),
+        event_probability(m_aprime, phi),
         expected_cost(m_a, cost),
-        expected_cost(m_ap, cost),
+        expected_cost(m_aprime, cost),
         spec,
     )

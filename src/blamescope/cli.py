@@ -22,7 +22,7 @@ from . import attribution as attr_mod
 from . import hitl as hitl_mod
 from . import metrics as metrics_mod
 from . import scm as scm_mod
-from .blame import BlameReport, CostModel, DiscountSpec, apply_action, discounted_blame
+from .blame import BlameReport, CostModel, DiscountSpec, discounted_blame
 from .errors import (
     BlamescopeError,
     ConfigError,
@@ -91,8 +91,6 @@ def cmd_validate(args) -> dict:
     files = {}
     if args.scm:
         bundle = load_scm_bundle(args.scm)
-        for action in bundle.actions.values():
-            apply_action(bundle.scm, action)
         files[args.scm] = {
             "kind": "scm",
             "status": "ok",
@@ -120,8 +118,7 @@ def cmd_prob(args) -> dict:
     bundle, phi = _load_outcome(args)
     model = bundle.scm
     if args.action:
-        action = _lookup(bundle.actions, args.action, "action", UnknownAction)
-        model = apply_action(model, action)
+        model = _lookup(bundle.actions, args.action, "action", UnknownAction)
     if args.do:
         model = scm_mod.intervene(model, _parse_bindings(args.do, "--do"))
     if args.samples is not None:
@@ -161,8 +158,8 @@ def cmd_counterfactual(args) -> dict:
 
 def cmd_blame(args) -> dict:
     bundle, phi = _load_outcome(args)
-    a = _lookup(bundle.actions, args.action, "action", UnknownAction)
-    a_prime = _lookup(bundle.actions, args.baseline, "action", UnknownAction)
+    m_a = _lookup(bundle.actions, args.action, "action", UnknownAction)
+    m_aprime = _lookup(bundle.actions, args.baseline, "action", UnknownAction)
     spec = _discount_spec(args, bundle.discount)
     if args.cost:
         cost = _lookup(bundle.costs, args.cost, "cost model", UnknownCostModel)
@@ -170,7 +167,7 @@ def cmd_blame(args) -> dict:
         raise ConfigError("cost_ratio discount requires --cost")
     else:
         cost = CostModel()
-    report = discounted_blame(bundle.scm, a, a_prime, phi, cost, spec)
+    report = discounted_blame(m_a, m_aprime, phi, cost, spec)
     return {
         "config": {
             "outcome": args.outcome,

@@ -233,9 +233,9 @@ def build_hitl_scm(label_domain, joint_distribution: dict) -> Scm:
     One exogenous variable carries the joint over (truth, ai decision, flag
     bit, human decision), each atom named by its index, as labels are free
     text; endogenous variables project it out, route the final decision by
-    the flag, and mark the error. The pipeline as built
-    is the identity action Action("hitl"); the human-only comparison is
-    the action returned by human_only_action.
+    the flag, and mark the error. The model as built is the pipeline's
+    M^a; the human-only comparison M^a' is the model that `apply_action`
+    builds from it with the action returned by human_only_action.
     """
     atoms = sorted(joint_distribution)
     labels = tuple(label_domain)

@@ -39,7 +39,7 @@ from json.encoder import encode_basestring
 
 import numpy as np
 
-from .blame import Action, CostModel, CostTerm, DiscountSpec, Override
+from .blame import Action, CostModel, CostTerm, DiscountSpec, Override, apply_action
 from .errors import (
     ConfigError,
     DataError,
@@ -72,8 +72,9 @@ RATING_COLUMNS = ["case_id", "rater_a", "rater_b"]
 
 @dataclass
 class ScmBundle:
-    """A model file's contents: the model plus named outcomes, actions,
-    cost models and the discount choice."""
+    """A model file's contents: the model plus named outcomes, cost models
+    and the discount choice, and each named action's model M^a, built and
+    checked when the file is loaded."""
 
     scm: Scm
     outcomes: dict
@@ -174,8 +175,9 @@ def _table(raw, n_parents: int, where: str) -> dict:
 
 
 def load_scm_bundle(path) -> ScmBundle:
-    """Read and check a model file: the model itself, and every outcome
-    and cost term against the model's variables and domains."""
+    """Read and check a model file: the model itself, every outcome and
+    cost term against the model's variables and domains, and every action,
+    by building its model."""
     try:
         with open_text(path) as fh:
             doc = json.load(fh)
@@ -229,14 +231,8 @@ def load_scm_bundle(path) -> ScmBundle:
             where = f"{path}: action {name!r}[{i}]"
             var = str(_get(raw, "var", where))
             parents = tuple(str(p) for p in _get(raw, "parents", where, list, []))
-            overrides.append(
-                Override(
-                    var=var,
-                    parents=parents,
-                    table=_table(raw, len(parents), where),
-                )
-            )
-        actions[name] = Action(label=name, overrides=tuple(overrides))
+            overrides.append(Override(var, parents, _table(raw, len(parents), where)))
+        actions[name] = apply_action(scm, Action(label=name, overrides=tuple(overrides)))
 
     costs = {}
     raw_costs = _get(doc, "costs", path, dict, {})

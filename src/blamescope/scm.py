@@ -126,24 +126,33 @@ _PACK_BITS = 64
 
 @dataclass(frozen=True)
 class Domain:
-    """Ordered finite set of distinct symbolic values."""
+    """Ordered finite set of distinct symbolic values. `codes` maps each
+    value to its position; it is derived, so it is not an argument and is
+    neither compared nor shown. An unhashable value is in no domain."""
 
     values: tuple
+    codes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.values) == 0:
             raise ValueOutOfDomain("domain must be non-empty")
-        if len(set(self.values)) != len(self.values):
-            raise ValueOutOfDomain(f"domain values not unique: {self.values!r}")
+        codes = {value: code for code, value in enumerate(self.values)}
+        if len(codes) != len(self.values):
+            # A repeated value's code is its last position, not its first.
+            value = next(v for code, v in enumerate(self.values) if codes[v] != code)
+            raise ValueOutOfDomain(f"domain value {value!r} is not unique")
+        object.__setattr__(self, "codes", codes)
 
     def index(self, value) -> int:
-        try:
-            return self.values.index(value)
-        except ValueError:
-            raise ValueOutOfDomain(f"value {value!r} not in domain {self.values!r}") from None
+        if value not in self:
+            raise ValueOutOfDomain(f"value {value!r} not in a domain of {len(self)} values")
+        return self.codes[value]
 
     def __contains__(self, value) -> bool:
-        return value in self.values
+        try:
+            return value in self.codes
+        except TypeError:
+            return False
 
     def __len__(self) -> int:
         return len(self.values)
@@ -257,9 +266,8 @@ def _compile(scm: Scm):
             raise PartialMechanism(
                 f"{en.id}: mechanism has {len(en.mechanism)} entries, expected {math.prod(shape)}"
             )
-        # A dict, not Domain.index, so that a wide domain compiles in
-        # linear time; itertools.product runs in the table's C order.
-        code_of = {value: code for code, value in enumerate(en.domain.values)}
+        # itertools.product runs in the table's C order.
+        code_of = en.domain.codes
         codes = []
         for combo in itertools.product(*(d.values for d in parent_domains)):
             if combo not in en.mechanism:
@@ -407,14 +415,15 @@ def _encode(scm: Scm, event: OutcomeSpec, what: str, name=lambda v: v) -> tuple:
     """The event's clauses with each literal's value replaced by its code,
     after checking the literals against the model's endogenous domains, and
     each literal's variable replaced by `name(variable)`."""
-    domains = {v.id: v.domain for v in scm.endogenous}
+    codes = {v.id: v.domain.codes for v in scm.endogenous}
 
     def code(var, value):
-        if var not in domains:
+        if var not in codes:
             raise UnknownVariable(f"{what} references unknown endogenous variable {var!r}")
-        if value not in domains[var]:
-            raise ValueOutOfDomain(f"{what} value {value!r} not in domain of {var!r}")
-        return domains[var].index(value)
+        try:
+            return codes[var][value]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            raise ValueOutOfDomain(f"{what} value {value!r} not in domain of {var!r}") from None
 
     return tuple(
         tuple((name(var), cmp, code(var, value)) for var, cmp, value in clause)

@@ -5,7 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from blamescope.blame import Action, CostModel, DiscountSpec, Override, discounted_blame
+from blamescope.blame import (
+    Action,
+    CostModel,
+    DiscountSpec,
+    Override,
+    apply_action,
+    discounted_blame,
+)
 from blamescope.hitl import (
     HITL_OUTCOME,
     CaseLog,
@@ -241,10 +248,10 @@ def random_noise(rng: random.Random, scm: Scm):
     }
 
 
-def unit_delta(scm, a, a_prime, phi) -> float:
+def unit_delta(m_a, m_aprime, phi) -> float:
     """The exact blameworthiness max{0, P(phi | M^a) - P(phi | M^a')}: the
     delta of the blame report with no cost and the unit discount."""
-    return discounted_blame(scm, a, a_prime, phi, CostModel(), DiscountSpec()).delta
+    return discounted_blame(m_a, m_aprime, phi, CostModel(), DiscountSpec()).delta
 
 
 def exact_and_empirical_delta(cases, policy):
@@ -256,7 +263,7 @@ def exact_and_empirical_delta(cases, policy):
     )
     labels, joint = empirical_joint(decisions)
     scm = build_hitl_scm(labels, joint)
-    exact = unit_delta(scm, Action("hitl"), human_only_action(labels), HITL_OUTCOME)
+    exact = unit_delta(scm, apply_action(scm, human_only_action(labels)), HITL_OUTCOME)
     return exact, empirical.delta
 
 

@@ -13,7 +13,14 @@ import time
 import pytest
 
 from blamescope.attribution import CLASSES, OutcomeClass, annotate, summarize
-from blamescope.blame import DiscountSpec, discount, discounted_blame, CostModel, CostTerm
+from blamescope.blame import (
+    CostModel,
+    CostTerm,
+    DiscountSpec,
+    apply_action,
+    discount,
+    discounted_blame,
+)
 from blamescope.data import bundled_path
 from blamescope.hitl import CaseLog, FlagPolicy, run
 from blamescope.metrics import (
@@ -99,17 +106,17 @@ def test_criterion_4_blame_laws():
     cost = CostModel(terms=(CostTerm(where=(("V0", "1"),), cost=2.0),))
     for i in range(500):
         scm = random_scm(rng)
-        a = random_action(rng, scm, "a")
-        a_prime = random_action(rng, scm, "a_prime")
+        m_a = apply_action(scm, random_action(rng, scm, "a"))
+        m_aprime = apply_action(scm, random_action(rng, scm, "a_prime"))
         phi = random_outcome(rng, scm)
-        d_fwd = unit_delta(scm, a, a_prime, phi)
-        d_rev = unit_delta(scm, a_prime, a, phi)
+        d_fwd = unit_delta(m_a, m_aprime, phi)
+        d_rev = unit_delta(m_aprime, m_a, phi)
         assert 0.0 <= d_fwd <= 1.0
-        assert unit_delta(scm, a, a, phi) == 0.0
+        assert unit_delta(m_a, m_a, phi) == 0.0
         assert not (d_fwd > 1e-12 and d_rev > 1e-12)
-        rep_unit = discounted_blame(scm, a, a_prime, phi, cost, DiscountSpec("unit"))
+        rep_unit = discounted_blame(m_a, m_aprime, phi, cost, DiscountSpec("unit"))
         assert rep_unit.db == rep_unit.delta
-        rep_ratio = discounted_blame(scm, a, a_prime, phi, cost, DiscountSpec("cost_ratio"))
+        rep_ratio = discounted_blame(m_a, m_aprime, phi, cost, DiscountSpec("cost_ratio"))
         assert 0.0 < rep_ratio.gamma <= 1.0
         assert rep_ratio.db <= rep_ratio.delta + 1e-15
     assert time.monotonic() - started < 60

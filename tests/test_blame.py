@@ -79,18 +79,20 @@ def test_apply_action_overrides_twice(xor):
 
 
 def test_delta_self_comparison(xor):
-    assert unit_delta(xor, XOR_Y, XOR_Y, Y1) == 0.0
+    m_xor = apply_action(xor, XOR_Y)
+    assert unit_delta(m_xor, m_xor, Y1) == 0.0
 
 
 def test_delta_extremes(xor):
     force = Action(label="y1", overrides=(Override("Y", (), {(): "1"}),))
-    assert unit_delta(xor, force, CONST_Y0, Y1) == 1.0
+    assert unit_delta(apply_action(xor, force), apply_action(xor, CONST_Y0), Y1) == 1.0
 
 
 def test_delta_xor_vs_noise(xor):
     # P(Y=1 | xor) = 0.5, P(Y=1 | noise only) = P(E2=1) = 0.3.
-    assert unit_delta(xor, XOR_Y, NOISE_Y, Y1) == pytest.approx(0.2, abs=1e-12)
-    assert unit_delta(xor, NOISE_Y, XOR_Y, Y1) == 0.0
+    m_xor, m_noise = apply_action(xor, XOR_Y), apply_action(xor, NOISE_Y)
+    assert unit_delta(m_xor, m_noise, Y1) == pytest.approx(0.2, abs=1e-12)
+    assert unit_delta(m_noise, m_xor, Y1) == 0.0
 
 
 def test_expected_cost_empty(xor):
@@ -140,10 +142,10 @@ def test_discounted_blame_matches_oracle():
     rng = random.Random(23)
     spec = DiscountSpec("cost_ratio")
     for scm in oracle_models(rng):
-        a, a_prime = random_action(rng, scm, "a"), random_action(rng, scm, "a_prime")
+        m_a = apply_action(scm, random_action(rng, scm, "a"))
+        m_ap = apply_action(scm, random_action(rng, scm, "a_prime"))
         phi, cost = random_outcome(rng, scm), _random_cost(rng, scm)
-        rep = discounted_blame(scm, a, a_prime, phi, cost, spec)
-        m_a, m_ap = apply_action(scm, a), apply_action(scm, a_prime)
+        rep = discounted_blame(m_a, m_ap, phi, cost, spec)
         want = (brute_event_probability(m_a, phi), brute_event_probability(m_ap, phi),
                 brute_expected_cost(m_a, cost), brute_expected_cost(m_ap, cost))
         got = (rep.p_a, rep.p_aprime, rep.cost_a, rep.cost_aprime)
@@ -198,13 +200,15 @@ def test_blame_report_of(p_a, p_aprime, kind, want_delta, want_gamma):
 
 
 def test_discounted_blame_zero_delta(xor):
-    rep = discounted_blame(xor, XOR_Y, XOR_Y, Y1, CostModel(), DiscountSpec("unit"))
+    m_xor = apply_action(xor, XOR_Y)
+    rep = discounted_blame(m_xor, m_xor, Y1, CostModel(), DiscountSpec("unit"))
     assert rep.delta == 0.0
     assert rep.db == 0.0
 
 
 def test_discounted_blame_unit_equals_delta(xor):
-    rep = discounted_blame(xor, XOR_Y, NOISE_Y, Y1, CostModel(), DiscountSpec("unit"))
+    m_xor, m_noise = apply_action(xor, XOR_Y), apply_action(xor, NOISE_Y)
+    rep = discounted_blame(m_xor, m_noise, Y1, CostModel(), DiscountSpec("unit"))
     assert rep.gamma == 1.0
     assert rep.db == rep.delta
 
@@ -231,7 +235,9 @@ def test_discounted_blame_xor_scenario(xor):
             CostTerm(where=(("REVIEW", "1"),), cost=8.0),
         )
     )
-    rep = discounted_blame(base, auto, manual, Y1, cost, DiscountSpec("cost_ratio"))
+    rep = discounted_blame(
+        apply_action(base, auto), apply_action(base, manual), Y1, cost, DiscountSpec("cost_ratio")
+    )
     assert rep.delta == pytest.approx(0.2, abs=1e-12)
     assert rep.gamma == pytest.approx(0.25, abs=1e-12)
     assert rep.db == pytest.approx(0.05, abs=1e-12)

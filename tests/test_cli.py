@@ -880,6 +880,19 @@ def test_repeated_or_foreign_flag_named(capsys, argv, message):
     assert (code, out, _strict_json(err)["message"]) == (2, "", message)
 
 
+def test_repeated_domain_value_named(capsys, tmp_path):
+    """A wide domain with one value repeated is refused in a short message
+    that names the value, not in one that lists the domain."""
+    values = [str(i) for i in range(100_000)] + ["5"]
+    path = tmp_path / "wide.json"
+    path.write_bytes(_xor_with(_set(["exogenous", 0, "values"], values)))
+    code, out, err = run_cli(capsys, "validate", "--scm", str(path))
+    assert (code, out) == (4, "")
+    assert _strict_json(err) == {"error": "ValueOutOfDomain",
+                                 "message": "domain value '5' is not unique"}
+    assert len(err.encode()) < 1024
+
+
 def _xor_with(edit) -> bytes:
     doc = json.loads(bundled_path("xor.json").read_text())
     edit(doc)
@@ -910,18 +923,29 @@ BAD_INPUTS = {
     "scm_bad_literal": (_xor_with(_set(["outcomes", "y1"], [[["Y", "is", "1"]]])),
                         ("validate", "--scm"), 3, "SchemaViolation",
                         "outcome 'y1': bad outcome literal"),
-    "scm_action_unknown_variable": (_with_action(_override("Nope", [], {"": "0"})),
-                                    ("validate", "--scm"), 4, "UnknownVariable",
-                                    "action 'broken' overrides unknown variable 'Nope'"),
-    "scm_action_cycle": (_with_action(_override("X", ["Y"], {"0": "0", "1": "1"})),
-                         ("validate", "--scm"), 4, "CyclicGraph", "X -> Y -> X"),
-    "scm_action_partial_table": (_with_action(_override("Y", ["E2"], {"0": "1"})),
-                                 ("validate", "--scm"), 4, "PartialMechanism",
-                                 "Y: mechanism has 1 entries, expected 2"),
-    "scm_action_overrides_twice": (
-        _with_action(_override("Y", [], {"": "1"}), _override("Y", [], {"": "0"})),
-        ("validate", "--scm"), 4, "DuplicateVariable", "action 'broken' overrides 'Y' twice",
-    ),
+    # The loader builds every action's model, so each command that reads
+    # the file refuses a bad action alike, whether it uses the action or not.
+    **{
+        f"scm_action_{fault}{suffix}": (data, command, 4, error, message)
+        for fault, data, error, message in (
+            ("unknown_variable", _with_action(_override("Nope", [], {"": "0"})),
+             "UnknownVariable", "action 'broken' overrides unknown variable 'Nope'"),
+            ("cycle", _with_action(_override("X", ["Y"], {"0": "0", "1": "1"})),
+             "CyclicGraph", "cycle among endogenous variables: X -> Y -> X"),
+            ("partial_table", _with_action(_override("Y", ["E2"], {"0": "1"})),
+             "PartialMechanism", "Y: mechanism has 1 entries, expected 2"),
+            ("overrides_twice",
+             _with_action(_override("Y", [], {"": "1"}), _override("Y", [], {"": "0"})),
+             "DuplicateVariable", "action 'broken' overrides 'Y' twice"),
+        )
+        for suffix, command in (
+            ("", ("validate", "--scm")),
+            ("_prob", ("prob", "--outcome", "y1", "--scm")),
+            ("_counterfactual", ("counterfactual", "--outcome", "y1", "--scm")),
+            ("_blame", ("blame", "--outcome", "y1", "--action", "broken", "--baseline",
+                        "broken", "--scm")),
+        )
+    },
     "scm_invalid_json": (b'{"schema": ', ("validate", "--scm"), 3, "SchemaViolation",
                          "invalid JSON"),
     "scm_not_utf8": (b'{"schema": "blamescope/scm/1",\n"x": "\xff"}', ("validate", "--scm"),

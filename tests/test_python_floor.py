@@ -1,5 +1,5 @@
-"""Every source file of the package parses at the oldest Python that
-pyproject.toml admits, so syntax newer than that floor cannot slip in
+"""Every source file of the package and of its tests parses at the oldest
+Python that pyproject.toml admits, so syntax newer than that floor cannot slip in
 while the tests run on a later interpreter."""
 
 import ast
@@ -15,7 +15,10 @@ FLOOR = tuple(
         r'^requires-python = ">=(\d+)\.(\d+)"$', (ROOT / "pyproject.toml").read_text(), re.M
     ).groups()
 )
-SOURCES = sorted((ROOT / "src" / "blamescope").rglob("*.py"))
+# The package, and the tests, which must run at the floor too.
+SOURCES = sorted((ROOT / "src" / "blamescope").rglob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py")
+)
 
 
 def test_floor_is_read():

@@ -17,11 +17,11 @@ from blamescope.blame import (
     CostModel,
     CostTerm,
     DiscountSpec,
-    Override,
     apply_action,
     discounted_blame,
     expected_cost,
 )
+from blamescope.data import bundled_path
 from blamescope.errors import (
     CyclicGraph,
     DanglingParent,
@@ -35,6 +35,7 @@ from blamescope.errors import (
     ValueOutOfDomain,
     ZeroProbabilityObservation,
 )
+from blamescope.io import load_scm_bundle
 from blamescope.scm import (
     PROB_TOL,
     Domain,
@@ -85,6 +86,37 @@ def test_validate_xor_ok(xor):
 def test_scm_is_frozen(xor):
     with pytest.raises(dataclasses.FrozenInstanceError):
         xor.exogenous = ()
+
+
+def test_domain_codes_are_positions_and_not_compared():
+    domain = Domain(("b", "a", "c"))
+    assert domain.codes == {"b": 0, "a": 1, "c": 2}
+    assert [domain.index(v) for v in domain.values] == [0, 1, 2]
+    assert domain == Domain(("b", "a", "c")) and hash(domain) == hash(Domain(("b", "a", "c")))
+    assert "codes" not in repr(domain)
+    assert [f.name for f in dataclasses.fields(domain) if f.init] == ["values"]
+
+
+def test_domain_errors_name_the_value_not_the_domain():
+    values = tuple(str(i) for i in range(100_000))
+    with pytest.raises(ValueOutOfDomain) as exc:
+        Domain(values + ("5",))
+    assert str(exc.value) == "domain value '5' is not unique"
+    with pytest.raises(ValueOutOfDomain) as exc:
+        Domain(values).index("x")
+    assert str(exc.value) == "value 'x' not in a domain of 100000 values"
+
+
+def test_unhashable_value_is_in_no_domain(xor):
+    """Neither a lookup nor a check raises TypeError on an unhashable value."""
+    domain = Domain(BITS)
+    assert ["1"] not in domain
+    with pytest.raises(ValueOutOfDomain):
+        domain.index(["1"])
+    with pytest.raises(ValueOutOfDomain, match=r"outcome value \['1'\] not in domain of 'Y'"):
+        event_probability(xor, OutcomeSpec(((("Y", "eq", ["1"]),),)))
+    with pytest.raises(ValueOutOfDomain, match=r"value \['1'\] not in domain of 'Y'"):
+        intervene(xor, {"Y": ["1"]})
 
 
 def test_validate_cycle():
@@ -157,20 +189,17 @@ def test_tables_not_compared_or_shown(xor):
         (lambda scm: apply_action(scm, Action("keep")), 1),
         (
             lambda scm: discounted_blame(
-                scm,
-                Action("a", (Override("Y", ("E2",), {("0",): "0", ("1",): "1"}),)),
-                Action("b"),
-                Y1,
-                CostModel((CostTerm((("X", "1"),), 2.0),)),
-                DiscountSpec("cost_ratio"),
+                scm, scm, Y1, CostModel((CostTerm((("X", "1"),), 2.0),)), DiscountSpec("cost_ratio")
             ),
-            2,
+            0,
         ),
         (lambda scm: expected_cost(scm, CostModel((CostTerm((("X", "1"),), 2.0),))), 0),
+        # The model and the models of its two actions, `auto` and `manual`.
+        (lambda scm: load_scm_bundle(bundled_path("xor_blame.json")), 3),
     ],
     ids=["event_probability", "event_probability_mc", "solve", "abduct",
          "counterfactual_probability", "intervene", "apply_action", "discounted_blame",
-         "expected_cost"],
+         "expected_cost", "load_scm_bundle"],
 )
 def test_model_compiled_once_when_built(monkeypatch, xor, query, compiles):
     calls = []
@@ -508,8 +537,10 @@ def _skewed_chain() -> Scm:
 
 
 def _mc_peak(scm: Scm, samples: int) -> int:
-    """The traced peak of one estimate of P(X23 = 1) on a 24-bit chain."""
+    """The traced peak of one estimate of P(X23 = 1) on a 24-bit chain,
+    after an untraced estimate has made numpy's first-use allocations."""
     phi = OutcomeSpec(((("X23", "eq", "1"),),))
+    event_probability_mc(scm, phi, samples=1_000, seed=1)
     tracemalloc.start()
     try:
         event_probability_mc(scm, phi, samples=samples, seed=1)
@@ -539,13 +570,14 @@ def test_mc_matches_oracle_within_standard_errors():
 
 
 def test_mc_memory_live_columns():
-    """Each column is dropped after its last reader, so on the 24-bit chain
-    the traced peak stays under one byte per sample per exogenous draw plus
-    24: the uniforms, the shift amounts of a packed table read and a few
-    live columns."""
+    """Each column is dropped after its last reader, and no column keeps a
+    block it has handed out, so on the 24-bit chain the traced peak stays
+    under one block of one-byte codes per exogenous column plus 16 blocks:
+    the uniforms of one column (8 of them), the shift amounts of a packed
+    table read and a few live columns. It measures about 35 blocks; one
+    block more per column would make it about 59."""
     scm = _xor_chain(24)
-    samples = 200_000
-    assert _mc_peak(scm, samples) <= (len(scm.exogenous) + 24) * samples
+    assert _mc_peak(scm, 200_000) <= (len(scm.exogenous) + 16) * scm_mod._BLOCK
 
 
 def test_mc_memory_live_columns_when_skipping():
@@ -553,8 +585,7 @@ def test_mc_memory_live_columns_when_skipping():
     each variable keeps one buffer of `_REFILL` exceptions, and no
     uniforms."""
     scm = _skewed_chain()
-    samples = 200_000
-    assert _mc_peak(scm, samples) <= (len(scm.exogenous) + 24) * samples
+    assert _mc_peak(scm, 200_000) <= (len(scm.exogenous) + 16) * scm_mod._BLOCK
 
 
 def test_mc_memory_does_not_grow_with_samples():
@@ -815,6 +846,36 @@ def test_draw_pins_the_choice_stream(width):
                 assert got.dtype == dtype
                 assert np.array_equal(got, want)
                 assert got_rng.random() == want_rng.random()
+
+
+class _Uniforms:
+    """A generator stub whose `random(n)` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u
+
+
+@pytest.mark.parametrize(
+    "width", [3, scm_mod._COMPARE_MAX, scm_mod._COMPARE_MAX + 1, 300], ids=lambda w: f"w{w}"
+)
+def test_draw_at_cdf_steps(width):
+    """A uniform exactly at a CDF step takes the value after the step, as
+    `cdf.searchsorted(u, side="right")` does, whether `_draw` compares (up
+    to `_COMPARE_MAX` values) or searches; so do 0, the step just below
+    each, and two equal steps, around a zero probability."""
+    rng = random.Random(width)
+    raw = [rng.random() for _ in range(width)]
+    raw[width // 2] = 0.0
+    ex = ExogenousVar("U", Domain(tuple(range(width))), tuple(r / sum(raw) for r in raw))
+    cdf = np.asarray(ex.dist, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    u = np.concatenate([[0.0], cdf[:-1], np.nextafter(cdf[:-1], 0.0)])
+    got = scm_mod._draw(_Uniforms(u), ex, len(u))
+    assert np.array_equal(got, cdf.searchsorted(u, side="right"))
 
 
 def _skewed_noise():
