@@ -9,12 +9,8 @@ from .attribution import (
     summarize,
 )
 from .blame import (
-    Action,
     BlameReport,
-    CostModel,
-    CostTerm,
     DiscountSpec,
-    Override,
     apply_action,
     discount,
     discounted_blame,

@@ -1,8 +1,10 @@
 """Blameworthiness of one policy choice against a reference.
 
-An action rewires part of a decision system: `apply_action` builds M^a,
-and the model loader builds each action's model once, when it reads the
-file. Blame compares M^a with the baseline's M^a': delta is the clamped
+An action replaces some mechanisms of a decision system: it is the map
+{variable: (parent ids, table)} of the ones it overrides, `apply_action`
+builds M^a from it, and the model loader builds each action's model once,
+when it reads the file. A cost model is a tuple of (OutcomeSpec, value)
+terms. Blame compares M^a with the baseline's M^a': delta is the clamped
 increase in the probability of the undesired outcome, optionally
 discounted by the ratio of expected decision costs. Each query reads the
 model it is given, so `discounted_blame` builds no model.
@@ -12,37 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, DuplicateVariable
+from .errors import ConfigError
 from .scm import OutcomeSpec, Scm, _query, _rewire, event_probability
-
-
-@dataclass(frozen=True)
-class Override:
-    """Replacement mechanism for one endogenous variable."""
-
-    var: str
-    parents: tuple
-    table: dict  # parent-value tuple -> value
-
-    def __hash__(self):
-        return hash((self.var, self.parents))
-
-
-@dataclass(frozen=True)
-class Action:
-    label: str
-    overrides: tuple = ()
-
-
-@dataclass(frozen=True)
-class CostTerm:
-    where: tuple  # conjunction of (var, value) pairs; empty matches everything
-    cost: float
-
-
-@dataclass(frozen=True)
-class CostModel:
-    terms: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -86,26 +59,18 @@ class BlameReport:
         )
 
 
-def apply_action(scm: Scm, action: Action) -> Scm:
-    """Build the modified system: replace each overridden variable's
-    mechanism and parent list. The input model is untouched. An action
-    that overrides one variable twice raises DuplicateVariable."""
-    mechanisms = {}
-    for ov in action.overrides:
-        if ov.var in mechanisms:
-            raise DuplicateVariable(f"action {action.label!r} overrides {ov.var!r} twice")
-        mechanisms[ov.var] = (ov.parents, ov.table)
-    return _rewire(scm, mechanisms, f"action {action.label!r} overrides unknown variable")
+def apply_action(scm: Scm, overrides: dict, name: str) -> Scm:
+    """Build the modified system M^a: `overrides` maps each variable the
+    action `name` replaces to its new (parent ids, table), as `_rewire`
+    reads it. The input model is untouched."""
+    return _rewire(scm, overrides, f"action {name!r} overrides unknown variable")
 
 
-def expected_cost(scm: Scm, cost: CostModel) -> float:
-    """Expected decision cost of the model it is given. A setting's cost is
-    the sum, in term order, of the terms whose `where` holds."""
-    return _query(
-        scm,
-        [(OutcomeSpec.conjunction(term.where), term.cost) for term in cost.terms],
-        "cost term",
-    )[0]
+def expected_cost(scm: Scm, cost: tuple) -> float:
+    """Expected decision cost of the model it is given. `cost` is a tuple
+    of (OutcomeSpec, value) terms, and a setting's cost is the sum, in term
+    order, of the values of the terms whose event holds."""
+    return _query(scm, cost, "cost term")[0]
 
 
 def discount(spec: DiscountSpec, cost_a: float, cost_aprime: float) -> float:
@@ -120,7 +85,7 @@ def discount(spec: DiscountSpec, cost_a: float, cost_aprime: float) -> float:
 
 
 def discounted_blame(
-    m_a: Scm, m_aprime: Scm, phi: OutcomeSpec, cost: CostModel, spec: DiscountSpec
+    m_a: Scm, m_aprime: Scm, phi: OutcomeSpec, cost: tuple, spec: DiscountSpec
 ) -> BlameReport:
     """Full report for the model under the action, M^a, against the model
     under the baseline, M^a': outcome probabilities, expected costs,

@@ -22,7 +22,7 @@ from . import attribution as attr_mod
 from . import hitl as hitl_mod
 from . import metrics as metrics_mod
 from . import scm as scm_mod
-from .blame import BlameReport, CostModel, DiscountSpec, discounted_blame
+from .blame import BlameReport, DiscountSpec, discounted_blame
 from .errors import (
     BlamescopeError,
     ConfigError,
@@ -166,7 +166,7 @@ def cmd_blame(args) -> dict:
     elif spec.kind == "cost_ratio":
         raise ConfigError("cost_ratio discount requires --cost")
     else:
-        cost = CostModel()
+        cost = ()
     report = discounted_blame(m_a, m_aprime, phi, cost, spec)
     return {
         "config": {
@@ -220,7 +220,7 @@ def cmd_metrics(args) -> dict:
             "raw_one_minus_kappa": 1.0 - kappa,
             "blame": metrics_mod.blame_from_agreement(kappa),
         }
-    if args.l is None or args.u is None or not args.positive:
+    if args.l is None or args.u is None or args.positive is None:
         raise ConfigError("case-log metrics need --l, --u and --positive")
     policy = hitl_mod.FlagPolicy(l=args.l, u=args.u)
     decisions = hitl_mod.run(load_cases(args.cases), policy)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blame import Action, BlameReport, DiscountSpec, Override
+from .blame import BlameReport, DiscountSpec
 from .errors import ConfigError, DuplicateCaseId, EmptyCaseList
 from .scm import Domain, EndogenousVar, ExogenousVar, OutcomeSpec, Scm
 
@@ -234,8 +234,8 @@ def build_hitl_scm(label_domain, joint_distribution: dict) -> Scm:
     bit, human decision), each atom named by its index, as labels are free
     text; endogenous variables project it out, route the final decision by
     the flag, and mark the error. The model as built is the pipeline's
-    M^a; the human-only comparison M^a' is the model that `apply_action`
-    builds from it with the action returned by human_only_action.
+    M^a; the human-only comparison M^a' is
+    `apply_action(scm, human_only_action(labels), "human_only")`.
     """
     atoms = sorted(joint_distribution)
     labels = tuple(label_domain)
@@ -277,12 +277,7 @@ def build_hitl_scm(label_domain, joint_distribution: dict) -> Scm:
     return Scm(exogenous=(exo,), endogenous=tuple(endogenous))
 
 
-def human_only_action(label_domain) -> Action:
-    """Route the final decision straight to the human, ignoring the flag."""
-    labels = tuple(label_domain)
-    return Action(
-        label="human_only",
-        overrides=(
-            Override(var="Y", parents=("H",), table={(h,): h for h in labels}),
-        ),
-    )
+def human_only_action(label_domain) -> dict:
+    """Route the final decision straight to the human, ignoring the flag:
+    the override {"Y": (("H",), table)} that `apply_action` reads."""
+    return {"Y": (("H",), {(h,): h for h in label_domain})}

@@ -39,11 +39,12 @@ from json.encoder import encode_basestring
 
 import numpy as np
 
-from .blame import Action, CostModel, CostTerm, DiscountSpec, Override, apply_action
+from .blame import DiscountSpec, apply_action
 from .errors import (
     ConfigError,
     DataError,
     DuplicateCaseId,
+    DuplicateVariable,
     EmptyCaseList,
     FileNotFound,
     MalformedRow,
@@ -73,8 +74,9 @@ RATING_COLUMNS = ["case_id", "rater_a", "rater_b"]
 @dataclass
 class ScmBundle:
     """A model file's contents: the model plus named outcomes, cost models
-    and the discount choice, and each named action's model M^a, built and
-    checked when the file is loaded."""
+    (each a tuple of (OutcomeSpec, value) terms, the form `expected_cost`
+    reads) and the discount choice, and each named action's model M^a,
+    built and checked when the file is loaded."""
 
     scm: Scm
     outcomes: dict
@@ -112,12 +114,15 @@ def _parse_outcome(raw: list, where: str) -> OutcomeSpec:
 
 def open_text(path, mode="r"):
     """Open a UTF-8 text file to read (mode "r") or write (mode "w"), with
-    no newline translation. A missing file, or a missing directory to write
-    in, is a FileNotFound error; a path that exists but cannot be opened (a
-    directory, no permission) is UnreadableFile, or UnwritableFile when
-    writing."""
+    no newline translation. A byte-order mark at the start of a file read,
+    as spreadsheet programs write one, is skipped, also after a seek to the
+    start; a file written has none. A missing file, or a missing directory
+    to write in, is a FileNotFound error; a path that exists but cannot be
+    opened (a directory, no permission) is UnreadableFile, or
+    UnwritableFile when writing."""
+    encoding = "utf-8" if mode == "w" else "utf-8-sig"
     try:
-        return open(path, mode, encoding="utf-8", newline="")
+        return open(path, mode, encoding=encoding, newline="")
     except FileNotFoundError as exc:
         raise FileNotFound(exc.errno, exc.strerror, exc.filename) from None
     except OSError as exc:
@@ -177,7 +182,9 @@ def _table(raw, n_parents: int, where: str) -> dict:
 def load_scm_bundle(path) -> ScmBundle:
     """Read and check a model file: the model itself, every outcome and
     cost term against the model's variables and domains, and every action,
-    by building its model."""
+    by building its model from the map {var: (parent ids, table)} of its
+    overrides. An action that overrides one variable twice raises
+    DuplicateVariable."""
     try:
         with open_text(path) as fh:
             doc = json.load(fh)
@@ -226,13 +233,19 @@ def load_scm_bundle(path) -> ScmBundle:
     actions = {}
     raw_actions = _get(doc, "actions", path, dict, {})
     for name in raw_actions:
-        overrides = []
+        overrides, dup = {}, None
         for i, raw in enumerate(_get(raw_actions, name, f"{path}: actions", list)):
             where = f"{path}: action {name!r}[{i}]"
             var = str(_get(raw, "var", where))
             parents = tuple(str(p) for p in _get(raw, "parents", where, list, []))
-            overrides.append(Override(var, parents, _table(raw, len(parents), where)))
-        actions[name] = apply_action(scm, Action(label=name, overrides=tuple(overrides)))
+            if var in overrides and dup is None:
+                dup = var
+            overrides[var] = (parents, _table(raw, len(parents), where))
+        # Raised once every entry is parsed, so a malformed later entry is
+        # reported first.
+        if dup is not None:
+            raise DuplicateVariable(f"action {name!r} overrides {dup!r} twice")
+        actions[name] = apply_action(scm, overrides, name)
 
     costs = {}
     raw_costs = _get(doc, "costs", path, dict, {})
@@ -246,13 +259,10 @@ def load_scm_bundle(path) -> ScmBundle:
                     f"cost model {name!r}: cost must be finite and >= 0, got {cost}"
                 )
             raw_where = _get(raw, "where", where, dict, {})
-            term = CostTerm(
-                where=tuple(sorted((str(k), str(v)) for k, v in raw_where.items())),
-                cost=cost,
-            )
-            _encode(scm, OutcomeSpec.conjunction(term.where), f"cost model {name!r}")
-            terms.append(term)
-        costs[name] = CostModel(terms=tuple(terms))
+            event = OutcomeSpec.conjunction(sorted((str(k), str(v)) for k, v in raw_where.items()))
+            _encode(scm, event, f"cost model {name!r}")
+            terms.append((event, cost))
+        costs[name] = tuple(terms)
 
     disc = None
     raw_discount = _get(doc, "discount", path, dict, None)

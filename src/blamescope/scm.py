@@ -570,8 +570,13 @@ def _unary(clause, sizes: dict) -> dict:
     """One 0/1 weight vector per variable a conjunction of encoded literals
     reads, over the variable's codes; two literals on one variable
     multiply."""
-    codes = {var: np.arange(sizes[var]) for var, _, _ in clause}
-    return {var: _holds(([x for x in clause if x[0] == var],), codes, sizes[var]) for var in codes}
+    literals = {}
+    for literal in clause:
+        literals.setdefault(literal[0], []).append(literal)
+    return {
+        var: _holds((group,), {var: np.arange(sizes[var])}, sizes[var])
+        for var, group in literals.items()
+    }
 
 
 def _minus(box: dict, clause: dict) -> list:
@@ -594,7 +599,10 @@ def _minus(box: dict, clause: dict) -> list:
 def _merge(boxes: list) -> list:
     """Conjunctions as 0/1 weights per variable (`_unary`), with any that
     read the same variables and differ in one variable's weights only
-    replaced by one conjunction, the union of their weights on it."""
+    replaced by one conjunction, the union of their weights on it. Fewer
+    than two boxes are returned as they are."""
+    if len(boxes) < 2:
+        return boxes
     for var in dict.fromkeys(v for box in boxes for v in box):
         merged = {}
         for box in boxes:

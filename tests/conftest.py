@@ -5,14 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from blamescope.blame import (
-    Action,
-    CostModel,
-    DiscountSpec,
-    Override,
-    apply_action,
-    discounted_blame,
-)
+from blamescope.blame import DiscountSpec, apply_action, discounted_blame
 from blamescope.hitl import (
     HITL_OUTCOME,
     CaseLog,
@@ -22,7 +15,7 @@ from blamescope.hitl import (
     human_only_action,
     run,
 )
-from blamescope.scm import Domain, EndogenousVar, ExogenousVar, Scm, validate
+from blamescope.scm import Domain, EndogenousVar, ExogenousVar, OutcomeSpec, Scm, validate
 
 BITS = ("0", "1")
 
@@ -85,10 +78,11 @@ def random_scm(rng: random.Random, max_exo=6, max_endo=4):
     return scm
 
 
-def random_action(rng: random.Random, scm: Scm, label: str) -> Action:
-    """Random override of one endogenous variable. Parents are drawn from
-    variables that precede it in construction order, so the result stays
-    acyclic."""
+def random_action(rng: random.Random, scm: Scm) -> dict:
+    """Random override of one endogenous variable, as the map
+    {var: (parents, table)} that `apply_action` reads. Parents are drawn
+    from variables that precede it in construction order, so the result
+    stays acyclic."""
     import itertools
 
     target = rng.choice(scm.endogenous)
@@ -104,7 +98,13 @@ def random_action(rng: random.Random, scm: Scm, label: str) -> Action:
         combo: rng.choice(target.domain.values)
         for combo in itertools.product(*(domains[p].values for p in parents))
     }
-    return Action(label=label, overrides=(Override(target.id, parents, table),))
+    return {target.id: (parents, table)}
+
+
+def cost_model(*terms) -> tuple:
+    """The cost model of (where pairs, value) terms, as the tuple of
+    (OutcomeSpec, value) terms that `expected_cost` reads."""
+    return tuple((OutcomeSpec.conjunction(where), value) for where, value in terms)
 
 
 def random_outcome(rng: random.Random, scm: Scm, clauses=2, literals=2, value=None):
@@ -251,7 +251,7 @@ def random_noise(rng: random.Random, scm: Scm):
 def unit_delta(m_a, m_aprime, phi) -> float:
     """The exact blameworthiness max{0, P(phi | M^a) - P(phi | M^a')}: the
     delta of the blame report with no cost and the unit discount."""
-    return discounted_blame(m_a, m_aprime, phi, CostModel(), DiscountSpec()).delta
+    return discounted_blame(m_a, m_aprime, phi, (), DiscountSpec()).delta
 
 
 def exact_and_empirical_delta(cases, policy):
@@ -263,7 +263,8 @@ def exact_and_empirical_delta(cases, policy):
     )
     labels, joint = empirical_joint(decisions)
     scm = build_hitl_scm(labels, joint)
-    exact = unit_delta(scm, apply_action(scm, human_only_action(labels)), HITL_OUTCOME)
+    m_aprime = apply_action(scm, human_only_action(labels), "human_only")
+    exact = unit_delta(scm, m_aprime, HITL_OUTCOME)
     return exact, empirical.delta
 
 

@@ -1,0 +1,198 @@
+"""Mutation checks: each row of MUTANTS changes one piece of text in one
+source file and names the tests that must fail when it does.
+
+    python tests/mutants.py
+
+For each row, `src/` is copied into a temporary directory, the row's old
+text is replaced by its new text in the copy, and the row's tests run on
+the copy in a fresh pytest process, with `PYTHONPATH` pointing at it. A row
+is caught when each named test has an item that fails or errors; it is
+missed when one of them passes in full, when pytest exits with anything
+but "tests failed", or when the run takes longer than `TIMEOUT` seconds.
+First, a control row that replaces the first row's old text by itself
+must be missed, so a runner that reports every row caught fails.
+Exits 0 when the control is missed and every row is caught.
+
+Each row starts a pytest process, so this is not part of the test suite;
+`tests/test_mutant_table.py` checks only that each row's old text occurs
+exactly once in its file, so a row cannot go stale unnoticed.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 300  # seconds for one row's tests, which cuts off a mutant that never ends
+SCM = "src/blamescope/scm.py"
+IO = "src/blamescope/io.py"
+CLI = "src/blamescope/cli.py"
+MEMORY = "tests/test_scm.py::test_mc_memory_skipping_column_holds_one_refill"
+SKIPPING = "tests/test_scm.py::test_mc_skipping_columns_match_one_stream"
+CDF_STEPS = "tests/test_scm.py::test_draw_at_cdf_steps"
+TWICE = [
+    *(f"tests/test_cli.py::test_bad_input_file[scm_action_overrides_twice{suffix}]"
+      for suffix in ("", "_prob", "_counterfactual", "_blame")),
+    "tests/test_io.py::test_load_scm_action_overrides_twice",
+]
+
+# (id, file, old text, new text, tests that must fail)
+MUTANTS = [
+    # The rational engine reads each prior exactly; one ulp off shows.
+    ("prior_one_ulp", SCM,
+     "unary = {ex.id: np.array([weight(p) for p in ex.dist], dtype)",
+     "unary = {ex.id: np.array([weight(np.nextafter(p, 2)) for p in ex.dist], dtype)",
+     ["tests/test_scm.py::test_rational_engine_equals_brute_force"]),
+    ("no_probability_clamp", SCM,
+     'return min(_query(scm, ((phi, 1.0),), "outcome")[0], 1.0)',
+     'return _query(scm, ((phi, 1.0),), "outcome")[0]',
+     ["tests/test_scm.py::test_probability_of_a_near_sure_outcome_is_at_most_one"]),
+    ("draw_search_left", SCM,
+     'return cdf.searchsorted(u, side="right")',
+     'return cdf.searchsorted(u, side="left")',
+     [CDF_STEPS]),
+    ("draw_first_compare_strict", SCM,
+     "codes = np.greater_equal(u, cdf[0])",
+     "codes = np.greater(u, cdf[0])",
+     [CDF_STEPS]),
+    ("draw_loop_compare_strict", SCM,
+     "np.greater_equal(u, step, out=reached)",
+     "np.greater(u, step, out=reached)",
+     [CDF_STEPS]),
+    ("fill_keeps_its_list", SCM,
+     "    while exceptions:\n        at, codes = exceptions.pop()",
+     "    for at, codes in exceptions:",
+     [MEMORY]),
+    ("skip_rule_inclusive", SCM,
+     "if rate > _SKIP_MAX:",
+     "if rate >= _SKIP_MAX:",
+     ["tests/test_scm.py::test_skip_rule_at_its_bound"]),
+    ("compare_stream_advanced_by_block", SCM,
+     ".advance(j * samples)",
+     ".advance(j * _BLOCK)",
+     ["tests/test_scm.py::test_mc_blocks_match_one_stream"]),
+    ("skip_stream_jumped_once_more", SCM,
+     "np.random.PCG64(seed).jumped(j + 1)",
+     "np.random.PCG64(seed).jumped(j + 2)",
+     [SKIPPING, "tests/test_scm.py::test_skip_rule_at_its_bound"]),
+    ("other_codes_shifted", SCM,
+     "others = np.delete(np.arange(len(p)), mode)",
+     "others = np.delete(np.arange(len(p)), 0)",
+     [SKIPPING]),
+    ("other_values_cdf_not_renormalised", SCM,
+     "cdf = rest / rest[-1] if rate else rest",
+     "cdf = rest",
+     [SKIPPING]),
+    ("exception_one_sample_early", SCM,
+     "exceptions.append((pos[i:k],",
+     "exceptions.append((pos[i:k] - 1,",
+     [SKIPPING]),
+    ("read_index_not_moved", SCM,
+     "            if k < len(pos):\n                i = k\n",
+     "            if k < len(pos):\n",
+     [SKIPPING]),
+    ("read_index_not_reset_after_refill", SCM,
+     "            i = 0\n        yield _fill(",
+     "        yield _fill(",
+     [SKIPPING]),
+    ("first_position_off_by_one", SCM,
+     "last = pos[-1] if len(pos) else -1",
+     "last = pos[-1] if len(pos) else 0",
+     [SKIPPING]),
+    ("no_gap_clamp", SCM,
+     "pos = np.minimum(rng.geometric(rate, _REFILL), MAX_SAMPLES + 1).cumsum()",
+     "pos = rng.geometric(rate, _REFILL).cumsum()",
+     ["tests/test_scm.py::test_skip_gaps_past_the_int64_range"]),
+    ("buffer_not_shifted_after_block", SCM,
+     "        pos -= block\n",
+     "        pos -= 0\n",
+     [SKIPPING]),
+    ("column_keeps_its_previous_block", SCM,
+     "        yield _fill(block, others.dtype.type(mode), exceptions)\n",
+     "        kept = [*(kept[-1:] if start else []), _fill(block, others.dtype.type(mode), "
+     "exceptions)]\n        yield kept[-1]\n",
+     ["tests/test_scm.py::test_mc_memory_live_columns_when_skipping"]),
+    ("merge_skips_two_boxes", SCM,
+     "if len(boxes) < 2:",
+     "if len(boxes) < 3:",
+     ["tests/test_scm.py::test_disjoint_pieces_equal_the_frozen_copy"]),
+    ("loader_allows_repeated_override", IO,
+     "        if dup is not None:\n            raise DuplicateVariable(",
+     "        if False:\n            raise DuplicateVariable(",
+     TWICE),
+    ("byte_order_mark_kept", IO,
+     'encoding = "utf-8" if mode == "w" else "utf-8-sig"',
+     'encoding = "utf-8"',
+     ["tests/test_io.py::test_byte_order_mark_is_skipped"]),
+    ("empty_positive_refused", CLI,
+     "or args.positive is None:",
+     "or not args.positive:",
+     ["tests/test_cli.py::test_metrics_empty_positive_is_an_absent_label"]),
+]
+
+
+def _failed(output: str) -> set:
+    """The node ids that pytest's short summary (-rfE) lists as failed or
+    in error."""
+    return {line.split()[1] for line in output.splitlines()
+            if line.startswith(("FAILED ", "ERROR ")) and len(line.split()) > 1}
+
+
+def _covers(name: str, failed: set) -> bool:
+    """Whether an item of the test `name` (a node id, or a function whose
+    parametrized items are meant) is among `failed`."""
+    return any(f == name or f.startswith((name + "[", name + "::")) for f in failed)
+
+
+def run_row(row) -> tuple:
+    """(caught, detail) for one row: its mutant applied to a copy of
+    `src/`, its tests run on that copy."""
+    _, path, old, new, tests = row
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        shutil.copytree(ROOT / "src", Path(tmp) / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        target = Path(tmp) / path
+        text = target.read_text(encoding="utf-8")
+        if text.count(old) != 1:
+            return False, f"old text occurs {text.count(old)} times in {path}"
+        target.write_text(text.replace(old, new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), PYTHONDONTWRITEBYTECODE="1")
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
+                cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT,
+            )
+        except subprocess.TimeoutExpired:
+            return False, f"timed out after {TIMEOUT} s"
+    if done.returncode != 1:
+        return False, f"pytest exited {done.returncode}"
+    failed = _failed(done.stdout)
+    passed = [name for name in tests if not _covers(name, failed)]
+    if passed:
+        return False, "passed: " + ", ".join(passed)
+    return True, f"{len(failed)} failed"
+
+
+def main() -> int:
+    _, path, old, _, tests = MUTANTS[0]
+    control, detail = run_row(("control", path, old, old, tests))
+    print(f"{'control (old = new)':40s} {'CAUGHT' if control else 'missed'} ({detail})",
+          flush=True)
+    missed = 0
+    for row in MUTANTS:
+        caught, detail = run_row(row)
+        missed += not caught
+        print(f"{row[0]:40s} {'caught' if caught else 'MISSED'} ({detail})", flush=True)
+    ok = not control and not missed
+    print(f"{len(MUTANTS) - missed} of {len(MUTANTS)} mutants caught, control "
+          + ("missed" if not control else "caught") + ("" if ok else "; check FAILED"))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -144,13 +144,13 @@ def brute_mc(scm, phi, samples, seed):
 
 def brute_expected_cost(scm, cost, number=float):
     """Expected cost of a model that already has the action applied: each
-    setting pays every term whose `where` pairs all match."""
+    setting pays every (event, cost) term whose event holds."""
     total = number(0)
     for noise, prob in brute_noise(scm, number):
         x = brute_solve(scm, noise)
-        for term in cost.terms:
-            if all(x[var] == value for var, value in term.where):
-                total += prob * number(term.cost)
+        for event, value in cost:
+            if brute_satisfied(event.clauses, x):
+                total += prob * number(value)
     return total
 
 
@@ -275,3 +275,59 @@ def csv_columns(text, columns):
     positions = [max(i for i, name in enumerate(header) if name == c) for c in columns]
     body = [row for row in rows[1:] if row]
     return [[row[p] if p < len(row) else "" for row in body] for p in positions], positions
+
+
+def frozen_unary(clause, sizes):
+    """`scm._unary` as it was before it grouped literals in one pass: one
+    0/1 weight vector per variable the encoded conjunction reads, built by
+    filtering the whole clause once per variable."""
+    weights = {}
+    for var in dict.fromkeys(var for var, _, _ in clause):
+        codes, ok = np.arange(sizes[var]), np.ones(sizes[var], dtype=bool)
+        for _, cmp, target in [x for x in clause if x[0] == var]:
+            ok &= (codes == target) if cmp == "eq" else (codes != target)
+        weights[var] = ok
+    return weights
+
+
+def frozen_minus(box, clause):
+    """`scm._minus`: `box` and not `clause` as disjoint boxes."""
+    if any(not (box[v] & w).any() for v, w in clause.items() if v in box):
+        return [box]
+    pieces = []
+    for v, w in clause.items():
+        have = box.get(v, True)
+        if (have & ~w).any():
+            pieces.append(box | {v: have & ~w})
+        box = box | {v: have & w}
+    return pieces
+
+
+def frozen_merge(boxes):
+    """`scm._merge` as it was before it returned fewer than two boxes at
+    once: boxes over the same variables that differ in one variable's
+    weights only are joined, one variable at a time."""
+    for var in dict.fromkeys(v for box in boxes for v in box):
+        merged = {}
+        for box in boxes:
+            key = var in box, frozenset((v, w.tobytes()) for v, w in box.items() if v != var)
+            if key in merged and var in box:
+                box = box | {var: merged[key][var] | box[var]}
+            merged[key] = box
+        boxes = list(merged.values())
+    return boxes
+
+
+def frozen_disjoint(clauses, sizes):
+    """`scm._disjoint` as it was before the two functions above changed,
+    less its size check, which only raises: the pieces of the sum of
+    disjoint products of a DNF of encoded literals, in order."""
+    boxes = [frozen_unary(clause, sizes) for clause in clauses]
+    boxes = frozen_merge([box for box in boxes if all(w.any() for w in box.values())])
+    pieces = []
+    for i, box in enumerate(boxes):
+        parts = [box]
+        for clause in boxes[:i]:
+            parts = [piece for part in parts for piece in frozen_minus(part, clause)]
+        pieces += parts
+    return pieces

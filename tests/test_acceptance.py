@@ -13,14 +13,7 @@ import time
 import pytest
 
 from blamescope.attribution import CLASSES, OutcomeClass, annotate, summarize
-from blamescope.blame import (
-    CostModel,
-    CostTerm,
-    DiscountSpec,
-    apply_action,
-    discount,
-    discounted_blame,
-)
+from blamescope.blame import DiscountSpec, apply_action, discount, discounted_blame
 from blamescope.data import bundled_path
 from blamescope.hitl import CaseLog, FlagPolicy, run
 from blamescope.metrics import (
@@ -42,6 +35,7 @@ from blamescope.errors import ZeroProbabilityObservation
 from blamescope.synthetic import gen_synthetic
 
 from conftest import (
+    cost_model,
     exact_and_empirical_delta,
     random_action,
     random_outcome,
@@ -103,11 +97,11 @@ def test_criterion_3_counterfactual_laws():
 def test_criterion_4_blame_laws():
     started = time.monotonic()
     rng = random.Random(4242)
-    cost = CostModel(terms=(CostTerm(where=(("V0", "1"),), cost=2.0),))
+    cost = cost_model(((("V0", "1"),), 2.0))
     for i in range(500):
         scm = random_scm(rng)
-        m_a = apply_action(scm, random_action(rng, scm, "a"))
-        m_aprime = apply_action(scm, random_action(rng, scm, "a_prime"))
+        m_a = apply_action(scm, random_action(rng, scm), "a")
+        m_aprime = apply_action(scm, random_action(rng, scm), "a_prime")
         phi = random_outcome(rng, scm)
         d_fwd = unit_delta(m_a, m_aprime, phi)
         d_rev = unit_delta(m_aprime, m_a, phi)

@@ -3,48 +3,33 @@ import random
 import pytest
 
 from blamescope.blame import (
-    Action,
     BlameReport,
-    CostModel,
-    CostTerm,
     DiscountSpec,
-    Override,
     apply_action,
     discount,
     discounted_blame,
     expected_cost,
 )
-from blamescope.errors import ConfigError, CyclicGraph, DuplicateVariable, UnknownVariable
+from blamescope.errors import ConfigError, CyclicGraph, UnknownVariable
 from blamescope.scm import OutcomeSpec, event_probability, solve
 
-from conftest import oracle_models, random_action, random_outcome, unit_delta
+from conftest import cost_model, oracle_models, random_action, random_outcome, unit_delta
 from oracles import brute_event_probability, brute_expected_cost
 
 BITS = ("0", "1")
 Y1 = OutcomeSpec(((("Y", "eq", "1"),),))
 
-IDENTITY = Action(label="keep")
 # Y := X xor E2 (same as the base model).
-XOR_Y = Action(
-    label="xor",
-    overrides=(
-        Override(
-            "Y",
-            ("X", "E2"),
-            {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "0"},
-        ),
-    ),
-)
+XOR_Y = {
+    "Y": (("X", "E2"), {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "0"})
+}
 # Y := E2.
-NOISE_Y = Action(
-    label="noise_only",
-    overrides=(Override("Y", ("E2",), {("0",): "0", ("1",): "1"}),),
-)
-CONST_Y0 = Action(label="y0", overrides=(Override("Y", (), {(): "0"}),))
+NOISE_Y = {"Y": (("E2",), {("0",): "0", ("1",): "1"})}
+CONST_Y0 = {"Y": ((), {(): "0"})}
 
 
 def test_apply_action_identity(xor):
-    same = apply_action(xor, IDENTITY)
+    same = apply_action(xor, {}, "keep")
     for e1 in BITS:
         for e2 in BITS:
             e = {"E1": e1, "E2": e2}
@@ -52,86 +37,73 @@ def test_apply_action_identity(xor):
 
 
 def test_apply_action_forces_outcome(xor):
-    assert event_probability(apply_action(xor, CONST_Y0), Y1) == 0.0
+    assert event_probability(apply_action(xor, CONST_Y0, "y0"), Y1) == 0.0
 
 
 def test_apply_action_cycle(xor):
-    looped = Action(
-        label="loop",
-        overrides=(
-            Override("X", ("Y",), {("0",): "0", ("1",): "1"}),
-        ),
-    )
     with pytest.raises(CyclicGraph):
-        apply_action(xor, looped)
+        apply_action(xor, {"X": (("Y",), {("0",): "0", ("1",): "1"})}, "loop")
 
 
 def test_apply_action_unknown_variable(xor):
-    bad = Action(label="bad", overrides=(Override("Z", (), {(): "0"}),))
-    with pytest.raises(UnknownVariable):
-        apply_action(xor, bad)
-
-
-def test_apply_action_overrides_twice(xor):
-    twice = Action(label="twice", overrides=(*CONST_Y0.overrides, *NOISE_Y.overrides))
-    with pytest.raises(DuplicateVariable, match="^action 'twice' overrides 'Y' twice$"):
-        apply_action(xor, twice)
+    with pytest.raises(UnknownVariable, match="^action 'bad' overrides unknown variable 'Z'$"):
+        apply_action(xor, {"Z": ((), {(): "0"})}, "bad")
 
 
 def test_delta_self_comparison(xor):
-    m_xor = apply_action(xor, XOR_Y)
+    m_xor = apply_action(xor, XOR_Y, "xor")
     assert unit_delta(m_xor, m_xor, Y1) == 0.0
 
 
 def test_delta_extremes(xor):
-    force = Action(label="y1", overrides=(Override("Y", (), {(): "1"}),))
-    assert unit_delta(apply_action(xor, force), apply_action(xor, CONST_Y0), Y1) == 1.0
+    force = apply_action(xor, {"Y": ((), {(): "1"})}, "y1")
+    assert unit_delta(force, apply_action(xor, CONST_Y0, "y0"), Y1) == 1.0
 
 
 def test_delta_xor_vs_noise(xor):
     # P(Y=1 | xor) = 0.5, P(Y=1 | noise only) = P(E2=1) = 0.3.
-    m_xor, m_noise = apply_action(xor, XOR_Y), apply_action(xor, NOISE_Y)
+    m_xor, m_noise = apply_action(xor, XOR_Y, "xor"), apply_action(xor, NOISE_Y, "noise_only")
     assert unit_delta(m_xor, m_noise, Y1) == pytest.approx(0.2, abs=1e-12)
     assert unit_delta(m_noise, m_xor, Y1) == 0.0
 
 
 def test_expected_cost_empty(xor):
-    assert expected_cost(xor, CostModel()) == 0.0
+    assert expected_cost(xor, ()) == 0.0
 
 
 def test_expected_cost_constant(xor):
-    cost = CostModel(terms=(CostTerm(where=(), cost=3.5),))
+    cost = cost_model(((), 3.5))
     assert expected_cost(xor, cost) == pytest.approx(3.5, abs=1e-12)
 
 
 def test_expected_cost_y1(xor):
-    cost = CostModel(terms=(CostTerm(where=(("Y", "1"),), cost=2.0),))
-    assert expected_cost(apply_action(xor, XOR_Y), cost) == pytest.approx(1.0, abs=1e-12)
+    cost = cost_model(((("Y", "1"),), 2.0))
+    assert expected_cost(apply_action(xor, XOR_Y, "xor"), cost) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expected_cost_linear(xor):
-    cost = CostModel(terms=(CostTerm(where=(("Y", "1"),), cost=2.0),))
-    scaled = CostModel(terms=(CostTerm(where=(("Y", "1"),), cost=6.0),))
-    model = apply_action(xor, XOR_Y)
+    cost = cost_model(((("Y", "1"),), 2.0))
+    scaled = cost_model(((("Y", "1"),), 6.0))
+    model = apply_action(xor, XOR_Y, "xor")
     assert expected_cost(model, scaled) == pytest.approx(
         3 * expected_cost(model, cost), abs=1e-12
     )
 
 
-def _random_cost(rng: random.Random, scm) -> CostModel:
+def _random_cost(rng: random.Random, scm) -> tuple:
     """Three cost terms, each matching 0 to 2 random (variable, value) pairs."""
     terms = []
     for _ in range(3):
         matched = rng.sample(scm.endogenous, rng.randint(0, min(2, len(scm.endogenous))))
         where = tuple((v.id, rng.choice(v.domain.values)) for v in matched)
-        terms.append(CostTerm(where=where, cost=rng.choice((0.5, 2.0, 7.25))))
-    return CostModel(terms=tuple(terms))
+        terms.append((where, rng.choice((0.5, 2.0, 7.25))))
+    return cost_model(*terms)
 
 
 def test_expected_cost_matches_oracle():
     rng = random.Random(11)
     for scm in oracle_models(rng):
-        model = apply_action(scm, random_action(rng, scm, "a"))
+        model = apply_action(scm, random_action(rng, scm), "a")
         cost = _random_cost(rng, scm)
         assert abs(expected_cost(model, cost) - brute_expected_cost(model, cost)) <= 1e-12
 
@@ -142,8 +114,8 @@ def test_discounted_blame_matches_oracle():
     rng = random.Random(23)
     spec = DiscountSpec("cost_ratio")
     for scm in oracle_models(rng):
-        m_a = apply_action(scm, random_action(rng, scm, "a"))
-        m_ap = apply_action(scm, random_action(rng, scm, "a_prime"))
+        m_a = apply_action(scm, random_action(rng, scm), "a")
+        m_ap = apply_action(scm, random_action(rng, scm), "a_prime")
         phi, cost = random_outcome(rng, scm), _random_cost(rng, scm)
         rep = discounted_blame(m_a, m_ap, phi, cost, spec)
         want = (brute_event_probability(m_a, phi), brute_event_probability(m_ap, phi),
@@ -200,27 +172,23 @@ def test_blame_report_of(p_a, p_aprime, kind, want_delta, want_gamma):
 
 
 def test_discounted_blame_zero_delta(xor):
-    m_xor = apply_action(xor, XOR_Y)
-    rep = discounted_blame(m_xor, m_xor, Y1, CostModel(), DiscountSpec("unit"))
+    m_xor = apply_action(xor, XOR_Y, "xor")
+    rep = discounted_blame(m_xor, m_xor, Y1, (), DiscountSpec("unit"))
     assert rep.delta == 0.0
     assert rep.db == 0.0
 
 
 def test_discounted_blame_unit_equals_delta(xor):
-    m_xor, m_noise = apply_action(xor, XOR_Y), apply_action(xor, NOISE_Y)
-    rep = discounted_blame(m_xor, m_noise, Y1, CostModel(), DiscountSpec("unit"))
+    m_xor, m_noise = apply_action(xor, XOR_Y, "xor"), apply_action(xor, NOISE_Y, "noise_only")
+    rep = discounted_blame(m_xor, m_noise, Y1, (), DiscountSpec("unit"))
     assert rep.gamma == 1.0
     assert rep.db == rep.delta
 
 
 def test_discounted_blame_xor_scenario(xor):
     # Cost channel: 2 per AI-style decision, 8 per reviewed one.
-    auto = Action(
-        label="auto", overrides=XOR_Y.overrides + (Override("REVIEW", (), {(): "0"}),)
-    )
-    manual = Action(
-        label="manual", overrides=NOISE_Y.overrides + (Override("REVIEW", (), {(): "1"}),)
-    )
+    auto = XOR_Y | {"REVIEW": ((), {(): "0"})}
+    manual = NOISE_Y | {"REVIEW": ((), {(): "1"})}
     from blamescope.scm import Domain, EndogenousVar, Scm, validate
 
     base = Scm(
@@ -229,14 +197,10 @@ def test_discounted_blame_xor_scenario(xor):
         + (EndogenousVar("REVIEW", Domain(BITS), (), {(): "0"}),),
     )
     validate(base)
-    cost = CostModel(
-        terms=(
-            CostTerm(where=(("REVIEW", "0"),), cost=2.0),
-            CostTerm(where=(("REVIEW", "1"),), cost=8.0),
-        )
-    )
+    cost = cost_model(((("REVIEW", "0"),), 2.0), ((("REVIEW", "1"),), 8.0))
     rep = discounted_blame(
-        apply_action(base, auto), apply_action(base, manual), Y1, cost, DiscountSpec("cost_ratio")
+        apply_action(base, auto, "auto"), apply_action(base, manual, "manual"), Y1, cost,
+        DiscountSpec("cost_ratio"),
     )
     assert rep.delta == pytest.approx(0.2, abs=1e-12)
     assert rep.gamma == pytest.approx(0.25, abs=1e-12)

@@ -385,6 +385,23 @@ def test_metrics_f1_mode(capsys, log_path):
     assert report["blame"] == max(0.0, report["human_only"]["f1"] - report["hitl"]["f1"])
 
 
+def test_metrics_empty_positive_is_an_absent_label(capsys, log_path):
+    """`--positive ''` is given, so it is no usage error: it is a label the
+    log does not hold, and matches no case, like any other absent label."""
+    reports = {}
+    for positive in ("", "absent"):
+        code, out, err = run_cli(
+            capsys, "metrics", "--cases", log_path, "--l", "0.2", "--u", "0.8",
+            "--positive", positive,
+        )
+        assert (code, err) == (0, "")
+        reports[positive] = json.loads(out)
+    assert reports[""]["config"].pop("positive") == ""
+    assert reports["absent"]["config"].pop("positive") == "absent"
+    assert reports[""] == reports["absent"]
+    assert reports[""]["hitl"]["tp"] == reports[""]["hitl"]["fp"] == 0
+
+
 def test_gen_deterministic(capsys, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -207,7 +207,8 @@ def test_build_hitl_scm_flag_everything_delta_zero():
     cases = gen_synthetic(seed=5, n_cases=100, ai_accuracy=0.7, human_accuracy=0.9)
     labels, joint = empirical_joint(run(CaseLog.from_cases(cases), FlagPolicy(l=0.0, u=1.0)))
     scm = build_hitl_scm(labels, joint)
-    assert unit_delta(scm, apply_action(scm, human_only_action(labels)), HITL_OUTCOME) == 0.0
+    m_aprime = apply_action(scm, human_only_action(labels), "human_only")
+    assert unit_delta(scm, m_aprime, HITL_OUTCOME) == 0.0
 
 
 @pytest.mark.parametrize("seed,ai_acc,human_acc", [(1, 0.6, 0.95), (2, 0.8, 0.8), (3, 0.9, 0.7)])

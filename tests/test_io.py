@@ -15,6 +15,7 @@ import blamescope.io as bio
 from blamescope.data import bundled_path
 from blamescope.errors import (
     DuplicateCaseId,
+    DuplicateVariable,
     EmptyCaseList,
     MalformedRow,
     NonFiniteNumber,
@@ -112,6 +113,33 @@ def test_load_scm_checks_outcomes_and_cost_terms(tmp_path):
     )
     with pytest.raises(UnknownVariable, match="cost model 'review_cost'"):
         load_scm_bundle(path)
+
+
+_Y1 = {"var": "Y", "parents": [], "table": {"": "1"}}
+_Y0 = {"var": "Y", "parents": [], "table": {"": "0"}}
+
+
+@pytest.mark.parametrize(
+    "entries, error, message",
+    [
+        ([_Y1, _Y0], DuplicateVariable, "action 'twice' overrides 'Y' twice"),
+        # A repeat is found before the model is rewired, so before an
+        # unknown variable in a later entry.
+        ([_Y1, _Y0, {"var": "Nope", "table": {"": "0"}}], DuplicateVariable,
+         "action 'twice' overrides 'Y' twice"),
+        # Every entry is parsed before repeats are looked for.
+        ([_Y1, _Y0, {"var": "X"}], SchemaViolation,
+         "{path}: action 'twice'[2]: missing 'table'"),
+    ],
+    ids=["twice", "twice_then_unknown", "twice_then_malformed"],
+)
+def test_load_scm_action_overrides_twice(tmp_path, entries, error, message):
+    """An action is a map from variable to mechanism, so the loader refuses
+    an action file entry that names a variable a second time."""
+    path = _edited(tmp_path, lambda doc: doc["actions"].update(twice=entries))
+    with pytest.raises(error) as got:
+        load_scm_bundle(path)
+    assert str(got.value) == message.format(path=path)
 
 
 @pytest.mark.parametrize(
@@ -336,6 +364,29 @@ def test_load_ratings_oversized_field(tmp_path):
     path.write_text("case_id,rater_a,rater_b\nc0,1,2\n" + "x" * 200_000 + ",1,2\n")
     with pytest.raises(MalformedRow, match="line 3: field larger than field limit"):
         load_ratings(path)
+
+
+_BOM_FILES = {
+    "scm": (load_scm_bundle, lambda: bundled_path("xor_blame.json").read_bytes()),
+    "cases": (lambda path: rows_of(load_cases(path)),
+              lambda: bundled_path("cases_200.csv").read_bytes()),
+    # A quote sends the log to csv.reader, which reads it again from the
+    # start of the file.
+    "cases_quoted": (lambda path: rows_of(load_cases(path)),
+                     lambda: (HEADER + '"c0",0.5,pos,neg,pos\nc1,0.25,neg,neg,pos\n').encode()),
+    "ratings": (load_ratings, lambda: b"case_id,rater_a,rater_b\nc0,1,2\nc1,3,3\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BOM_FILES))
+def test_byte_order_mark_is_skipped(tmp_path, kind):
+    """A file that starts with a UTF-8 byte-order mark, as spreadsheet
+    programs write CSV, loads exactly as it does without one."""
+    load, data = _BOM_FILES[kind]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(data())
+    marked.write_bytes(b"\xef\xbb\xbf" + data())
+    assert load(marked) == load(plain)
 
 
 LIMIT = csv.field_size_limit()

@@ -10,17 +10,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blamescope import scm as scm_mod
-from blamescope.blame import (
-    Action,
-    CostModel,
-    CostTerm,
-    DiscountSpec,
-    apply_action,
-    discounted_blame,
-    expected_cost,
-)
+from blamescope.blame import DiscountSpec, apply_action, discounted_blame, expected_cost
 from blamescope.data import bundled_path
 from blamescope.errors import (
     CyclicGraph,
@@ -55,6 +49,7 @@ from blamescope.scm import (
 
 from conftest import (
     WIDE_DOMAIN_SIZES,
+    cost_model,
     oracle_models,
     pairwise_xor_scm,
     random_noise,
@@ -73,6 +68,7 @@ from oracles import (
     brute_satisfied,
     brute_skips,
     brute_solve,
+    frozen_disjoint,
 )
 
 BITS = ("0", "1")
@@ -186,14 +182,14 @@ def test_tables_not_compared_or_shown(xor):
         (lambda scm: abduct(scm, {"Y": "1"}), 0),
         (lambda scm: counterfactual_probability(scm, {"Y": "1"}, [], Y1), 0),
         (lambda scm: intervene(scm, {"X": "1", "Y": "0"}), 1),
-        (lambda scm: apply_action(scm, Action("keep")), 1),
+        (lambda scm: apply_action(scm, {}, "keep"), 1),
         (
             lambda scm: discounted_blame(
-                scm, scm, Y1, CostModel((CostTerm((("X", "1"),), 2.0),)), DiscountSpec("cost_ratio")
+                scm, scm, Y1, cost_model(((("X", "1"),), 2.0)), DiscountSpec("cost_ratio")
             ),
             0,
         ),
-        (lambda scm: expected_cost(scm, CostModel((CostTerm((("X", "1"),), 2.0),))), 0),
+        (lambda scm: expected_cost(scm, cost_model(((("X", "1"),), 2.0))), 0),
         # The model and the models of its two actions, `auto` and `manual`.
         (lambda scm: load_scm_bundle(bundled_path("xor_blame.json")), 3),
     ],
@@ -315,7 +311,7 @@ def _factor_cap(entries):
              scm, dict(_PQ), [("M", "0")], OutcomeSpec.conjunction(_PQ)
          ), _factor_cap(4100**2 * 4)),
         (_past_the_cap_at_step_two,
-         lambda scm: expected_cost(scm, CostModel((CostTerm(_PQ, 1.0),))),
+         lambda scm: expected_cost(scm, cost_model((_PQ, 1.0))),
          _factor_cap(4100**2 * 2)),
         # Every XOR is read, so the plan's factors grow to span the 26 bits.
         (lambda: pairwise_xor_scm(26),
@@ -353,9 +349,7 @@ def test_batches_split_to_fit_the_cap(monkeypatch):
     phi = OutcomeSpec(
         ((("W", "eq", "27"),), (("Z", "neq", "41"), ("W", "neq", "4")), (("Z", "eq", "33"),))
     )
-    cost = CostModel((
-        CostTerm(_PQ, 1.3), CostTerm((("P", "1"), ("Q", "0")), 2.7), CostTerm((("P", "0"),), 0.1),
-    ))
+    cost = cost_model((_PQ, 1.3), ((("P", "1"), ("Q", "0")), 2.7), ((("P", "0"),), 0.1))
     queries = [
         lambda: expected_cost(_past_the_cap_at_step_two(8), cost),
         lambda: counterfactual_probability(wide, {"V": "z"}, [("V", "x")], phi),
@@ -401,7 +395,7 @@ def test_two_clauses_over_25_bits_match_closed_forms():
     probability is a power of two, so the sums are exact."""
     scm = _over_the_cap()
     assert event_probability(scm, _WIDE_EVENT) == 2**-13 + 2**-12 - 2**-25
-    cost = CostModel(tuple(CostTerm(t, 1.0) for t in _WIDE_TERMS))
+    cost = cost_model(*((t, 1.0) for t in _WIDE_TERMS))
     assert expected_cost(scm, cost) == 2**-13 + 2**-12
     # Y copies E0, so Y = 1 fixes X0 = 1, and do(Y = 0) changes no X_i.
     got = counterfactual_probability(scm, {"Y": "1"}, [("Y", "0")], _WIDE_EVENT)
@@ -430,6 +424,30 @@ def test_dnf_past_the_cap_raises_before_any_piece(monkeypatch, clauses, literals
         event_probability(_over_the_cap(clauses * literals), phi)
 
 
+_PIECE_SIZES = {"A": 2, "B": 3, "C": 1, "D": 4}
+_ENCODED_LITERAL = st.sampled_from(sorted(_PIECE_SIZES)).flatmap(
+    lambda var: st.tuples(
+        st.just(var), st.sampled_from(("eq", "neq")), st.integers(0, _PIECE_SIZES[var] - 1)
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_ENCODED_LITERAL, max_size=4).map(tuple), max_size=5).map(tuple))
+@example(((("A", "eq", 0),), (("A", "eq", 1),)))  # two clauses that `_merge` joins
+def test_disjoint_pieces_equal_the_frozen_copy(clauses):
+    """`_disjoint` gives the same pieces, in the same order and with the
+    same weights, as the copy in `tests/oracles.py` of the functions before
+    `_unary` grouped literals in one pass and `_merge` returned fewer than
+    two boxes at once; so every sum over the pieces rounds as before."""
+    got, want = scm_mod._disjoint(clauses, _PIECE_SIZES), frozen_disjoint(clauses, _PIECE_SIZES)
+    assert [list(piece) for piece in got] == [list(piece) for piece in want]
+    for piece, frozen in zip(got, want):
+        for var, weights in piece.items():
+            assert weights.dtype == frozen[var].dtype
+            assert np.array_equal(weights, frozen[var])
+
+
 def test_random_dnfs_match_oracles():
     """Outcomes of 1 to 6 clauses of 1 to 3 literals, as probabilities,
     counterfactuals and cost models with one term per clause."""
@@ -438,8 +456,8 @@ def test_random_dnfs_match_oracles():
         for _ in range(2):
             phi = random_outcome(rng, scm, clauses=6, literals=3)
             assert abs(event_probability(scm, phi) - brute_event_probability(scm, phi)) <= 1e-12
-            cost = CostModel(tuple(
-                CostTerm(tuple((var, value) for var, _, value in clause), rng.uniform(0, 5))
+            cost = cost_model(*(
+                (tuple((var, value) for var, _, value in clause), rng.uniform(0, 5))
                 for clause in phi.clauses
             ))
             got = expected_cost(scm, cost)
@@ -470,7 +488,7 @@ def test_one_conjunction_over_many_variables_matches_oracle():
     got = event_probability(scm, phi)
     assert abs(got - p) <= 1e-12
     assert abs(got - brute_event_probability(scm, phi)) <= 1e-12
-    cost = CostModel((CostTerm(pairs, 3.0),))
+    cost = cost_model((pairs, 3.0))
     assert abs(expected_cost(scm, cost) - 3 * p) <= 1e-12
 
     one = Domain(("only",))
@@ -1282,12 +1300,11 @@ def test_rational_engine_equals_brute_force():
     for scm in oracle_models(rng, n_random=20):
         phi = random_outcome(rng, scm, clauses=6, literals=3)
         assert _rational(scm, ((phi, 1),))[0] == brute_event_probability(scm, phi, Fraction)
-        cost = CostModel(tuple(
-            CostTerm(tuple((var, value) for var, _, value in clause), rng.uniform(0, 5))
+        cost = cost_model(*(
+            (tuple((var, value) for var, _, value in clause), rng.uniform(0, 5))
             for clause in phi.clauses
         ))
-        terms = [(OutcomeSpec.conjunction(term.where), term.cost) for term in cost.terms]
-        assert _rational(scm, terms)[0] == brute_expected_cost(scm, cost, Fraction)
+        assert _rational(scm, cost)[0] == brute_expected_cost(scm, cost, Fraction)
         observation = _observe(rng, scm)
         targets = rng.sample(scm.endogenous, rng.randint(1, min(2, len(scm.endogenous))))
         interventions = [(v.id, rng.choice(v.domain.values)) for v in targets]
@@ -1321,8 +1338,17 @@ def _last(bits):
     return OutcomeSpec.conjunction([(f"X{bits - 1}", "1")])
 
 
-_CHAIN_COST = CostModel((CostTerm((("X149", "1"),), 3.7),
-                         CostTerm((("X75", "0"), ("X149", "0")), 1.3)))
+def test_outcome_on_every_variable_of_a_long_chain_matches_closed_form():
+    """P(every X_i = 0) on the 1000-bit noisy chain, one clause that reads
+    every variable, is the product of P(E_i = 0) within 1e-12 relative: every
+    X_i is 0 exactly when every E_i is."""
+    scm = _noisy_chain(1000)
+    phi = OutcomeSpec.conjunction((v.id, "0") for v in scm.endogenous)
+    want = math.prod(ex.dist[0] for ex in scm.exogenous)
+    assert abs(event_probability(scm, phi) - want) <= 1e-12 * want
+
+
+_CHAIN_COST = cost_model(((("X149", "1"),), 3.7), ((("X75", "0"), ("X149", "0")), 1.3))
 _ALL_ZERO = OutcomeSpec.conjunction((v.id, "0") for v in pairwise_xor_scm(14).endogenous)
 _WIDE_PHI = OutcomeSpec(((("W", "neq", "7"), ("V", "eq", "x")),))
 
@@ -1333,9 +1359,7 @@ _WIDE_PHI = OutcomeSpec(((("W", "neq", "7"), ("V", "eq", "x")),))
         (lambda: _noisy_chain(300), lambda scm: event_probability(scm, _last(300)),
          lambda scm: _rational(scm, ((_last(300), 1),))[0], False, None),
         (lambda: _noisy_chain(150), lambda scm: expected_cost(scm, _CHAIN_COST),
-         lambda scm: _rational(
-             scm, [(OutcomeSpec.conjunction(t.where), t.cost) for t in _CHAIN_COST.terms]
-         )[0], False, None),
+         lambda scm: _rational(scm, _CHAIN_COST)[0], False, None),
         (lambda: _noisy_chain(150), lambda scm: counterfactual_probability(
             scm, {"X149": "1"}, [("X74", "0")], _last(150)
         ), lambda scm: operator.truediv(*_rational(
@@ -1430,7 +1454,7 @@ def test_pruned_exogenous_mass_matches_oracle(xor):
               xor.endogenous)
     assert abs(event_probability(scm, Y1) - brute_event_probability(scm, Y1)) <= 1e-12
     assert abs(event_probability(scm, Y1) - 0.5 * total) <= 1e-12
-    cost = CostModel((CostTerm((("X", "1"),), 2.0), CostTerm((), 1.0)))
+    cost = cost_model(((("X", "1"),), 2.0), ((), 1.0))
     got = expected_cost(scm, cost)
     assert abs(got - brute_expected_cost(scm, cost)) <= 1e-12
     got = counterfactual_probability(scm, {"X": "1"}, [("X", "0")], Y1)
@@ -1462,7 +1486,7 @@ def test_many_one_valued_variables_match_oracle():
     )
     phi = OutcomeSpec(((("Y", "eq", "1"), ("C0", "eq", "only")), (("X", "neq", "1"),)))
     assert abs(event_probability(scm, phi) - brute_event_probability(scm, phi)) <= 1e-12
-    cost = CostModel((CostTerm((("C7", "only"), ("Y", "0")), 3.0),))
+    cost = cost_model(((("C7", "only"), ("Y", "0")), 3.0))
     got = expected_cost(scm, cost)
     assert abs(got - brute_expected_cost(scm, cost)) <= 1e-12
     for observation, interventions in [({"Y": "1", "C1": "only"}, [("X", "1")]),
