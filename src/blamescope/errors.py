@@ -67,6 +67,10 @@ class DegenerateMarginals(ModelError):
     pass
 
 
+class FloatUnderflow(ModelError):
+    pass
+
+
 # -- data errors ------------------------------------------------------------
 
 class DuplicateCaseId(DataError):

@@ -37,7 +37,9 @@ ratio of two sums of one query on the twin network, where only the
 intervened variables and their descendants get copies: P(phi* and
 observation) and P(observation). It runs over the number type of its
 weights: floats for every report, and 0/1 Python integers for
-`posterior_support_size`, P(observation) counted exactly at any size.
+`posterior_support_size`, P(observation) counted exactly at any size;
+that count also tells a float figure below the normal range that is a
+true 0 from one that underflowed, which is refused (`FloatUnderflow`).
 The float sums are not correctly rounded; the tests hold the same query
 over `fractions.Fraction` equal to brute-force enumeration.
 
@@ -68,6 +70,7 @@ from __future__ import annotations
 import graphlib
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,7 +79,9 @@ from .errors import (
     CyclicGraph,
     DanglingParent,
     DuplicateVariable,
+    FloatUnderflow,
     IncompleteExogenousAssignment,
+    NonFiniteNumber,
     NonNormalizedDistribution,
     PartialMechanism,
     SampleCountTooLarge,
@@ -171,9 +176,6 @@ class EndogenousVar:
     domain: Domain
     parents: tuple  # parent variable ids, endogenous or exogenous
     mechanism: dict  # parent-value tuple -> value in domain
-
-    def __hash__(self):
-        return hash(self.id)
 
 
 @dataclass(frozen=True)
@@ -489,8 +491,10 @@ def _substitute(table, scope: list, group: list, out: list, mechanisms: dict, un
 def _plan(mechanisms: dict, sizes: dict) -> tuple:
     """The steps of bucket elimination, from scopes alone: (steps, unread,
     largest). `mechanisms` maps each endogenous id to (parent ids, lookup
-    table), as in `Scm.tables`; `sizes` maps each variable with unary
-    weights, every exogenous one included, to its number of values.
+    table), as in `Scm.tables`, every id after its parents; `sizes` maps
+    each variable with unary weights, every exogenous one included, to its
+    number of values. One reverse pass counts the readers of each of their
+    ancestors; a root is a variable with unary weights that none reads.
 
     A variable is eliminated once no mechanism still to be eliminated reads
     it. A step is (id, None), an exogenous variable summed out with its
@@ -498,21 +502,18 @@ def _plan(mechanisms: dict, sizes: dict) -> tuple:
     substituted by their mechanisms at once, and the scope of the factor
     that builds. Exogenous variables go first, as that only shrinks the
     factor; otherwise the group that grows it least. The candidates are the
-    factor's own variables and the unary factors not yet used, so no step
+    factor's own variables and the roots not yet substituted, so no step
     scans the whole model. `unread` lists the exogenous variables no step
     reads; `largest` is the most entries in one row of a factor, and each
     factor is checked against `MAX_STATES` before the next is planned."""
-    sizes = dict(sizes)
-    waiting = [v for v in sizes if v in mechanisms]  # endogenous unary factors not yet used
-    pending = dict.fromkeys(waiting, 0)  # readers not yet eliminated
-    stack = list(waiting)
-    while stack:
-        parents, lut = mechanisms[stack.pop()]
-        for p, size in zip(parents, lut.shape):
-            if p not in pending and p in mechanisms:
-                stack.append(p)
-            pending[p], sizes[p] = pending.get(p, 0) + 1, size
-    unread = [v for v in sizes if v not in pending]
+    sizes, pending = dict(sizes), {}  # readers not yet eliminated
+    for v in reversed(mechanisms):
+        if v in sizes or v in pending:
+            parents, lut = mechanisms[v]
+            for p, size in zip(parents, lut.shape):
+                pending[p], sizes[p] = pending.get(p, 0) + 1, size
+    roots = dict.fromkeys(v for v in sizes if v in mechanisms and v not in pending)
+    unread = [v for v in sizes if v not in pending and v not in mechanisms]
 
     def growth(group):
         # A variable with a unary factor and no axis counts as if it had
@@ -522,8 +523,8 @@ def _plan(mechanisms: dict, sizes: dict) -> tuple:
         return math.prod(sizes[p] for p in new) / math.prod(sizes[v] for v in group)
 
     scope, steps, largest = [], [], 1
-    while scope or waiting:
-        ready = [v for v in scope + [v for v in waiting if v not in scope] if pending[v] == 0]
+    while scope or roots:
+        ready = [v for v in scope if not pending[v]] + list(roots)
         exogenous = [v for v in ready if v not in mechanisms]
         if exogenous:
             scope = [v for v in scope if v != exogenous[0]]
@@ -539,8 +540,7 @@ def _plan(mechanisms: dict, sizes: dict) -> tuple:
         _check_factor(largest)
         steps.append((group, scope))
         for v in group:
-            if v in waiting:
-                waiting.remove(v)
+            roots.pop(v, None)
             for p in mechanisms[v][0]:
                 pending[p] -= 1
     return steps, unread, largest
@@ -665,7 +665,12 @@ def _query(scm: Scm, terms, what: str, observation=None, interventions=(), weigh
     factor and in a weight vector of the widest variable they read. Each
     prior and term value is read as `weight` of it. With `float`, E is the
     `math.fsum` of each row's probability times its term's value; any other
-    type, such as 0/1 ints or `Fraction`, sums exactly in object arrays."""
+    type, such as 0/1 ints or `Fraction`, sums exactly in object arrays.
+
+    A float E past the float range raises NonFiniteNumber. A float figure
+    below the normal range, where the README's bound fails, is checked by
+    the same query over 0/1 integers: it raises FloatUnderflow unless it is
+    0 and no setting of positive weight counts towards it."""
     done = dict(interventions)
     twin = intervene(scm, done) if done else scm
     mechanisms = {vid: (parents, lut) for vid, parents, lut in scm.tables}
@@ -675,12 +680,12 @@ def _query(scm: Scm, terms, what: str, observation=None, interventions=(), weigh
             star[vid] = ("twin", vid)
             sizes[star[vid]] = sizes[vid]
             mechanisms[star[vid]] = (tuple(star.get(p, p) for p in parents), lut)
-    terms = [(_encode(twin, e, what, lambda v: star.get(v, v)), x) for e, x in terms]
+    coded = [(_encode(twin, e, what, lambda v: star.get(v, v)), x) for e, x in terms]
     dtype = float if weight is float else object
     unary = {ex.id: np.array([weight(p) for p in ex.dist], dtype) for ex in scm.exogenous}
     seen = _encode(scm, OutcomeSpec.conjunction((observation or {}).items()), "observation")
     unary |= _unary(seen[0], sizes)
-    rows = [(piece, value) for clauses, value in terms for piece in _disjoint(clauses, sizes)]
+    rows = [(piece, value) for clauses, value in coded for piece in _disjoint(clauses, sizes)]
     rows += [] if observation is None else [({}, 0.0)]
     read = dict.fromkeys(v for row, _ in rows for v in row)
     read = {v: np.ones(sizes[v], dtype=bool) for v in read}
@@ -694,9 +699,24 @@ def _query(scm: Scm, terms, what: str, observation=None, interventions=(), weigh
         }
         p.append(_eliminate(plan, mechanisms, weights, np.ones(len(chunk), dtype)))
     p = np.concatenate(p)
-    if dtype is float:
-        return math.fsum(p * [x for _, x in rows]), None if observation is None else float(p[-1])
-    return sum(p * [weight(x) for _, x in rows]), None if observation is None else p[-1]
+    if dtype is not float:
+        return sum(p * [weight(x) for _, x in rows]), None if observation is None else p[-1]
+    figure = f"the expected sum of {what} values"
+    try:
+        with np.errstate(over="raise"):
+            e = math.fsum(p * [x for _, x in rows])
+    except (OverflowError, FloatingPointError):
+        raise NonFiniteNumber(f"{figure} is past the float range") from None
+    total = None if observation is None else float(p[-1])
+    if min(e, 1.0 if total is None else total) < sys.float_info.min:
+        count, support = _query(scm, terms, what, observation, interventions, lambda x: int(x > 0))
+        for name, x, n in (("P(observation)", total, support), (figure, e, count)):
+            if x is not None and x < sys.float_info.min and (x or n):
+                raise FloatUnderflow(
+                    f"{name} is positive but {x!r} in floats, below the normal range "
+                    f"(from {sys.float_info.min!r}), where the float result has no bound"
+                )
+    return e, total
 
 
 def event_probability(scm: Scm, phi: OutcomeSpec) -> float:

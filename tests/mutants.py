@@ -35,6 +35,7 @@ CLI = "src/blamescope/cli.py"
 MEMORY = "tests/test_scm.py::test_mc_memory_skipping_column_holds_one_refill"
 SKIPPING = "tests/test_scm.py::test_mc_skipping_columns_match_one_stream"
 CDF_STEPS = "tests/test_scm.py::test_draw_at_cdf_steps"
+UNDERFLOW = "tests/test_cli.py::test_figure_below_the_normal_float_range_is_refused"
 TWICE = [
     *(f"tests/test_cli.py::test_bad_input_file[scm_action_overrides_twice{suffix}]"
       for suffix in ("", "_prob", "_counterfactual", "_blame")),
@@ -121,6 +122,22 @@ MUTANTS = [
      "if len(boxes) < 2:",
      "if len(boxes) < 3:",
      ["tests/test_scm.py::test_disjoint_pieces_equal_the_frozen_copy"]),
+    ("roots_before_scope", SCM,
+     "ready = [v for v in scope if not pending[v]] + list(roots)",
+     "ready = list(roots) + [v for v in scope if not pending[v]]",
+     ["tests/test_scm.py::test_plans_equal_the_frozen_copy"]),
+    ("no_underflow_check", SCM,
+     "if min(e, 1.0 if total is None else total) < sys.float_info.min:",
+     "if False:",
+     [UNDERFLOW, "tests/test_cli.py::test_counterfactual_underflowing_observation"]),
+    ("true_zero_refused", SCM,
+     "x < sys.float_info.min and (x or n):",
+     "x < sys.float_info.min:",
+     ["tests/test_cli.py::test_true_zero_below_the_normal_float_range_is_kept"]),
+    ("no_overflow_catch", SCM,
+     "except (OverflowError, FloatingPointError):",
+     "except ():",
+     ["tests/test_cli.py::test_expected_cost_past_the_float_range"]),
     ("loader_allows_repeated_override", IO,
      "        if dup is not None:\n            raise DuplicateVariable(",
      "        if False:\n            raise DuplicateVariable(",

@@ -11,6 +11,7 @@ the binary values the model holds.
 import csv
 import io
 import itertools
+import math
 
 import numpy as np
 
@@ -331,3 +332,51 @@ def frozen_disjoint(clauses, sizes):
             parts = [piece for part in parts for piece in frozen_minus(part, clause)]
         pieces += parts
     return pieces
+
+
+def frozen_plan(mechanisms, sizes):
+    """`scm._plan` as it was before it kept only reader counts: a search
+    stack finds the ancestors of the variables with unary weights, and every
+    step lists its candidates afresh from the scope and a waiting list of
+    the endogenous variables with unary weights not yet substituted. Each
+    factor is checked with the library's own `_check_factor`, so a refusal
+    reads the same."""
+    sizes = dict(sizes)
+    waiting = [v for v in sizes if v in mechanisms]
+    pending = dict.fromkeys(waiting, 0)
+    stack = list(waiting)
+    while stack:
+        parents, lut = mechanisms[stack.pop()]
+        for p, size in zip(parents, lut.shape):
+            if p not in pending and p in mechanisms:
+                stack.append(p)
+            pending[p], sizes[p] = pending.get(p, 0) + 1, size
+    unread = [v for v in sizes if v not in pending]
+
+    def growth(group):
+        new = {p for v in group for p in mechanisms[v][0] if p not in scope}
+        return math.prod(sizes[p] for p in new) / math.prod(sizes[v] for v in group)
+
+    scope, steps, largest = [], [], 1
+    while scope or waiting:
+        ready = [v for v in scope + [v for v in waiting if v not in scope] if pending[v] == 0]
+        exogenous = [v for v in ready if v not in mechanisms]
+        if exogenous:
+            scope = [v for v in scope if v != exogenous[0]]
+            steps.append((exogenous[0], None))
+            continue
+        groups = {}
+        for v in ready:
+            groups.setdefault(frozenset(mechanisms[v][0]), []).append(v)
+        group = min(groups.values(), key=growth)
+        new = dict.fromkeys(p for v in group for p in mechanisms[v][0] if p not in scope)
+        scope = [v for v in scope if v not in group] + list(new)
+        largest = max(largest, math.prod(sizes[v] for v in scope))
+        scm_module._check_factor(largest)
+        steps.append((group, scope))
+        for v in group:
+            if v in waiting:
+                waiting.remove(v)
+            for p in mechanisms[v][0]:
+                pending[p] -= 1
+    return steps, unread, largest

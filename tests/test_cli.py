@@ -176,7 +176,8 @@ def test_counterfactual_support_size_is_an_exact_integer(capsys, tmp_path, workl
 
 def test_counterfactual_underflowing_observation(capsys, tmp_path):
     """Every setting that gives X = 1 has weight 1e-200 * 1e-200, which is
-    0.0 in floating point: a typed error, not a division by zero."""
+    0.0 in floating point but not impossible: a typed error that says the
+    figure underflowed, not a division by zero nor "impossible"."""
     tiny = {"values": ["0", "1"], "probs": [1.0, 1e-200]}
     doc = {
         "schema": "blamescope/scm/1",
@@ -190,7 +191,113 @@ def test_counterfactual_underflowing_observation(capsys, tmp_path):
     code, out, err = run_cli(capsys, "counterfactual", "--scm", str(path), "--outcome", "x1",
                              "--observe", "X=1", "--do", "X=0")
     assert (code, out) == (4, "")
+    assert _strict_json(err)["error"] == "FloatUnderflow"
+
+
+def _chain_zeros(tmp_path, workloads, ps, observed):
+    """The XOR chain S_i := S_{i-1} xor E_i with P(E_i = 1) = ps[i], with
+    the outcome `all0`, every S_i = 0, and the flags that observe S_i = 0
+    for i < `observed`: the model path and those flags."""
+    doc = workloads.chain_model(ps, len(ps))
+    doc["outcomes"]["all0"] = [[[f"S{i}", "eq", "0"] for i in range(len(ps))]]
+    path = tmp_path / "chain.json"
+    workloads._write_model(path, doc)
+    return str(path), [f for i in range(observed) for f in ("--observe", f"S{i}=0")]
+
+
+@pytest.mark.parametrize(
+    "ps, command, observed, figure",
+    [
+        # P(observation) = 2^-1100 was reported impossible.
+        ([0.5] * 1100, ("counterfactual", "--outcome", "y1"), 1100, "P(observation)"),
+        # P(observation) is the subnormal 9e-323; the answer 0.3 came out as 0.2777...
+        ([0.3] * 2080, ("counterfactual", "--outcome", "y1"), 2079, "P(observation)"),
+        # ... and at 2040 bits as 0.3000000069168931.
+        ([0.3] * 2040, ("counterfactual", "--outcome", "y1"), 2039, "P(observation)"),
+        # 2^-1100 came out as 0.0.
+        ([0.5] * 1100, ("prob", "--outcome", "all0"), 0,
+         "the expected sum of outcome values"),
+        # 1.0000037511e-316 came out as 1.00000374e-316, 1.1e-8 off.
+        ([0.3] * 2040, ("prob", "--outcome", "all0"), 0,
+         "the expected sum of outcome values"),
+    ],
+    ids=["fair_1100_counterfactual", "flip_2080_counterfactual", "flip_2040_counterfactual",
+         "fair_1100_prob", "flip_2040_prob"],
+)
+def test_figure_below_the_normal_float_range_is_refused(
+    capsys, tmp_path, workloads, ps, command, observed, figure
+):
+    """A positive probability below the normal float range is refused
+    with a typed error that names it, not reported with no bound on its
+    error."""
+    path, seen = _chain_zeros(tmp_path, workloads, ps, observed)
+    code, out, err = run_cli(capsys, *command, "--scm", path, *seen)
+    assert (code, out) == (4, "")
+    report = _strict_json(err)
+    assert report["error"] == "FloatUnderflow"
+    assert report["message"].startswith(f"{figure} is positive but ")
+
+
+def test_true_zero_below_the_normal_float_range_is_kept(capsys, tmp_path, workloads):
+    """On the 1100-bit chain of fair bits but one that never flips, S5 = 1
+    with every other S_i = 0 is impossible: the probability is a true 0,
+    and as an observation it is still `ZeroProbabilityObservation`."""
+    ps = [0.5] * 1100
+    ps[5] = 0.0
+    path, seen = _chain_zeros(tmp_path, workloads, ps, 1100)
+    seen[seen.index("S5=0")] = "S5=1"
+    code, out, err = run_cli(capsys, "counterfactual", "--scm", path, "--outcome", "y1", *seen)
+    assert (code, out) == (4, "")
     assert _strict_json(err)["error"] == "ZeroProbabilityObservation"
+    doc = json.loads(Path(path).read_text())
+    doc["outcomes"]["all0"][0][5][2] = "1"
+    Path(path).write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "prob", "--scm", path, "--outcome", "all0")
+    assert (code, err) == (0, "")
+    assert _strict_json(out)["probability"] == 0
+
+
+def _costly_model(tmp_path, terms, probs=(0.5, 0.5)):
+    """The bundled blame model with the cost model `costly` of `terms`,
+    (where, cost) pairs, and E1's probabilities `probs`."""
+
+    def edit(doc):
+        doc["exogenous"][0]["probs"] = list(probs)
+        doc["costs"]["costly"] = [{"where": where, "cost": cost} for where, cost in terms]
+
+    return _edited_model(tmp_path, "xor_blame.json", edit)
+
+
+@pytest.mark.parametrize(
+    "terms, probs",
+    [
+        ([({}, 1e308), ({}, 1e308)], (0.5, 0.5)),
+        # Priors that sum to 1 + 1e-10 make an always-true cost past the
+        # largest float.
+        ([({}, 1.7976931348623157e308)], (0.5, 0.5000000001)),
+    ],
+    ids=["two_terms", "priors_past_one"],
+)
+def test_expected_cost_past_the_float_range(capsys, tmp_path, terms, probs):
+    """An expected cost past the largest float is a typed error that names
+    the cost terms, not a traceback nor a numpy warning."""
+    path = _costly_model(tmp_path, terms, probs)
+    code, out, err = run_cli(capsys, "blame", "--scm", path, *BLAME_ARGS[:-1], "costly")
+    assert (code, out) == (3, "")
+    assert _strict_json(err) == {
+        "error": "NonFiniteNumber",
+        "message": "the expected sum of cost term values is past the float range",
+    }
+
+
+def test_expected_cost_near_the_float_range(capsys, tmp_path):
+    """Two costs of 1.7e308 on exclusive events sum to a finite expected
+    cost: the loader does not check the sum of the costs."""
+    path = _costly_model(tmp_path, [({"REVIEW": "0"}, 1.7e308), ({"REVIEW": "1"}, 1.7e308)])
+    code, out, err = run_cli(capsys, "blame", "--scm", path, *BLAME_ARGS[:-1], "costly")
+    assert (code, err) == (0, "")
+    blame = _strict_json(out)["blame"]
+    assert (blame["cost_a"], blame["cost_aprime"], blame["db"]) == (1.7e308, 1.7e308, 0.2)
 
 
 def test_more_parents_than_array_dimensions(capsys, tmp_path):

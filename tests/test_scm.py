@@ -69,6 +69,7 @@ from oracles import (
     brute_skips,
     brute_solve,
     frozen_disjoint,
+    frozen_plan,
 )
 
 BITS = ("0", "1")
@@ -1338,14 +1339,63 @@ def _last(bits):
     return OutcomeSpec.conjunction([(f"X{bits - 1}", "1")])
 
 
-def test_outcome_on_every_variable_of_a_long_chain_matches_closed_form():
-    """P(every X_i = 0) on the 1000-bit noisy chain, one clause that reads
-    every variable, is the product of P(E_i = 0) within 1e-12 relative: every
-    X_i is 0 exactly when every E_i is."""
-    scm = _noisy_chain(1000)
+@pytest.mark.parametrize("bits", [500, 1000, 4000])
+def test_outcome_on_every_variable_of_a_long_chain_matches_closed_form(bits):
+    """P(every X_i = 0) on the noisy chain, one clause that reads every
+    variable, is the product of P(E_i = 0) within 1e-12 relative: every X_i
+    is 0 exactly when every E_i is."""
+    scm = _noisy_chain(bits)
     phi = OutcomeSpec.conjunction((v.id, "0") for v in scm.endogenous)
     want = math.prod(ex.dist[0] for ex in scm.exogenous)
     assert abs(event_probability(scm, phi) - want) <= 1e-12 * want
+
+
+def test_plans_equal_the_frozen_copy(monkeypatch):
+    """Every plan `_query` makes, (steps, unread, largest), equals the plan
+    of the copy in `tests/oracles.py` of `_plan` before it kept only reader
+    counts, and every refusal reads the same: on `oracle_models` and on 50-
+    and 300-bit chains, with random outcomes, an outcome on every variable,
+    observations and interventions, at the default cap and at a cap of 16
+    entries that refuses some plans."""
+    plan, seen = scm_mod._plan, []
+
+    def spy(mechanisms, sizes):
+        both = []
+        for planner in (frozen_plan, plan):
+            try:
+                both.append(planner(mechanisms, sizes))
+            except StateSpaceTooLarge as exc:
+                both.append(str(exc))
+        assert both[1] == both[0]
+        seen.append(both[1])
+        if isinstance(both[1], str):
+            raise StateSpaceTooLarge(both[1])
+        return both[1]
+
+    monkeypatch.setattr(scm_mod, "_plan", spy)
+    rng = random.Random(28)
+    models = oracle_models(rng, n_random=30) + [_noisy_chain(50), _noisy_chain(300)]
+    for cap in (scm_mod.MAX_STATES, 16):
+        monkeypatch.setattr(scm_mod, "MAX_STATES", cap)
+        for scm in models:
+            x = brute_solve(scm, random_noise(rng, scm))
+            targets = rng.sample(scm.endogenous, rng.randint(1, min(2, len(scm.endogenous))))
+            interventions = [(v.id, rng.choice(v.domain.values)) for v in targets]
+            observation = _observe(rng, scm)
+            for query in (
+                lambda: event_probability(scm, random_outcome(rng, scm, 3, 3)),
+                lambda: event_probability(scm, OutcomeSpec.conjunction(x.items())),
+                lambda: counterfactual_probability(
+                    scm, observation, interventions, random_outcome(rng, scm, 3, 3)
+                ),
+                lambda: posterior_support_size(scm, observation),
+            ):
+                try:
+                    query()
+                except StateSpaceTooLarge:
+                    pass
+    refused = sum(isinstance(got, str) for got in seen)
+    assert refused >= 2 and len(seen) - refused >= 200
 
 
 _CHAIN_COST = cost_model(((("X149", "1"),), 3.7), ((("X75", "0"), ("X149", "0")), 1.3))
