@@ -10,7 +10,6 @@ attribution section: `per_case` writes the per-error records and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring
 
@@ -18,6 +17,7 @@ import numpy as np
 
 from .hitl import Decisions
 from .io import JsonText
+from .record import Record
 
 
 class OutcomeClass(Enum):
@@ -43,14 +43,14 @@ ATTRIBUTION_TABLE = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class Attribution:
+class Attribution(Record):
     """The errors of one decided log, in log order: each error's case id
-    and its outcome class (a code into CLASSES)."""
+    and its outcome class (a code into CLASSES), and the cases in the log."""
 
-    case_ids: list
-    classes: np.ndarray
-    total_cases: int
+    __slots__ = _fields = ("case_ids", "classes", "total_cases")
+
+    def __init__(self, case_ids: list, classes, total_cases: int):
+        self._init(case_ids, classes, total_cases)
 
     def __len__(self) -> int:
         return len(self.case_ids)

@@ -12,28 +12,27 @@ model it is given, so `discounted_blame` builds no model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
+from .record import Value
 from .scm import OutcomeSpec, Scm, _query, _rewire, event_probability
 
 
-@dataclass(frozen=True)
-class DiscountSpec:
-    kind: str = "unit"  # "unit" or "cost_ratio"
-    epsilon: float = 1e-9
+class DiscountSpec(Value):
+    __slots__ = _fields = ("kind", "epsilon")
 
-    def __post_init__(self):
-        if self.kind not in ("unit", "cost_ratio"):
-            raise ConfigError(f"unknown discount kind {self.kind!r}")
+    def __init__(self, kind: str = "unit", epsilon: float = 1e-9):
+        if kind not in ("unit", "cost_ratio"):
+            raise ConfigError(f"unknown discount kind {kind!r}")
         # Written so that NaN fails too: it would pass through max/min as
         # gamma = 1.
-        if not 0 < self.epsilon <= 1:
-            raise ConfigError(f"discount epsilon must be in (0, 1], got {self.epsilon}")
+        if not 0 < epsilon <= 1:
+            raise ConfigError(f"discount epsilon must be in (0, 1], got {epsilon}")
+        self._init(kind, epsilon)
 
 
-@dataclass
-class BlameReport:
+class BlameReport(NamedTuple):
     p_a: float
     p_aprime: float
     delta: float

@@ -13,7 +13,6 @@ entry, is `main` followed by `gc.freeze()`.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import math
 import sys
@@ -67,7 +66,7 @@ def _write(text: str, out_path: str | None):
 
 def _blame_report_dict(report: BlameReport) -> dict:
     """The report's fields; flagged_fraction is left out when it is None."""
-    return {k: v for k, v in dataclasses.asdict(report).items() if v is not None}
+    return {k: v for k, v in report._asdict().items() if v is not None}
 
 
 def _discount_spec(args, model_discount: DiscountSpec | None = None) -> DiscountSpec:
@@ -76,7 +75,7 @@ def _discount_spec(args, model_discount: DiscountSpec | None = None) -> Discount
     spec = DiscountSpec(kind=args.discount) if args.discount else model_discount or DiscountSpec()
     if args.epsilon is None:
         return spec
-    return dataclasses.replace(spec, epsilon=args.epsilon)
+    return DiscountSpec(spec.kind, args.epsilon)
 
 
 def _lookup(mapping: dict, name: str, what: str, exc):
@@ -232,7 +231,10 @@ def cmd_metrics(args) -> dict:
         counts = metrics_mod.binary_counts(final, log.truth, positive)
         precision, recall, f1 = metrics_mod.precision_recall_f1(counts)
         scores[mode] = {
-            **dataclasses.asdict(counts), "precision": precision, "recall": recall, "f1": f1
+            **{name: getattr(counts, name) for name in counts._fields},
+            "precision": precision,
+            "recall": recall,
+            "f1": f1,
         }
     return {
         "config": {

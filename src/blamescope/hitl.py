@@ -13,60 +13,65 @@ the blame, the attribution and the F1 metrics all read that one result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .blame import BlameReport, DiscountSpec
 from .errors import ConfigError, DuplicateCaseId, EmptyCaseList
+from .record import Record, Value
 from .scm import Domain, EndogenousVar, ExogenousVar, OutcomeSpec, Scm
 
 # Outcome over the built model: final decision disagrees with the truth.
 HITL_OUTCOME = OutcomeSpec(clauses=((("ERR", "eq", "1"),),))
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(Value):
     """One row of a case log."""
 
-    id: str
-    ai_confidence: float
-    ai_decision: str
-    human_decision: str
-    truth: str
+    __slots__ = _fields = ("id", "ai_confidence", "ai_decision", "human_decision", "truth")
 
-    def __post_init__(self):
-        if not 0.0 <= self.ai_confidence <= 1.0:
-            raise ConfigError(
-                f"case {self.id!r}: confidence {self.ai_confidence} outside [0,1]"
-            )
-
-
-@dataclass(frozen=True)
-class FlagPolicy:
-    l: float
-    u: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.l < self.u <= 1.0):
-            raise ConfigError(f"flag thresholds need 0 <= l < u <= 1, got l={self.l}, u={self.u}")
+    def __init__(
+        self, id: str, ai_confidence: float, ai_decision: str, human_decision: str, truth: str
+    ):
+        if not 0.0 <= ai_confidence <= 1.0:
+            raise ConfigError(f"case {id!r}: confidence {ai_confidence} outside [0,1]")
+        # Set one by one, not by `_init`'s loop: `gen_synthetic` builds a
+        # Case per generated case, and the loop made one take 2.2 us, not
+        # 0.7 us, on one x86-64 Xeon core.
+        set_ = object.__setattr__
+        set_(self, "id", id)
+        set_(self, "ai_confidence", ai_confidence)
+        set_(self, "ai_decision", ai_decision)
+        set_(self, "human_decision", human_decision)
+        set_(self, "truth", truth)
 
 
-@dataclass(frozen=True, eq=False)
-class CaseLog:
+class FlagPolicy(Value):
+    __slots__ = _fields = ("l", "u")
+
+    def __init__(self, l: float, u: float):
+        if not (0.0 <= l < u <= 1.0):
+            raise ConfigError(f"flag thresholds need 0 <= l < u <= 1, got l={l}, u={u}")
+        self._init(l, u)
+
+
+class CaseLog(Record):
     """A case log in columns, one entry per case in log order.
 
     The three label columns hold codes into `labels`, the sorted set of
     every label that appears in any of them, however the labels were first
-    coded (see `from_columns`).
+    coded (see `from_columns`). `ai_confidence` is float64; the label
+    columns are arrays of codes.
     """
 
-    ids: list
-    ai_confidence: np.ndarray  # float64
-    labels: tuple
-    ai_decision: np.ndarray
-    human_decision: np.ndarray
-    truth: np.ndarray
+    __slots__ = _fields = (
+        "ids", "ai_confidence", "labels", "ai_decision", "human_decision", "truth"
+    )
+
+    def __init__(
+        self, ids: list, ai_confidence, labels: tuple, ai_decision, human_decision, truth
+    ):
+        self._init(ids, ai_confidence, labels, ai_decision, human_decision, truth)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -132,18 +137,16 @@ def first_duplicate(ids) -> int | None:
         seen.add(case_id)
 
 
-@dataclass(frozen=True, eq=False)
-class Decisions:
+class Decisions(Record):
     """The pipeline run once over a whole log. Each array has one entry per
     case in log order: whether the case was flagged, the final decision (a
     code into log.labels), and whether the pipeline and the human alone
     got the case wrong."""
 
-    log: CaseLog
-    flagged: np.ndarray
-    final: np.ndarray
-    error: np.ndarray
-    human_error: np.ndarray
+    __slots__ = _fields = ("log", "flagged", "final", "error", "human_error")
+
+    def __init__(self, log: CaseLog, flagged, final, error, human_error):
+        self._init(log, flagged, final, error, human_error)
 
 
 def flag(policy: FlagPolicy, p):

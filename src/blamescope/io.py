@@ -34,8 +34,8 @@ import io as _io
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from json.encoder import encode_basestring
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +71,7 @@ CASE_COLUMNS = ["case_id", "ai_confidence", "ai_decision", "human_decision", "tr
 RATING_COLUMNS = ["case_id", "rater_a", "rater_b"]
 
 
-@dataclass
-class ScmBundle:
+class ScmBundle(NamedTuple):
     """A model file's contents: the model plus named outcomes, cost models
     (each a tuple of (OutcomeSpec, value) terms, the form `expected_cost`
     reads) and the discount choice, and each named action's model M^a,

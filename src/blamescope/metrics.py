@@ -7,11 +7,10 @@ product of the observed marginals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateMarginals
+from .record import Record, Value
 
 # The most ordinal categories a confusion matrix may have. Its k x k counts
 # are allocated in full before any is read, so a larger k would ask for
@@ -19,24 +18,23 @@ from .errors import ConfigError, DataError, DegenerateMarginals
 MAX_CATEGORIES = 1000
 
 
-@dataclass(frozen=True, eq=False)
-class OrdinalConfusion:
-    """k x k count matrix; rows are rater 1, columns rater 2."""
+class OrdinalConfusion(Record):
+    """k x k count matrix; rows are rater 1, columns rater 2. `counts` holds
+    non-negative integers; nested sequences are converted to an array."""
 
-    k: int
-    counts: np.ndarray  # k x k non-negative integers; nested sequences are converted
+    __slots__ = _fields = ("k", "counts")
 
-    def __post_init__(self):
-        if self.k < 2:
+    def __init__(self, k: int, counts):
+        if k < 2:
             raise DataError("need at least 2 ordinal categories")
-        m = np.asarray(self.counts)
-        object.__setattr__(self, "counts", m)
-        if m.shape != (self.k, self.k):
-            raise DataError(f"count matrix must be {self.k}x{self.k}, got {m.shape}")
+        m = np.asarray(counts)
+        if m.shape != (k, k):
+            raise DataError(f"count matrix must be {k}x{k}, got {m.shape}")
         if (m < 0).any():
             raise DataError("confusion counts must be non-negative")
         if m.sum() < 1:
             raise DataError("confusion matrix is empty")
+        self._init(k, m)
 
     @classmethod
     def from_pairs(cls, pairs, k: int | None = None) -> "OrdinalConfusion":
@@ -60,18 +58,15 @@ class OrdinalConfusion:
         return cls(k=k, counts=m)
 
 
-@dataclass(frozen=True)
-class BinaryCounts:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
+class BinaryCounts(Value):
+    __slots__ = _fields = ("tp", "fp", "fn", "tn")
 
-    def __post_init__(self):
-        if min(self.tp, self.fp, self.fn, self.tn) < 0:
+    def __init__(self, tp: int, fp: int, fn: int, tn: int):
+        if min(tp, fp, fn, tn) < 0:
             raise DataError("binary counts must be non-negative")
-        if self.tp + self.fp + self.fn + self.tn < 1:
+        if tp + fp + fn + tn < 1:
             raise DataError("binary counts are all zero")
+        self._init(tp, fp, fn, tn)
 
 
 def qwk(m: OrdinalConfusion) -> float:

@@ -71,7 +71,7 @@ import graphlib
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,6 +90,7 @@ from .errors import (
     ValueOutOfDomain,
     ZeroProbabilityObservation,
 )
+from .record import Value
 
 PROB_TOL = 1e-9
 # Largest factor an exact query builds, in entries, and largest exogenous
@@ -129,24 +130,23 @@ _REFILL = 1 << 11
 _PACK_BITS = 64
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(Value):
     """Ordered finite set of distinct symbolic values. `codes` maps each
     value to its position; it is derived, so it is not an argument and is
     neither compared nor shown. An unhashable value is in no domain."""
 
-    values: tuple
-    codes: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("values", "codes")
+    _fields = ("values",)
 
-    def __post_init__(self):
-        if len(self.values) == 0:
+    def __init__(self, values: tuple):
+        if len(values) == 0:
             raise ValueOutOfDomain("domain must be non-empty")
-        codes = {value: code for code, value in enumerate(self.values)}
-        if len(codes) != len(self.values):
+        codes = {value: code for code, value in enumerate(values)}
+        if len(codes) != len(values):
             # A repeated value's code is its last position, not its first.
-            value = next(v for code, v in enumerate(self.values) if codes[v] != code)
+            value = next(v for code, v in enumerate(values) if codes[v] != code)
             raise ValueOutOfDomain(f"domain value {value!r} is not unique")
-        object.__setattr__(self, "codes", codes)
+        self._init(values, codes)
 
     def index(self, value) -> int:
         if value not in self:
@@ -163,23 +163,20 @@ class Domain:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class ExogenousVar:
+class ExogenousVar(NamedTuple):
     id: str
     domain: Domain
     dist: tuple  # probabilities aligned with domain.values
 
 
-@dataclass(frozen=True)
-class EndogenousVar:
+class EndogenousVar(NamedTuple):
     id: str
     domain: Domain
     parents: tuple  # parent variable ids, endogenous or exogenous
     mechanism: dict  # parent-value tuple -> value in domain
 
 
-@dataclass(frozen=True)
-class Scm:
+class Scm(Value):
     """A finite discrete acyclic SCM, checked and compiled when it is built.
 
     Construction raises CyclicGraph, DanglingParent, DuplicateVariable,
@@ -190,16 +187,15 @@ class Scm:
     is neither compared nor shown.
     """
 
-    exogenous: tuple
-    endogenous: tuple
-    tables: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("exogenous", "endogenous", "tables")
+    _fields = ("exogenous", "endogenous")
 
-    def __post_init__(self):
+    def __init__(self, exogenous: tuple, endogenous: tuple):
+        self._init(exogenous, endogenous)
         object.__setattr__(self, "tables", _compile(self))
 
 
-@dataclass(frozen=True)
-class OutcomeSpec:
+class OutcomeSpec(NamedTuple):
     """Disjunction of conjunctions of (var, comparator, value) literals.
 
     comparator is "eq" or "neq". An empty clause list is unsatisfiable.
@@ -213,8 +209,7 @@ class OutcomeSpec:
         return cls(clauses=(tuple((var, "eq", value) for var, value in pairs),))
 
 
-@dataclass(frozen=True)
-class NoisePosterior:
+class NoisePosterior(NamedTuple):
     """Posterior over exogenous joint assignments; support holds only
     positive-weight settings as (assignment, probability) pairs."""
 

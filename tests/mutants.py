@@ -32,6 +32,8 @@ TIMEOUT = 300  # seconds for one row's tests, which cuts off a mutant that never
 SCM = "src/blamescope/scm.py"
 IO = "src/blamescope/io.py"
 CLI = "src/blamescope/cli.py"
+BLAME = "src/blamescope/blame.py"
+RECORD = "src/blamescope/record.py"
 MEMORY = "tests/test_scm.py::test_mc_memory_skipping_column_holds_one_refill"
 SKIPPING = "tests/test_scm.py::test_mc_skipping_columns_match_one_stream"
 CDF_STEPS = "tests/test_scm.py::test_draw_at_cdf_steps"
@@ -146,6 +148,21 @@ MUTANTS = [
      'encoding = "utf-8" if mode == "w" else "utf-8-sig"',
      'encoding = "utf-8"',
      ["tests/test_io.py::test_byte_order_mark_is_skipped"]),
+    ("record_assignable", RECORD,
+     'raise AttributeError(f"cannot assign to field {name!r}")',
+     "object.__setattr__(self, name, value)",
+     ["tests/test_records.py::test_record_refuses_assignment",
+      "tests/test_scm.py::test_scm_is_frozen"]),
+    ("domain_compares_codes", SCM,
+     '_fields = ("values",)',
+     '_fields = ("values", "codes")',
+     ["tests/test_records.py::test_record_equality",
+      "tests/test_scm.py::test_domain_codes_are_positions_and_not_compared"]),
+    ("no_epsilon_check", BLAME,
+     "if not 0 < epsilon <= 1:",
+     "if False:",
+     ["tests/test_blame.py::test_discount_spec_rejects_bad_fields",
+      "tests/test_cli.py::test_blame_bad_epsilon_without_discount"]),
     ("empty_positive_refused", CLI,
      "or args.positive is None:",
      "or not args.positive:",

@@ -1,5 +1,5 @@
 import copy
-import dataclasses
+import inspect
 import itertools
 import math
 import operator
@@ -81,7 +81,7 @@ def test_validate_xor_ok(xor):
 
 
 def test_scm_is_frozen(xor):
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         xor.exogenous = ()
 
 
@@ -91,7 +91,7 @@ def test_domain_codes_are_positions_and_not_compared():
     assert [domain.index(v) for v in domain.values] == [0, 1, 2]
     assert domain == Domain(("b", "a", "c")) and hash(domain) == hash(Domain(("b", "a", "c")))
     assert "codes" not in repr(domain)
-    assert [f.name for f in dataclasses.fields(domain) if f.init] == ["values"]
+    assert list(inspect.signature(Domain).parameters) == ["values"]
 
 
 def test_domain_errors_name_the_value_not_the_domain():
@@ -163,15 +163,13 @@ def test_validate_partial_mechanism():
 
 def test_replace_checks_again(xor):
     with pytest.raises(DanglingParent, match="NOPE"):
-        dataclasses.replace(
-            xor, endogenous=(EndogenousVar("X", Domain(BITS), ("NOPE",), {("0",): "0"}),)
-        )
+        apply_action(xor, {"X": (("NOPE",), {("0",): "0"})}, "bad")
 
 
 def test_tables_not_compared_or_shown(xor):
     assert xor == scm_mod.Scm(xor.exogenous, xor.endogenous)
     assert "tables" not in repr(xor)
-    assert [f.name for f in dataclasses.fields(xor) if f.init] == ["exogenous", "endogenous"]
+    assert list(inspect.signature(Scm).parameters) == ["exogenous", "endogenous"]
 
 
 @pytest.mark.parametrize(
