@@ -46,7 +46,8 @@ over `fractions.Fraction` equal to brute-force enumeration.
 `_solve_codes` applies mechanisms to exogenous codes (scalars or arrays): it
 plans the solve (`_plan_solve`), which reads only the ancestors of the
 variables its caller reads, and runs the plan (`_solve_planned`), which
-drops every other column, exogenous ones included, after its last reader.
+takes each exogenous column just before its first reader and drops every
+other column, exogenous ones included, after its last reader.
 `_lookup` reads a table at array codes as shifts of one packed integer
 when its entries times the bits of one output code fit `_PACK_BITS`
 (`_pack`), and otherwise, and at scalar codes, through one flat index held
@@ -55,11 +56,15 @@ outcome, observation and cost literals as one DNF mask. The Monte Carlo
 estimator plans its solve once, draws the codes of the exogenous variables
 the outcome depends on, and no others, and solves them in blocks of
 `_BLOCK` samples, so its memory does not grow with the sample count, which
-`MAX_SAMPLES` caps. Each variable's codes come from its own column
-(`_column`), which fixes how they are drawn and from which stream of the
-seed: by skipping to the rare values of skewed noise, or by `_draw`, with
-the uniforms and codes of `Generator.choice`. `abduct` lists the
-posterior over a grid of the whole exogenous joint space, of at most
+`MAX_SAMPLES` caps. In each block a column is drawn when its first reader
+runs and held until its last, so the memory follows the columns live at
+one step, not the model's width: on a chain of fair bits the arrays peak
+at about 13 blocks at 24 bits and 13.5 at 48, against 35 and 60 when
+every column was drawn before the solve. Each variable's codes come from
+its own column (`_column`), which fixes how they are drawn and from which
+stream of the seed: by skipping to the rare values of skewed noise, or by
+`_draw`, with the uniforms and codes of `Generator.choice`. `abduct` lists
+the posterior over a grid of the whole exogenous joint space, of at most
 `MAX_STATES` settings. An intervention do(X = x) and an action's overrides
 are the same rewrite, `_rewire`: do(X = x) gives X no parents and the
 constant mechanism x.
@@ -99,9 +104,13 @@ MAX_STATES = 1 << 24
 # Most samples one Monte Carlo estimate draws: a fixed cap, not a parameter.
 MAX_SAMPLES = 1 << 32
 # Samples the Monte Carlo estimator draws and solves at once, so its memory
-# does not grow with the sample count. Set by measurement: at 10^6 samples
-# on a 24-bit binary chain on one x86-64 Xeon core, blocks of 2^14 and 2^18
-# took 1.1x and 1.5x the time of 2^16, and 2^12 took 1.9x.
+# does not grow with the sample count. Set by measurement, with each column
+# drawn at its first reader: at 10^6 samples on 24-bit binary chains on one
+# x86-64 Xeon core (the better of two medians of 9), blocks of 2^12, 2^14,
+# 2^15 and 2^18 took 2.0x, 1.2x, 1.06x and 1.06x the time of 2^16 on fair
+# bits, and 3.2x, 1.5x, 1.1x and 1.4x on bits that skip (P(1) in
+# [0.01, 0.05]); 2^17 took 0.94-0.99x but raised the peak resident set by
+# 0.2-0.5 MB.
 _BLOCK = 1 << 16
 # Widest domain whose Monte Carlo draws compare each sample with every CDF
 # step; wider ones binary-search the CDF. Set by measurement: at 10^6
@@ -347,11 +356,12 @@ def _lookup(lut: np.ndarray, packed, parent_codes):
 
 def _plan_solve(scm: Scm, keep) -> tuple:
     """How `_solve_planned` finds the codes of the variables in `keep`:
-    (steps, read). A step (id, parents, table, packed table, dropped)
-    solves one endogenous variable in `keep` or one of their endogenous
-    ancestors, in model order; `dropped` lists the parents that no later
-    step reads and `keep` leaves out. `read` holds every variable a step
-    reads and every variable in `keep`."""
+    (steps, kept). A step (id, parents, table, packed table, first,
+    dropped) solves one endogenous variable in `keep` or one of their
+    endogenous ancestors, in model order; `first` lists the exogenous
+    parents that no earlier step reads, and `dropped` the parents that no
+    later step reads and `keep` leaves out. `kept` lists the exogenous
+    variables in `keep` that no step reads."""
     needed = set(keep)
     steps = []
     for vid, parents, lut in reversed(scm.tables):
@@ -359,24 +369,33 @@ def _plan_solve(scm: Scm, keep) -> tuple:
             needed.update(parents)
             steps.append((vid, parents, lut))
     steps.reverse()
-    last = {p: i for i, (_, parents, _) in enumerate(steps) for p in parents}
+    solved, first, last = {vid for vid, _, _ in steps}, {}, {}
+    for i, (_, parents, _) in enumerate(steps):
+        for p in parents:
+            first.setdefault(p, i)
+            last[p] = i
     sizes = {v.id: len(v.domain) for v in scm.endogenous}
     return [
         (vid, parents, lut, _pack(lut, sizes[vid]),
+         [p for p in parents if first[p] == i and p not in solved],
          [p for p in parents if last[p] == i and p not in keep])
         for i, (vid, parents, lut) in enumerate(steps)
-    ], needed
+    ], [v for v in keep if v not in solved and v not in last]
 
 
-def _solve_planned(plan: tuple, codes: dict) -> dict:
-    """The codes a plan (`_plan_solve`) keeps, from exogenous codes (scalars
-    or arrays that broadcast together). Every other column, exogenous ones
-    included, is dropped after its last reader; the caller's dict is left
-    as it is, and need hold only the exogenous variables the plan reads.
-    This is the only place mechanisms are applied to codes."""
-    steps, read = plan
-    codes = {v: c for v, c in codes.items() if v in read}
-    for vid, parents, lut, packed, dropped in steps:
+def _solve_planned(plan: tuple, code) -> dict:
+    """The codes a plan (`_plan_solve`) keeps. `code(v)` gives exogenous
+    variable v's codes (scalars or arrays that broadcast together); it is
+    called once for each exogenous variable the plan reads, just before the
+    first step that reads it, so a column is held only from its first
+    reader to its last, after which it is dropped, as is every other column
+    `keep` leaves out. This is the only place mechanisms are applied to
+    codes."""
+    steps, kept = plan
+    codes = {v: code(v) for v in kept}
+    for vid, parents, lut, packed, first, dropped in steps:
+        for p in first:
+            codes[p] = code(p)
         codes[vid] = _lookup(lut, packed, [codes[p] for p in parents])
         for p in dropped:
             del codes[p]
@@ -386,8 +405,9 @@ def _solve_planned(plan: tuple, codes: dict) -> dict:
 def _solve_codes(scm: Scm, codes: dict, keep) -> dict:
     """The codes of the variables in `keep`, from exogenous codes (scalars
     or arrays that broadcast together): only their ancestors are solved
-    (`_plan_solve`, `_solve_planned`)."""
-    return _solve_planned(_plan_solve(scm, keep), codes)
+    (`_plan_solve`, `_solve_planned`), and the caller's dict is left as it
+    is."""
+    return _solve_planned(_plan_solve(scm, keep), codes.__getitem__)
 
 
 def _holds(clauses, env, shape=()) -> np.ndarray:
@@ -815,27 +835,28 @@ def event_probability_mc(
     samples). The solve is planned once (`_plan_solve`), then samples are
     drawn and solved `_BLOCK` at a time, and only the exogenous variables
     the outcome's variables depend on are drawn, each from its own column
-    (`_column`)."""
+    (`_column`). The solve draws each column's block when its first reader
+    runs and drops it after its last, so the memory held at once follows
+    the columns live at one step, not the model's width."""
     if samples < 1:
         raise ValueOutOfDomain("samples must be >= 1")
     if samples > MAX_SAMPLES:
         raise SampleCountTooLarge(f"{samples} samples exceed the cap of {MAX_SAMPLES}")
     clauses = _encode(scm, phi, "outcome")
     plan = _plan_solve(scm, _variables(clauses))
+    read = {p for *_, first, _ in plan[0] for p in first}
     columns = {ex.id: _column(ex, j, seed, samples)
-               for j, ex in enumerate(scm.exogenous) if ex.id in plan[1]}
+               for j, ex in enumerate(scm.exogenous) if ex.id in read}
     hits = 0
     try:
         for start in range(0, samples, _BLOCK):
             block = min(_BLOCK, samples - start)
-            # No name holds the draws, so each column is freed after its
-            # last reader.
-            codes = _solve_planned(plan, {v: next(column) for v, column in columns.items()})
+            codes = _solve_planned(plan, lambda v: next(columns[v]))
             hits += int(np.count_nonzero(_holds(clauses, codes, (block,))))
     except MemoryError:
         raise SampleCountTooLarge(
-            f"not enough memory for blocks of {_BLOCK} samples of "
-            f"{len(columns)} exogenous variables"
+            f"not enough memory to hold a block of {_BLOCK} samples of each "
+            "column live at one step of the solve"
         ) from None
     return hits / samples
 

@@ -15,6 +15,7 @@ from blamescope.hitl import (
     human_only_action,
     run,
 )
+from blamescope import scm as scm_mod
 from blamescope.scm import Domain, EndogenousVar, ExogenousVar, OutcomeSpec, Scm, validate
 
 BITS = ("0", "1")
@@ -227,6 +228,20 @@ def pairwise_xor_scm(n: int):
             for i, j in itertools.combinations(range(n), 2)
         ),
     )
+
+
+def lookup_out_of_memory(monkeypatch, after: int):
+    """Makes every `scm._lookup` past the first `after` raise MemoryError,
+    as an allocation that does not fit would."""
+    lookup, calls = scm_mod._lookup, []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) > after:
+            raise MemoryError
+        return lookup(*args)
+
+    monkeypatch.setattr(scm_mod, "_lookup", failing)
 
 
 def oracle_models(rng: random.Random, n_random=60):

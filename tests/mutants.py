@@ -120,6 +120,15 @@ MUTANTS = [
      "        kept = [*(kept[-1:] if start else []), _fill(block, others.dtype.type(mode), "
      "exceptions)]\n        yield kept[-1]\n",
      ["tests/test_scm.py::test_mc_memory_live_columns_when_skipping"]),
+    ("every_column_drawn_at_block_start", SCM,
+     "codes = _solve_planned(plan, lambda v: next(columns[v]))",
+     "codes = _solve_planned(plan, {v: next(c) for v, c in columns.items()}.__getitem__)",
+     ["tests/test_scm.py::test_mc_memory_does_not_grow_with_width"]),
+    ("out_of_memory_not_mapped", SCM,
+     "    except MemoryError:\n        raise SampleCountTooLarge(",
+     "    except ():\n        raise SampleCountTooLarge(",
+     ["tests/test_scm.py::test_mc_out_of_memory_is_sample_count_too_large",
+      "tests/test_cli.py::test_prob_out_of_memory_mid_estimate"]),
     ("merge_skips_two_boxes", SCM,
      "if len(boxes) < 2:",
      "if len(boxes) < 3:",

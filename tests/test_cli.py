@@ -22,7 +22,7 @@ from blamescope.errors import ConfigError
 from blamescope.io import CASE_COLUMNS, dump_cases
 from blamescope.synthetic import MAX_CASES, gen_synthetic
 
-from conftest import pairwise_xor_scm
+from conftest import lookup_out_of_memory, pairwise_xor_scm
 
 CYCLIC_SCM = {
     "schema": "blamescope/scm/1",
@@ -959,6 +959,17 @@ def test_prob_samples_beyond_memory(capsys):
     error = _strict_json(err)
     assert error["error"] == "SampleCountTooLarge"
     assert "1000000000000 samples" in error["message"]
+
+
+def test_prob_out_of_memory_mid_estimate(capsys, monkeypatch):
+    """A MemoryError after the first block of an estimate exits 2 with
+    `SampleCountTooLarge` as JSON on stderr."""
+    lookup_out_of_memory(monkeypatch, after=4)
+    code, out, err = run_cli(capsys, *_PROB, "--samples", "200000")
+    assert (code, out) == (2, "")
+    error = _strict_json(err)
+    assert error["error"] == "SampleCountTooLarge"
+    assert error["message"].startswith("not enough memory")
 
 
 def test_exact_prob_past_the_cap_exits_4(capsys, tmp_path):

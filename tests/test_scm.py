@@ -50,6 +50,7 @@ from blamescope.scm import (
 from conftest import (
     WIDE_DOMAIN_SIZES,
     cost_model,
+    lookup_out_of_memory,
     oracle_models,
     pairwise_xor_scm,
     random_noise,
@@ -554,9 +555,9 @@ def _skewed_chain() -> Scm:
 
 
 def _mc_peak(scm: Scm, samples: int) -> int:
-    """The traced peak of one estimate of P(X23 = 1) on a 24-bit chain,
+    """The traced peak of one estimate of P(last bit = 1) on a chain,
     after an untraced estimate has made numpy's first-use allocations."""
-    phi = OutcomeSpec(((("X23", "eq", "1"),),))
+    phi = OutcomeSpec((((scm.endogenous[-1].id, "eq", "1"),),))
     event_probability_mc(scm, phi, samples=1_000, seed=1)
     tracemalloc.start()
     try:
@@ -587,14 +588,36 @@ def test_mc_matches_oracle_within_standard_errors():
 
 
 def test_mc_memory_live_columns():
-    """Each column is dropped after its last reader, and no column keeps a
-    block it has handed out, so on the 24-bit chain the traced peak stays
-    under one block of one-byte codes per exogenous column plus 16 blocks:
-    the uniforms of one column (8 of them), the shift amounts of a packed
-    table read and a few live columns. It measures about 35 blocks; one
-    block more per column would make it about 59."""
+    """Each column is drawn when its first reader runs and dropped after
+    its last, and no column keeps a block it has handed out, so on the
+    24-bit chain the traced peak stays under one block of one-byte codes
+    per exogenous column plus 16 blocks. It measures about 13 blocks: the
+    uniforms of the column being drawn (8 of them), the shift amounts of a
+    packed table read and a few live columns. Drawing every column at the
+    top of each block made it about 35, and one block more per column
+    about 59."""
     scm = _xor_chain(24)
     assert _mc_peak(scm, 200_000) <= (len(scm.exogenous) + 16) * scm_mod._BLOCK
+
+
+def test_mc_memory_does_not_grow_with_width():
+    """A column lives only from its first reader to its last, so on a
+    chain, where each column has one reader, the traced peak of P(last
+    bit = 1) on 48 fair bits is within 10% of that on 24 (about 13.5
+    against 12.8 blocks). Drawing every column at the top of each block
+    made them about 60 and 35."""
+    peaks = [_mc_peak(_xor_chain(bits), 200_000) for bits in (24, 48)]
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_mc_out_of_memory_is_sample_count_too_large(monkeypatch):
+    """A MemoryError in the middle of an estimate, after a whole block has
+    been solved, is refused as SampleCountTooLarge, with no traceback."""
+    scm = _xor_chain(24)
+    phi = OutcomeSpec(((("X23", "eq", "1"),),))
+    lookup_out_of_memory(monkeypatch, after=30)
+    with pytest.raises(SampleCountTooLarge, match=f"^not enough memory .* {scm_mod._BLOCK} "):
+        event_probability_mc(scm, phi, samples=4 * scm_mod._BLOCK, seed=1)
 
 
 def test_mc_memory_live_columns_when_skipping():
