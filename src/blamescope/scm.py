@@ -43,11 +43,11 @@ true 0 from one that underflowed, which is refused (`FloatUnderflow`).
 The float sums are not correctly rounded; the tests hold the same query
 over `fractions.Fraction` equal to brute-force enumeration.
 
-`_solve_codes` applies mechanisms to exogenous codes (scalars or arrays): it
-plans the solve (`_plan_solve`), which reads only the ancestors of the
-variables its caller reads, and runs the plan (`_solve_planned`), which
-takes each exogenous column just before its first reader and drops every
-other column, exogenous ones included, after its last reader.
+Mechanisms are applied to exogenous codes (scalars or arrays) in two parts:
+a plan (`_plan_solve`), which reads only the ancestors of the variables its
+caller reads, and its runner (`_solve_planned`), which takes each exogenous
+column just before its first reader and drops every other column,
+exogenous ones included, after its last reader.
 `_lookup` reads a table at array codes as shifts of one packed integer
 when its entries times the bits of one output code fit `_PACK_BITS`
 (`_pack`), and otherwise, and at scalar codes, through one flat index held
@@ -354,14 +354,13 @@ def _lookup(lut: np.ndarray, packed, parent_codes):
     return np.take(lut.ravel(), idx)
 
 
-def _plan_solve(scm: Scm, keep) -> tuple:
-    """How `_solve_planned` finds the codes of the variables in `keep`:
-    (steps, kept). A step (id, parents, table, packed table, first,
-    dropped) solves one endogenous variable in `keep` or one of their
+def _plan_solve(scm: Scm, keep) -> list:
+    """The steps by which `_solve_planned` finds the codes of the variables
+    in `keep`, which are endogenous ids. A step (id, parents, table, packed
+    table, first, dropped) solves one variable in `keep` or one of their
     endogenous ancestors, in model order; `first` lists the exogenous
     parents that no earlier step reads, and `dropped` the parents that no
-    later step reads and `keep` leaves out. `kept` lists the exogenous
-    variables in `keep` that no step reads."""
+    later step reads and `keep` leaves out."""
     needed = set(keep)
     steps = []
     for vid, parents, lut in reversed(scm.tables):
@@ -380,34 +379,25 @@ def _plan_solve(scm: Scm, keep) -> tuple:
          [p for p in parents if first[p] == i and p not in solved],
          [p for p in parents if last[p] == i and p not in keep])
         for i, (vid, parents, lut) in enumerate(steps)
-    ], [v for v in keep if v not in solved and v not in last]
+    ]
 
 
-def _solve_planned(plan: tuple, code) -> dict:
-    """The codes a plan (`_plan_solve`) keeps. `code(v)` gives exogenous
-    variable v's codes (scalars or arrays that broadcast together); it is
-    called once for each exogenous variable the plan reads, just before the
-    first step that reads it, so a column is held only from its first
-    reader to its last, after which it is dropped, as is every other column
-    `keep` leaves out. This is the only place mechanisms are applied to
-    codes."""
-    steps, kept = plan
-    codes = {v: code(v) for v in kept}
-    for vid, parents, lut, packed, first, dropped in steps:
+def _solve_planned(plan: list, code) -> dict:
+    """The codes of the variables a plan (`_plan_solve`) keeps. `code(v)`
+    gives exogenous variable v's codes (scalars or arrays that broadcast
+    together); it is called once for each exogenous variable the plan
+    reads, just before the first step that reads it, so a column is held
+    only from its first reader to its last, after which it is dropped, as
+    is every other column `keep` leaves out. This is the only place
+    mechanisms are applied to codes."""
+    codes = {}
+    for vid, parents, lut, packed, first, dropped in plan:
         for p in first:
             codes[p] = code(p)
         codes[vid] = _lookup(lut, packed, [codes[p] for p in parents])
         for p in dropped:
             del codes[p]
     return codes
-
-
-def _solve_codes(scm: Scm, codes: dict, keep) -> dict:
-    """The codes of the variables in `keep`, from exogenous codes (scalars
-    or arrays that broadcast together): only their ancestors are solved
-    (`_plan_solve`, `_solve_planned`), and the caller's dict is left as it
-    is."""
-    return _solve_planned(_plan_solve(scm, keep), codes.__getitem__)
 
 
 def _holds(clauses, env, shape=()) -> np.ndarray:
@@ -460,9 +450,8 @@ def solve(scm: Scm, e: dict) -> dict:
         if ex.id not in e:
             raise IncompleteExogenousAssignment(f"missing exogenous value for {ex.id!r}")
     domains = {v.id: v.domain for v in scm.endogenous}
-    codes = _solve_codes(
-        scm, {ex.id: ex.domain.index(e[ex.id]) for ex in scm.exogenous}, domains
-    )
+    codes = {ex.id: ex.domain.index(e[ex.id]) for ex in scm.exogenous}
+    codes = _solve_planned(_plan_solve(scm, domains), codes.__getitem__)
     return {vid: domains[vid].values[codes[vid]] for vid, _, _ in scm.tables}
 
 
@@ -844,7 +833,7 @@ def event_probability_mc(
         raise SampleCountTooLarge(f"{samples} samples exceed the cap of {MAX_SAMPLES}")
     clauses = _encode(scm, phi, "outcome")
     plan = _plan_solve(scm, _variables(clauses))
-    read = {p for *_, first, _ in plan[0] for p in first}
+    read = {p for *_, first, _ in plan for p in first}
     columns = {ex.id: _column(ex, j, seed, samples)
                for j, ex in enumerate(scm.exogenous) if ex.id in read}
     hits = 0
@@ -907,7 +896,8 @@ def abduct(scm: Scm, observation: dict) -> NoisePosterior:
         code = grid.get(ex.id, 0)
         weights = weights * np.asarray(ex.dist, dtype=float)[code]
         codes[ex.id] = np.asarray(code).astype(_code_dtype(ex.domain))
-    held = _holds(seen, _solve_codes(scm, codes, _variables(seen)), sizes) & (weights > 0)
+    plan = _plan_solve(scm, _variables(seen))
+    held = _holds(seen, _solve_planned(plan, codes.__getitem__), sizes) & (weights > 0)
     support = []
     for row, p in zip(np.argwhere(held).tolist(), weights[held].tolist()):
         row = dict(zip(grid, row))

@@ -1680,11 +1680,16 @@ def test_probability_of_a_near_sure_outcome_is_at_most_one():
     assert abs(got - brute_event_probability(scm, phi)) <= 1e-12
 
 
-def test_solve_codes_keeps_only_what_is_read():
-    """Solving for a subset of variables gives the full solve's codes on
-    exactly that subset, and leaves the caller's codes untouched."""
+def test_solve_plan_keeps_only_what_is_read():
+    """Solving for a subset of the endogenous variables gives the full
+    solve's codes on exactly that subset, and leaves the caller's codes
+    untouched."""
     rng = random.Random(21)
     gen = np.random.default_rng(21)
+
+    def solved(scm, codes, keep):
+        return scm_mod._solve_planned(scm_mod._plan_solve(scm, keep), codes.__getitem__)
+
     for _ in range(200):
         scm = random_scm(rng, max_exo=8, max_endo=6)
         codes = {
@@ -1692,11 +1697,11 @@ def test_solve_codes_keeps_only_what_is_read():
             for ex in scm.exogenous
         }
         given = dict(codes)
-        ids = list(codes) + [vid for vid, _, _ in scm.tables]
-        full = scm_mod._solve_codes(scm, codes, ids)
+        ids = [vid for vid, _, _ in scm.tables]
+        full = solved(scm, codes, ids)
         for _ in range(3):
             keep = set(rng.sample(ids, rng.randint(1, len(ids))))
-            got = scm_mod._solve_codes(scm, codes, keep)
+            got = solved(scm, codes, keep)
             assert set(got) == keep
             for var in keep:
                 assert np.array_equal(got[var], full[var])
