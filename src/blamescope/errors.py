@@ -105,6 +105,10 @@ class NonFiniteNumber(DataError):
     pass
 
 
+class IntegerTooLong(DataError):
+    pass
+
+
 # -- configuration errors ---------------------------------------------------
 
 class UnknownOutcome(ConfigError):

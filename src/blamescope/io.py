@@ -34,6 +34,7 @@ import io as _io
 import itertools
 import json
 import math
+import sys
 from json.encoder import encode_basestring
 from typing import NamedTuple
 
@@ -47,6 +48,7 @@ from .errors import (
     DuplicateVariable,
     EmptyCaseList,
     FileNotFound,
+    IntegerTooLong,
     MalformedRow,
     NonFiniteNumber,
     SchemaViolation,
@@ -562,7 +564,13 @@ def _canon(obj, out):
     elif obj is False:
         out.append("false")
     elif isinstance(obj, int):
-        out.append(str(obj))
+        try:
+            out.append(str(obj))
+        except ValueError:  # past the digits Python writes an integer in
+            raise IntegerTooLong(
+                f"cannot write an integer of {obj.bit_length()} bits as JSON, past "
+                f"Python's limit of {sys.get_int_max_str_digits()} decimal digits"
+            ) from None
     elif isinstance(obj, float):
         if not math.isfinite(obj):
             raise NonFiniteNumber(f"cannot write {obj} as JSON")
@@ -593,7 +601,9 @@ def _canon(obj, out):
 
 def canonical_dumps(obj) -> str:
     """Deterministic JSON: sorted keys, 12-significant-digit floats. A NaN
-    or infinite float raises NonFiniteNumber, as JSON has no such number."""
+    or infinite float raises NonFiniteNumber, as JSON has no such number,
+    and an integer past the decimal digits Python writes raises
+    IntegerTooLong."""
     out = []
     _canon(obj, out)
     out.append("\n")

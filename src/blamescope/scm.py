@@ -4,7 +4,7 @@ Variables take values in small symbolic domains. Endogenous mechanisms are
 explicit lookup tables, so a model is fully serializable and every exact
 query is a sum-product over the exogenous joint space.
 
-A model is checked and compiled once, when it is built: `Scm.__post_init__`
+A model is checked and compiled once, when it is built: `Scm.__init__`
 runs `_compile`, which validates the model and turns each mechanism into an
 index-coded lookup table in the same pass, and keeps the tables on the
 instance, so any `Scm` that exists is valid and no query checks it again. A
@@ -72,6 +72,7 @@ constant mechanism x.
 
 from __future__ import annotations
 
+import collections
 import graphlib
 import itertools
 import math
@@ -243,9 +244,9 @@ def _compile(scm: Scm):
     endogenous variable in topological order, where the table maps parent
     codes to the variable's code. The parent ids are the distinct parents
     with more than one value, one table axis each."""
-    ids = [v.id for v in scm.exogenous] + [v.id for v in scm.endogenous]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+    ids = collections.Counter(v.id for v in itertools.chain(scm.exogenous, scm.endogenous))
+    if ids.total() != len(ids):
+        dupes = sorted(i for i, n in ids.items() if n > 1)
         raise DuplicateVariable(f"duplicate variable ids: {dupes}")
 
     for ex in scm.exogenous:
@@ -455,10 +456,20 @@ def solve(scm: Scm, e: dict) -> dict:
     return {vid: domains[vid].values[codes[vid]] for vid, _, _ in scm.tables}
 
 
+def _count(n: int) -> str:
+    """The positive integer n in decimal, or, past the digits Python writes
+    an integer in (`sys.get_int_max_str_digits`), by its power of two."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() - 1
+        return f"2^{k}" if n == 1 << k else f"more than 2^{k}"
+
+
 def _check_factor(entries: int, needs="exact query needs a factor of {} entries"):
     if entries > MAX_STATES:
         raise StateSpaceTooLarge(
-            f"{needs.format(entries)} (cap {MAX_STATES}); "
+            f"{needs.format(_count(entries))} (cap {MAX_STATES}); "
             "estimate an outcome probability with `prob --samples N` instead"
         )
 
@@ -638,7 +649,9 @@ def _disjoint(clauses, sizes: dict) -> list:
     boxes = [_unary(clause, sizes) for clause in clauses]
     boxes = [box for box in boxes if all(w.any() for w in box.values())]
     if math.prod(min(sizes[v], len(codes) + 1) for v, codes in targets.items()) > MAX_STATES:
-        pieces = sum(math.prod(map(len, boxes[:i])) for i in range(len(boxes)))
+        pieces, before = 0, 1  # before: the product of the counts of C1 ... Ci-1
+        for box in boxes:
+            pieces, before = pieces + before, before * len(box)
         _check_factor(pieces * sum(sizes[v] for v in targets))
     boxes, pieces = _merge(boxes), []
     for i, box in enumerate(boxes):
@@ -716,11 +729,15 @@ def _query(scm: Scm, terms, what: str, observation=None, interventions=(), weigh
         count, support = _query(scm, terms, what, observation, interventions, lambda x: int(x > 0))
         for name, x, n in (("P(observation)", total, support), (figure, e, count)):
             if x is not None and x < sys.float_info.min and (x or n):
-                raise FloatUnderflow(
-                    f"{name} is positive but {x!r} in floats, below the normal range "
-                    f"(from {sys.float_info.min!r}), where the float result has no bound"
-                )
+                raise _underflow(name, x)
     return e, total
+
+
+def _underflow(name: str, x: float) -> FloatUnderflow:
+    return FloatUnderflow(
+        f"{name} is positive but {x!r} in floats, below the normal range "
+        f"(from {sys.float_info.min!r}), where the float result has no bound"
+    )
 
 
 def event_probability(scm: Scm, phi: OutcomeSpec) -> float:
@@ -885,7 +902,10 @@ def intervene(scm: Scm, bindings: dict) -> Scm:
 def abduct(scm: Scm, observation: dict) -> NoisePosterior:
     """Posterior over exogenous joint settings consistent with a (possibly
     partial) endogenous observation, over a grid of the whole exogenous
-    joint space: at most MAX_STATES settings."""
+    joint space: at most MAX_STATES settings. A possible observation whose
+    probability is below the normal float range raises FloatUnderflow, as
+    in every exact query, and only an impossible one
+    ZeroProbabilityObservation."""
     seen = _encode(scm, OutcomeSpec.conjunction(observation.items()), "observation")
     multi = [ex for ex in scm.exogenous if len(ex.domain) > 1]
     sizes = tuple(len(ex.domain) for ex in multi)
@@ -897,15 +917,22 @@ def abduct(scm: Scm, observation: dict) -> NoisePosterior:
         weights = weights * np.asarray(ex.dist, dtype=float)[code]
         codes[ex.id] = np.asarray(code).astype(_code_dtype(ex.domain))
     plan = _plan_solve(scm, _variables(seen))
-    held = _holds(seen, _solve_planned(plan, codes.__getitem__), sizes) & (weights > 0)
+    held = _holds(seen, _solve_planned(plan, codes.__getitem__), sizes)
+    listed = held & (weights > 0)
     support = []
-    for row, p in zip(np.argwhere(held).tolist(), weights[held].tolist()):
+    for row, p in zip(np.argwhere(listed).tolist(), weights[listed].tolist()):
         row = dict(zip(grid, row))
         support.append(
             ({ex.id: ex.domain.values[row.get(ex.id, 0)] for ex in scm.exogenous}, p)
         )
     total = math.fsum(p for _, p in support)
-    if total == 0:
+    if total < sys.float_info.min:
+        # The product of the priors may underflow: a setting is possible
+        # when each of its priors is positive.
+        for ex in scm.exogenous:
+            held = held & (np.asarray(ex.dist) > 0)[grid.get(ex.id, 0)]
+        if held.any():
+            raise _underflow("P(observation)", total)
         raise ZeroProbabilityObservation(
             f"observation {observation!r} is impossible under the model"
         )

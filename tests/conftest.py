@@ -52,6 +52,16 @@ def xor():
     return xor_scm()
 
 
+@pytest.fixture
+def int_digit_limit():
+    """Python's default limit on the decimal digits of an integer it writes,
+    4300, held for one test whatever the interpreter was started with."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(limit)
+
+
 def random_scm(rng: random.Random, max_exo=6, max_endo=4):
     """Random acyclic binary SCM: parents are drawn only from earlier
     variables, so acyclicity holds by construction."""

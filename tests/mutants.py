@@ -34,9 +34,15 @@ IO = "src/blamescope/io.py"
 CLI = "src/blamescope/cli.py"
 BLAME = "src/blamescope/blame.py"
 RECORD = "src/blamescope/record.py"
+HITL = "src/blamescope/hitl.py"
+METRICS = "src/blamescope/metrics.py"
+SYNTHETIC = "src/blamescope/synthetic.py"
 MEMORY = "tests/test_scm.py::test_mc_memory_skipping_column_holds_one_refill"
 SKIPPING = "tests/test_scm.py::test_mc_skipping_columns_match_one_stream"
 CDF_STEPS = "tests/test_scm.py::test_draw_at_cdf_steps"
+ABDUCT_UNDERFLOW = "tests/test_scm.py::test_abduct_underflowing_observation"
+ORDINAL = "tests/test_metrics.py::test_ordinal_confusion_refuses_bad_counts"
+BINARY = "tests/test_metrics.py::test_binary_counts_refuse_bad_counts"
 UNDERFLOW = "tests/test_cli.py::test_figure_below_the_normal_float_range_is_refused"
 TWICE = [
     *(f"tests/test_cli.py::test_bad_input_file[scm_action_overrides_twice{suffix}]"
@@ -176,6 +182,80 @@ MUTANTS = [
      "or args.positive is None:",
      "or not args.positive:",
      ["tests/test_cli.py::test_metrics_empty_positive_is_an_absent_label"]),
+    ("abduct_underflow_called_impossible", SCM,
+     '        if held.any():\n            raise _underflow("P(observation)", total)',
+     '        if False:\n            raise _underflow("P(observation)", total)',
+     [ABDUCT_UNDERFLOW]),
+    ("abduct_zero_prior_called_possible", SCM,
+     "            held = held & (np.asarray(ex.dist) > 0)[grid.get(ex.id, 0)]",
+     "            pass",
+     [ABDUCT_UNDERFLOW]),
+    ("long_integer_not_refused", IO,
+     "        except ValueError:  # past the digits Python writes an integer in",
+     "        except ():",
+     ["tests/test_cli.py::test_count_past_the_int_digit_limit_is_refused"]),
+    ("long_count_not_named_by_its_power_of_two", SCM,
+     "        return str(n)\n    except ValueError:",
+     "        return str(n)\n    except ():",
+     ["tests/test_cli.py::test_piece_bound_past_the_int_digit_limit_is_refused",
+      "tests/test_scm.py::test_joint_space_past_the_int_digit_limit_named_by_its_power_of_two"]),
+    ("power_of_two_not_told_apart", SCM,
+     'return f"2^{k}" if n == 1 << k else f"more than 2^{k}"',
+     'return f"more than 2^{k}"',
+     ["tests/test_scm.py::test_joint_space_past_the_int_digit_limit_named_by_its_power_of_two"]),
+    ("empty_domain_allowed", SCM,
+     "        if len(values) == 0:\n",
+     "        if False:\n",
+     ["tests/test_cli.py::test_bad_input_file[scm_empty_domain]"]),
+    ("missing_entry_not_named", SCM,
+     "            if combo not in en.mechanism:\n",
+     "            if False:\n",
+     ["tests/test_cli.py::test_bad_input_file[scm_key_outside_parent_values]"]),
+    ("unknown_comparator_read_as_neq", SCM,
+     '            elif cmp == "neq":\n                ok &= env[var] != target\n'
+     '            else:\n                raise ValueOutOfDomain(f"unknown comparator {cmp!r}")\n',
+     "            else:\n                ok &= env[var] != target\n",
+     ["tests/test_scm.py::test_unknown_comparator_refused"]),
+    ("zero_samples_allowed", SCM,
+     "    if samples < 1:\n",
+     "    if samples < 0:\n",
+     ["tests/test_scm.py::test_mc_needs_a_sample"]),
+    ("nan_confidence_allowed", HITL,
+     "if not 0.0 <= ai_confidence <= 1.0:",
+     "if ai_confidence < 0.0 or ai_confidence > 1.0:",
+     ["tests/test_hitl.py::test_case_confidence_outside_unit_interval_refused"]),
+    ("empty_joint_not_refused", HITL,
+     "    n = len(log)\n    if not n:\n",
+     "    n = len(log)\n    if False:\n",
+     ["tests/test_hitl.py::test_empirical_joint_of_an_empty_log_refused"]),
+    ("one_ordinal_category_allowed", METRICS,
+     "        if k < 2:\n",
+     "        if k < 1:\n",
+     [ORDINAL, "tests/test_cli.py::test_bad_input_file[ratings_one_category]"]),
+    ("confusion_shape_unchecked", METRICS,
+     "        if m.shape != (k, k):\n",
+     "        if False:\n",
+     [ORDINAL]),
+    ("negative_confusion_counts_allowed", METRICS,
+     "        if (m < 0).any():\n",
+     "        if False:\n",
+     [ORDINAL]),
+    ("empty_confusion_allowed", METRICS,
+     "        if m.sum() < 1:\n",
+     "        if False:\n",
+     [ORDINAL]),
+    ("negative_binary_counts_allowed", METRICS,
+     "        if min(tp, fp, fn, tn) < 0:\n",
+     "        if False:\n",
+     [BINARY]),
+    ("zero_binary_counts_allowed", METRICS,
+     "        if tp + fp + fn + tn < 1:\n",
+     "        if False:\n",
+     [BINARY]),
+    ("accuracy_past_one_allowed", SYNTHETIC,
+     "        if not 0.0 <= v <= 1.0:\n",
+     "        if False:\n",
+     ["tests/test_cli.py::test_bad_input_file[gen_ai_accuracy_past_one]"]),
 ]
 
 

@@ -194,6 +194,62 @@ def test_counterfactual_underflowing_observation(capsys, tmp_path):
     assert _strict_json(err)["error"] == "FloatUnderflow"
 
 
+def _fair_bits_model(n, endogenous, outcomes) -> dict:
+    """A model document with n fair noise bits E0 ... E(n-1)."""
+    return {
+        "schema": "blamescope/scm/1",
+        "exogenous": [{"id": f"E{i}", "values": ["0", "1"], "probs": [0.5, 0.5]}
+                      for i in range(n)],
+        "endogenous": endogenous,
+        "outcomes": outcomes,
+    }
+
+
+def test_count_past_the_int_digit_limit_is_refused(capsys, tmp_path, int_digit_limit):
+    """On 15,000 fair bits with Y := E0, Y = 1 has 2^14999 settings, past
+    the decimal digits Python writes an integer in: the counterfactual
+    report, which holds that count, is refused with a typed error that
+    names its size, not a ValueError from the serializer."""
+    doc = _fair_bits_model(
+        15_000, [{"id": "Y", "values": ["0", "1"], "parents": ["E0"],
+                  "table": {"0": "0", "1": "1"}}], {"y1": [[["Y", "eq", "1"]]]},
+    )
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "counterfactual", "--scm", str(path), "--outcome", "y1",
+                             "--observe", "Y=1")
+    assert (code, out) == (3, "")
+    assert _strict_json(err) == {
+        "error": "IntegerTooLong",
+        "message": "cannot write an integer of 15000 bits as JSON, past Python's limit "
+                   f"of {int_digit_limit} decimal digits",
+    }
+
+
+def test_piece_bound_past_the_int_digit_limit_is_refused(capsys, tmp_path, int_digit_limit):
+    """16,000 two-literal clauses over 60 fair bits X_i := E_i: the bound on
+    the disjoint pieces, 120 * (2^16000 - 1), is past the decimal digits
+    Python writes an integer in, so the refusal names it by its power of
+    two; the bound is a running product, found in linear time."""
+    clauses = [[[f"X{i % 60}", "eq", "1"], [f"X{(i + 1 + i // 60 % 59) % 60}", "eq", "0"]]
+               for i in range(16_000)]
+    doc = _fair_bits_model(
+        60, [{"id": f"X{i}", "values": ["0", "1"], "parents": [f"E{i}"],
+              "table": {"0": "0", "1": "1"}} for i in range(60)], {"many": clauses},
+    )
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "prob", "--scm", str(path), "--outcome", "many")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (4, "")
+    assert _strict_json(err) == {
+        "error": "StateSpaceTooLarge",
+        "message": "exact query needs a factor of more than 2^16006 entries (cap 16777216); "
+                   "estimate an outcome probability with `prob --samples N` instead",
+    }
+
+
 def _chain_zeros(tmp_path, workloads, ps, observed):
     """The XOR chain S_i := S_{i-1} xor E_i with P(E_i = 1) = ps[i], with
     the outcome `all0`, every S_i = 0, and the flags that observe S_i = 0
@@ -1081,6 +1137,14 @@ BAD_INPUTS = {
                         "broken", "--scm")),
         )
     },
+    "scm_empty_domain": (_xor_with(_set(["endogenous", 0, "values"], [])),
+                         ("validate", "--scm"), 4, "ValueOutOfDomain",
+                         "domain must be non-empty"),
+    # As many entries as E1 has values, but one keyed by a value E1 lacks.
+    "scm_key_outside_parent_values": (_xor_with(_set(["endogenous", 0, "table"],
+                                                     {"0": "0", "2": "1"})),
+                                      ("validate", "--scm"), 4, "PartialMechanism",
+                                      "X: missing mechanism entry for ('1',)"),
     "scm_invalid_json": (b'{"schema": ', ("validate", "--scm"), 3, "SchemaViolation",
                          "invalid JSON"),
     "scm_not_utf8": (b'{"schema": "blamescope/scm/1",\n"x": "\xff"}', ("validate", "--scm"),
@@ -1122,11 +1186,16 @@ BAD_INPUTS = {
     "ratings_category_too_large": (_RATINGS_HEADER + b"c0,1,2\nc1,10000000,1\n",
                                    ("metrics", "--ratings"), 3, "DataError",
                                    "rating 10000000 above the 1000-category limit"),
+    "ratings_one_category": (_RATINGS_HEADER + b"c0,1,1\nc1,1,1\n", ("metrics", "--ratings"),
+                             3, "DataError", "need at least 2 ordinal categories"),
     # The path is gen's --out, which nothing is written to.
     "gen_n_cases_past_cap": (None, ("gen", "--seed", "1", "--n-cases", f"{MAX_CASES + 1}", "--out"),
                              2, "ConfigError",
                              f"--n-cases: must be an integer >= 1 and <= {MAX_CASES}, "
                              f"got '{MAX_CASES + 1}'"),
+    "gen_ai_accuracy_past_one": (None, ("gen", "--seed", "1", "--n-cases", "2",
+                                        "--ai-accuracy", "2", "--out"),
+                                 2, "ConfigError", "ai_accuracy must be in [0,1], got 2.0"),
 }
 
 

@@ -264,3 +264,14 @@ def test_empirical_joint_keys_on_flag_bit():
     labels, joint = empirical_joint(run(CaseLog.from_cases(cases), POLICY))
     assert labels == ["pos"]
     assert joint == {("pos", "pos", 1, "pos"): 2 / 3, ("pos", "pos", 0, "pos"): 1 / 3}
+
+
+@pytest.mark.parametrize("conf", [-0.1, 1.5, float("nan")])
+def test_case_confidence_outside_unit_interval_refused(conf):
+    with pytest.raises(ConfigError, match=rf"^case 'c0': confidence {conf} outside \[0,1\]$"):
+        case(conf=conf)
+
+
+def test_empirical_joint_of_an_empty_log_refused():
+    with pytest.raises(EmptyCaseList, match="^case log is empty$"):
+        empirical_joint(run(CaseLog.from_cases([]), POLICY))

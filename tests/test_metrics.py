@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,32 @@ from oracles import brute_prf1, brute_qwk
 
 def confusion(rows):
     return OrdinalConfusion(k=len(rows), counts=tuple(tuple(r) for r in rows))
+
+
+@pytest.mark.parametrize(
+    "k, counts, message",
+    [
+        (1, [[4]], "need at least 2 ordinal categories"),
+        (3, [[1, 0], [0, 1]], "count matrix must be 3x3, got (2, 2)"),
+        (2, [[2, -1], [0, 1]], "confusion counts must be non-negative"),
+        (2, [[0, 0], [0, 0]], "confusion matrix is empty"),
+    ],
+    ids=["one_category", "wrong_shape", "negative", "empty"],
+)
+def test_ordinal_confusion_refuses_bad_counts(k, counts, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        OrdinalConfusion(k=k, counts=counts)
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [((1, -1, 0, 2), "binary counts must be non-negative"),
+     ((0, 0, 0, 0), "binary counts are all zero")],
+    ids=["negative", "all_zero"],
+)
+def test_binary_counts_refuse_bad_counts(counts, message):
+    with pytest.raises(DataError, match=f"^{message}$"):
+        BinaryCounts(*counts)
 
 
 def test_qwk_perfect_agreement():

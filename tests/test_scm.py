@@ -5,6 +5,7 @@ import math
 import operator
 import random
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from blamescope.errors import (
     CyclicGraph,
     DanglingParent,
     DuplicateVariable,
+    FloatUnderflow,
     IncompleteExogenousAssignment,
     NonNormalizedDistribution,
     PartialMechanism,
@@ -152,6 +154,17 @@ def test_validate_duplicate_ids():
             exogenous=(ExogenousVar("X", Domain(BITS), (0.5, 0.5)),),
             endogenous=(EndogenousVar("X", Domain(BITS), (), {(): "0"}),),
         )
+
+
+def test_repeated_id_among_many_is_refused_in_linear_time():
+    """One repeated id among 30,001 is named in one pass over the ids: a
+    count per id took 13.5 s here on a 2-vCPU host."""
+    exogenous = [ExogenousVar(f"E{i}", Domain(BITS), (0.5, 0.5)) for i in range(30_000)]
+    exogenous.insert(20_000, ExogenousVar("E17", Domain(BITS), (0.5, 0.5)))
+    start = time.perf_counter()
+    with pytest.raises(DuplicateVariable, match=r"^duplicate variable ids: \['E17'\]$"):
+        Scm(exogenous=tuple(exogenous), endogenous=())
+    assert time.perf_counter() - start < 2
 
 
 def test_validate_partial_mechanism():
@@ -857,6 +870,44 @@ def test_mc_sample_cap(monkeypatch, xor):
         event_probability_mc(xor, Y1, cap, seed=0)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_mc_needs_a_sample(xor, samples):
+    with pytest.raises(ValueOutOfDomain, match="^samples must be >= 1$"):
+        event_probability_mc(xor, Y1, samples, seed=0)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [event_probability, lambda scm, phi: event_probability_mc(scm, phi, 10, seed=0)],
+    ids=["exact", "mc"],
+)
+def test_unknown_comparator_refused(xor, query):
+    """A literal compares with "eq" or "neq"; any other comparator is
+    refused, not read as one of them."""
+    phi = OutcomeSpec(((("Y", "lt", "1"),),))
+    with pytest.raises(ValueOutOfDomain, match="^unknown comparator 'lt'$"):
+        query(xor, phi)
+
+
+@pytest.mark.parametrize("values, count, size", [(2, 15_000, "2^15000"),
+                                                 (3, 9_100, "more than 2^14423")])
+def test_joint_space_past_the_int_digit_limit_named_by_its_power_of_two(
+    int_digit_limit, values, count, size
+):
+    """`abduct` refuses a joint space of values^count settings, past the
+    decimal digits Python writes an integer in, with its size as a power of
+    two, not with a ValueError from formatting it."""
+    domain = Domain(tuple(str(v) for v in range(values)))
+    scm = Scm(
+        exogenous=tuple(ExogenousVar(f"E{i}", domain, (1 / values,) * values)
+                        for i in range(count)),
+        endogenous=(EndogenousVar("Y", domain, ("E0",), {(v,): v for v in domain.values}),),
+    )
+    with pytest.raises(StateSpaceTooLarge,
+                       match=re.escape(f"exogenous joint space has {size} states (cap 16777216)")):
+        abduct(scm, {"Y": "1"})
+
+
 # Domain widths at each edge of the draw: one value, the comparison
 # cutoff, and the code dtypes' limits.
 DRAW_WIDTHS = (1, 2, 3, scm_mod._COMPARE_MAX - 1, scm_mod._COMPARE_MAX,
@@ -1145,6 +1196,32 @@ def test_abduct_impossible_observation():
     scm = xor_scm(p_e1=0.0)
     with pytest.raises(ZeroProbabilityObservation):
         abduct(scm, {"X": "1"})
+
+
+def _two_rare_bits(p1, p2) -> Scm:
+    """E1 and E2 with P(1) = p1 and p2, and X := E1 and E2."""
+    return Scm(
+        exogenous=(ExogenousVar("E1", Domain(BITS), (1 - p1, p1)),
+                   ExogenousVar("E2", Domain(BITS), (1 - p2, p2))),
+        endogenous=(EndogenousVar("X", Domain(BITS), ("E1", "E2"),
+                                  {("0", "0"): "0", ("0", "1"): "0",
+                                   ("1", "0"): "0", ("1", "1"): "1"}),),
+    )
+
+
+@pytest.mark.parametrize("p, shown", [(1e-200, "0.0"), (1e-160, "1e-320")])
+def test_abduct_underflowing_observation(p, shown):
+    """X = 1 has prior weight p^2, which is 0 or subnormal in floats but
+    not impossible: `abduct` refuses it as every exact query does, and an
+    observation no setting of positive prior gives stays impossible."""
+    scm = _two_rare_bits(p, p)
+    assert posterior_support_size(scm, {"X": "1"}) == 1
+    with pytest.raises(FloatUnderflow, match=re.escape(f"P(observation) is positive but {shown} ")):
+        abduct(scm, {"X": "1"})
+    with pytest.raises(FloatUnderflow):
+        counterfactual_probability(scm, {"X": "1"}, {}, OutcomeSpec.conjunction([("X", "1")]))
+    with pytest.raises(ZeroProbabilityObservation):
+        abduct(_two_rare_bits(p, 0.0), {"X": "1"})
 
 
 def test_abduct_support_consistency(xor):
