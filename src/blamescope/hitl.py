@@ -8,16 +8,19 @@ causal model built from the log's joint frequencies.
 
 A log is held in columns (CaseLog) and decided once, as arrays, by `run`;
 the blame, the attribution and the F1 metrics all read that one result.
+A log is checked once, by the CaseLog constructor that the loader and
+`CaseLog.from_cases` both call, so nothing that reads a log checks it again.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .blame import BlameReport, DiscountSpec
-from .errors import ConfigError, DuplicateCaseId, EmptyCaseList
+from .errors import ConfigError, DataError, DuplicateCaseId, EmptyCaseList
 from .record import Record, Value
 from .scm import Domain, EndogenousVar, ExogenousVar, OutcomeSpec, Scm
 
@@ -25,25 +28,15 @@ from .scm import Domain, EndogenousVar, ExogenousVar, OutcomeSpec, Scm
 HITL_OUTCOME = OutcomeSpec(clauses=((("ERR", "eq", "1"),),))
 
 
-class Case(Value):
-    """One row of a case log."""
+class Case(NamedTuple):
+    """One row of a case log. A row is checked where it enters a log, by
+    `CaseLog`."""
 
-    __slots__ = _fields = ("id", "ai_confidence", "ai_decision", "human_decision", "truth")
-
-    def __init__(
-        self, id: str, ai_confidence: float, ai_decision: str, human_decision: str, truth: str
-    ):
-        if not 0.0 <= ai_confidence <= 1.0:
-            raise ConfigError(f"case {id!r}: confidence {ai_confidence} outside [0,1]")
-        # Set one by one, not by `_init`'s loop: `gen_synthetic` builds a
-        # Case per generated case, and the loop made one take 2.2 us, not
-        # 0.7 us, on one x86-64 Xeon core.
-        set_ = object.__setattr__
-        set_(self, "id", id)
-        set_(self, "ai_confidence", ai_confidence)
-        set_(self, "ai_decision", ai_decision)
-        set_(self, "human_decision", human_decision)
-        set_(self, "truth", truth)
+    id: str
+    ai_confidence: float
+    ai_decision: str
+    human_decision: str
+    truth: str
 
 
 class FlagPolicy(Value):
@@ -58,59 +51,56 @@ class FlagPolicy(Value):
 class CaseLog(Record):
     """A case log in columns, one entry per case in log order.
 
-    The three label columns hold codes into `labels`, the sorted set of
-    every label that appears in any of them, however the labels were first
-    coded (see `from_columns`). `ai_confidence` is float64; the label
-    columns are arrays of codes.
+    Built from a list of ids, the confidences, a list of distinct labels
+    in any order (as `encode_labels` gives them) and the three label
+    columns as codes into it. Every log is checked here: an empty log, a
+    repeated id, a column unlike the ids in length, a code outside the
+    labels and a confidence outside [0, 1] are refused. The log keeps the
+    labels sorted, the codes mapped to them, and confidences as float64.
     """
 
     __slots__ = _fields = (
         "ids", "ai_confidence", "labels", "ai_decision", "human_decision", "truth"
     )
 
-    def __init__(
-        self, ids: list, ai_confidence, labels: tuple, ai_decision, human_decision, truth
-    ):
-        self._init(ids, ai_confidence, labels, ai_decision, human_decision, truth)
+    def __init__(self, ids: list, ai_confidence, labels, ai_decision, human_decision, truth):
+        n = len(ids)
+        if not n:
+            raise EmptyCaseList("case log is empty")
+        dup = first_duplicate(ids)
+        if dup is not None:
+            raise DuplicateCaseId(f"duplicate case id {ids[dup]!r}")
+        conf = np.asarray(ai_confidence, dtype=np.float64)
+        codes = [np.asarray(column) for column in (ai_decision, human_decision, truth)]
+        for name, column in zip(("ai_confidence", *self._fields[3:]), [conf, *codes]):
+            if len(column) != n:
+                raise DataError(f"{name}: {len(column)} entries for {n} case ids")
+        for name, column in zip(self._fields[3:], codes):
+            code = column.min() if column.min() < 0 else column.max()
+            if not 0 <= code < len(labels):
+                raise DataError(f"{name}: label code {code} outside the {len(labels)} labels")
+        ok = (0.0 <= conf) & (conf <= 1.0)  # NaN fails both
+        if not ok.all():
+            i = int(ok.argmin())
+            raise ConfigError(f"case {ids[i]!r}: confidence {conf[i]} outside [0,1]")
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        remap = np.empty(len(labels), dtype=np.intp)
+        remap[order] = np.arange(len(labels))
+        self._init(ids, conf, tuple(labels[i] for i in order), *(remap[c] for c in codes))
 
     def __len__(self) -> int:
         return len(self.ids)
 
     @classmethod
-    def from_columns(cls, ids, confidence, labels, ai, human, truth) -> CaseLog:
-        """A log of already checked columns: a list of ids, confidences in
-        [0, 1], and the three label columns as codes into `labels`, a list
-        of distinct labels in any order, as `encode_labels` gives them. The
-        codes are mapped to those of the sorted labels. Ids are not checked
-        here."""
-        order = sorted(range(len(labels)), key=labels.__getitem__)
-        remap = np.empty(len(labels), dtype=np.intp)
-        remap[order] = np.arange(len(labels))
-        return cls(
-            ids=ids,
-            ai_confidence=np.asarray(confidence, dtype=np.float64),
-            labels=tuple(labels[i] for i in order),
-            ai_decision=remap[ai],
-            human_decision=remap[human],
-            truth=remap[truth],
-        )
-
-    @classmethod
     def from_cases(cls, cases) -> CaseLog:
         """Columns of a sequence of Case rows, with the labels coded by
-        `encode_labels` as `io.load_cases` codes them; a repeated id is an
-        error."""
-        ids = [c.id for c in cases]
-        dup = first_duplicate(ids)
-        if dup is not None:
-            raise DuplicateCaseId(f"duplicate case id {ids[dup]!r}")
+        `encode_labels` as `io.load_cases` codes them."""
         codes = {}
         ai = encode_labels([c.ai_decision for c in cases], codes)
         human = encode_labels([c.human_decision for c in cases], codes)
         truth = encode_labels([c.truth for c in cases], codes)
-        return cls.from_columns(
-            ids, [c.ai_confidence for c in cases], list(codes), ai, human, truth
-        )
+        ids, conf = [c.id for c in cases], [c.ai_confidence for c in cases]
+        return cls(ids, conf, list(codes), ai, human, truth)
 
 
 def encode_labels(labels, codes: dict) -> np.ndarray:
@@ -151,8 +141,8 @@ class Decisions(Record):
 
 def flag(policy: FlagPolicy, p):
     """Whether a confidence, or each of an array of them, falls in the
-    closed uncertainty band [l, u]. Confidences are range-checked where a
-    Case or a CaseLog is built."""
+    closed uncertainty band [l, u]. A log's confidences are range-checked
+    where the CaseLog is built."""
     return (policy.l <= p) & (p <= policy.u)
 
 
@@ -187,8 +177,6 @@ def hitl_blame(
             f"review_cost={review_cost}"
         )
     n = len(decisions.log)
-    if not n:
-        raise EmptyCaseList("case log is empty")
     frac = int(np.count_nonzero(decisions.flagged)) / n
     # Between the two costs in exact arithmetic, but its two rounded terms
     # may sum past the largest float when both costs are near it.
@@ -216,8 +204,6 @@ def empirical_joint(decisions: Decisions):
     thresholds."""
     log = decisions.log
     n = len(log)
-    if not n:
-        raise EmptyCaseList("case log is empty")
     columns = np.stack(
         [log.truth, log.ai_decision, decisions.flagged, log.human_decision], axis=1
     )

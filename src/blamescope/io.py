@@ -503,12 +503,13 @@ def load_cases(path) -> CaseLog:
     ids = []
     for block in blocks:
         ids.extend(block[0])
-    dup = first_duplicate(ids)
-    if dup is not None:
-        line = next(itertools.islice(_numbered_rows(path), dup, None))[0]
-        raise DuplicateCaseId(f"{path}: line {line}: duplicate case id {ids[dup]!r}")
     conf, ai, human, truth = (np.concatenate([block[i] for block in blocks]) for i in range(1, 5))
-    return CaseLog.from_columns(ids, conf, list(codes), ai, human, truth)
+    try:
+        return CaseLog(ids, conf, list(codes), ai, human, truth)
+    except DuplicateCaseId:
+        dup = first_duplicate(ids)
+        line = next(itertools.islice(_numbered_rows(path), dup, None))[0]
+        raise DuplicateCaseId(f"{path}: line {line}: duplicate case id {ids[dup]!r}") from None
 
 
 def dump_cases(cases) -> str:

@@ -1,7 +1,8 @@
 """Mutation checks: each row of MUTANTS changes one piece of text in one
 source file and names the tests that must fail when it does.
 
-    python tests/mutants.py
+    python tests/mutants.py            # every row
+    python tests/mutants.py ROW [ROW ...]  # only the rows with these ids
 
 For each row, `src/` is copied into a temporary directory, the row's old
 text is replaced by its new text in the copy, and the row's tests run on
@@ -9,9 +10,13 @@ the copy in a fresh pytest process, with `PYTHONPATH` pointing at it. A row
 is caught when each named test has an item that fails or errors; it is
 missed when one of them passes in full, when pytest exits with anything
 but "tests failed", or when the run takes longer than `TIMEOUT` seconds.
-First, a control row that replaces the first row's old text by itself
-must be missed, so a runner that reports every row caught fails.
-Exits 0 when the control is missed and every row is caught.
+First, a control row that replaces the first chosen row's old text by
+itself, and runs that row's tests, must be missed, so a runner that
+reports every row caught fails. Exits 0 when the control is missed and
+every chosen row is caught, 1 when not, and 2, running nothing, when a
+named row is not in the table. A row takes one pytest process, so naming
+the rows a change touches checks them in seconds, where the whole table
+takes minutes.
 
 Each row starts a pytest process, so this is not part of the test suite;
 `tests/test_mutant_table.py` checks only that each row's old text occurs
@@ -44,6 +49,7 @@ ABDUCT_UNDERFLOW = "tests/test_scm.py::test_abduct_underflowing_observation"
 ORDINAL = "tests/test_metrics.py::test_ordinal_confusion_refuses_bad_counts"
 BINARY = "tests/test_metrics.py::test_binary_counts_refuse_bad_counts"
 UNDERFLOW = "tests/test_cli.py::test_figure_below_the_normal_float_range_is_refused"
+CASELOG = "tests/test_hitl.py::test_caselog_refuses_a_bad_log"
 TWICE = [
     *(f"tests/test_cli.py::test_bad_input_file[scm_action_overrides_twice{suffix}]"
       for suffix in ("", "_prob", "_counterfactual", "_blame")),
@@ -221,13 +227,45 @@ MUTANTS = [
      "    if samples < 0:\n",
      ["tests/test_scm.py::test_mc_needs_a_sample"]),
     ("nan_confidence_allowed", HITL,
-     "if not 0.0 <= ai_confidence <= 1.0:",
-     "if ai_confidence < 0.0 or ai_confidence > 1.0:",
-     ["tests/test_hitl.py::test_case_confidence_outside_unit_interval_refused"]),
+     "ok = (0.0 <= conf) & (conf <= 1.0)",
+     "ok = ~((conf < 0.0) | (conf > 1.0))",
+     ["tests/test_hitl.py::test_case_confidence_outside_unit_interval_refused[nan]",
+      f"{CASELOG}[nan_confidence]"]),
     ("empty_joint_not_refused", HITL,
-     "    n = len(log)\n    if not n:\n",
-     "    n = len(log)\n    if False:\n",
-     ["tests/test_hitl.py::test_empirical_joint_of_an_empty_log_refused"]),
+     "        if not n:\n",
+     "        if False:\n",
+     ["tests/test_hitl.py::test_empirical_joint_of_an_empty_log_refused",
+      "tests/test_hitl.py::test_hitl_blame_empty", "tests/test_hitl.py::test_run_empty",
+      f"{CASELOG}[empty]"]),
+    ("repeated_case_id_allowed", HITL,
+     "        if dup is not None:\n            raise DuplicateCaseId(",
+     "        if False:\n            raise DuplicateCaseId(",
+     ["tests/test_hitl.py::test_run_duplicate_ids", f"{CASELOG}[duplicate]",
+      "tests/test_io.py::test_load_cases_duplicate_id"]),
+    ("column_length_unchecked", HITL,
+     "            if len(column) != n:\n",
+     "            if False:\n",
+     [f"{CASELOG}[confidence_column_long]", f"{CASELOG}[truth_column_short]"]),
+    ("negative_label_code_allowed", HITL,
+     "if not 0 <= code < len(labels):",
+     "if not code < len(labels):",
+     [f"{CASELOG}[code_minus_one]"]),
+    ("label_code_past_labels_allowed", HITL,
+     "if not 0 <= code < len(labels):",
+     "if not 0 <= code:",
+     [f"{CASELOG}[code_past_labels]"]),
+    ("too_many_probabilities_allowed", SCM,
+     "        if len(ex.dist) != len(ex.domain.values):\n",
+     "        if False:\n",
+     ["tests/test_cli.py::test_bad_input_file[scm_probs_for_too_many_values]"]),
+    ("output_outside_domain_not_mapped", SCM,
+     "            except (KeyError, TypeError):  # TypeError: an unhashable output\n",
+     "            except TypeError:\n",
+     ["tests/test_cli.py::test_bad_input_file[scm_output_outside_domain]"]),
+    ("non_object_entry_allowed", IO,
+     "    if not isinstance(raw, dict):\n",
+     "    if False:\n",
+     ["tests/test_cli.py::test_bad_input_file[scm_exogenous_entry_int]"]),
     ("one_ordinal_category_allowed", METRICS,
      "        if k < 2:\n",
      "        if k < 1:\n",
@@ -252,6 +290,18 @@ MUTANTS = [
      "        if tp + fp + fn + tn < 1:\n",
      "        if False:\n",
      [BINARY]),
+    ("no_pairs_allowed", METRICS,
+     "        if not pairs:\n",
+     "        if False:\n",
+     ["tests/test_metrics.py::test_confusion_from_pairs_refuses_no_pairs"]),
+    ("different_lengths_allowed", METRICS,
+     "    if pred.shape != true.shape:\n",
+     "    if False:\n",
+     ["tests/test_metrics.py::test_binary_counts_refuse_lists_of_different_lengths"]),
+    ("unknown_profile_allowed", SYNTHETIC,
+     '    if confidence_profile not in ("binned", "uniform"):\n',
+     "    if False:\n",
+     ["tests/test_cli.py::test_gen_synthetic_unknown_confidence_profile"]),
     ("accuracy_past_one_allowed", SYNTHETIC,
      "        if not 0.0 <= v <= 1.0:\n",
      "        if False:\n",
@@ -301,21 +351,26 @@ def run_row(row) -> tuple:
     return True, f"{len(failed)} failed"
 
 
-def main() -> int:
-    _, path, old, _, tests = MUTANTS[0]
+def main(names) -> int:
+    unknown = sorted(set(names).difference(row[0] for row in MUTANTS))
+    if unknown:
+        print(f"no such row: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    rows = [row for row in MUTANTS if not names or row[0] in names]
+    _, path, old, _, tests = rows[0]
     control, detail = run_row(("control", path, old, old, tests))
     print(f"{'control (old = new)':40s} {'CAUGHT' if control else 'missed'} ({detail})",
           flush=True)
     missed = 0
-    for row in MUTANTS:
+    for row in rows:
         caught, detail = run_row(row)
         missed += not caught
         print(f"{row[0]:40s} {'caught' if caught else 'MISSED'} ({detail})", flush=True)
     ok = not control and not missed
-    print(f"{len(MUTANTS) - missed} of {len(MUTANTS)} mutants caught, control "
+    print(f"{len(rows) - missed} of {len(rows)} mutants caught, control "
           + ("missed" if not control else "caught") + ("" if ok else "; check FAILED"))
     return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

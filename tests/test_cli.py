@@ -965,6 +965,11 @@ def test_gen_synthetic_case_cap(monkeypatch):
         gen_synthetic(1, MAX_CASES, 0.8, 0.9)
 
 
+def test_gen_synthetic_unknown_confidence_profile():
+    with pytest.raises(ConfigError, match="^unknown confidence profile 'x'$"):
+        gen_synthetic(1, 2, 0.8, 0.9, confidence_profile="x")
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [
@@ -1145,6 +1150,16 @@ BAD_INPUTS = {
                                                      {"0": "0", "2": "1"})),
                                       ("validate", "--scm"), 4, "PartialMechanism",
                                       "X: missing mechanism entry for ('1',)"),
+    "scm_probs_for_too_many_values": (_xor_with(_set(["exogenous", 0, "probs"],
+                                                     [0.5, 0.25, 0.25])),
+                                      ("validate", "--scm"), 4, "NonNormalizedDistribution",
+                                      "E1: 3 probabilities for 2 values"),
+    "scm_output_outside_domain": (_xor_with(_set(["endogenous", 0, "table"],
+                                                 {"0": "0", "1": "2"})),
+                                  ("validate", "--scm"), 4, "PartialMechanism",
+                                  "X: mechanism output '2' outside domain"),
+    "scm_exogenous_entry_int": (_xor_with(_set(["exogenous"], [1])), ("validate", "--scm"), 3,
+                                "SchemaViolation", "exogenous[0]: expected an object, got int"),
     "scm_invalid_json": (b'{"schema": ', ("validate", "--scm"), 3, "SchemaViolation",
                          "invalid JSON"),
     "scm_not_utf8": (b'{"schema": "blamescope/scm/1",\n"x": "\xff"}', ("validate", "--scm"),

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ from blamescope.cli import main
 from blamescope.data import bundled_path
 from blamescope.errors import (
     ConfigError,
+    DataError,
     DuplicateCaseId,
     EmptyCaseList,
     NonNormalizedDistribution,
@@ -109,9 +111,8 @@ def test_run_preserves_order_and_ids():
 
 
 def test_run_empty():
-    d = run(CaseLog.from_cases([]), POLICY)
-    assert len(d.log) == 0
-    assert d.error.size == d.human_error.size == 0
+    with pytest.raises(EmptyCaseList, match="^case log is empty$"):
+        CaseLog.from_cases([])
 
 
 def test_run_duplicate_ids():
@@ -269,7 +270,48 @@ def test_empirical_joint_keys_on_flag_bit():
 @pytest.mark.parametrize("conf", [-0.1, 1.5, float("nan")])
 def test_case_confidence_outside_unit_interval_refused(conf):
     with pytest.raises(ConfigError, match=rf"^case 'c0': confidence {conf} outside \[0,1\]$"):
-        case(conf=conf)
+        CaseLog.from_cases([case(conf=conf)])
+
+
+def _columns(**edits) -> dict:
+    """CaseLog's arguments for a three-case log, with some replaced."""
+    return {"ids": ["a", "b", "c"], "ai_confidence": [0.1, 0.5, 0.9], "labels": ["neg", "pos"],
+            "ai_decision": [0, 1, 0], "human_decision": [1, 1, 0], "truth": [1, 0, 0], **edits}
+
+
+@pytest.mark.parametrize(
+    "edits, error, message",
+    [
+        ({"ids": []}, EmptyCaseList, "case log is empty"),
+        ({"ids": ["a", "b", "a"]}, DuplicateCaseId, "duplicate case id 'a'"),
+        # Two confidences for one id: hitl_blame read p_a = 2.0 from this.
+        ({"ids": ["a"], "ai_confidence": [0.9, 0.9], "ai_decision": [0], "human_decision": [1],
+          "truth": [1]}, DataError, "ai_confidence: 2 entries for 1 case ids"),
+        ({"truth": [1, 0]}, DataError, "truth: 2 entries for 3 case ids"),
+        ({"human_decision": [1, -1, 0]}, DataError,
+         "human_decision: label code -1 outside the 2 labels"),
+        ({"ai_decision": [0, 2, 0]}, DataError, "ai_decision: label code 2 outside the 2 labels"),
+        ({"ai_confidence": [0.1, float("nan"), 0.9]}, ConfigError,
+         "case 'b': confidence nan outside [0,1]"),
+        ({"ai_confidence": [0.1, 0.5, 1.7]}, ConfigError,
+         "case 'c': confidence 1.7 outside [0,1]"),
+    ],
+    ids=["empty", "duplicate", "confidence_column_long", "truth_column_short",
+         "code_minus_one", "code_past_labels", "nan_confidence", "confidence_past_one"],
+)
+def test_caselog_refuses_a_bad_log(edits, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as refused:
+        CaseLog(**_columns(**edits))
+    assert type(refused.value) is error
+
+
+def test_caselog_sorts_labels_and_maps_codes():
+    log = CaseLog(["a", "b"], [0.25, 1.0], ["pos", "neg", "maybe"], [0, 1], [2, 0], [1, 1])
+    assert log.labels == ("maybe", "neg", "pos")
+    assert [[log.labels[c] for c in column]
+            for column in (log.ai_decision, log.human_decision, log.truth)] == [
+        ["pos", "neg"], ["maybe", "pos"], ["neg", "neg"]]
+    assert log.ai_confidence.dtype == np.float64
 
 
 def test_empirical_joint_of_an_empty_log_refused():

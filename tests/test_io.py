@@ -36,6 +36,7 @@ from blamescope.io import (
 from blamescope.scm import event_probability
 from blamescope.synthetic import gen_synthetic
 from oracles import csv_columns
+from test_cli import small_logs
 
 
 def test_load_bundled_xor():
@@ -302,12 +303,18 @@ def test_load_cases_directory(tmp_path):
         load_cases(tmp_path)
 
 
-def test_caselog_from_cases_matches_loader(tmp_path):
-    cases = gen_synthetic(seed=4, n_cases=30, ai_accuracy=0.7, human_accuracy=0.8)
-    path = tmp_path / "cases.csv"
-    path.write_text(dump_cases(cases))
-    loaded, built = load_cases(path), CaseLog.from_cases(cases)
-    assert rows_of(loaded) == rows_of(built)
+@settings(max_examples=60, deadline=None)
+@given(small_logs())
+def test_caselog_from_cases_matches_loader(drawn):
+    """Both ways to build a log, from rows and from a CSV file, end in the
+    same CaseLog constructor and give the same log."""
+    _, _, cases = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cases.csv"
+        path.write_text(dump_cases(cases), encoding="utf-8", newline="")
+        loaded = load_cases(path)
+    built = CaseLog.from_cases(cases)
+    assert rows_of(loaded) == rows_of(built) == [tuple(c) for c in cases]
     assert loaded.labels == built.labels
 
 

@@ -48,6 +48,11 @@ def test_binary_counts_refuse_bad_counts(counts, message):
         BinaryCounts(*counts)
 
 
+def test_binary_counts_refuse_lists_of_different_lengths():
+    with pytest.raises(DataError, match="^prediction and truth lists differ in length$"):
+        binary_counts(["a", "b"], ["a", "b", "a"], positive="a")
+
+
 def test_qwk_perfect_agreement():
     assert qwk(confusion([[3, 0, 0], [0, 5, 0], [0, 0, 2]])) == 1.0
 
@@ -120,6 +125,11 @@ def test_confusion_from_pairs():
 def test_confusion_from_pairs_out_of_range():
     with pytest.raises(DataError):
         OrdinalConfusion.from_pairs([(0, 1)], k=3)
+
+
+def test_confusion_from_pairs_refuses_no_pairs():
+    with pytest.raises(DataError, match="^no rating pairs$"):
+        OrdinalConfusion.from_pairs([])
 
 
 def test_confusion_from_pairs_category_limit():

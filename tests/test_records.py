@@ -41,7 +41,7 @@ def _scm():
 
 
 def _log():
-    return hitl.CaseLog.from_columns(
+    return hitl.CaseLog(
         ["a", "b", "c"], [0.1, 0.5, 0.9], ["1", "0"],
         np.array([0, 1, 0]), np.array([1, 1, 0]), np.array([1, 0, 0]),
     )
