@@ -178,18 +178,10 @@ def hitl_blame(
         )
     n = len(decisions.log)
     frac = int(np.count_nonzero(decisions.flagged)) / n
-    # Between the two costs in exact arithmetic, but its two rounded terms
-    # may sum past the largest float when both costs are near it.
-    cost = review_cost * frac + ai_cost * (1.0 - frac)
-    if not math.isfinite(cost):
-        raise ConfigError(
-            f"expected decision cost overflows, with ai_cost={ai_cost}, "
-            f"review_cost={review_cost} and flagged fraction {frac}"
-        )
     return BlameReport.of(
         int(np.count_nonzero(decisions.error)) / n,
         int(np.count_nonzero(decisions.human_error)) / n,
-        cost,
+        review_cost * frac + ai_cost * (1.0 - frac),
         review_cost,
         discount,
         method="empirical",

@@ -40,6 +40,9 @@ weights: floats for every report, and 0/1 Python integers for
 `posterior_support_size`, P(observation) counted exactly at any size;
 that count also tells a float figure below the normal range that is a
 true 0 from one that underflowed, which is refused (`FloatUnderflow`).
+`_query` is also the one place that refuses an observation: impossible
+(`ZeroProbabilityObservation`) when P(observation) is a true 0, and
+`FloatUnderflow` when it is positive but below the normal range.
 The float sums are not correctly rounded; the tests hold the same query
 over `fractions.Fraction` equal to brute-force enumeration.
 
@@ -65,9 +68,10 @@ its own column (`_column`), which fixes how they are drawn and from which
 stream of the seed: by skipping to the rare values of skewed noise, or by
 `_draw`, with the uniforms and codes of `Generator.choice`. `abduct` lists
 the posterior over a grid of the whole exogenous joint space, of at most
-`MAX_STATES` settings. An intervention do(X = x) and an action's overrides
-are the same rewrite, `_rewire`: do(X = x) gives X no parents and the
-constant mechanism x.
+`MAX_STATES` settings, and leaves the refusal of its observation to
+`_query`. An intervention do(X = x) and an action's overrides are the same
+rewrite, `_rewire`: do(X = x) gives X no parents and the constant
+mechanism x.
 """
 
 from __future__ import annotations
@@ -687,7 +691,10 @@ def _query(scm: Scm, terms, what: str, observation=None, interventions=(), weigh
     A float E past the float range raises NonFiniteNumber. A float figure
     below the normal range, where the README's bound fails, is checked by
     the same query over 0/1 integers: it raises FloatUnderflow unless it is
-    0 and no setting of positive weight counts towards it."""
+    0 and no setting of positive weight counts towards it. A P(observation)
+    still 0 after that count is a true 0: no setting reproduces the
+    observation, which raises ZeroProbabilityObservation. No other function
+    refuses an observation."""
     done = dict(interventions)
     twin = intervene(scm, done) if done else scm
     mechanisms = {vid: (parents, lut) for vid, parents, lut in scm.tables}
@@ -730,6 +737,10 @@ def _query(scm: Scm, terms, what: str, observation=None, interventions=(), weigh
         for name, x, n in (("P(observation)", total, support), (figure, e, count)):
             if x is not None and x < sys.float_info.min and (x or n):
                 raise _underflow(name, x)
+        if total == 0:
+            raise ZeroProbabilityObservation(
+                f"observation {observation!r} is impossible under the model"
+            )
     return e, total
 
 
@@ -902,10 +913,12 @@ def intervene(scm: Scm, bindings: dict) -> Scm:
 def abduct(scm: Scm, observation: dict) -> NoisePosterior:
     """Posterior over exogenous joint settings consistent with a (possibly
     partial) endogenous observation, over a grid of the whole exogenous
-    joint space: at most MAX_STATES settings. A possible observation whose
-    probability is below the normal float range raises FloatUnderflow, as
-    in every exact query, and only an impossible one
-    ZeroProbabilityObservation."""
+    joint space: at most MAX_STATES settings. When the listed weights sum
+    below the normal float range, `_query` refuses the observation, as in
+    every exact query: ZeroProbabilityObservation if it is impossible,
+    FloatUnderflow if it is possible. If `_query` finds P(observation) in
+    range, the listed sum is still below it, and FloatUnderflow names that
+    sum."""
     seen = _encode(scm, OutcomeSpec.conjunction(observation.items()), "observation")
     multi = [ex for ex in scm.exogenous if len(ex.domain) > 1]
     sizes = tuple(len(ex.domain) for ex in multi)
@@ -927,15 +940,8 @@ def abduct(scm: Scm, observation: dict) -> NoisePosterior:
         )
     total = math.fsum(p for _, p in support)
     if total < sys.float_info.min:
-        # The product of the priors may underflow: a setting is possible
-        # when each of its priors is positive.
-        for ex in scm.exogenous:
-            held = held & (np.asarray(ex.dist) > 0)[grid.get(ex.id, 0)]
-        if held.any():
-            raise _underflow("P(observation)", total)
-        raise ZeroProbabilityObservation(
-            f"observation {observation!r} is impossible under the model"
-        )
+        _query(scm, (), "observation", observation)
+        raise _underflow("P(observation)", total)
     return NoisePosterior(support=tuple((e, p / total) for e, p in support))
 
 
@@ -945,13 +951,10 @@ def counterfactual_probability(
     """P(phi after the interventions | observation): abduct the noise from
     the observation, apply the interventions, and evaluate the outcome
     under the posterior, as P(phi on the twins and the observation) /
-    P(observation), both from one elimination (`_query`). The two are
-    rounded apart, so a ratio past 1 by an ulp is read as 1."""
+    P(observation), both from one elimination (`_query`), which refuses an
+    impossible or underflowing observation. The two are rounded apart, so
+    a ratio past 1 by an ulp is read as 1."""
     both, total = _query(scm, ((phi, 1.0),), "outcome", observation, interventions)
-    if total == 0:
-        raise ZeroProbabilityObservation(
-            f"observation {observation!r} is impossible under the model"
-        )
     return min(both / total, 1.0)
 
 

@@ -188,14 +188,20 @@ MUTANTS = [
      "or args.positive is None:",
      "or not args.positive:",
      ["tests/test_cli.py::test_metrics_empty_positive_is_an_absent_label"]),
-    ("abduct_underflow_called_impossible", SCM,
-     '        if held.any():\n            raise _underflow("P(observation)", total)',
-     '        if False:\n            raise _underflow("P(observation)", total)',
-     [ABDUCT_UNDERFLOW]),
-    ("abduct_zero_prior_called_possible", SCM,
-     "            held = held & (np.asarray(ex.dist) > 0)[grid.get(ex.id, 0)]",
-     "            pass",
-     [ABDUCT_UNDERFLOW]),
+    # `_query` alone refuses an observation; `abduct` asks it to.
+    ("impossible_observation_not_refused", SCM,
+     "        if total == 0:\n            raise ZeroProbabilityObservation(",
+     "        if False:\n            raise ZeroProbabilityObservation(",
+     [ABDUCT_UNDERFLOW, "tests/test_scm.py::test_abduct_impossible_observation",
+      "tests/test_cli.py::test_true_zero_below_the_normal_float_range_is_kept"]),
+    ("abduct_refusal_not_asked_of_query", SCM,
+     '        _query(scm, (), "observation", observation)\n',
+     "        pass\n",
+     [ABDUCT_UNDERFLOW, "tests/test_scm.py::test_abduct_impossible_observation"]),
+    ("false_not_written_as_json", IO,
+     '    elif obj is False:\n        out.append("false")\n',
+     "",
+     ["tests/test_io.py::test_canonical_dumps_sorted_and_stable"]),
     ("long_integer_not_refused", IO,
      "        except ValueError:  # past the digits Python writes an integer in",
      "        except ():",
@@ -234,9 +240,7 @@ MUTANTS = [
     ("empty_joint_not_refused", HITL,
      "        if not n:\n",
      "        if False:\n",
-     ["tests/test_hitl.py::test_empirical_joint_of_an_empty_log_refused",
-      "tests/test_hitl.py::test_hitl_blame_empty", "tests/test_hitl.py::test_run_empty",
-      f"{CASELOG}[empty]"]),
+     ["tests/test_hitl.py::test_from_cases_of_no_cases_refused", f"{CASELOG}[empty]"]),
     ("repeated_case_id_allowed", HITL,
      "        if dup is not None:\n            raise DuplicateCaseId(",
      "        if False:\n            raise DuplicateCaseId(",

@@ -110,7 +110,7 @@ def test_run_preserves_order_and_ids():
     assert len(d.human_error) == 3
 
 
-def test_run_empty():
+def test_from_cases_of_no_cases_refused():
     with pytest.raises(EmptyCaseList, match="^case log is empty$"):
         CaseLog.from_cases([])
 
@@ -144,11 +144,6 @@ def test_hitl_blame_clamped_at_zero():
     assert rep.db == 0.0
 
 
-def test_hitl_blame_empty():
-    with pytest.raises(EmptyCaseList):
-        hitl_blame(*blame_input([]))
-
-
 @pytest.mark.parametrize(
     "ai_cost, review_cost",
     [(float("inf"), 1.0), (float("nan"), 1.0), (1.0, float("inf")), (1.0, float("nan"))],
@@ -177,6 +172,18 @@ def test_hitl_accepts_finite_costs_whose_sum_overflows(capsys, discount, cost):
     blame = json.loads(out, parse_constant=reject)["blame"]
     written = float(format(cost, ".12g"))
     assert (blame["cost_a"], blame["cost_aprime"], blame["gamma"]) == (written, written, 1.0)
+
+
+@pytest.mark.parametrize("flagged, n", [(1, 3), (2, 3), (999, 1999), (1000, 1999), (1, 2001)])
+def test_expected_cost_at_the_largest_float_is_finite(flagged, n):
+    """Both costs at the largest float, flagged fractions just either side
+    of 1/2 and near 0: the two rounded terms of the expected cost never sum
+    past the largest float, which is why no check follows the sum."""
+    log = CaseLog([str(i) for i in range(n)], [0.5] * flagged + [0.9] * (n - flagged),
+                  ["neg", "pos"], [0] * n, [0] * n, [0] * n)
+    cost = sys.float_info.max
+    rep = hitl_blame(run(log, POLICY), cost, cost, DiscountSpec("cost_ratio"))
+    assert rep.cost_a <= cost
 
 
 def test_hitl_blame_matches_recount():
@@ -312,8 +319,3 @@ def test_caselog_sorts_labels_and_maps_codes():
             for column in (log.ai_decision, log.human_decision, log.truth)] == [
         ["pos", "neg"], ["maybe", "pos"], ["neg", "neg"]]
     assert log.ai_confidence.dtype == np.float64
-
-
-def test_empirical_joint_of_an_empty_log_refused():
-    with pytest.raises(EmptyCaseList, match="^case log is empty$"):
-        empirical_joint(run(CaseLog.from_cases([]), POLICY))

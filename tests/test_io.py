@@ -673,11 +673,11 @@ def test_canonical_dumps_rejects_non_finite(value):
 
 
 def test_canonical_dumps_sorted_and_stable():
-    a = canonical_dumps({"b": 1, "a": [1.0, 0.25, None, True]})
-    b = canonical_dumps({"a": [1.0, 0.25, None, True], "b": 1})
+    a = canonical_dumps({"b": 1, "a": [1.0, 0.25, None, True, False]})
+    b = canonical_dumps({"a": [1.0, 0.25, None, True, False], "b": 1})
     assert a == b
     assert a.index('"a"') < a.index('"b"')
-    assert json.loads(a) == {"a": [1.0, 0.25, None, True], "b": 1}
+    assert json.loads(a) == {"a": [1.0, 0.25, None, True, False], "b": 1}
 
 
 def test_canonical_dumps_float_format():
