@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, UnknownVariable
 from .record import Value
 from .scm import OutcomeSpec, Scm, _query, _rewire, event_probability
 
@@ -61,8 +61,13 @@ class BlameReport(NamedTuple):
 def apply_action(scm: Scm, overrides: dict, name: str) -> Scm:
     """Build the modified system M^a: `overrides` maps each variable the
     action `name` replaces to its new (parent ids, table), as `_rewire`
-    reads it. The input model is untouched."""
-    return _rewire(scm, overrides, f"action {name!r} overrides unknown variable")
+    reads it, after checking that each id is endogenous. The input model
+    is untouched."""
+    known = {v.id for v in scm.endogenous}
+    for var in overrides:
+        if var not in known:
+            raise UnknownVariable(f"action {name!r} overrides unknown variable {var!r}")
+    return _rewire(scm, overrides)
 
 
 def expected_cost(scm: Scm, cost: tuple) -> float:

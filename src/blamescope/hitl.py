@@ -53,10 +53,11 @@ class CaseLog(Record):
 
     Built from a list of ids, the confidences, a list of distinct labels
     in any order (as `encode_labels` gives them) and the three label
-    columns as codes into it. Every log is checked here: an empty log, a
-    repeated id, a column unlike the ids in length, a code outside the
-    labels and a confidence outside [0, 1] are refused. The log keeps the
-    labels sorted, the codes mapped to them, and confidences as float64.
+    columns as codes into it. Every log is checked here: an empty log, an
+    empty id or label, a repeated id, a column unlike the ids in length, a
+    code outside the labels and a confidence outside [0, 1] are refused.
+    The log keeps the labels sorted, the codes mapped to them, and
+    confidences as float64.
     """
 
     __slots__ = _fields = (
@@ -67,6 +68,8 @@ class CaseLog(Record):
         n = len(ids)
         if not n:
             raise EmptyCaseList("case log is empty")
+        if not all(ids):
+            raise DataError("case log has an empty case id")
         dup = first_duplicate(ids)
         if dup is not None:
             raise DuplicateCaseId(f"duplicate case id {ids[dup]!r}")
@@ -75,8 +78,11 @@ class CaseLog(Record):
         for name, column in zip(("ai_confidence", *self._fields[3:]), [conf, *codes]):
             if len(column) != n:
                 raise DataError(f"{name}: {len(column)} entries for {n} case ids")
+        if "" in labels:
+            raise DataError("case log has an empty label")
         for name, column in zip(self._fields[3:], codes):
-            code = column.min() if column.min() < 0 else column.max()
+            low = column.min()
+            code = low if low < 0 else column.max()
             if not 0 <= code < len(labels):
                 raise DataError(f"{name}: label code {code} outside the {len(labels)} labels")
         ok = (0.0 <= conf) & (conf <= 1.0)  # NaN fails both
@@ -166,14 +172,10 @@ def hitl_blame(
     """Empirical blame for deploying the HITL pipeline instead of the
     human-only policy, with the two-rate cost model: a flagged case costs
     review_cost, any other ai_cost."""
-    if ai_cost < 0 or review_cost < 0:
-        raise ConfigError("decision costs must be non-negative")
-    # A NaN passes the check above; an infinite or NaN cost would make
-    # the report's costs and discount non-finite. Each is checked alone,
-    # as their sum may overflow where both are finite.
-    if not (math.isfinite(ai_cost) and math.isfinite(review_cost)):
+    # NaN fails too: an infinite or NaN cost would make the report non-finite.
+    if not (0 <= ai_cost < math.inf and 0 <= review_cost < math.inf):
         raise ConfigError(
-            f"decision costs must be finite, got ai_cost={ai_cost}, "
+            f"decision costs must be finite and non-negative, got ai_cost={ai_cost}, "
             f"review_cost={review_cost}"
         )
     n = len(decisions.log)

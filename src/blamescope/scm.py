@@ -71,7 +71,8 @@ the posterior over a grid of the whole exogenous joint space, of at most
 `MAX_STATES` settings, and leaves the refusal of its observation to
 `_query`. An intervention do(X = x) and an action's overrides are the same
 rewrite, `_rewire`: do(X = x) gives X no parents and the constant
-mechanism x.
+mechanism x. `intervene` checks its bindings with `_encode`,
+`blame.apply_action` its override ids, and `_rewire` only rewrites.
 """
 
 from __future__ import annotations
@@ -878,15 +879,11 @@ def event_probability_mc(
     return hits / samples
 
 
-def _rewire(scm: Scm, mechanisms: dict, unknown: str) -> Scm:
+def _rewire(scm: Scm, mechanisms: dict) -> Scm:
     """The model with each variable in `mechanisms` (id -> (parents,
-    table)) given that parent list and mechanism, checked as it is built. An
-    id that is not endogenous raises UnknownVariable, with the message
-    `unknown` followed by the id. The input model is untouched."""
-    known = {v.id for v in scm.endogenous}
-    for var in mechanisms:
-        if var not in known:
-            raise UnknownVariable(f"{unknown} {var!r}")
+    table)) given that parent list and mechanism, checked as it is built.
+    The caller passes endogenous ids: `intervene` and `apply_action` check
+    theirs. The input model is untouched."""
     endogenous = []
     for v in scm.endogenous:
         if v.id in mechanisms:
@@ -898,16 +895,11 @@ def _rewire(scm: Scm, mechanisms: dict, unknown: str) -> Scm:
 
 def intervene(scm: Scm, bindings: dict) -> Scm:
     """do(var = value) for each pair of `bindings`, in one rewrite: each
-    variable becomes a parentless constant. The first bad binding, in
-    order, raises. Returns a new model; the input is untouched."""
-    unknown = "cannot intervene on unknown endogenous variable"
-    domains = {v.id: v.domain for v in scm.endogenous}
-    for var, value in bindings.items():
-        if var not in domains:
-            raise UnknownVariable(f"{unknown} {var!r}")
-        if value not in domains[var]:
-            raise ValueOutOfDomain(f"value {value!r} not in domain of {var!r}")
-    return _rewire(scm, {var: ((), {(): value}) for var, value in bindings.items()}, unknown)
+    variable becomes a parentless constant. The bindings are checked by
+    `_encode`, as an observation is, so the first bad one, in order,
+    raises. Returns a new model; the input is untouched."""
+    _encode(scm, OutcomeSpec.conjunction(bindings.items()), "intervention")
+    return _rewire(scm, {var: ((), {(): value}) for var, value in bindings.items()})
 
 
 def abduct(scm: Scm, observation: dict) -> NoisePosterior:

@@ -50,9 +50,11 @@ ORDINAL = "tests/test_metrics.py::test_ordinal_confusion_refuses_bad_counts"
 BINARY = "tests/test_metrics.py::test_binary_counts_refuse_bad_counts"
 UNDERFLOW = "tests/test_cli.py::test_figure_below_the_normal_float_range_is_refused"
 CASELOG = "tests/test_hitl.py::test_caselog_refuses_a_bad_log"
+# A bad action in a model file, refused by each command that loads it.
+BAD_ACTION = "tests/test_cli.py::test_bad_input_file[scm_action_{}{}]"
+EVERY_COMMAND = ("", "_prob", "_counterfactual", "_blame")
 TWICE = [
-    *(f"tests/test_cli.py::test_bad_input_file[scm_action_overrides_twice{suffix}]"
-      for suffix in ("", "_prob", "_counterfactual", "_blame")),
+    *(BAD_ACTION.format("overrides_twice", suffix) for suffix in EVERY_COMMAND),
     "tests/test_io.py::test_load_scm_action_overrides_twice",
 ]
 
@@ -198,6 +200,22 @@ MUTANTS = [
      '        _query(scm, (), "observation", observation)\n',
      "        pass\n",
      [ABDUCT_UNDERFLOW, "tests/test_scm.py::test_abduct_impossible_observation"]),
+    ("abduct_listed_underflow_not_refused", SCM,
+     '        raise _underflow("P(observation)", total)\n',
+     "        pass\n",
+     ["tests/test_scm.py::test_abduct_listed_sum_below_the_range_of_its_query"]),
+    # `_rewire` checks nothing: each caller checks what it passes.
+    ("intervention_unchecked", SCM,
+     '    _encode(scm, OutcomeSpec.conjunction(bindings.items()), "intervention")\n',
+     "    pass\n",
+     ["tests/test_scm.py::test_intervene_errors",
+      "tests/test_scm.py::test_unhashable_value_is_in_no_domain",
+      "tests/test_cli.py::test_first_bad_do_binding_named"]),
+    ("action_override_id_unchecked", BLAME,
+     'raise UnknownVariable(f"action {name!r} overrides unknown variable {var!r}")',
+     "pass",
+     ["tests/test_blame.py::test_apply_action_unknown_variable",
+      *(BAD_ACTION.format("unknown_variable", suffix) for suffix in EVERY_COMMAND)]),
     ("false_not_written_as_json", IO,
      '    elif obj is False:\n        out.append("false")\n',
      "",
@@ -241,6 +259,14 @@ MUTANTS = [
      "        if not n:\n",
      "        if False:\n",
      ["tests/test_hitl.py::test_from_cases_of_no_cases_refused", f"{CASELOG}[empty]"]),
+    ("empty_case_id_allowed", HITL,
+     "        if not all(ids):\n",
+     "        if False:\n",
+     [f"{CASELOG}[empty_id]"]),
+    ("empty_label_allowed", HITL,
+     '        if "" in labels:\n',
+     "        if False:\n",
+     [f"{CASELOG}[empty_label]"]),
     ("repeated_case_id_allowed", HITL,
      "        if dup is not None:\n            raise DuplicateCaseId(",
      "        if False:\n            raise DuplicateCaseId(",
@@ -258,6 +284,15 @@ MUTANTS = [
      "if not 0 <= code < len(labels):",
      "if not 0 <= code:",
      [f"{CASELOG}[code_past_labels]"]),
+    ("negative_cost_allowed", HITL,
+     "0 <= ai_cost < math.inf and 0 <= review_cost < math.inf",
+     "ai_cost < math.inf and review_cost < math.inf",
+     ["tests/test_hitl.py::test_hitl_blame_rejects_negative_costs",
+      "tests/test_hitl.py::test_hitl_negative_cost_refused"]),
+    ("infinite_cost_allowed", HITL,
+     "0 <= ai_cost < math.inf and 0 <= review_cost < math.inf",
+     "0 <= ai_cost and 0 <= review_cost",
+     ["tests/test_hitl.py::test_hitl_blame_input_rejects_non_finite_costs"]),
     ("too_many_probabilities_allowed", SCM,
      "        if len(ex.dist) != len(ex.domain.values):\n",
      "        if False:\n",

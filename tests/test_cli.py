@@ -114,8 +114,9 @@ def test_prob_with_do(capsys, xor_path):
 @pytest.mark.parametrize(
     "do, error, message",
     [
-        (("Z=0", "X=2"), "UnknownVariable", "cannot intervene on unknown endogenous variable 'Z'"),
-        (("X=2", "Z=0"), "ValueOutOfDomain", "value '2' not in domain of 'X'"),
+        (("Z=0", "X=2"), "UnknownVariable",
+         "intervention references unknown endogenous variable 'Z'"),
+        (("X=2", "Z=0"), "ValueOutOfDomain", "intervention value '2' not in domain of 'X'"),
     ],
     ids=["unknown_first", "out_of_domain_first"],
 )

@@ -154,6 +154,29 @@ def test_hitl_blame_input_rejects_non_finite_costs(ai_cost, review_cost):
         hitl_blame(decisions, ai_cost, review_cost, DiscountSpec("cost_ratio"))
 
 
+@pytest.mark.parametrize("ai_cost, review_cost", [(-1.0, 1.0), (1.0, -1.0)])
+def test_hitl_blame_rejects_negative_costs(ai_cost, review_cost):
+    decisions = run(CaseLog.from_cases([case()]), POLICY)
+    with pytest.raises(ConfigError, match="decision costs must be finite and non-negative"):
+        hitl_blame(decisions, ai_cost, review_cost, DiscountSpec("cost_ratio"))
+
+
+def test_hitl_blame_accepts_negative_zero_costs():
+    rep = hitl_blame(run(CaseLog.from_cases([case()]), POLICY), -0.0, -0.0, DiscountSpec("unit"))
+    assert (rep.cost_a, rep.cost_aprime) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("option", ["--ai-cost", "--review-cost"])
+def test_hitl_negative_cost_refused(capsys, option):
+    code = main(["hitl", "--cases", str(bundled_path("cases_200.csv")), "--l", "0.2",
+                 "--u", "0.8", f"{option}=-1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "ConfigError"
+    assert error["message"].startswith("decision costs must be finite and non-negative")
+
+
 @pytest.mark.parametrize("discount", ["unit", "cost_ratio"])
 @pytest.mark.parametrize("cost", [1e308, sys.float_info.max], ids=["1e308", "float_max"])
 def test_hitl_accepts_finite_costs_whose_sum_overflows(capsys, discount, cost):
@@ -290,11 +313,13 @@ def _columns(**edits) -> dict:
     "edits, error, message",
     [
         ({"ids": []}, EmptyCaseList, "case log is empty"),
+        ({"ids": ["a", "", "c"]}, DataError, "case log has an empty case id"),
         ({"ids": ["a", "b", "a"]}, DuplicateCaseId, "duplicate case id 'a'"),
         # Two confidences for one id: hitl_blame read p_a = 2.0 from this.
         ({"ids": ["a"], "ai_confidence": [0.9, 0.9], "ai_decision": [0], "human_decision": [1],
           "truth": [1]}, DataError, "ai_confidence: 2 entries for 1 case ids"),
         ({"truth": [1, 0]}, DataError, "truth: 2 entries for 3 case ids"),
+        ({"labels": ["", "pos"]}, DataError, "case log has an empty label"),
         ({"human_decision": [1, -1, 0]}, DataError,
          "human_decision: label code -1 outside the 2 labels"),
         ({"ai_decision": [0, 2, 0]}, DataError, "ai_decision: label code 2 outside the 2 labels"),
@@ -303,8 +328,9 @@ def _columns(**edits) -> dict:
         ({"ai_confidence": [0.1, 0.5, 1.7]}, ConfigError,
          "case 'c': confidence 1.7 outside [0,1]"),
     ],
-    ids=["empty", "duplicate", "confidence_column_long", "truth_column_short",
-         "code_minus_one", "code_past_labels", "nan_confidence", "confidence_past_one"],
+    ids=["empty", "empty_id", "duplicate", "confidence_column_long", "truth_column_short",
+         "empty_label", "code_minus_one", "code_past_labels", "nan_confidence",
+         "confidence_past_one"],
 )
 def test_caselog_refuses_a_bad_log(edits, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as refused:

@@ -5,6 +5,7 @@ import math
 import operator
 import random
 import re
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -1222,6 +1223,23 @@ def test_abduct_underflowing_observation(p, shown):
         counterfactual_probability(scm, {"X": "1"}, {}, OutcomeSpec.conjunction([("X", "1")]))
     with pytest.raises(ZeroProbabilityObservation):
         abduct(_two_rare_bits(p, 0.0), {"X": "1"})
+
+
+def test_abduct_listed_sum_below_the_range_of_its_query():
+    """P(X = 1) is the smallest normal float, but `abduct` lists it as two
+    products that round down and sum one ulp below it: `abduct` names that
+    sum, where `_query` finds the observation in range."""
+    scm = Scm(
+        exogenous=(ExogenousVar("A", Domain(BITS), (1.0, 2.0**-1022)),
+                   ExogenousVar("B", Domain(BITS),
+                                (0.0044513498030894555, 0.9955486501969105))),
+        endogenous=(EndogenousVar("X", Domain(BITS), ("A",), {("0",): "0", ("1",): "1"}),),
+    )
+    x1 = OutcomeSpec.conjunction([("X", "1")])
+    assert counterfactual_probability(scm, {"X": "1"}, {}, x1) == 1.0
+    listed = re.escape(f"P(observation) is positive but {math.nextafter(sys.float_info.min, 0)!r} ")
+    with pytest.raises(FloatUnderflow, match=listed):
+        abduct(scm, {"X": "1"})
 
 
 def test_abduct_support_consistency(xor):
