@@ -7,7 +7,7 @@ CSV) to stdout or `--out`, so identical inputs and seeds produce
 byte-identical reports. Every error, usage errors included, is a
 BlamescopeError written as JSON to stderr. Exit codes: 0 success,
 2 configuration error, 3 data error, 4 model error. `run`, the process
-entry, is `main` followed by `gc.freeze()`.
+entry, is `main` on UTF-8 streams followed by `gc.freeze()`.
 """
 
 from __future__ import annotations
@@ -385,10 +385,12 @@ def main(argv=None) -> int:
 
 def run() -> int:
     """The process entry, for `python -m blamescope` and the `blamescope`
-    script: `main` on the command line, then `gc.freeze()`, which moves
-    every object left to the permanent generation, so the collections at
-    interpreter exit do not walk a heap that is about to be freed whole.
-    Returns `main`'s exit code."""
+    script: `main` on the command line, writing UTF-8 whatever the locale,
+    then `gc.freeze()`, which moves every object left to the permanent
+    generation, so the collections at interpreter exit do not walk a heap
+    that is about to be freed whole. Returns `main`'s exit code."""
+    for stream in (sys.stdout, sys.stderr):
+        stream.reconfigure(encoding="utf-8", errors=stream.errors)
     code = main()
     gc.freeze()
     return code

@@ -8,8 +8,9 @@ causal model built from the log's joint frequencies.
 
 A log is held in columns (CaseLog) and decided once, as arrays, by `run`;
 the blame, the attribution and the F1 metrics all read that one result.
-A log is checked once, by the CaseLog constructor that the loader and
-`CaseLog.from_cases` both call, so nothing that reads a log checks it again.
+Every log is checked by the CaseLog constructor that the loader and
+`CaseLog.from_cases` both call. The loader's own row rule exists to give
+line numbers: it refuses a file's bad row and names the row's line.
 """
 
 from __future__ import annotations

@@ -1,26 +1,16 @@
-r"""File formats: SCM description JSON, case-log CSV, ratings CSV, and
+"""File formats: SCM description JSON, case-log CSV, ratings CSV, and
 canonical JSON report emission.
 
 Every text file is read or written through `open_text`, which turns a
 path that cannot be opened into a typed error. Case logs and ratings share
-one reader, `_read_csv`: it alone turns bytes that are not UTF-8 and CSV
-syntax errors into line-numbered MalformedRow errors and checks the
-header. It reads the text whole but splits it in blocks of `_BLOCK`
+one reader, `_read_csv`, which splits the text in blocks of `_BLOCK`
 characters, cut at line ends, and hands each block's columns to the
-loader's `parse`, which types them (floats, label codes, int pairs) before
-the next block is split; so the loader holds columns, never every field
-string of the file at once. A block is split with one `str.split` call
-when it is sure to split as csv.reader would: the whole text has no quote,
-NUL or bare "\r" and a header that is not blank, and each line of the
-block, checked with numpy on the block's UTF-8 bytes, is within the field
-limit and has the header's field count. A file that is not UTF-8, text
-with a quote, NUL or bare "\r", and a block that fails a per-line check
-make the whole file be read again through csv.reader from the start, as
-one block of rows, which raises the errors: results, errors and line
-numbers are the same on both paths. A block that `parse` rejects is noted
-and reading goes on, so a bad byte or a CSV syntax error anywhere in the
-file is still reported before a bad row; only then is the file rescanned
-row by row (`_bad_row`) to name the first bad row's line.
+loader's `parse` before the next block is split, so the loader holds typed
+columns, never every field string of the file at once. `parse` is the one
+rule for a row: it types a block or refuses it, and a refused block is
+halved until `parse` names the first bad row's fault. Bytes that are not
+UTF-8 and CSV syntax errors anywhere in the file are reported before a bad
+row, and every error names its line as csv.reader counts lines.
 
 Reports are serialized with sorted keys and floats at 12 significant
 digits so identical runs produce byte-identical output; a `JsonText` value
@@ -360,39 +350,59 @@ def _positions(header, columns):
     return [position[c] for c in columns] if all(c in position for c in columns) else None
 
 
+def _bad_row(parse, values, lo, hi):
+    """(i, error) for the first of rows lo to hi of a block's `values` that
+    `parse` refuses alone, with the ValueError it raises; None if it takes
+    them all. A refused range is halved, so the row is found in two `parse`
+    calls a step, over about twice the block's rows in all."""
+    try:
+        parse(*(column[lo:hi] for column in values))
+    except ValueError as error:
+        if hi - lo == 1:
+            return lo, error
+        mid = (lo + hi) // 2
+        return _bad_row(parse, values, lo, mid) or _bad_row(parse, values, mid, hi)
+    return None
+
+
 def _parse_blocks(blocks, positions, take, parse):
-    """`parse`'s result for each block that has rows, or None when there
-    are no `positions` or `parse` raised ValueError for a block. Every
-    block is read either way, so that the reader's own errors come first."""
-    results = None if positions is None else []
+    """(results, refused): `parse`'s result for each block that has rows,
+    and `_bad_row` of the first block it refuses, i counted from the file's
+    first row, or None. Blocks after a refusal, or with no `positions`, are
+    read but not parsed, so that the reader's own errors come first."""
+    results, refused, done = [], None, 0
     for block in blocks:
-        if block and results is not None:
+        if block and positions is not None and refused is None:
             values = [take(block, i) for i in positions]
             del block  # free the rows before parse builds typed columns
             try:
                 results.append(parse(*values))
             except ValueError:
-                results = None
+                i, error = _bad_row(parse, values, 0, len(values[0]))
+                refused = done + i, error
+            done += len(values[0])
             del values
-    return results
+    return results, refused
 
 
-def _read_csv(path, columns, parse, problem) -> list:
+def _read_csv(path, columns, parse) -> list:
     r"""Read a CSV file block by block: `parse(*values)` gets, for each block
     of non-blank rows after the header, the values of each of `columns` as
-    a list of strings ("" where a row is too short), and returns them typed,
-    or raises ValueError when one is bad. Returns the list of its results.
+    a list of strings ("" where a row is too short), and returns them typed.
+    It is the file's only row rule: it raises ValueError for a block when
+    it would for one of the block's rows alone, with what is wrong with
+    that row as the message. Returns the list of its results.
 
     This is the only code that reads a CSV file whole. Bytes that are not
     UTF-8 and CSV syntax errors are MalformedRow errors with the line
     number, as are an empty file and a header without one of the columns;
-    then, if a block failed `parse`, `problem` finds the first bad row (see
-    `_bad_row`). Text that `_plain` accepts is split at "\n" and "," one
-    block at a time, in one `str.split` call once `_plain_blocks` has
-    checked the block's lines. A file that is not UTF-8, text that
-    `_plain` rejects, and a block that `_plain_blocks` rejects make the
-    whole file be read again through csv.reader, as one block of all its
-    rows, which gives the same values wherever both apply.
+    then a refused block's first bad row (`_bad_row`) is one too. Text that
+    `_plain` accepts is split at "\n" and "," one block at a time, in one
+    `str.split` call once `_plain_blocks` has checked the block's lines. A
+    file that is not UTF-8, text that `_plain` rejects, and a block that
+    `_plain_blocks` rejects make the whole file be read again through
+    csv.reader, as one block of all its rows, which gives the same values
+    wherever both apply.
     """
     with open_text(path) as fh:
         try:
@@ -404,7 +414,7 @@ def _read_csv(path, columns, parse, problem) -> list:
             positions = _positions(header, columns)
             width = len(header)
             try:
-                results = _parse_blocks(
+                results, refused = _parse_blocks(
                     blocks, positions, lambda fields, i: fields[i::width], parse
                 )
             except _NotPlain:
@@ -418,7 +428,7 @@ def _read_csv(path, columns, parse, problem) -> list:
             try:
                 header = next(reader, None)
                 positions = _positions(header, columns)
-                results = _parse_blocks(
+                results, refused = _parse_blocks(
                     # One block, made as the loop reaches it, so that the
                     # loop alone holds the rows.
                     map(list, [filter(None, reader)]),
@@ -435,45 +445,20 @@ def _read_csv(path, columns, parse, problem) -> list:
     if positions is None:
         missing = [c for c in columns if c not in header]
         raise MalformedRow(f"{path}: missing column(s) {', '.join(missing)}")
-    if results is None:
-        raise _bad_row(path, positions, problem)
+    if refused is not None:
+        i, error = refused
+        raise MalformedRow(f"{path}: line {_line(path, i)}: {error}")
     return results
 
 
-def _numbered_rows(path):
-    """Yield (line number, row) for each non-blank row after the header,
-    with the line number as csv.reader counts it."""
+def _line(path, i) -> int:
+    """The line number, as csv.reader counts lines, of the i-th non-blank
+    row after the header (from 0)."""
     with open_text(path) as fh:
         reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if row:
-                yield reader.line_num, row
-
-
-def _bad_row(path, positions, problem) -> MalformedRow:
-    """The error for the first row whose fields at `positions` (empty when
-    the row is short) fail `problem`, which returns what is wrong or None.
-    Called only after a check over whole columns has failed, to find the
-    row's line."""
-    for line, row in _numbered_rows(path):
-        message = problem([row[i] if i < len(row) else "" for i in positions])
-        if message:
-            return MalformedRow(f"{path}: line {line}: {message}")
-    raise AssertionError(f"{path}: no row fails the checks")
-
-
-def _case_problem(fields):
-    if "" in fields:
-        return "incomplete row"
-    conf_text = fields[CASE_COLUMNS.index("ai_confidence")]
-    try:
-        conf = float(conf_text)
-    except ValueError:
-        return f"bad confidence {conf_text!r}"
-    if not 0.0 <= conf <= 1.0:
-        return f"confidence {conf} outside [0,1]"
-    return None
+        next(reader)
+        next(itertools.islice(filter(None, reader), i, None))
+        return reader.line_num
 
 
 def load_cases(path) -> CaseLog:
@@ -489,15 +474,28 @@ def load_cases(path) -> CaseLog:
 
     def parse(ids, conf_text, ai, human, truth):
         n = len(ids)
-        conf = np.fromiter(map(float, conf_text), dtype=np.float64, count=n)
+        try:
+            conf = np.fromiter(map(float, conf_text), dtype=np.float64, count=n)
+        except ValueError:  # an empty or a bad confidence, told apart below
+            conf = None
         labels = encode_labels(ai + human + truth, codes)
-        # NaN fails the range check too. An empty label is in `codes` once
-        # any block has one, and then the log has a bad row.
-        if not ((0.0 <= conf) & (conf <= 1.0)).all() or "" in codes or "" in ids:
-            raise ValueError("bad row")
+        # `codes` keeps the labels of earlier blocks too, so an empty label
+        # in it is looked for in these rows.
+        empty = "" in ids or "" in codes and "" in ai + human + truth
+        if empty or conf is None and "" in conf_text:
+            raise ValueError("incomplete row")
+        if conf is None:
+            for text in conf_text:
+                try:
+                    float(text)
+                except ValueError:
+                    raise ValueError(f"bad confidence {text!r}") from None
+        ok = (0.0 <= conf) & (conf <= 1.0)  # NaN fails both
+        if not ok.all():
+            raise ValueError(f"confidence {float(conf[ok.argmin()])} outside [0,1]")
         return ids, conf, labels[:n], labels[n : 2 * n], labels[2 * n :]
 
-    blocks = _read_csv(path, CASE_COLUMNS, parse, _case_problem)
+    blocks = _read_csv(path, CASE_COLUMNS, parse)
     if not blocks:
         raise EmptyCaseList(f"{path}: case log is empty")
     ids = []
@@ -508,7 +506,7 @@ def load_cases(path) -> CaseLog:
         return CaseLog(ids, conf, list(codes), ai, human, truth)
     except DuplicateCaseId:
         dup = first_duplicate(ids)
-        line = next(itertools.islice(_numbered_rows(path), dup, None))[0]
+        line = _line(path, dup)
         raise DuplicateCaseId(f"{path}: line {line}: duplicate case id {ids[dup]!r}") from None
 
 
@@ -526,18 +524,14 @@ def dump_cases(cases) -> str:
     return buf.getvalue()
 
 
-def _rating_problem(fields):
-    try:
-        low = min(map(int, fields[1:]))
-    except ValueError:
-        return "non-integer rating"
-    return f"rating {low} below 1" if low < 1 else None
-
-
 def _ratings(_, rater_a, rater_b):
-    pairs = list(zip(map(int, rater_a), map(int, rater_b)))
-    if min(map(min, pairs)) < 1:
-        raise ValueError("rating below 1")
+    try:
+        pairs = list(zip(map(int, rater_a), map(int, rater_b)))
+    except ValueError:
+        raise ValueError("non-integer rating") from None
+    low = min(map(min, pairs))
+    if low < 1:
+        raise ValueError(f"rating {low} below 1")
     return pairs
 
 
@@ -545,7 +539,7 @@ def load_ratings(path):
     """Parse a ratings CSV into (rater_a, rater_b) integer pairs. Short rows,
     non-integer ratings, ratings below 1, CSV syntax errors and bytes that
     are not UTF-8 are hard errors with line numbers."""
-    blocks = _read_csv(path, RATING_COLUMNS, _ratings, _rating_problem)
+    blocks = _read_csv(path, RATING_COLUMNS, _ratings)
     pairs = [pair for block in blocks for pair in block]
     if not pairs:
         raise DataError(f"{path}: no rating rows")

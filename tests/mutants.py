@@ -20,7 +20,8 @@ takes minutes.
 
 Each row starts a pytest process, so this is not part of the test suite;
 `tests/test_mutant_table.py` checks only that each row's old text occurs
-exactly once in its file, so a row cannot go stale unnoticed.
+exactly once in its file and that each test it names is defined, so a row
+cannot go stale unnoticed.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ ORDINAL = "tests/test_metrics.py::test_ordinal_confusion_refuses_bad_counts"
 BINARY = "tests/test_metrics.py::test_binary_counts_refuse_bad_counts"
 UNDERFLOW = "tests/test_cli.py::test_figure_below_the_normal_float_range_is_refused"
 CASELOG = "tests/test_hitl.py::test_caselog_refuses_a_bad_log"
+FIRST_BAD_ROW = "tests/test_io.py::test_first_bad_row_in_file_order_is_named"
 # A bad action in a model file, refused by each command that loads it.
 BAD_ACTION = "tests/test_cli.py::test_bad_input_file[scm_action_{}{}]"
 EVERY_COMMAND = ("", "_prob", "_counterfactual", "_blame")
@@ -216,6 +218,26 @@ MUTANTS = [
      "pass",
      ["tests/test_blame.py::test_apply_action_unknown_variable",
       *(BAD_ACTION.format("unknown_variable", suffix) for suffix in EVERY_COMMAND)]),
+    # Each loader's block parser is the only rule for a CSV row; a refused
+    # block is halved to find the first bad row.
+    ("parse_range_unchecked", IO,
+     "        if not ok.all():\n            raise ValueError(f\"confidence",
+     "        if False:\n            raise ValueError(f\"confidence",
+     ["tests/test_io.py::test_load_cases_confidence_out_of_range",
+      "tests/test_io.py::test_load_cases_nan_confidence", FIRST_BAD_ROW]),
+    ("empty_label_read_from_codes", IO,
+     '"" in codes and "" in ai + human + truth',
+     '"" in codes',
+     ["tests/test_io.py::test_load_cases_empty_field", FIRST_BAD_ROW]),
+    ("bad_row_first_of_failing_half", IO,
+     "        if hi - lo == 1:\n            return lo, error",
+     "        if hi - lo <= 2:\n            return lo, error",
+     ["tests/test_io.py::test_load_cases_empty_field",
+      "tests/test_io.py::test_bad_last_row_is_found_in_few_parse_calls"]),
+    ("rating_below_one_allowed", IO,
+     "    if low < 1:\n",
+     "    if False:\n",
+     ["tests/test_io.py::test_load_ratings_below_one", FIRST_BAD_ROW]),
     ("false_not_written_as_json", IO,
      '    elif obj is False:\n        out.append("false")\n',
      "",

@@ -19,8 +19,8 @@ from test_golden import CASES, GOLDEN
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _python(*argv):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def _python(*argv, **environ):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **environ)
     return subprocess.run(
         [sys.executable, *argv], capture_output=True, env=env, timeout=120
     )
@@ -51,6 +51,31 @@ def test_error_by_process(argv, code, error):
     line, rest = done.stderr.decode("utf-8").split("\n", 1)
     assert rest == ""
     assert json.loads(line)["error"] == error
+
+
+def test_reports_and_errors_are_utf8_in_the_c_locale(tmp_path):
+    """Under the C locale with UTF-8 mode off, where Python's own streams
+    write ASCII, a report on stdout has the bytes of its `--out` file, and
+    an error naming a non-ASCII case id is JSON on stderr."""
+    ascii_only = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONIOENCODING": ""}
+    header = "case_id,ai_confidence,ai_decision,human_decision,truth\n"
+    log = tmp_path / "cases.csv"
+    log.write_text(header + "casé,0.5,pos,neg,pos\nc1,0.9,pos,pos,neg\n", encoding="utf-8")
+    argv = ("-m", "blamescope", "hitl", "--cases", str(log), "--l", "0.2", "--u", "0.8")
+    done = _python(*argv, **ascii_only)
+    out = tmp_path / "report.json"
+    assert _python(*argv, "--out", str(out), **ascii_only).returncode == 0
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == out.read_bytes()
+    assert "casé" in done.stdout.decode("utf-8")
+
+    log.write_text(header + "casé,0.5,pos,neg,pos\ncasé,0.9,pos,pos,neg\n", encoding="utf-8")
+    done = _python(*argv, **ascii_only)
+    assert (done.returncode, done.stdout) == (3, b"")
+    error = json.loads(done.stderr)
+    assert error == {
+        "error": "DuplicateCaseId", "message": f"{log}: line 3: duplicate case id 'casé'"
+    }
 
 
 def test_run_freezes_the_heap_and_returns_the_code():

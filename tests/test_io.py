@@ -332,7 +332,7 @@ def test_load_cases_bad_confidence(tmp_path):
         "c0,0.5,pos,neg,pos\n"
         "c1,high,pos,neg,pos\n"
     )
-    with pytest.raises(MalformedRow, match="line 3"):
+    with pytest.raises(MalformedRow, match="line 3: bad confidence 'high'$"):
         load_cases(path)
 
 
@@ -341,7 +341,7 @@ def test_load_cases_confidence_out_of_range(tmp_path):
     path.write_text(
         "case_id,ai_confidence,ai_decision,human_decision,truth\nc0,1.5,pos,neg,pos\n"
     )
-    with pytest.raises(MalformedRow, match="line 2"):
+    with pytest.raises(MalformedRow, match=r"line 2: confidence 1\.5 outside \[0,1\]$"):
         load_cases(path)
 
 
@@ -362,7 +362,7 @@ def test_load_ratings(tmp_path):
 def test_load_ratings_non_integer(tmp_path):
     path = tmp_path / "ratings.csv"
     path.write_text("case_id,rater_a,rater_b\nc0,1,x\n")
-    with pytest.raises(MalformedRow, match="line 2"):
+    with pytest.raises(MalformedRow, match="line 2: non-integer rating$"):
         load_ratings(path)
 
 
@@ -502,7 +502,7 @@ def test_multibyte_case_log_is_split_without_csv_reader(tmp_path, monkeypatch):
 
 def _columns(path):
     """_read_csv's columns of RATING_COLUMNS in a file, its blocks joined."""
-    blocks = _read_csv(path, RATING_COLUMNS, lambda *values: values, None)
+    blocks = _read_csv(path, RATING_COLUMNS, lambda *values: values)
     return [[v for block in blocks for v in block[i]] for i in range(len(RATING_COLUMNS))]
 
 
@@ -664,6 +664,91 @@ def test_load_ratings_below_one(tmp_path, row):
     path.write_text(f"case_id,rater_a,rater_b\nc0,1,2\n{row}\n")
     with pytest.raises(MalformedRow, match="line 3: rating -?[01] below 1"):
         load_ratings(path)
+
+
+# (rows after the header, the first bad row's line and message): the first
+# bad row in file order is named, whatever rule each bad row breaks.
+_FIRST_BAD_ROW = {
+    "cases": (HEADER, {
+        "range_before_incomplete": (
+            "c0,0.5,pos,neg,pos\nc1,1.5,pos,neg,pos\nc2,0.5,,neg,pos\n",
+            "line 3: confidence 1.5 outside [0,1]"),
+        "incomplete_before_range": (
+            "c0,0.5,pos,neg,pos\nc1,0.5,pos,,pos\nc2,1.5,pos,neg,pos\n",
+            "line 3: incomplete row"),
+        "bad_number_before_range": (
+            "c0,0.5,pos,neg,pos\nc1,high,pos,neg,pos\nc2,1.5,pos,neg,pos\n",
+            "line 3: bad confidence 'high'"),
+    }),
+    "ratings": ("case_id,rater_a,rater_b\n", {
+        "non_integer_before_below_one": ("c0,1,2\nc1,1,x\nc2,0,2\n", "line 3: non-integer rating"),
+        "below_one_before_non_integer": ("c0,1,2\nc1,0,2\nc2,x,2\n", "line 3: rating 0 below 1"),
+    }),
+}
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+@pytest.mark.parametrize(
+    "kind, case",
+    [(kind, case) for kind, (_, cases) in _FIRST_BAD_ROW.items() for case in cases],
+    ids=lambda v: v,
+)
+def test_first_bad_row_in_file_order_is_named(tmp_path, kind, case, quote):
+    """Each loader's block parser is the file's one row rule: the refusal
+    names the first bad row and its fault, on the plain path and on the
+    csv.reader path that a quote sends the file to, in blocks of any size."""
+    header, cases = _FIRST_BAD_ROW[kind]
+    rows, message = cases[case]
+    path = tmp_path / "in.csv"
+    path.write_text(header + rows.replace("c0", f"{quote}c0{quote}", 1))
+    for size in BLOCK_SIZES:
+        with blocks_of(size), pytest.raises(MalformedRow) as got:
+            _LOADERS[kind][0](path)
+        assert str(got.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("row, message", [
+    (",high,pos,neg,pos", "incomplete row"),
+    ("c1,,pos,neg,pos", "incomplete row"),
+    ("c1,high,pos,,pos", "incomplete row"),
+    ("c1,1.5,pos,neg,", "incomplete row"),
+    ("c1,1.5,pos,neg", "incomplete row"),
+    ("c1,nan,pos,neg,pos", "confidence nan outside [0,1]"),
+    ("c1,-0.25,pos,neg,pos", "confidence -0.25 outside [0,1]"),
+])
+def test_row_with_several_faults_names_the_first_kind(tmp_path, row, message):
+    """A missing or empty field is named before a bad number, and a bad
+    number before one out of range."""
+    path = tmp_path / "cases.csv"
+    path.write_text(HEADER + "c0,0.5,pos,neg,pos\n" + row + "\n")
+    with pytest.raises(MalformedRow) as got:
+        load_cases(path)
+    assert str(got.value) == f"{path}: line 3: {message}"
+
+
+def test_bad_last_row_is_found_in_few_parse_calls(tmp_path, monkeypatch):
+    """A refused block is halved, one or two parse calls a step, not parsed
+    row by row: on 2^12 rows whose last is bad, the refusal names the last
+    line in at most 2 * 12 + 4 calls."""
+    path = tmp_path / "cases.csv"
+    rows = "".join(f"c{i},0.5,pos,neg,pos\n" for i in range(2**12 - 1))
+    path.write_text(HEADER + rows + "c,1.5,pos,neg,pos\n")
+    calls = 0
+    read_csv = bio._read_csv
+
+    def counting(path, columns, parse):
+        def counted(*values):
+            nonlocal calls
+            calls += 1
+            return parse(*values)
+
+        return read_csv(path, columns, counted)
+
+    monkeypatch.setattr(bio, "_read_csv", counting)
+    with pytest.raises(MalformedRow) as got:
+        load_cases(path)
+    assert str(got.value) == f"{path}: line {2**12 + 1}: confidence 1.5 outside [0,1]"
+    assert 0 < calls <= 2 * 12 + 4
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

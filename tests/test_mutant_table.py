@@ -1,7 +1,7 @@
 """The rows of `tests/mutants.py` still apply: each row's old text occurs
-exactly once in its file, and its new text differs. Whether the tests catch
-each mutant is checked by running `python tests/mutants.py`, one pytest
-process per row."""
+exactly once in its file, its new text differs, and each test it names is
+defined in the named file. Whether the tests catch each mutant is checked
+by running `python tests/mutants.py`, one pytest process per row."""
 
 from pathlib import Path
 
@@ -23,4 +23,5 @@ def test_old_text_occurs_once(row):
     assert (ROOT / path).read_text(encoding="utf-8").count(old) == 1
     assert new != old and tests
     for name in tests:
-        assert (ROOT / name.split("::")[0]).is_file()
+        path, function = name.split("[")[0].split("::")
+        assert f"def {function}(" in (ROOT / path).read_text(encoding="utf-8"), name
